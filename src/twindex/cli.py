@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -84,13 +83,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method", choices=("naive", "reduced", "closed_form"), default="reduced"
     )
     index.add_argument("--json", action="store_true")
-    index.add_argument("--threads", type=int, default=None)
 
     bench = sub.add_parser("bench", help="time naive vs reduced over a family sweep")
     bench.add_argument("--family", action="append", required=True)
     bench.add_argument("--m", default="2", help="comma-separated subset sizes")
     bench.add_argument("--reps", type=int, default=3, help="repetitions (min is kept)")
-    bench.add_argument("--threads", type=int, default=None)
     bench.add_argument("--out", default="-")
 
     verify = sub.add_parser(
@@ -99,18 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--json", action="store_true")
 
     return parser
-
-
-def _resolve_threads(requested: int | None) -> int:
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("TWINDEX_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise BadParameter(f"TWINDEX_THREADS={env!r} is not an integer") from None
-    return os.cpu_count() or 1
 
 
 def _input_graph(args) -> tuple[Graph, str]:
@@ -151,17 +136,14 @@ def _multipartite_sizes(family: str | None) -> list[int]:
 
 
 def _compute_index(g: Graph, descriptor: str, args, argv_echo: str) -> RunRecord:
-    threads = _resolve_threads(args.threads)
     start = time.perf_counter()
     extras: dict[str, int] = {}
     if args.method == "naive":
         progress = _progress if not args.json else None
-        value = steiner_wiener_naive(g, args.m, threads=threads, progress=progress)
+        value = steiner_wiener_naive(g, args.m, progress=progress)
     elif args.method == "reduced":
         decomposition = twin_partition(g)
-        value, stats = steiner_wiener_reduced_with_stats(
-            decomposition, args.m, threads=threads
-        )
+        value, stats = steiner_wiener_reduced_with_stats(decomposition, args.m)
         extras = {
             "num_classes": stats.num_classes,
             "num_profiles": stats.num_profiles,
@@ -229,7 +211,6 @@ def cmd_bench(args, argv_echo: str) -> int:
         m_values = [int(s) for s in str(args.m).split(",")]
     except ValueError:
         raise BadParameter(f"bad --m list {args.m!r}") from None
-    threads = _resolve_threads(args.threads)
     rows = []
     for family in args.family:
         g = family_graph(family)
@@ -240,11 +221,9 @@ def cmd_bench(args, argv_echo: str) -> int:
                 for _ in range(max(1, args.reps)):
                     start = time.perf_counter()
                     if method == "naive":
-                        value = steiner_wiener_naive(g, m, threads=threads)
+                        value = steiner_wiener_naive(g, m)
                     else:
-                        value = steiner_wiener_reduced_with_stats(
-                            twin_partition(g), m, threads=threads
-                        )[0]
+                        value = steiner_wiener_reduced_with_stats(twin_partition(g), m)[0]
                     elapsed = (time.perf_counter() - start) * 1000.0
                     best = elapsed if best is None else min(best, elapsed)
                 values[method] = value

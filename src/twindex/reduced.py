@@ -4,20 +4,23 @@ The Steiner distance of a subset depends only on how many vertices it takes
 from each twin class, so the defining sum over all ``binom(n, m)`` subsets
 collapses to a sum over *class profiles* ``(t_1, ..., t_k)`` weighted by
 ``prod_i binom(n_i, t_i)``. Distances are then needed only in the (usually
-much smaller) reduced graph, memoized per support set. This grouping is the
-entire speedup of the reduction.
+much smaller) reduced graph H, once per distinct support set: the supports
+are grouped by size and each group is answered in batches by the Steiner
+kernel :func:`twindex.steiner.steiner_distances` on H's distance matrix.
+This grouping is the entire speedup of the reduction.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
+import numpy as np
+
 from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
 from .graph import is_connected
-from .steiner import distance_matrix, steiner_distance
+from .steiner import distance_matrix, steiner_distance, steiner_distances
 from .twins import ClassKind, TwinDecomposition
 
 
@@ -107,9 +110,7 @@ def _connected_via_reduced(d: TwinDecomposition) -> bool:
     return is_connected(d.reduced)
 
 
-def _reduced_core(
-    d: TwinDecomposition, m: int, threads: int = 1
-) -> tuple[int, ReducedIndexStats]:
+def _reduced_core(d: TwinDecomposition, m: int) -> tuple[int, ReducedIndexStats]:
     stats = ReducedIndexStats(num_classes=d.k)
     n = d.source.n
     if not 1 <= m <= n:
@@ -130,32 +131,25 @@ def _reduced_core(
     dist_h = distance_matrix(d.reduced)
     multi = [p for p in profiles(sizes, m) if len(p.support) > 1]
     stats.num_profiles = len(multi)
-    dh_memo: dict[tuple[int, ...], int] = {}
+    by_size: dict[int, set[tuple[int, ...]]] = {}
     for profile in multi:
-        if profile.support not in dh_memo:
-            dh_memo[profile.support] = steiner_distance(
-                d.reduced, profile.support, _dist=dist_h
-            )
-        else:
-            stats.dh_cache_hits += 1
+        by_size.setdefault(len(profile.support), set()).add(profile.support)
+    dh: dict[tuple[int, ...], int] = {}
+    for group in by_size.values():
+        supports = list(group)
+        dh.update(zip(supports, steiner_distances(dist_h, np.array(supports)).tolist()))
+    stats.dh_cache_hits = len(multi) - len(dh)
 
-    def term(profile: ClassProfile) -> int:
+    for counts, support in multi:
         weight = 1
-        for size, t in zip(sizes, profile.counts):
-            weight *= comb(size, t)
-        extra = sum(profile.counts[i] - 1 for i in profile.support)
-        return weight * (dh_memo[profile.support] + extra)
-
-    if threads <= 1 or len(multi) < 2:
-        total += sum(term(p) for p in multi)
-    else:
-        chunks = [multi[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            total += sum(pool.map(lambda c: sum(term(p) for p in c), chunks))
+        for i in support:
+            weight *= comb(sizes[i], counts[i])
+        # The t_i - 1 extra edges per intersected class sum to m - |support|.
+        total += weight * (dh[support] + m - len(support))
     return total, stats
 
 
-def steiner_wiener_reduced(d: TwinDecomposition, m: int, *, threads: int = 1) -> int:
+def steiner_wiener_reduced(d: TwinDecomposition, m: int) -> int:
     """m-Steiner Wiener index via the twin-class formula.
 
     Complete (and singleton) classes contribute ``(m-1) * binom(n_i, m)``,
@@ -163,15 +157,15 @@ def steiner_wiener_reduced(d: TwinDecomposition, m: int, *, threads: int = 1) ->
     its weighted ``d_H(support) + sum(t_i - 1)`` term. Always equals
     :func:`twindex.steiner.steiner_wiener_naive` on the source graph.
     """
-    value, _ = _reduced_core(d, m, threads)
+    value, _ = _reduced_core(d, m)
     return value
 
 
 def steiner_wiener_reduced_with_stats(
-    d: TwinDecomposition, m: int, *, threads: int = 1
+    d: TwinDecomposition, m: int
 ) -> tuple[int, ReducedIndexStats]:
     """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
-    return _reduced_core(d, m, threads)
+    return _reduced_core(d, m)
 
 
 def wiener_reduced(d: TwinDecomposition) -> int:

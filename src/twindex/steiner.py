@@ -1,16 +1,20 @@
 """Exact Steiner distances and brute-force index computation.
 
-``steiner_distance`` runs the Dreyfus-Wagner dynamic program over
-(terminal-subset, anchor-vertex) states; ``steiner_distance_bruteforce``
+``steiner_distances`` is the one Steiner kernel: a Dreyfus-Wagner dynamic
+program over (terminal-subset, anchor-vertex) states that answers a whole
+batch of equal-size terminal sets with one numpy call sequence, under a fixed
+byte budget checked before allocation. ``steiner_distance`` is its one-row
+case, ``steiner_wiener_naive`` streams every m-subset through it, and the
+twin-class reduction answers its supports with it. ``steiner_distance_bruteforce``
 minimizes over connected vertex supersets and is the independent oracle the
-dynamic program and the twin-class reduction formula are validated against.
-All index values are exact Python integers.
+kernel and the twin-class reduction formula are validated against. All index
+values are exact Python integers.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from math import comb
 from typing import Callable, Iterable
 
 import numpy as np
@@ -27,6 +31,12 @@ from .graph import Graph, all_pairs_distances, is_connected
 
 DP_TERMINAL_CAP = 20
 BRUTE_FORCE_VERTEX_CAP = 16
+# Largest kernel allocation one query row may need (see ``_row_bytes``);
+# checked before any DP state is allocated.
+DP_BYTE_BUDGET = 1 << 26
+# Bytes per kernel batch. Small enough that the DP stays in cache and memory
+# stays flat, large enough that each numpy call spans many rows.
+BATCH_BYTES = 1 << 20
 
 # Larger than any hop count, small enough that sums of a few never overflow
 # int64.
@@ -44,37 +54,95 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return mat
 
 
-def _dreyfus_wagner(dist: np.ndarray, terminals: tuple[int, ...]) -> int:
-    """Minimum edge count of a subtree spanning ``terminals``.
+def _row_bytes(s: int, n: int) -> int:
+    """Peak kernel bytes per query row of ``s`` terminals on ``n`` vertices.
 
-    ``dp[mask]`` is the vector over anchor vertices ``v`` of the cheapest
-    tree spanning ``{terminals[i] : i in mask} | {v}``. Masks are processed
-    in increasing order: merge two subtrees at the anchor, then relax through
-    the exact distance matrix (one pass suffices because hop counts satisfy
-    the triangle inequality).
+    The DP table and the submask-merge temporary together stay below
+    ``2^s * n`` int64 entries; from ``s = 4`` on, the min-plus relax adds an
+    ``(n, n)`` temporary per row. One or two terminals need only the row's
+    indices and its answer.
     """
-    k = len(terminals)
-    if k == 1:
-        return 0
-    if k == 2:
-        return int(dist[terminals[0], terminals[1]])
-    n = dist.shape[0]
-    full = (1 << k) - 1
-    dp = np.full((full + 1, n), _INF, dtype=np.int64)
-    for i, t in enumerate(terminals):
-        dp[1 << i] = dist[t]
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
+    if s <= 2:
+        return 8 * (s + 1)
+    return 8 * n * ((1 << s) + (n if s > 3 else 0))
+
+
+def batch_rows(s: int, n: int) -> int:
+    """Query rows of ``s`` terminals per kernel batch: as many as fit ``BATCH_BYTES``."""
+    return max(1, BATCH_BYTES // _row_bytes(s, n))
+
+
+def _dp_table(dist: np.ndarray, terminals: np.ndarray) -> np.ndarray:
+    """Dreyfus-Wagner table for a batch of terminal rows, shape ``(2^s, B, n)``.
+
+    For every mask but the full one, ``dp[mask, b, v]`` is the Steiner
+    distance of ``{terminals[b, i] : i in mask} | {v}``. Masks are processed
+    in increasing order: each one takes the cheapest merge of two
+    complementary submasks at every anchor, across the whole batch at once,
+    then one min-plus relax through the exact distance matrix (one pass
+    suffices because hop counts satisfy the triangle inequality). The full
+    mask keeps its merge unrelaxed: its minimum over anchors is the same, and
+    adding a root's distance row to it yields the root's column.
+    """
+    rows, s = terminals.shape
+    full = (1 << s) - 1
+    dp = np.empty((full + 1, rows, dist.shape[0]), dtype=np.int64)
+    for i in range(s):
+        dp[1 << i] = dist[terminals[:, i]]
+    for mask in range(3, full + 1):
+        low = mask & -mask
+        if mask == low:
             continue
-        best = np.full(n, _INF, dtype=np.int64)
+        # Each unordered split once: the part holding the lowest bit.
+        subs = []
         sub = (mask - 1) & mask
         while sub:
-            rest = mask ^ sub
-            if sub <= rest:
-                np.minimum(best, dp[sub] + dp[rest], out=best)
+            if sub & low:
+                subs.append(sub)
             sub = (sub - 1) & mask
-        dp[mask] = (best[:, None] + dist).min(axis=0)
-    return int(dp[full].min())
+        merged = dp[subs]
+        merged += dp[[mask ^ sub for sub in subs]]
+        best = merged.min(axis=0)
+        if mask == full:
+            dp[mask] = best
+        else:
+            dp[mask] = (best[:, :, None] + dist).min(axis=1)
+    return dp
+
+
+def steiner_distances(dist: np.ndarray, terminals: np.ndarray) -> np.ndarray:
+    """Steiner distances of ``B`` terminal rows of equal size, as int64.
+
+    ``terminals`` is a ``(B, s)`` integer array of distinct vertices per row,
+    all in one component of the graph whose hop counts ``dist`` holds. One
+    terminal costs 0 and two cost their matrix entry. From three terminals on,
+    the last terminal of each row is the root of a Dreyfus-Wagner table over
+    the other ``s - 1`` (:func:`_dp_table`); for ``s = 3`` that is
+    ``min_v sum_i d(t_i, v)`` with no relax step. Rows are answered in
+    batches of :func:`batch_rows`. Raises :class:`TerminalCapExceeded`,
+    before allocating, when one row alone needs more than
+    ``DP_BYTE_BUDGET`` bytes.
+    """
+    terminals = np.asarray(terminals, dtype=np.intp)
+    count, s = terminals.shape
+    if s == 1:
+        return np.zeros(count, dtype=np.int64)
+    if s == 2:
+        return dist[terminals[:, 0], terminals[:, 1]]
+    n = dist.shape[0]
+    need = _row_bytes(s, n)
+    if need > DP_BYTE_BUDGET:
+        raise TerminalCapExceeded(
+            f"{s} terminals on {n} vertices need {need} bytes of DP state, "
+            f"over the budget of {DP_BYTE_BUDGET}"
+        )
+    step = batch_rows(s, n)
+    out = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, step):
+        batch = terminals[lo : lo + step]
+        dp = _dp_table(dist, batch[:, :-1])
+        out[lo : lo + step] = (dp[-1] + dist[batch[:, -1]]).min(axis=1)
+    return out
 
 
 def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:
@@ -100,23 +168,23 @@ def steiner_distance(
     terminals: Iterable[int],
     *,
     terminal_cap: int = DP_TERMINAL_CAP,
-    _dist: np.ndarray | None = None,
 ) -> int:
     """Exact Steiner distance of a terminal set (edges of the smallest subtree).
 
-    A single terminal costs 0; two terminals cost their shortest-path
-    distance. Raises :class:`DisconnectedTerminals` when the terminals span
-    several components and :class:`TerminalCapExceeded` beyond
-    ``terminal_cap`` (the DP holds ``2^|S| * n`` states).
+    A one-row call of :func:`steiner_distances`: a single terminal costs 0,
+    two terminals cost their shortest-path distance. Raises
+    :class:`DisconnectedTerminals` when the terminals span several
+    components, and :class:`TerminalCapExceeded` beyond ``terminal_cap`` or
+    when the DP would need more than ``DP_BYTE_BUDGET`` bytes.
     """
     ts = _validated_terminals(g, terminals)
     if len(ts) > terminal_cap:
         raise TerminalCapExceeded(
             f"{len(ts)} terminals exceed the cap of {terminal_cap}"
         )
-    dist = distance_matrix(g) if _dist is None else _dist
+    dist = distance_matrix(g)
     _check_reachable(dist, ts)
-    return _dreyfus_wagner(dist, ts)
+    return int(steiner_distances(dist, np.array([ts]))[0])
 
 
 def steiner_distance_bruteforce(g: Graph, terminals: Iterable[int]) -> int:
@@ -177,42 +245,29 @@ def steiner_wiener_naive(
     g: Graph,
     m: int,
     *,
-    threads: int = 1,
     progress: Callable[[int, int], None] | None = None,
 ) -> int:
     """m-Steiner Wiener index by summing Steiner distances of every m-subset.
 
-    This is the definition, evaluated literally: one Dreyfus-Wagner query per
-    subset. ``progress(done, total)`` is invoked periodically when given.
-    ``threads > 1`` splits the subset stream over a thread pool; the result
-    is the same integer regardless.
+    This is the definition, evaluated literally: every m-subset is one
+    Steiner query. The subsets stream from ``itertools.combinations`` in
+    chunks of :func:`batch_rows` rows, each answered by one
+    :func:`steiner_distances` call, so memory stays flat however many there
+    are. ``progress(done, total)`` is invoked after every chunk when given.
     """
     _validate_index_args(g, m)
-    if m == 1:
-        return 0
     dist = distance_matrix(g)
-    if m == 2:
-        # Same queries, specialised: d({u, v}) is the matrix entry.
-        return int(np.triu(dist, 1).sum())
-    subsets = list(itertools.combinations(range(g.n), m))
-    total = len(subsets)
-
-    def run_chunk(chunk: list[tuple[int, ...]], report: bool) -> int:
-        acc = 0
-        for done, s in enumerate(chunk, start=1):
-            acc += _dreyfus_wagner(dist, s)
-            if report and progress is not None and done % 1000 == 0:
-                progress(done, total)
-        return acc
-
-    if threads <= 1 or total < 2:
-        value = run_chunk(subsets, True)
-    else:
-        chunks = [subsets[i::threads] for i in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            value = sum(pool.map(lambda c: run_chunk(c, False), chunks))
-    if progress is not None:
-        progress(total, total)
+    total = comb(g.n, m)
+    subsets = itertools.combinations(range(g.n), m)
+    row_type = np.dtype((np.intp, m))
+    step = batch_rows(m, g.n)
+    value = done = 0
+    while done < total:
+        batch = np.fromiter(itertools.islice(subsets, step), dtype=row_type)
+        value += int(steiner_distances(dist, batch).sum())
+        done += len(batch)
+        if progress is not None:
+            progress(done, total)
     return value
 
 
@@ -227,9 +282,9 @@ def wiener_index(g: Graph) -> int:
 def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
     """Steiner distance of every non-empty vertex subset (test helper).
 
-    One Dreyfus-Wagner run with the full vertex set as terminals yields the
-    answer for all ``2^n - 1`` subsets at once; only sensible for tiny
-    graphs.
+    One :func:`_dp_table` run with the full vertex set as terminals yields
+    the answer for all ``2^n - 1`` subsets at once, as each mask's minimum
+    over anchors; only sensible for tiny graphs.
     """
     if g.n > BRUTE_FORCE_VERTEX_CAP:
         raise GraphTooLargeForBruteForce(
@@ -238,24 +293,10 @@ def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
     if not is_connected(g):
         raise DisconnectedGraph("all-subsets table requires a connected graph")
     n = g.n
-    dist = distance_matrix(g)
-    full = (1 << n) - 1
-    dp = np.full((full + 1, n), _INF, dtype=np.int64)
-    for v in range(n):
-        dp[1 << v] = dist[v]
-    for mask in range(1, full + 1):
-        if mask & (mask - 1) == 0:
-            continue
-        best = np.full(n, _INF, dtype=np.int64)
-        sub = (mask - 1) & mask
-        while sub:
-            rest = mask ^ sub
-            if sub <= rest:
-                np.minimum(best, dp[sub] + dp[rest], out=best)
-            sub = (sub - 1) & mask
-        dp[mask] = (best[:, None] + dist).min(axis=0)
+    dp = _dp_table(distance_matrix(g), np.arange(n)[None, :])
+    lowest = dp[1:, 0].min(axis=1).tolist()
     out: dict[frozenset[int], int] = {}
-    for mask in range(1, full + 1):
+    for mask in range(1, 1 << n):
         members = frozenset(v for v in range(n) if mask >> v & 1)
-        out[members] = int(dp[mask].min())
+        out[members] = lowest[mask - 1]
     return out

@@ -141,22 +141,6 @@ class TestIndex:
         assert code == 1
         assert "connected" in err
 
-    def test_threads_flag(self, capsys):
-        code, out, _ = run(
-            capsys, "index", "--family", "power:Z12", "--m", "3", "--method", "naive", "--threads", "2"
-        )
-        assert code == 0
-        assert out.strip() == run(capsys, "index", "--family", "power:Z12", "--m", "3")[1].strip()
-
-    def test_threads_env_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("TWINDEX_THREADS", "2")
-        code, out, _ = run(capsys, "index", "--family", "power:Z6", "--m", "3")
-        assert code == 0 and out == "41\n"
-        monkeypatch.setenv("TWINDEX_THREADS", "zebra")
-        code, _, err = run(capsys, "index", "--family", "power:Z6", "--m", "3")
-        assert code == 2
-        assert "TWINDEX_THREADS" in err
-
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "index", "--in", "/no/such/file", "--m", "2")
         assert code == 2

@@ -191,10 +191,6 @@ class TestReducedIndex:
         assert stats.num_profiles == 5
         assert stats.dh_cache_hits >= 1
 
-    def test_threads_do_not_change_value(self):
-        d = twin_partition(as_graph(power_graph_zn(30)))
-        assert steiner_wiener_reduced(d, 4, threads=3) == steiner_wiener_reduced(d, 4)
-
 
 class TestWienerReduced:
     def test_ideal_based_graph_of_z6z2(self):

@@ -1,8 +1,10 @@
 """Steiner distances (DP vs brute force) and brute-force index sums."""
 
 import itertools
+import tracemalloc
 from math import comb
 
+import numpy as np
 import pytest
 
 from twindex import (
@@ -28,7 +30,13 @@ from twindex.generators import (
     power_graph_zn,
 )
 from twindex.algebra import dihedral_group
-from twindex.steiner import all_steiner_distances
+from twindex.steiner import (
+    DP_BYTE_BUDGET,
+    all_steiner_distances,
+    batch_rows,
+    distance_matrix,
+    steiner_distances,
+)
 
 from conftest import all_graphs, random_connected_graph
 
@@ -67,6 +75,37 @@ class TestSteinerDistance:
         g = complete_graph(6)
         with pytest.raises(TerminalCapExceeded):
             steiner_distance(g, range(6), terminal_cap=4)
+
+
+class TestKernel:
+    def test_batches_match_single_rows_and_bruteforce(self, rng):
+        several_batches = 0
+        for n in range(1, 11):
+            for _ in range(2):
+                g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
+                dist = distance_matrix(g)
+                for size in range(1, min(n, 7) + 1):
+                    rows = list(itertools.combinations(range(n), size))
+                    rng.shuffle(rows)
+                    several_batches += len(rows) > batch_rows(size, n)
+                    batched = steiner_distances(dist, np.array(rows))
+                    assert batched.dtype == np.int64 and batched.shape == (len(rows),)
+                    for row, value in zip(rows, batched.tolist()):
+                        assert steiner_distances(dist, np.array([row]))[0] == value
+                        assert steiner_distance_bruteforce(g, row) == value
+        assert several_batches > 0
+
+    def test_byte_budget_checked_before_allocating(self):
+        # 16 terminals on 128 vertices need just over 64 MiB of DP state.
+        g = cycle_graph(128)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TerminalCapExceeded):
+                steiner_distance(g, range(16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < DP_BYTE_BUDGET // 16
 
 
 class TestBruteForceOracle:
@@ -166,16 +205,27 @@ class TestNaiveIndex:
         with pytest.raises(DisconnectedGraph):
             steiner_wiener_naive(new_graph(3, [(0, 1)]), 2)
 
-    def test_threads_do_not_change_value(self):
-        g = as_graph(power_graph_zn(12))
-        assert steiner_wiener_naive(g, 3, threads=3) == steiner_wiener_naive(g, 3)
-
     def test_progress_reported(self):
         calls = []
         steiner_wiener_naive(
             complete_graph(6), 3, progress=lambda done, total: calls.append((done, total))
         )
         assert calls[-1] == (20, 20)
+
+    def test_progress_per_streamed_batch(self):
+        n, m = 30, 4
+        total = comb(n, m)
+        calls = []
+        value = steiner_wiener_naive(
+            cycle_graph(n), m, progress=lambda done, total: calls.append((done, total))
+        )
+        assert len(calls) == -(-total // batch_rows(m, n)) > 1
+        assert [done for done, _ in calls] == sorted(done for done, _ in calls)
+        assert {t for _, t in calls} == {total}
+        assert calls[-1] == (total, total)
+        # On a cycle the smallest subtree leaves out the largest gap.
+        subsets = itertools.combinations(range(n), m)
+        assert value == sum(n - max((b - a) % n for a, b in zip(s, s[1:] + s[:1])) for s in subsets)
 
     def test_isomorphism_invariance(self, rng):
         for _ in range(8):
