@@ -1,8 +1,8 @@
 """How much the twin-class reduction saves: naive vs reduced on Z_n power graphs.
 
 The naive method runs one exact Steiner query per m-subset; the reduced
-method groups subsets by class profile and only queries the (tiny) reduced
-graph. The gap widens quickly with n.
+method groups subsets by class support and only queries the (tiny) reduced
+graph, once per support. The gap widens quickly with n.
 
 Run with: python demos/05_reduction_benchmark.py
 """
@@ -15,7 +15,7 @@ from twindex.generators import as_graph, power_graph_zn
 
 M = 3
 print(f"m = {M}, power graphs of Z_n")
-print(f"{'n':>4} {'subsets':>9} {'classes':>8} {'profiles':>9} "
+print(f"{'n':>4} {'subsets':>9} {'classes':>8} {'supports':>9} "
       f"{'naive':>10} {'reduced':>10} {'speedup':>8}  value")
 
 for n in (12, 20, 30, 40, 60):

@@ -52,8 +52,6 @@ from .steiner import (
     wiener_index,
 )
 from .reduced import (
-    ClassProfile,
-    profiles,
     steiner_distance_via_classes,
     steiner_wiener_reduced,
     steiner_wiener_reduced_with_stats,

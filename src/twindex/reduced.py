@@ -1,89 +1,79 @@
 """Wiener and m-Steiner Wiener indices through twin classes.
 
-The Steiner distance of a subset depends only on how many vertices it takes
-from each twin class, so the defining sum over all ``binom(n, m)`` subsets
-collapses to a sum over *class profiles* ``(t_1, ..., t_k)`` weighted by
-``prod_i binom(n_i, t_i)``. Distances are then needed only in the (usually
-much smaller) reduced graph H, once per distinct support set: the supports
-are grouped by size and each group is answered in batches by the Steiner
-kernel :func:`twindex.steiner.steiner_distances` on H's distance matrix.
-This grouping is the entire speedup of the reduction.
+The Steiner distance of an m-subset depends only on its *support* S, the set
+of twin classes it meets. Inside one class it is ``m - 1`` for a complete
+class and ``m`` for an edgeless one; across classes it is ``d_H(S) + m - |S|``,
+where ``d_H`` is the Steiner distance of the class representatives in the
+reduced graph H and each further vertex hangs off that tree by one edge. So
+the defining sum over all ``binom(n, m)`` subsets collapses to one sum over
+the supports of at most ``m`` classes::
+
+    SW_m = sum_S N_S * (d_H(S) + m - |S|) + sum_{i edgeless} binom(n_i, m)
+
+``N_S``, the number of m-subsets with support exactly S, is the
+inclusion-exclusion sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets
+T of S, where ``n_T`` counts the vertices of T's classes
+(:func:`support_count`). A one-class support has
+``d_H = 0``, so the per-class terms come out of the same sum. The supports
+stream from :func:`twindex.steiner.subset_batches` and each chunk is answered
+by the Steiner kernel :func:`twindex.steiner.steiner_distances` on H's
+distance matrix: distances are needed only in the (usually much smaller)
+reduced graph, once per support. That is the entire speedup of the reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
 from .graph import is_connected
-from .steiner import distance_matrix, steiner_distance, steiner_distances
+from .steiner import distance_matrix, steiner_distance, steiner_distances, subset_batches
 from .twins import ClassKind, TwinDecomposition
-
-
-class ClassProfile(NamedTuple):
-    """Per-class intersection counts of a vertex subset, plus their support."""
-
-    counts: tuple[int, ...]
-    support: tuple[int, ...]
 
 
 @dataclass
 class ReducedIndexStats:
-    """Diagnostics from one reduced-formula evaluation."""
+    """Diagnostics from one reduced-formula evaluation.
+
+    ``num_profiles`` counts the supports of two or more classes that the
+    Steiner kernel answered on H, which are those with ``N_S > 0``.
+    ``dh_cache_hits`` is always 0, because each support is answered once.
+    The two names are kept for the readers of ``index --json``.
+    """
 
     num_classes: int = 0
     num_profiles: int = 0
     dh_cache_hits: int = 0
 
 
-def profiles(sizes: Iterable[int], m: int) -> Iterator[ClassProfile]:
-    """All vectors ``t`` with ``0 <= t_i <= sizes[i]`` and ``sum(t) == m``.
+def support_count(sizes: Iterable[int], m: int) -> int:
+    """``N_S``: the m-subsets that meet every class of sizes ``sizes`` and no other.
 
-    Emitted in descending lexicographic order, each exactly once. The number
-    of m-subsets realizing a profile is ``prod_i binom(sizes[i], t_i)``, and
-    those weights sum to ``binom(sum(sizes), m)`` over the whole stream.
+    The sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets T of S,
+    with the subsets of the classes seen so far grouped by their vertex
+    count ``n_T``.
     """
-    sizes = tuple(sizes)
-    total = sum(sizes)
-    if m < 1 or m > total:
-        raise BadSubsetSize(f"subset size {m} not in [1, {total}]")
-    suffix = [0] * (len(sizes) + 1)
-    for i in range(len(sizes) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + sizes[i]
-
-    def rec(i: int, remaining: int, prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if i == len(sizes):
-            yield prefix
-            return
-        hi = min(sizes[i], remaining)
-        lo = max(0, remaining - suffix[i + 1])
-        for t in range(hi, lo - 1, -1):
-            yield from rec(i + 1, remaining - t, prefix + (t,))
-
-    for counts in rec(0, m, ()):
-        support = tuple(i for i, t in enumerate(counts) if t > 0)
-        yield ClassProfile(counts, support)
-
-
-def _profile_of(d: TwinDecomposition, vertices: Iterable[int]) -> ClassProfile:
-    counts = [0] * d.k
-    for v in vertices:
-        counts[d.class_of(v)] += 1
-    return ClassProfile(tuple(counts), tuple(i for i, t in enumerate(counts) if t > 0))
+    signed = {0: 1}
+    for size in sizes:
+        grown = {total: -sign for total, sign in signed.items()}
+        for total, sign in signed.items():
+            grown[total + size] = grown.get(total + size, 0) + sign
+        signed = grown
+    return sum(sign * comb(total, m) for total, sign in signed.items())
 
 
 def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int]) -> int:
-    """Steiner distance from the class profile alone.
+    """Steiner distance from the twin classes the terminals meet.
 
     Within a single complete class the optimum is a star (``m - 1`` edges);
     within a single edgeless class every terminal must reach a common outside
     neighbor (``m`` edges, for ``m >= 2``); across classes it is the reduced
-    graph's Steiner distance of the support's representatives plus
-    ``t_i - 1`` extra edges per intersected class.
+    graph's Steiner distance of the support's representatives plus one edge
+    for each of the other ``m - |support|`` terminals.
     """
     ts = tuple(set(terminals))
     if not ts:
@@ -95,12 +85,11 @@ def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int])
     m = len(ts)
     if m == 1:
         return 0
-    counts, support = _profile_of(d, ts)
+    support = sorted({d.class_of(t) for t in ts})
     if len(support) == 1:
         kind = d.kinds[support[0]]
         return m if kind is ClassKind.EMPTY else m - 1
-    base = steiner_distance(d.reduced, support)
-    return base + sum(counts[i] - 1 for i in support)
+    return steiner_distance(d.reduced, support) + m - len(support)
 
 
 def _connected_via_reduced(d: TwinDecomposition) -> bool:
@@ -120,32 +109,35 @@ def _reduced_core(d: TwinDecomposition, m: int) -> tuple[int, ReducedIndexStats]
     if m == 1:
         return 0, stats
 
-    sizes = d.class_sizes()
-    total = 0
-    for size, kind in zip(sizes, d.kinds):
-        if kind is ClassKind.EMPTY:
-            total += m * comb(size, m)
-        else:
-            total += (m - 1) * comb(size, m)
-
+    total = sum(
+        comb(size, m)
+        for size, kind in zip(d.class_sizes(), d.kinds)
+        if kind is ClassKind.EMPTY
+    )
+    sizes = np.array(d.class_sizes())
     dist_h = distance_matrix(d.reduced)
-    multi = [p for p in profiles(sizes, m) if len(p.support) > 1]
-    stats.num_profiles = len(multi)
-    by_size: dict[int, set[tuple[int, ...]]] = {}
-    for profile in multi:
-        by_size.setdefault(len(profile.support), set()).add(profile.support)
-    dh: dict[tuple[int, ...], int] = {}
-    for group in by_size.values():
-        supports = list(group)
-        dh.update(zip(supports, steiner_distances(dist_h, np.array(supports)).tolist()))
-    stats.dh_cache_hits = len(multi) - len(dh)
-
-    for counts, support in multi:
-        weight = 1
-        for i in support:
-            weight *= comb(sizes[i], counts[i])
-        # The t_i - 1 extra edges per intersected class sum to m - |support|.
-        total += weight * (dh[support] + m - len(support))
+    for s in range(1, min(m, d.k) + 1):
+        for supports in subset_batches(d.k, s):
+            held = sizes[supports]
+            # A support holding fewer than m vertices has N_S = 0.
+            keep = held.sum(axis=1) >= m
+            supports = supports[keep]
+            if not len(supports):
+                continue
+            if s > 1:
+                stats.num_profiles += len(supports)
+            # N_S depends only on the class sizes, so it is computed once per
+            # distinct sorted size tuple in the chunk. Each tuple is viewed
+            # as one opaque value, which np.unique groups several times
+            # faster than rows under axis=0.
+            rows = np.sort(held[keep], axis=1)
+            keys, group = np.unique(
+                rows.view(f"V{rows.itemsize * s}").ravel(), return_inverse=True
+            )
+            terms = np.zeros(len(keys), dtype=np.int64)
+            np.add.at(terms, group, steiner_distances(dist_h, supports) + m - s)
+            for key, term in zip(keys.view(rows.dtype).reshape(-1, s).tolist(), terms.tolist()):
+                total += support_count(key, m) * term
     return total, stats
 
 
@@ -153,8 +145,8 @@ def steiner_wiener_reduced(d: TwinDecomposition, m: int) -> int:
     """m-Steiner Wiener index via the twin-class formula.
 
     Complete (and singleton) classes contribute ``(m-1) * binom(n_i, m)``,
-    edgeless classes ``m * binom(n_i, m)``, and every multi-class profile
-    its weighted ``d_H(support) + sum(t_i - 1)`` term. Always equals
+    edgeless classes ``m * binom(n_i, m)``, and every multi-class support S
+    ``N_S * (d_H(S) + m - |S|)``. Always equals
     :func:`twindex.steiner.steiner_wiener_naive` on the source graph.
     """
     value, _ = _reduced_core(d, m)
@@ -169,19 +161,10 @@ def steiner_wiener_reduced_with_stats(
 
 
 def wiener_reduced(d: TwinDecomposition) -> int:
-    """Wiener index via twin classes (the ``m = 2`` specialization)."""
-    if not _connected_via_reduced(d):
-        raise DisconnectedGraph("index computation requires a connected graph")
-    sizes = d.class_sizes()
-    total = 0
-    for size, kind in zip(sizes, d.kinds):
-        pairs = comb(size, 2)
-        total += 2 * pairs if kind is ClassKind.EMPTY else pairs
-    dist_h = distance_matrix(d.reduced)
-    for i in range(d.k):
-        for j in range(i + 1, d.k):
-            total += sizes[i] * sizes[j] * int(dist_h[i, j])
-    return total
+    """Wiener index via twin classes: :func:`steiner_wiener_reduced` at ``m = 2``."""
+    if d.source.n < 2:
+        return 0
+    return steiner_wiener_reduced(d, 2)
 
 
 def sw_complete_multipartite(part_sizes: Iterable[int], m: int) -> int:

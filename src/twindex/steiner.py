@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from math import comb
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .errors import (
 )
 from .graph import Graph, all_pairs_distances, is_connected
 
-DP_TERMINAL_CAP = 20
 BRUTE_FORCE_VERTEX_CAP = 16
 # Largest kernel allocation one query row may need (see ``_row_bytes``);
 # checked before any DP state is allocated.
@@ -70,6 +69,19 @@ def _row_bytes(s: int, n: int) -> int:
 def batch_rows(s: int, n: int) -> int:
     """Query rows of ``s`` terminals per kernel batch: as many as fit ``BATCH_BYTES``."""
     return max(1, BATCH_BYTES // _row_bytes(s, n))
+
+
+def subset_batches(n: int, s: int) -> Iterator[np.ndarray]:
+    """Every ``s``-subset of ``range(n)`` in lexicographic order, as ``(B, s)`` arrays.
+
+    Each array holds :func:`batch_rows` ``(s, n)`` rows (the last may hold
+    fewer), so a stream of any length fills kernel batches with flat memory.
+    """
+    subsets = itertools.combinations(range(n), s)
+    row_type = np.dtype((np.intp, s))
+    step = batch_rows(s, n)
+    while len(batch := np.fromiter(itertools.islice(subsets, step), dtype=row_type)):
+        yield batch
 
 
 def _dp_table(dist: np.ndarray, terminals: np.ndarray) -> np.ndarray:
@@ -163,25 +175,16 @@ def _check_reachable(dist: np.ndarray, ts: tuple[int, ...]) -> None:
             )
 
 
-def steiner_distance(
-    g: Graph,
-    terminals: Iterable[int],
-    *,
-    terminal_cap: int = DP_TERMINAL_CAP,
-) -> int:
+def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     """Exact Steiner distance of a terminal set (edges of the smallest subtree).
 
     A one-row call of :func:`steiner_distances`: a single terminal costs 0,
     two terminals cost their shortest-path distance. Raises
     :class:`DisconnectedTerminals` when the terminals span several
-    components, and :class:`TerminalCapExceeded` beyond ``terminal_cap`` or
-    when the DP would need more than ``DP_BYTE_BUDGET`` bytes.
+    components, and :class:`TerminalCapExceeded` when the DP would need more
+    than ``DP_BYTE_BUDGET`` bytes.
     """
     ts = _validated_terminals(g, terminals)
-    if len(ts) > terminal_cap:
-        raise TerminalCapExceeded(
-            f"{len(ts)} terminals exceed the cap of {terminal_cap}"
-        )
     dist = distance_matrix(g)
     _check_reachable(dist, ts)
     return int(steiner_distances(dist, np.array([ts]))[0])
@@ -250,20 +253,16 @@ def steiner_wiener_naive(
     """m-Steiner Wiener index by summing Steiner distances of every m-subset.
 
     This is the definition, evaluated literally: every m-subset is one
-    Steiner query. The subsets stream from ``itertools.combinations`` in
-    chunks of :func:`batch_rows` rows, each answered by one
-    :func:`steiner_distances` call, so memory stays flat however many there
-    are. ``progress(done, total)`` is invoked after every chunk when given.
+    Steiner query. The subsets stream from :func:`subset_batches`, each
+    chunk answered by one :func:`steiner_distances` call, so memory stays
+    flat however many there are. ``progress(done, total)`` is invoked after
+    every chunk when given.
     """
     _validate_index_args(g, m)
     dist = distance_matrix(g)
     total = comb(g.n, m)
-    subsets = itertools.combinations(range(g.n), m)
-    row_type = np.dtype((np.intp, m))
-    step = batch_rows(m, g.n)
     value = done = 0
-    while done < total:
-        batch = np.fromiter(itertools.islice(subsets, step), dtype=row_type)
+    for batch in subset_batches(g.n, m):
         value += int(steiner_distances(dist, batch).sum())
         done += len(batch)
         if progress is not None:

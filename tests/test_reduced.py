@@ -1,11 +1,12 @@
-"""The twin-class index formula, profiles, closed forms, and the bound."""
+"""The twin-class index formula, support counts, closed forms, and the bound."""
 
 import itertools
 import random
+from collections import Counter
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twindex import (
@@ -17,7 +18,6 @@ from twindex import (
     generalized_composition,
     induced_subgraph,
     new_graph,
-    profiles,
     steiner_distance,
     steiner_distance_via_classes,
     steiner_wiener_naive,
@@ -33,6 +33,8 @@ from twindex.generators import (
     as_graph,
     complete_graph,
     complete_multipartite_graph,
+    empty_graph,
+    path_graph,
     power_graph,
     power_graph_zn,
     star_graph,
@@ -40,56 +42,40 @@ from twindex.generators import (
 )
 from twindex.algebra import dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
 from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
+from twindex.reduced import support_count
 from twindex.reference import star_index_formula
 
 from conftest import random_connected_graph
 
 
-class TestProfiles:
-    def test_example_sequence(self):
-        got = [p.counts for p in profiles((3, 2, 1), 3)]
-        assert got == [(3, 0, 0), (2, 1, 0), (2, 0, 1), (1, 2, 0), (1, 1, 1), (0, 2, 1)]
-
-    def test_single_class(self):
-        assert [p.counts for p in profiles((7,), 4)] == [(4,)]
-
-    def test_supports(self):
-        assert [p.support for p in profiles((2, 1), 2)] == [(0,), (0, 1)]
-
-    def test_weight_identity_example(self):
-        total = sum(
-            comb(3, a) * comb(2, b) * comb(1, c)
-            for (a, b, c), _ in profiles((3, 2, 1), 3)
-        )
-        assert total == comb(6, 3) == 20
-
+class TestSupportCount:
     @given(
         st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=5),
         st.integers(min_value=1, max_value=10),
     )
     @settings(max_examples=80)
     def test_weight_identity(self, sizes, m):
-        if m > sum(sizes):
-            with pytest.raises(BadSubsetSize):
-                list(profiles(sizes, m))
-            return
-        seen = set()
-        total = 0
-        for counts, support in profiles(sizes, m):
-            assert counts not in seen
-            seen.add(counts)
-            assert sum(counts) == m
-            assert all(0 <= t <= s for t, s in zip(counts, sizes))
-            assert support == tuple(i for i, t in enumerate(counts) if t)
-            weight = 1
-            for s, t in zip(sizes, counts):
-                weight *= comb(s, t)
-            total += weight
+        total = sum(
+            support_count([sizes[i] for i in support], m)
+            for s in range(1, len(sizes) + 1)
+            for support in itertools.combinations(range(len(sizes)), s)
+        )
         assert total == comb(sum(sizes), m)
 
-    def test_bad_subset_size(self):
-        with pytest.raises(BadSubsetSize):
-            list(profiles((2, 2), 0))
+    def test_matches_brute_force(self):
+        for k in range(1, 5):
+            for sizes in itertools.combinations_with_replacement(range(1, 5), k):
+                class_of = [i for i, size in enumerate(sizes) for _ in range(size)]
+                n = len(class_of)
+                for m in range(1, n + 1):
+                    seen = Counter(
+                        frozenset(class_of[v] for v in subset)
+                        for subset in itertools.combinations(range(n), m)
+                    )
+                    for s in range(1, k + 1):
+                        for support in itertools.combinations(range(k), s):
+                            got = support_count([sizes[i] for i in support], m)
+                            assert got == seen[frozenset(support)], (sizes, support, m)
 
 
 class TestPerSetDistance:
@@ -188,8 +174,52 @@ class TestReducedIndex:
         value, stats = steiner_wiener_reduced_with_stats(d, 3)
         assert value == 41
         assert stats.num_classes == 3
-        assert stats.num_profiles == 5
-        assert stats.dh_cache_hits >= 1
+        assert stats.num_profiles == 4
+        assert stats.dh_cache_hits == 0
+
+    def test_twin_free_m4(self, rng):
+        # Every class is one vertex, so supports of 2 or 3 classes hold fewer
+        # than m = 4 vertices: they have N_S = 0 and never reach the kernel.
+        n = 10
+        g = next(
+            g
+            for g in (random_connected_graph(rng, n, 0.4) for _ in range(200))
+            if twin_partition(g).k == n
+        )
+        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), 4)
+        assert value == steiner_wiener_naive(g, 4)
+        assert stats.num_profiles == comb(n, 4)
+        assert support_count((1, 1), 4) == support_count((1, 1, 1), 4) == 0
+
+
+@st.composite
+def planted_compositions(draw):
+    """A random connected base on 2-6 vertices, each vertex blown up into a
+    clique or an edgeless graph on 1-6 vertices."""
+    base_n = draw(st.integers(min_value=2, max_value=6))
+    base = random_connected_graph(random.Random(draw(st.integers(0, 2**32 - 1))), base_n, 0.5)
+    factors = tuple(
+        draw(st.sampled_from([complete_graph, empty_graph]))(draw(st.integers(1, 6)))
+        for _ in range(base_n)
+    )
+    return generalized_composition(CompositionSpec(base, factors))
+
+
+class TestPlantedCompositions:
+    @given(planted_compositions())
+    @example(complete_graph(7))  # k = 1
+    @example(complete_multipartite_graph((3, 4)))  # two edgeless classes
+    @example(star_graph(6))  # a singleton class beside an edgeless one
+    @example(  # classes smaller than m beside larger ones
+        generalized_composition(
+            CompositionSpec(path_graph(3), (empty_graph(1), complete_graph(5), empty_graph(2)))
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_reduced_matches_naive(self, g):
+        d = twin_partition(g)
+        for m in range(1, min(g.n, 3 if g.n > 16 else 5) + 1):
+            assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
 
 
 class TestWienerReduced:
