@@ -5,10 +5,10 @@ Run with: python demos/03_power_graphs.py
 
 from twindex import steiner_wiener_naive, steiner_wiener_reduced, twin_partition, wiener_index
 from twindex.algebra import cyclic_group, dihedral_group, quaternion_group
-from twindex.generators import as_graph, power_graph, power_graph_zn_classes
+from twindex.generators import power_graph, power_graph_zn_classes
 
 # --- Z_6 ------------------------------------------------------------------
-g = as_graph(power_graph(cyclic_group(6)))
+g = power_graph(cyclic_group(6))
 print("power graph of Z_6:", g.n, "vertices,", g.edge_count(), "edges")
 
 print("divisor-predicted classes:", power_graph_zn_classes(6))
@@ -20,14 +20,14 @@ print("SW_3 by definition:   ", steiner_wiener_naive(g, 3))
 print("SW_3 via twin classes:", steiner_wiener_reduced(d, 3))
 
 # --- D_12 -----------------------------------------------------------------
-gd = as_graph(power_graph(dihedral_group(6)))
+gd = power_graph(dihedral_group(6))
 dd = twin_partition(gd)
 print("\npower graph of D_12:", gd.n, "vertices")
 print("class sizes:", dd.class_sizes(), "kinds:", [k.value for k in dd.kinds])
 print("W =", wiener_index(gd))
 
 # --- Q_8 ------------------------------------------------------------------
-gq = as_graph(power_graph(quaternion_group()))
+gq = power_graph(quaternion_group())
 dq = twin_partition(gq)
 print("\npower graph of Q_8: classes",
       [[gq.labels[v] for v in cls] for cls in dq.classes])

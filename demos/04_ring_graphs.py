@@ -5,23 +5,18 @@ Run with: python demos/04_ring_graphs.py
 
 from twindex import steiner_wiener_reduced, twin_partition, wiener_reduced
 from twindex.algebra import all_ideals, ideal_from_spec, jacobson_radical, ring_from_spec, zmod
-from twindex.generators import (
-    as_graph,
-    comaximal_ideal_graph,
-    ideal_zero_divisor_graph,
-    zero_divisor_graph,
-)
+from twindex.generators import comaximal_ideal_graph, ideal_zero_divisor_graph, zero_divisor_graph
 
 # --- zero-divisor graph of Z_6 ---------------------------------------------
 g = zero_divisor_graph(zmod(6))
-print("zero divisors of Z_6:", g.semantics)
-print("edges:", [(g.semantics[u], g.semantics[v]) for u, v in g.graph.edges()])
+print("zero divisors of Z_6:", g.labels)
+print("edges:", [(g.labels[u], g.labels[v]) for u, v in g.edges()])
 
 # --- ideal-based zero-divisor graph of Z_24 with I = (8) --------------------
 r = zmod(24)
 ideal = ideal_from_spec(r, "(8)")
 print("\nI = (8) in Z_24:", [r.element_labels[x] for x in ideal.elements])
-gi = as_graph(ideal_zero_divisor_graph(r, ideal))
+gi = ideal_zero_divisor_graph(r, ideal)
 di = twin_partition(gi)
 print("vertices:", list(gi.labels))
 for cls, kind in zip(di.classes, di.kinds):
@@ -32,7 +27,7 @@ print("SW_8 =", steiner_wiener_reduced(di, 8))
 rr = ring_from_spec("Z2xZ2xZ4")
 print(f"\n{rr!r}: {len(all_ideals(rr))} ideals,",
       "Jacobson radical", jacobson_radical(rr).label())
-gc = as_graph(comaximal_ideal_graph(rr))
+gc = comaximal_ideal_graph(rr)
 dc = twin_partition(gc)
 print("comaximal graph:", gc.n, "vertices, class sizes", dc.class_sizes())
 print("W =", wiener_reduced(dc), " SW_8 =", steiner_wiener_reduced(dc, 8))

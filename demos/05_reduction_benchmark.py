@@ -11,7 +11,7 @@ import time
 from math import comb
 
 from twindex import steiner_wiener_naive, steiner_wiener_reduced_with_stats, twin_partition
-from twindex.generators import as_graph, power_graph_zn
+from twindex.generators import power_graph_zn
 
 M = 3
 print(f"m = {M}, power graphs of Z_n")
@@ -19,7 +19,7 @@ print(f"{'n':>4} {'subsets':>9} {'classes':>8} {'supports':>9} "
       f"{'naive':>10} {'reduced':>10} {'speedup':>8}  value")
 
 for n in (12, 20, 30, 40, 60):
-    g = as_graph(power_graph_zn(n))
+    g = power_graph_zn(n)
     d = twin_partition(g)
 
     t0 = time.perf_counter()

@@ -82,8 +82,6 @@ from .algebra import (
     zmod,
 )
 from .generators import (
-    LabeledGraph,
-    as_graph,
     comaximal_ideal_graph,
     complete_graph,
     complete_multipartite_graph,

@@ -1,16 +1,19 @@
 """Graph families: algebraic constructions and standard parametric graphs.
 
-The algebraic generators return a :class:`LabeledGraph`, a plain graph whose
-vertices remember which group element, ring element, or ideal they came
-from. Vertex order is always deterministic (element index order, or ideal
-(size, elements) order), so repeated runs are bit-identical.
+The algebraic generators return a plain :class:`Graph` whose labels name the
+group element, ring element, or ideal each vertex came from. They read
+adjacency off the operation tables as one boolean matrix. Vertex order is
+always deterministic (element index order, or ideal (size, elements)
+order), so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from math import gcd
+from typing import Sequence
+
+import numpy as np
 
 from .errors import BadParameter, ImproperIdeal, LocalRingUnsupported
 from .algebra import (
@@ -19,48 +22,43 @@ from .algebra import (
     Ideal,
     all_ideals,
     cyclic_group,
-    cyclic_subgroup,
-    is_comaximal,
-    jacobson_radical,
-    maximal_ideals,
+    ideal_intersection,
+    maximal_among,
 )
-from .graph import CompositionSpec, Graph, generalized_composition, new_graph, with_labels
+from .graph import CompositionSpec, Graph, generalized_composition, new_graph
 
 
-@dataclass(frozen=True)
-class LabeledGraph:
-    """A graph together with the semantic description of each vertex."""
+def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
+    """The graph of a symmetric boolean adjacency matrix; its diagonal is ignored.
 
-    graph: Graph
-    semantics: tuple[str, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "semantics", tuple(self.semantics))
-        if len(self.semantics) != self.graph.n:
-            raise BadParameter(
-                f"{len(self.semantics)} semantics entries for {self.graph.n} vertices"
-            )
-        if len(set(self.semantics)) != len(self.semantics):
-            raise BadParameter("vertex semantics must be unique")
-
-
-def _labeled(n: int, edges, labels) -> LabeledGraph:
-    return LabeledGraph(new_graph(n, edges, labels), tuple(labels))
+    Raises :class:`BadParameter` for an asymmetric matrix, or unless there is
+    exactly one label per row and the labels are unique.
+    """
+    adj = np.array(adj, dtype=bool)
+    labels = tuple(labels)
+    if adj.shape != (len(labels), len(labels)):
+        raise BadParameter(f"{len(labels)} labels for an adjacency matrix of shape {adj.shape}")
+    if not np.array_equal(adj, adj.T):
+        raise BadParameter("adjacency matrix must be symmetric")
+    if len(set(labels)) != len(labels):
+        raise BadParameter("vertex labels must be unique")
+    np.fill_diagonal(adj, False)
+    return Graph(tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj), labels)
 
 
 # --- algebraic families ---------------------------------------------------------
 
 
-def power_graph(g: FiniteGroup) -> LabeledGraph:
+def power_graph(g: FiniteGroup) -> Graph:
     """Power graph: distinct elements adjacent iff one is a power of the other."""
-    gens = [cyclic_subgroup(g, a) for a in range(g.order)]
-    edges = [
-        (a, b)
-        for a in range(g.order)
-        for b in range(a + 1, g.order)
-        if a in gens[b] or b in gens[a]
-    ]
-    return _labeled(g.order, edges, list(g.element_labels))
+    n, table = g.order, g._table
+    idx = np.arange(n)
+    is_power = np.zeros((n, n), dtype=bool)  # is_power[a, x]: x is a power of a
+    x = idx
+    for _ in range(n):
+        is_power[idx, x] = True
+        x = table[x, idx]
+    return graph_from_matrix(is_power | is_power.T, g.element_labels)
 
 
 def power_graph_zn_classes(n: int) -> list[tuple[int, tuple[int, ...]]]:
@@ -80,79 +78,68 @@ def power_graph_zn_classes(n: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(d, tuple(sorted(classes[d]))) for d in sorted(classes)]
 
 
-def zero_divisor_graph(r: FiniteRing) -> LabeledGraph:
+def zero_divisor_graph(r: FiniteRing) -> Graph:
     """Zero-divisor graph: nonzero zero divisors, adjacent iff product is zero.
 
     Rings without zero divisors yield the empty graph plus a warning, so
     batch pipelines over ring families keep going.
     """
-    zero = r.zero
-    divisors = [
-        x
-        for x in range(r.size)
-        if x != zero and any(r.mul(x, y) == zero for y in range(r.size) if y != zero)
-    ]
-    if not divisors:
+    g = _product_in_graph(r, np.arange(r.size) == r.zero)
+    if g.n == 0:
         warnings.warn(f"{r!r} has no nonzero zero divisors; returning the empty graph")
-        return _labeled(0, [], [])
-    index = {x: i for i, x in enumerate(divisors)}
-    edges = [
-        (index[x], index[y])
-        for x in divisors
-        for y in divisors
-        if x < y and r.mul(x, y) == zero
-    ]
-    return _labeled(len(divisors), edges, [r.element_labels[x] for x in divisors])
+    return g
 
 
-def ideal_zero_divisor_graph(r: FiniteRing, ideal: Ideal) -> LabeledGraph:
+def ideal_zero_divisor_graph(r: FiniteRing, ideal: Ideal) -> Graph:
     """Ideal-based zero-divisor graph: ``x ~ y`` iff ``x * y`` lands in the ideal.
 
-    Vertices are the elements outside the ideal whose product with some other
-    outside element falls into it. With the zero ideal this coincides with
+    Vertices are the elements outside the ideal whose product with some
+    outside element, itself included, falls into it. With the zero ideal this coincides with
     :func:`zero_divisor_graph`.
     """
     if ideal.ring is not r:
         raise ImproperIdeal("ideal does not belong to the given ring")
     if not ideal.is_proper():
         raise ImproperIdeal("the whole ring is not a proper ideal")
-    inside = set(ideal.elements)
-    outside = [x for x in range(r.size) if x not in inside]
-    vertices = [x for x in outside if any(r.mul(x, y) in inside for y in outside)]
-    index = {x: i for i, x in enumerate(vertices)}
-    edges = [
-        (index[x], index[y])
-        for x in vertices
-        for y in vertices
-        if x < y and r.mul(x, y) in inside
-    ]
-    return _labeled(len(vertices), edges, [r.element_labels[x] for x in vertices])
+    inside = np.zeros(r.size, dtype=bool)
+    inside[list(ideal.elements)] = True
+    return _product_in_graph(r, inside)
 
 
-def comaximal_ideal_graph(r: FiniteRing) -> LabeledGraph:
+def _product_in_graph(r: FiniteRing, inside: np.ndarray) -> Graph:
+    """Graph on the elements outside ``inside``, adjacent iff their product is inside.
+
+    An element is a vertex only if its product with some outside element,
+    itself included, lies inside.
+    """
+    outside = np.flatnonzero(~inside)
+    hits = inside[r._mul[np.ix_(outside, outside)]]
+    keep = hits.any(axis=1)
+    vertices = outside[keep]
+    return graph_from_matrix(hits[np.ix_(keep, keep)], [r.element_labels[x] for x in vertices])
+
+
+def comaximal_ideal_graph(r: FiniteRing) -> Graph:
     """Comaximal ideal graph: proper ideals outside the Jacobson radical,
     adjacent iff their sum is the whole ring.
 
     Local rings are rejected (:class:`LocalRingUnsupported`): with a single
     maximal ideal every candidate vertex sits inside the radical.
     """
-    if len(maximal_ideals(r)) < 2:
+    ideals = all_ideals(r)
+    maxima = maximal_among(ideals)
+    if len(maxima) < 2:
         raise LocalRingUnsupported(
             f"{r!r} is local; its comaximal ideal graph has no vertices"
         )
-    radical = jacobson_radical(r)
-    vertices = [
-        i
-        for i in all_ideals(r)
-        if i.is_proper() and not radical.contains_ideal(i)
-    ]
-    edges = [
-        (a, b)
-        for a in range(len(vertices))
-        for b in range(a + 1, len(vertices))
-        if is_comaximal(r, vertices[a], vertices[b])
-    ]
-    return _labeled(len(vertices), edges, [i.label() for i in vertices])
+    radical = ideal_intersection(r, maxima)
+    vertices = [i for i in ideals if i.is_proper() and not radical.contains_ideal(i)]
+    masks = np.zeros((len(vertices), r.size), dtype=np.int64)
+    for row, ideal in zip(masks, vertices):
+        row[list(ideal.elements)] = 1
+    # I + J holds one iff some a in I has one - a in J.
+    one_minus = np.argmax(r._add == r.one, axis=1)
+    return graph_from_matrix(masks @ masks[:, one_minus].T > 0, [i.label() for i in vertices])
 
 
 # --- standard parametric families ------------------------------------------------
@@ -206,16 +193,9 @@ def wheel_graph(n: int) -> Graph:
     return generalized_composition(spec)
 
 
-def power_graph_zn(n: int) -> LabeledGraph:
+def power_graph_zn(n: int) -> Graph:
     """Convenience wrapper: the power graph of the cyclic group ``Z_n``."""
     return power_graph(cyclic_group(n))
-
-
-def as_graph(obj: Graph | LabeledGraph) -> Graph:
-    """Unwrap a :class:`LabeledGraph`, passing plain graphs through."""
-    if isinstance(obj, LabeledGraph):
-        return with_labels(obj.graph, obj.semantics)
-    return obj
 
 
 def family_graph(spec: str) -> Graph:
@@ -232,18 +212,18 @@ def family_graph(spec: str) -> Graph:
     if not rest:
         raise BadParameter(f"family spec {spec!r} needs a ':<parameters>' part")
     if kind == "power":
-        return as_graph(power_graph(group_from_spec(rest)))
+        return power_graph(group_from_spec(rest))
     if kind == "zdg":
-        return as_graph(zero_divisor_graph(ring_from_spec(rest)))
+        return zero_divisor_graph(ring_from_spec(rest))
     if kind == "izdg":
         ring_spec, _, ideal_spec = rest.partition(":")
         if not ideal_spec.startswith("I="):
             raise BadParameter(f"izdg spec needs ':I=(...)', got {spec!r}")
         ring = ring_from_spec(ring_spec)
         ideal = ideal_from_spec(ring, ideal_spec[2:])
-        return as_graph(ideal_zero_divisor_graph(ring, ideal))
+        return ideal_zero_divisor_graph(ring, ideal)
     if kind == "comax":
-        return as_graph(comaximal_ideal_graph(ring_from_spec(rest)))
+        return comaximal_ideal_graph(ring_from_spec(rest))
     if kind == "multipartite":
         try:
             sizes = [int(s) for s in rest.split(",")]

@@ -44,13 +44,9 @@ _INF = 1 << 40
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop counts as an int64 array with ``_INF`` for unreachable."""
-    n = g.n
-    mat = np.full((n, n), _INF, dtype=np.int64)
-    for v, row in enumerate(all_pairs_distances(g)):
-        for w, d in enumerate(row):
-            if d != np.inf:
-                mat[v, w] = d
-    return mat
+    mat = np.array(all_pairs_distances(g), dtype=np.float64).reshape(g.n, g.n)
+    mat[mat == np.inf] = _INF
+    return mat.astype(np.int64)
 
 
 def _row_bytes(s: int, n: int) -> int:

@@ -24,7 +24,7 @@ from twindex import (
     wiener_index,
     wiener_reduced,
 )
-from twindex.generators import as_graph, complete_graph, family_graph, power_graph_zn, star_graph
+from twindex.generators import complete_graph, family_graph, power_graph_zn, star_graph
 from twindex.reference import star_index_formula
 
 from conftest import all_graphs, random_connected_graph, random_graph
@@ -193,7 +193,7 @@ def test_criterion_13_completely_joined_bound():
 
 def test_criterion_14_reduction_speedup_on_z60():
     start = time.perf_counter()
-    g = as_graph(power_graph_zn(60))
+    g = power_graph_zn(60)
     d = twin_partition(g)
     t0 = time.perf_counter()
     naive = steiner_wiener_naive(g, 3)

@@ -1,7 +1,11 @@
 """Groups, rings, ideals, and the compact spec-string grammar."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twindex import (
     BadParameter,
@@ -11,6 +15,10 @@ from twindex import (
 from twindex.algebra import (
     FiniteGroup,
     FiniteRing,
+    Ideal,
+    _check_associative,
+    _check_distributive,
+    _generating_set,
     all_ideals,
     cyclic_group,
     cyclic_subgroup,
@@ -139,6 +147,103 @@ class TestRings:
             FiniteRing(add, bad_mul, 0, 1)
 
 
+def _associative(t) -> bool:
+    n = len(t)
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x, y, z in itertools.product(range(n), repeat=3))
+
+
+def _left_distributive(add, mul) -> bool:
+    n = len(add)
+    return all(
+        mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
+        for a, b, c in itertools.product(range(n), repeat=3)
+    )
+
+
+def _raises_bad_parameter(check) -> bool:
+    try:
+        check()
+    except BadParameter:
+        return True
+    return False
+
+
+VALID_GROUP_TABLES = [group_from_spec(s)._table for s in ("Z6", "D8", "Q8", "Z2xZ4")]
+VALID_RINGS = [ring_from_spec(s) for s in ("Z6", "Z2xZ4", "Z2[x]/(x^2)")]
+
+
+@st.composite
+def random_tables(draw):
+    n = draw(st.integers(1, 5))
+    cell = st.integers(0, n - 1)
+    return np.array(draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)))
+
+
+@st.composite
+def mutated_group_tables(draw):
+    table = draw(st.sampled_from(VALID_GROUP_TABLES)).copy()
+    n = len(table)
+    x, y, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    table[x, y] = v
+    return table
+
+
+@st.composite
+def mutated_rings(draw):
+    """The additive table and a symmetric single-entry mutation of the multiplicative one."""
+    r = draw(st.sampled_from(VALID_RINGS))
+    mul = r._mul.copy()
+    n = len(mul)
+    x, y, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    mul[x, y] = mul[y, x] = v
+    return r._add, mul
+
+
+class TestLightsTest:
+    """The generator-based axiom checks agree with the literal triple scans."""
+
+    @settings(max_examples=300)
+    @given(st.one_of(random_tables(), mutated_group_tables()))
+    def test_associativity_exact(self, table):
+        raised = _raises_bad_parameter(lambda: _check_associative(table, "table"))
+        assert raised == (not _associative(table.tolist()))
+
+    @settings(max_examples=200)
+    @given(mutated_rings())
+    def test_distributivity_exact(self, tables):
+        add, mul = tables
+        raised = _raises_bad_parameter(lambda: _check_distributive(add, mul, _generating_set(add)))
+        assert raised == (not _left_distributive(add.tolist(), mul.tolist()))
+
+    @pytest.mark.parametrize("table", VALID_GROUP_TABLES)
+    def test_generating_set_generates(self, table):
+        gens = _generating_set(table)
+        closure = set(gens.tolist())
+        while True:
+            grown = closure | {int(table[a, b]) for a in closure for b in closure}
+            if grown == closure:
+                break
+            closure = grown
+        assert closure == set(range(len(table)))
+        assert len(gens) <= 4
+
+
+def _f2xy() -> FiniteRing:
+    """``F_2[x, y] / (x, y)^2``: the local ring ``{a + b x + c y}``, not a principal ideal ring."""
+    coords = [(i & 1, i >> 1 & 1, i >> 2 & 1) for i in range(8)]
+
+    def index(a, b, c):
+        return (a % 2) | (b % 2) << 1 | (c % 2) << 2
+
+    add = [[i ^ j for j in range(8)] for i in range(8)]
+    mul = [
+        [index(a * p, a * q + b * p, a * t + c * p) for (p, q, t) in coords]
+        for (a, b, c) in coords
+    ]
+    labels = ["+".join(s for s, on in zip(("1", "x", "y"), co) if on) or "0" for co in coords]
+    return FiniteRing(add, mul, 0, 1, labels, name="F2[x,y]/(x,y)^2")
+
+
 class TestIdeals:
     def test_generated_in_z24(self):
         r = zmod(24)
@@ -178,6 +283,41 @@ class TestIdeals:
     )
     def test_all_ideals_product_counts(self, spec, count):
         assert len(all_ideals(ring_from_spec(spec))) == count
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["Z24", "Z36", "Z60", "Z2xZ2xZ4", "Z4xZ9", "Z2[x]/(x^3)xZ2", "Z3[x]/(x^2)xZ2", "F2[x,y]/(x,y)^2"],
+    )
+    def test_all_ideals_matches_closure_of_generated(self, spec):
+        # Generate every principal ideal by additive closure, then close under
+        # all pairwise sums.
+        r = _f2xy() if spec == "F2[x,y]/(x,y)^2" else ring_from_spec(spec)
+        found = {ideal_generated(r, [x]).elements for x in range(r.size)}
+        while True:
+            grown = found | {
+                ideal_sum(Ideal(r, a), Ideal(r, b)).elements for a in found for b in found
+            }
+            if grown == found:
+                break
+            found = grown
+        expected = sorted(found, key=lambda e: (len(e), e))
+        assert [i.elements for i in all_ideals(r)] == expected
+
+    def test_non_principal_ideal_found(self):
+        # (x, y) is the sum of (x) and (y) but no single element generates it.
+        r = _f2xy()
+        sizes = [len(i) for i in all_ideals(r)]
+        assert sizes == [1, 2, 2, 2, 4, 8]
+        maximal = maximal_ideals(r)
+        assert [r.element_labels[x] for x in maximal[0].elements] == ["0", "x", "y", "x+y"]
+
+    def test_members_match_elements(self):
+        r = zmod(24)
+        i = ideal_generated(r, [8])
+        assert i.members == frozenset(i.elements)
+        assert 16 in i and 4 not in i
+        assert ideal_generated(r, [4]).contains_ideal(i)
+        assert not i.contains_ideal(ideal_generated(r, [4]))
 
     def test_enumeration_cap(self):
         with pytest.raises(RingTooLarge):

@@ -1,5 +1,6 @@
 """Algebraic graph families and standard parametric graphs."""
 
+import numpy as np
 import pytest
 
 from twindex import (
@@ -10,9 +11,13 @@ from twindex import (
     is_connected,
     twin_partition,
     wiener_index,
+    with_labels,
 )
 from twindex.algebra import (
+    all_ideals,
     cyclic_group,
+    cyclic_subgroup,
+    group_from_spec,
     elementary_abelian_2,
     ideal_generated,
     quaternion_group,
@@ -21,14 +26,13 @@ from twindex.algebra import (
     zmod,
 )
 from twindex.generators import (
-    LabeledGraph,
-    as_graph,
     comaximal_ideal_graph,
     complete_graph,
     complete_multipartite_graph,
     cycle_graph,
     empty_graph,
     family_graph,
+    graph_from_matrix,
     ideal_zero_divisor_graph,
     path_graph,
     power_graph,
@@ -43,11 +47,11 @@ from twindex.generators import (
 class TestPowerGraph:
     def test_z6(self):
         g = power_graph(cyclic_group(6))
-        assert g.graph.edge_count() == 13
-        assert g.semantics == ("0", "1", "2", "3", "4", "5")
+        assert g.edge_count() == 13
+        assert g.labels == ("0", "1", "2", "3", "4", "5")
 
     def test_q8_twin_classes(self):
-        g = as_graph(power_graph(quaternion_group()))
+        g = power_graph(quaternion_group())
         d = twin_partition(g)
         names = [{g.labels[v] for v in cls} for cls in d.classes]
         assert names == [{"1", "a2"}, {"a", "a3"}, {"b", "a2b"}, {"ab", "a3b"}]
@@ -55,7 +59,7 @@ class TestPowerGraph:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_elementary_abelian_is_star(self, k):
-        g = as_graph(power_graph(elementary_abelian_2(k)))
+        g = power_graph(elementary_abelian_2(k))
         assert g.edges() == star_graph(2**k).edges()
 
 
@@ -73,7 +77,7 @@ class TestDivisorClasses:
 
     def test_refines_twin_partition(self):
         for n in range(2, 37):
-            g = as_graph(power_graph_zn(n))
+            g = power_graph_zn(n)
             twin_classes = [set(c) for c in twin_partition(g).classes]
             for _, members in power_graph_zn_classes(n):
                 assert any(set(members) <= cls for cls in twin_classes), n
@@ -86,33 +90,33 @@ class TestDivisorClasses:
 class TestZeroDivisorGraph:
     def test_z6_is_a_path(self):
         g = zero_divisor_graph(zmod(6))
-        assert g.semantics == ("2", "3", "4")
-        edges = {frozenset((g.semantics[u], g.semantics[v])) for u, v in g.graph.edges()}
+        assert g.labels == ("2", "3", "4")
+        edges = {frozenset((g.labels[u], g.labels[v])) for u, v in g.edges()}
         assert edges == {frozenset({"2", "3"}), frozenset({"3", "4"})}
 
     def test_field_warns_and_returns_empty(self):
         with pytest.warns(UserWarning):
             g = zero_divisor_graph(zmod(7))
-        assert g.graph.n == 0
+        assert g.n == 0
 
     def test_z2xz2_is_an_edge(self):
         g = zero_divisor_graph(ring_product(zmod(2), zmod(2)))
-        assert g.semantics == ("(0,1)", "(1,0)")
-        assert g.graph.edge_count() == 1
+        assert g.labels == ("(0,1)", "(1,0)")
+        assert g.edge_count() == 1
 
 
 class TestIdealZeroDivisorGraph:
     def test_z24_with_ideal_8(self):
         r = zmod(24)
         g = ideal_zero_divisor_graph(r, ideal_generated(r, [8]))
-        assert g.semantics == ("2", "4", "6", "10", "12", "14", "18", "20", "22")
-        d = twin_partition(as_graph(g))
+        assert g.labels == ("2", "4", "6", "10", "12", "14", "18", "20", "22")
+        d = twin_partition(g)
         kinds = dict(zip(d.class_sizes(), d.kinds))
         assert kinds == {6: ClassKind.EMPTY, 3: ClassKind.COMPLETE}
 
     def test_z6xz2_is_k24(self):
         r = ring_from_spec("Z6xZ2")
-        g = as_graph(ideal_zero_divisor_graph(r, ideal_generated(r, [r.label_index["(0,1)"]])))
+        g = ideal_zero_divisor_graph(r, ideal_generated(r, [r.label_index["(0,1)"]]))
         assert g.n == 6
         assert g.edge_count() == 8
         assert wiener_index(g) == 22
@@ -136,13 +140,13 @@ class TestIdealZeroDivisorGraph:
 class TestComaximalIdealGraph:
     def test_z2z2z4(self):
         g = comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4"))
-        assert g.graph.n == 9
-        d = twin_partition(as_graph(g))
+        assert g.n == 9
+        d = twin_partition(g)
         assert sorted(d.class_sizes()) == [1, 1, 1, 2, 2, 2]
         assert all(k in (ClassKind.EMPTY, ClassKind.SINGLETON) for k in d.kinds)
 
     def test_z8z9(self):
-        g = as_graph(comaximal_ideal_graph(ring_from_spec("Z8xZ9")))
+        g = comaximal_ideal_graph(ring_from_spec("Z8xZ9"))
         assert g.n == 5
         d = twin_partition(g)
         assert sorted(d.class_sizes()) == [2, 3]
@@ -151,9 +155,9 @@ class TestComaximalIdealGraph:
     def test_z6(self):
         r = zmod(6)
         g = comaximal_ideal_graph(r)
-        assert g.graph.n == 2
-        assert g.graph.edge_count() == 1
-        assert set(g.semantics) == {"{0,2,4}", "{0,3}"}
+        assert g.n == 2
+        assert g.edge_count() == 1
+        assert set(g.labels) == {"{0,2,4}", "{0,3}"}
 
     def test_local_ring_rejected(self):
         with pytest.raises(LocalRingUnsupported):
@@ -163,7 +167,7 @@ class TestComaximalIdealGraph:
 
     @pytest.mark.parametrize("spec", ["Z4xZ9", "Z2xZ2xZ2", "Z8xZ3", "Z2xZ9xZ5"])
     def test_product_of_local_rings_connected(self, spec):
-        g = as_graph(comaximal_ideal_graph(ring_from_spec(spec)))
+        g = comaximal_ideal_graph(ring_from_spec(spec))
         assert is_connected(g)
 
 
@@ -195,14 +199,22 @@ class TestStandardFamilies:
             build()
 
 
-class TestLabeledGraph:
-    def test_semantics_length_checked(self):
+class TestGraphFromMatrix:
+    def test_label_count_checked(self):
         with pytest.raises(BadParameter):
-            LabeledGraph(path_graph(3), ("a", "b"))
+            graph_from_matrix(np.ones((3, 3), dtype=bool), ("a", "b"))
 
-    def test_semantics_unique(self):
+    def test_labels_unique(self):
         with pytest.raises(BadParameter):
-            LabeledGraph(path_graph(2), ("a", "a"))
+            graph_from_matrix(np.ones((2, 2), dtype=bool), ("a", "a"))
+
+    def test_asymmetric_rejected(self):
+        with pytest.raises(BadParameter):
+            graph_from_matrix(np.array([[False, True], [False, False]]), ("a", "b"))
+
+    def test_diagonal_ignored(self):
+        g = graph_from_matrix(np.ones((3, 3), dtype=bool), ("a", "b", "c"))
+        assert g == with_labels(complete_graph(3), ("a", "b", "c"))
 
     def test_deterministic_rebuild(self):
         a = comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4"))
@@ -235,3 +247,123 @@ class TestFamilySpecs:
     def test_bad_family_specs(self, spec):
         with pytest.raises(BadParameter):
             family_graph(spec)
+
+
+# --- the algebraic graphs by their per-pair definitions --------------------------
+
+GROUP_SWEEP = (
+    [f"Z{n}" for n in range(1, 65)]
+    + [f"D{n}" for n in range(6, 41, 2)]
+    + ["Q8", "Q8xZ3", "Z2xZ30"]
+    + [f"E2^{k}" for k in range(1, 6)]
+)
+RING_SWEEP = [f"Z{n}" for n in range(2, 65)] + [
+    "Z2xZ2xZ4",
+    "Z4xZ9",
+    "Z2[x]/(x^3)",
+    "Z3[x]/(x^2)xZ2",
+]
+
+
+def _literal_power_graph(g):
+    subgroups = [cyclic_subgroup(g, a) for a in range(g.order)]
+    edges = [
+        (a, b)
+        for a in range(g.order)
+        for b in range(a + 1, g.order)
+        if a in subgroups[b] or b in subgroups[a]
+    ]
+    return list(g.element_labels), edges
+
+
+def _literal_zero_divisor_graph(r):
+    nonzero = [x for x in range(r.size) if x != r.zero]
+    vertices = [x for x in nonzero if any(r.mul(x, y) == r.zero for y in nonzero)]
+    edges = [
+        (a, b)
+        for a, x in enumerate(vertices)
+        for b, y in enumerate(vertices)
+        if a < b and r.mul(x, y) == r.zero
+    ]
+    return [r.element_labels[x] for x in vertices], edges
+
+
+def _literal_ideal_zero_divisor_graph(r, ideal):
+    inside = set(ideal.elements)
+    outside = [x for x in range(r.size) if x not in inside]
+    # x * x in I makes x a vertex even without another partner.
+    vertices = [x for x in outside if any(r.mul(x, y) in inside for y in outside)]
+    edges = [
+        (a, b)
+        for a, x in enumerate(vertices)
+        for b, y in enumerate(vertices)
+        if a < b and r.mul(x, y) in inside
+    ]
+    return [r.element_labels[x] for x in vertices], edges
+
+
+def _literal_comaximal_ideal_graph(r):
+    proper = [set(i.elements) for i in all_ideals(r) if i.is_proper()]
+    maxima = [i for i in proper if not any(i < o for o in proper)]
+    if len(maxima) < 2:
+        return None
+    radical = set.intersection(*maxima)
+    vertices = [i for i in proper if not i <= radical]
+    edges = [
+        (a, b)
+        for a in range(len(vertices))
+        for b in range(a + 1, len(vertices))
+        if any(r.add(x, y) == r.one for x in vertices[a] for y in vertices[b])
+    ]
+    labels = ["{" + ",".join(r.element_labels[x] for x in sorted(i)) + "}" for i in vertices]
+    return labels, edges
+
+
+def _shape(g):
+    return list(g.labels), list(g.edges())
+
+
+class TestMatchesDefinitions:
+    """The table-driven generators equal the per-pair definitions."""
+
+    def test_power_graphs(self):
+        for spec in GROUP_SWEEP:
+            g = group_from_spec(spec)
+            assert _shape(power_graph(g)) == _literal_power_graph(g), spec
+
+    def test_zero_divisor_graphs(self):
+        for spec in RING_SWEEP:
+            r = ring_from_spec(spec)
+            expected = _literal_zero_divisor_graph(r)
+            if expected[0]:
+                got = zero_divisor_graph(r)
+            else:
+                with pytest.warns(UserWarning):
+                    got = zero_divisor_graph(r)
+            assert _shape(got) == expected, spec
+
+    def test_ideal_zero_divisor_graphs(self):
+        checked = 0
+        for spec in RING_SWEEP:
+            r = ring_from_spec(spec)
+            proper = [i for i in all_ideals(r) if i.is_proper()]
+            if len(proper) < 3:
+                continue
+            for ideal in proper:
+                got = ideal_zero_divisor_graph(r, ideal)
+                assert _shape(got) == _literal_ideal_zero_divisor_graph(r, ideal), (spec, ideal)
+                checked += 1
+        assert checked == 217
+
+    def test_comaximal_ideal_graphs(self):
+        non_local = 0
+        for spec in RING_SWEEP:
+            r = ring_from_spec(spec)
+            expected = _literal_comaximal_ideal_graph(r)
+            if expected is None:
+                with pytest.raises(LocalRingUnsupported):
+                    comaximal_ideal_graph(r)
+                continue
+            assert _shape(comaximal_ideal_graph(r)) == expected, spec
+            non_local += 1
+        assert non_local == 39

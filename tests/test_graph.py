@@ -25,7 +25,6 @@ from twindex import (
     with_labels,
 )
 from twindex.generators import complete_graph, empty_graph, path_graph, power_graph_zn
-from twindex.generators import as_graph
 from twindex.twins import twin_partition
 
 
@@ -187,7 +186,7 @@ class TestComposition:
     def test_reassembles_power_graph_of_z6(self):
         # Factors K_3, K_2, K_1 over the reduced graph of the Z_6 power graph;
         # relabeling blocks back to class order must reproduce the original.
-        pg = as_graph(power_graph_zn(6))
+        pg = power_graph_zn(6)
         d = twin_partition(pg)
         factors = (complete_graph(3), complete_graph(2), complete_graph(1))
         composed = generalized_composition(CompositionSpec(d.reduced, factors))

@@ -30,7 +30,6 @@ from twindex import (
     wiener_reduced,
 )
 from twindex.generators import (
-    as_graph,
     complete_graph,
     complete_multipartite_graph,
     empty_graph,
@@ -80,17 +79,17 @@ class TestSupportCount:
 
 class TestPerSetDistance:
     def test_single_complete_class(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         d = twin_partition(g)
         assert steiner_distance_via_classes(d, {0, 1, 5}) == 2
 
     def test_single_empty_class(self):
-        g = as_graph(power_graph(dihedral_group(6)))
+        g = power_graph(dihedral_group(6))
         d = twin_partition(g)
         assert steiner_distance_via_classes(d, {6, 8, 10}) == 3
 
     def test_multi_class(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         d = twin_partition(g)
         assert steiner_distance_via_classes(d, {2, 3, 4}) == 3
 
@@ -110,24 +109,24 @@ class TestPerSetDistance:
 
 class TestReducedIndex:
     def test_z6_power_graph(self):
-        d = twin_partition(as_graph(power_graph_zn(6)))
+        d = twin_partition(power_graph_zn(6))
         assert steiner_wiener_reduced(d, 3) == 41
 
     def test_q8_power_graph(self):
-        d = twin_partition(as_graph(power_graph(quaternion_group())))
+        d = twin_partition(power_graph(quaternion_group()))
         assert steiner_wiener_reduced(d, 6) == 141
 
     def test_ideal_based_graph_of_z24(self):
         r = zmod(24)
-        g = as_graph(ideal_zero_divisor_graph(r, ideal_generated(r, [8])))
+        g = ideal_zero_divisor_graph(r, ideal_generated(r, [8]))
         assert steiner_wiener_reduced(twin_partition(g), 8) == 63
 
     def test_comaximal_graph_of_z2z2z4(self):
-        g = as_graph(comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4")))
+        g = comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4"))
         assert steiner_wiener_reduced(twin_partition(g), 8) == 65
 
     def test_m1_is_zero(self):
-        d = twin_partition(as_graph(power_graph_zn(6)))
+        d = twin_partition(power_graph_zn(6))
         assert steiner_wiener_reduced(d, 1) == 0
 
     def test_single_complete_class(self):
@@ -170,7 +169,7 @@ class TestReducedIndex:
                 assert steiner_wiener_reduced(alt, m) == steiner_wiener_reduced(d, m)
 
     def test_stats_reported(self):
-        d = twin_partition(as_graph(power_graph_zn(6)))
+        d = twin_partition(power_graph_zn(6))
         value, stats = steiner_wiener_reduced_with_stats(d, 3)
         assert value == 41
         assert stats.num_classes == 3
@@ -225,15 +224,15 @@ class TestPlantedCompositions:
 class TestWienerReduced:
     def test_ideal_based_graph_of_z6z2(self):
         r = ring_from_spec("Z6xZ2")
-        g = as_graph(ideal_zero_divisor_graph(r, ideal_generated(r, [r.label_index["(0,1)"]])))
+        g = ideal_zero_divisor_graph(r, ideal_generated(r, [r.label_index["(0,1)"]]))
         assert wiener_reduced(twin_partition(g)) == 22
 
     def test_comaximal_graph_of_z8z9(self):
-        g = as_graph(comaximal_ideal_graph(ring_from_spec("Z8xZ9")))
+        g = comaximal_ideal_graph(ring_from_spec("Z8xZ9"))
         assert wiener_reduced(twin_partition(g)) == 14
 
     def test_comaximal_graph_of_z3z5z9(self):
-        g = as_graph(comaximal_ideal_graph(ring_from_spec("Z3xZ5xZ9")))
+        g = comaximal_ideal_graph(ring_from_spec("Z3xZ5xZ9"))
         assert wiener_reduced(twin_partition(g)) == 69
 
     def test_equals_other_routes(self, rng):

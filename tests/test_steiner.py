@@ -22,7 +22,6 @@ from twindex import (
     wiener_index,
 )
 from twindex.generators import (
-    as_graph,
     complete_graph,
     cycle_graph,
     path_graph,
@@ -46,7 +45,7 @@ class TestSteinerDistance:
         assert steiner_distance(path_graph(4), {0, 3}) == 3
 
     def test_z6_power_graph_triple(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         assert steiner_distance(g, {2, 3, 4}) == 3
 
     def test_single_terminal(self):
@@ -180,7 +179,7 @@ class TestDistanceProperties:
 
 class TestNaiveIndex:
     def test_z6_power_graph(self):
-        assert steiner_wiener_naive(as_graph(power_graph_zn(6)), 3) == 41
+        assert steiner_wiener_naive(power_graph_zn(6), 3) == 41
 
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 4), (7, 2)])
     def test_complete_graph_closed_form(self, n, m):
@@ -245,7 +244,7 @@ class TestWiener:
         assert wiener_index(complete_graph(n)) == comb(n, 2)
 
     def test_d12_power_graph(self):
-        assert wiener_index(as_graph(power_graph(dihedral_group(6)))) == 113
+        assert wiener_index(power_graph(dihedral_group(6))) == 113
 
     def test_single_vertex(self):
         assert wiener_index(new_graph(1, [])) == 0

@@ -14,7 +14,7 @@ from twindex import (
     recompose,
     twin_partition,
 )
-from twindex.generators import as_graph, complete_graph, power_graph, power_graph_zn
+from twindex.generators import complete_graph, power_graph, power_graph_zn
 from twindex.algebra import dihedral_group
 
 from conftest import random_graph
@@ -30,18 +30,18 @@ def graphs(draw, max_n=9):
 
 class TestAreTwins:
     def test_universal_vertices_of_z6_power_graph(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         assert are_twins(g, 0, 1)
 
     def test_non_twins_in_z6_power_graph(self):
         # N(2) = {0,1,4,5} while N(3) = {0,1,5}
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         assert g.neighbors(2) == {0, 1, 4, 5}
         assert g.neighbors(3) == {0, 1, 5}
         assert not are_twins(g, 2, 3)
 
     def test_reflexive(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         assert all(are_twins(g, v, v) for v in range(g.n))
 
     @given(graphs())
@@ -54,13 +54,13 @@ class TestAreTwins:
 
 class TestTwinPartition:
     def test_z6_power_graph_classes(self):
-        d = twin_partition(as_graph(power_graph_zn(6)))
+        d = twin_partition(power_graph_zn(6))
         assert d.classes == ((0, 1, 5), (2, 4), (3,))
         assert d.kinds == (ClassKind.COMPLETE, ClassKind.COMPLETE, ClassKind.SINGLETON)
         assert d.representatives == (0, 2, 3)
 
     def test_d12_power_graph_classes(self):
-        g = as_graph(power_graph(dihedral_group(6)))
+        g = power_graph(dihedral_group(6))
         d = twin_partition(g)
         # identity, {r, r^5}, {r^2, r^4}, {r^3}, and the six reflections
         assert set(map(frozenset, d.classes)) == {
@@ -79,7 +79,7 @@ class TestTwinPartition:
         assert d.kinds == (ClassKind.COMPLETE,)
 
     def test_reduced_is_induced_on_representatives(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         d = twin_partition(g)
         assert d.reduced.n == 3
         assert set(d.reduced.edges()) == {(0, 1), (0, 2)}
@@ -133,7 +133,7 @@ class TestTwinPartition:
 
 class TestRecompose:
     def test_z6_power_graph(self):
-        g = as_graph(power_graph_zn(6))
+        g = power_graph_zn(6)
         assert recompose(twin_partition(g)) == g
 
     def test_complete_bipartite(self):
