@@ -150,13 +150,6 @@ class FiniteGroup:
     def inverse(self, a: int) -> int:
         return int(np.nonzero(self._table[a] == self.identity)[0][0])
 
-    def power(self, a: int, k: int) -> int:
-        """``a`` composed with itself ``k`` times (``k >= 0``)."""
-        result = self.identity
-        for _ in range(k):
-            result = self.op(result, a)
-        return result
-
     def element_order(self, a: int) -> int:
         k, x = 1, a
         while x != self.identity:
@@ -335,9 +328,6 @@ class FiniteRing:
 
     def mul(self, a: int, b: int) -> int:
         return int(self._mul[a, b])
-
-    def neg(self, a: int) -> int:
-        return int(np.nonzero(self._add[a] == self.zero)[0][0])
 
     def __repr__(self):
         return f"FiniteRing({self.name}, size={self.size})"
@@ -525,7 +515,7 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(r, tuple(set(table.ravel().tolist())))
 
 
-def all_ideals(r: FiniteRing, *, cap: int = IDEAL_ENUM_CAP) -> list[Ideal]:
+def all_ideals(r: FiniteRing) -> list[Ideal]:
     """Every ideal of ``r``, sorted by (size, element list).
 
     The principal ideals ``R x`` are the distinct columns of the
@@ -533,8 +523,10 @@ def all_ideals(r: FiniteRing, *, cap: int = IDEAL_ENUM_CAP) -> list[Ideal]:
     addition); every other ideal is a finite sum of principal ones, so
     closing under sums with principal ideals is complete.
     """
-    if r.size > cap:
-        raise RingTooLarge(f"ring size {r.size} exceeds the enumeration cap {cap}")
+    if r.size > IDEAL_ENUM_CAP:
+        raise RingTooLarge(
+            f"ring size {r.size} exceeds the enumeration cap {IDEAL_ENUM_CAP}"
+        )
     principal = [Ideal(r, tuple(col)) for col in {frozenset(c) for c in r._mul.T.tolist()}]
     found = {i.members for i in principal}
     ideals = list(principal)
@@ -569,14 +561,14 @@ def ideal_intersection(r: FiniteRing, ideals: Iterable[Ideal]) -> Ideal:
     return Ideal(r, tuple(common))
 
 
-def maximal_ideals(r: FiniteRing, *, cap: int = IDEAL_ENUM_CAP) -> list[Ideal]:
+def maximal_ideals(r: FiniteRing) -> list[Ideal]:
     """Proper ideals maximal under inclusion."""
-    return maximal_among(all_ideals(r, cap=cap))
+    return maximal_among(all_ideals(r))
 
 
-def jacobson_radical(r: FiniteRing, *, cap: int = IDEAL_ENUM_CAP) -> Ideal:
+def jacobson_radical(r: FiniteRing) -> Ideal:
     """Intersection of all maximal ideals."""
-    return ideal_intersection(r, maximal_ideals(r, cap=cap))
+    return ideal_intersection(r, maximal_ideals(r))
 
 
 def is_comaximal(r: FiniteRing, i: Ideal, j: Ideal) -> bool:

@@ -51,14 +51,6 @@ class Graph:
         self._check_vertex(v)
         return self.adjacency[v]
 
-    def closed_neighborhood(self, v: int) -> frozenset[int]:
-        self._check_vertex(v)
-        return self.adjacency[v] | {v}
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return len(self.adjacency[v])
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -293,6 +285,11 @@ def _parse_edgelist(text: str) -> Graph:
     return new_graph(n, edges)
 
 
+def _is_json_int(x: object) -> bool:
+    # JSON true and false load as bool, which Python counts as an int.
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _parse_json(text: str) -> Graph:
     try:
         obj = json.loads(text)
@@ -300,7 +297,7 @@ def _parse_json(text: str) -> Graph:
         raise ParseError(exc.msg, exc.lineno, exc.colno) from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
-    if "n" not in obj or not isinstance(obj["n"], int):
+    if not _is_json_int(obj.get("n")):
         raise ParseError('missing or non-integer "n" field')
     n = obj["n"]
     raw_edges = obj.get("edges", [])
@@ -311,7 +308,7 @@ def _parse_json(text: str) -> Graph:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(x, int) for x in pair)
+            or not all(_is_json_int(x) for x in pair)
         ):
             raise ParseError(f"edge #{i} is not a pair of integers")
         edges.append((pair[0], pair[1]))

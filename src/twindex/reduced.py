@@ -80,7 +80,7 @@ def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int])
         raise EmptyTerminalSet("terminal set must be non-empty")
     for t in ts:
         d.source._check_vertex(t)
-    if not is_connected(d.source):
+    if not _connected_via_reduced(d):
         raise DisconnectedGraph("class-based Steiner distance requires a connected graph")
     m = len(ts)
     if m == 1:
@@ -93,6 +93,12 @@ def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int])
 
 
 def _connected_via_reduced(d: TwinDecomposition) -> bool:
+    """Whether ``d.source`` is connected, read off the twin classes.
+
+    One class is connected iff it is a single vertex or a clique; with two or
+    more classes G is connected iff H is, since each class is joined
+    completely to every class adjacent to it.
+    """
     if d.k == 1:
         size = len(d.classes[0])
         return size <= 1 or d.kinds[0] is not ClassKind.EMPTY

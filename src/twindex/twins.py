@@ -2,9 +2,12 @@
 
 Two vertices are twins when ``N(u) \\ {v} == N(v) \\ {u}``: false twins share
 open neighborhoods, true twins share closed ones. The relation is an
-equivalence; each class induces either a clique or an edgeless subgraph, and
-the whole graph is recovered as a generalized composition of those class
-subgraphs over the reduced graph of class representatives.
+equivalence, and no vertex has twins of both sorts, so each class is one
+neighborhood bucket: an edgeless class of false twins or a clique of true
+twins. :func:`twin_partition` reads the classes and their kinds off the two
+bucketings in one pass, and the whole graph is recovered as a generalized
+composition of the class subgraphs over the reduced graph of class
+representatives.
 """
 
 from __future__ import annotations
@@ -73,68 +76,48 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
     return nu - {v} == nv - {u}
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def twin_partition(g: Graph) -> TwinDecomposition:
-    """Compute the twin classes of ``g`` and its reduced graph.
+    """Compute the twin classes of ``g`` and its reduced graph in one pass.
 
-    Vertices are bucketed twice, by open neighborhood ``N(v)`` (false twins)
-    and by closed neighborhood ``N[v]`` (true twins), and the two bucketings
-    are merged with a union-find. This avoids quadratic pairwise testing; the
-    pairwise predicate :func:`are_twins` serves as the oracle in tests.
+    Every vertex is bucketed by its open neighborhood ``N(v)`` and by its
+    closed neighborhood ``N[v]``. Walking the vertices in ascending order, an
+    unplaced vertex's class is its open bucket, of kind ``EMPTY``, when that
+    bucket holds another vertex; otherwise it is its closed bucket, of kind
+    ``COMPLETE``, or ``SINGLETON`` when that bucket holds the vertex alone.
+    Classes therefore come out ordered by their least member.
+
+    The two bucketings never need merging: no vertex has both a false twin
+    and a true twin. If ``N(u) = N(v)`` and ``N[w] = N[v]`` with u, w != v,
+    then ``w in N(v) = N(u)``, so ``u in N[w] = N[v]`` and u is adjacent to
+    v, which is impossible when ``N(u) = N(v)``. Open buckets are independent
+    sets and closed buckets are cliques by definition, so each kind holds by
+    construction. The pairwise predicate :func:`are_twins` serves as the
+    oracle in tests.
     """
-    n = g.n
-    uf = _UnionFind(n)
-    open_buckets: dict[frozenset[int], int] = {}
-    closed_buckets: dict[frozenset[int], int] = {}
-    for v in range(n):
-        nv = g.adjacency[v]
-        first = open_buckets.setdefault(nv, v)
-        if first != v:
-            uf.union(first, v)
-        closed = nv | {v}
-        first = closed_buckets.setdefault(closed, v)
-        if first != v:
-            uf.union(first, v)
+    open_buckets: dict[frozenset[int], list[int]] = {}
+    closed_buckets: dict[frozenset[int], list[int]] = {}
+    for v, nv in enumerate(g.adjacency):
+        open_buckets.setdefault(nv, []).append(v)
+        closed_buckets.setdefault(nv | {v}, []).append(v)
 
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(uf.find(v), []).append(v)
-    classes = tuple(tuple(sorted(ms)) for _, ms in sorted(members.items()))
+    placed = [False] * g.n
+    classes: list[tuple[int, ...]] = []
+    kinds: list[ClassKind] = []
+    for v, nv in enumerate(g.adjacency):
+        if placed[v]:
+            continue
+        cls = open_buckets[nv]
+        if len(cls) > 1:
+            kinds.append(ClassKind.EMPTY)
+        else:
+            cls = closed_buckets[nv | {v}]
+            kinds.append(ClassKind.COMPLETE if len(cls) > 1 else ClassKind.SINGLETON)
+        for u in cls:
+            placed[u] = True
+        classes.append(tuple(cls))
     representatives = tuple(c[0] for c in classes)
-    kinds = tuple(_classify(g, c) for c in classes)
     reduced, _ = induced_subgraph(g, representatives)
-    return TwinDecomposition(g, classes, representatives, kinds, reduced)
-
-
-def _classify(g: Graph, cls: tuple[int, ...]) -> ClassKind:
-    if len(cls) == 1:
-        return ClassKind.SINGLETON
-    pairs = [(u, v) for i, u in enumerate(cls) for v in cls[i + 1 :]]
-    present = sum(1 for u, v in pairs if g.has_edge(u, v))
-    if present == len(pairs):
-        return ClassKind.COMPLETE
-    if present == 0:
-        return ClassKind.EMPTY
-    raise ReconstructionMismatch(
-        f"class {cls} induces a mixed subgraph; twin relation violated"
-    )
+    return TwinDecomposition(g, tuple(classes), representatives, tuple(kinds), reduced)
 
 
 def recompose(d: TwinDecomposition) -> Graph:

@@ -13,6 +13,7 @@ from twindex import (
     RingTooLarge,
 )
 from twindex.algebra import (
+    IDEAL_ENUM_CAP,
     FiniteGroup,
     FiniteRing,
     Ideal,
@@ -320,8 +321,10 @@ class TestIdeals:
         assert not i.contains_ideal(ideal_generated(r, [4]))
 
     def test_enumeration_cap(self):
+        assert IDEAL_ENUM_CAP == 256
+        all_ideals(zmod(256))
         with pytest.raises(RingTooLarge):
-            all_ideals(zmod(6), cap=4)
+            all_ideals(zmod(257))
 
     def test_ideal_sum(self):
         r = zmod(12)

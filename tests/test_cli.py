@@ -73,6 +73,13 @@ class TestTwins:
         assert lines[0] == "2 twin classes"
         assert lines[2] == "1 empty: 1 2 3"
 
+    def test_boolean_json_is_parse_error(self, capsys, tmp_path):
+        source = tmp_path / "g.json"
+        source.write_text('{"n": 2, "edges": [[true, false]]}')
+        code, out, _ = run(capsys, "twins", "--in", str(source), "--format", "json")
+        assert code == 2
+        assert out == ""
+
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, "twins")
         assert code == 2

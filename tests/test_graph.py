@@ -256,6 +256,11 @@ class TestSerialization:
             parse_graph('{"edges": []}', "json")
         with pytest.raises(ParseError):
             parse_graph('{"n": 2, "edges": [[0, 5]]}', "json")
+        # JSON true and false load as Python bools, an int subclass.
+        with pytest.raises(ParseError, match='"n"'):
+            parse_graph('{"n": true}', "json")
+        with pytest.raises(ParseError, match="edge #0"):
+            parse_graph('{"n": 2, "edges": [[true, false]]}', "json")
 
     @given(graphs())
     @settings(max_examples=60)

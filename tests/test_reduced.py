@@ -17,6 +17,7 @@ from twindex import (
     TwinDecomposition,
     generalized_composition,
     induced_subgraph,
+    is_connected,
     new_graph,
     steiner_distance,
     steiner_distance_via_classes,
@@ -44,7 +45,7 @@ from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
 from twindex.reduced import support_count
 from twindex.reference import star_index_formula
 
-from conftest import random_connected_graph
+from conftest import all_graphs, random_connected_graph
 
 
 class TestSupportCount:
@@ -105,6 +106,17 @@ class TestPerSetDistance:
         d = twin_partition(new_graph(3, [(0, 1)]))
         with pytest.raises(DisconnectedGraph):
             steiner_distance_via_classes(d, {0, 2})
+
+    def test_raises_exactly_on_disconnected_graphs(self):
+        # The rule reads connectivity off the classes; G itself is the oracle.
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                d = twin_partition(g)
+                if is_connected(g):
+                    assert steiner_distance_via_classes(d, {0}) == 0
+                else:
+                    with pytest.raises(DisconnectedGraph):
+                        steiner_distance_via_classes(d, {0})
 
 
 class TestReducedIndex:

@@ -7,14 +7,16 @@ from hypothesis import strategies as st
 
 from twindex import (
     ClassKind,
+    CompositionSpec,
     are_twins,
+    generalized_composition,
     is_connected,
     new_graph,
     permuted,
     recompose,
     twin_partition,
 )
-from twindex.generators import complete_graph, power_graph, power_graph_zn
+from twindex.generators import complete_graph, empty_graph, power_graph, power_graph_zn
 from twindex.algebra import dihedral_group
 
 from conftest import random_graph
@@ -26,6 +28,53 @@ def graphs(draw, max_n=9):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return new_graph(n, [p for p, keep in zip(pairs, mask) if keep])
+
+
+@st.composite
+def planted_twins(draw):
+    """A random base on 1-6 vertices with each vertex blown up into a clique
+    or an edgeless graph on 1-5 vertices, its vertices shuffled.
+
+    Returns the graph and its planted blocks; each block lies inside one twin
+    class, which may hold further blocks when base vertices are twins.
+    """
+    base_n = draw(st.integers(min_value=1, max_value=6))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    base = random_graph(rng, base_n, draw(st.sampled_from([0.2, 0.5, 0.8])))
+    factors = tuple(
+        draw(st.sampled_from([complete_graph, empty_graph]))(draw(st.integers(1, 5)))
+        for _ in range(base_n)
+    )
+    g = generalized_composition(CompositionSpec(base, factors))
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    blocks, start = [], 0
+    for f in factors:
+        blocks.append((f, [perm[v] for v in range(start, start + f.n)]))
+        start += f.n
+    return permuted(g, perm), blocks
+
+
+def assert_partition_sound(g, d):
+    """Classes match the pairwise oracle, come in order and carry their kind."""
+    for u in range(g.n):
+        for v in range(g.n):
+            same = d.class_of(u) == d.class_of(v)
+            assert same == are_twins(g, u, v), (g.n, u, v)
+    assert sorted(v for cls in d.classes for v in cls) == list(range(g.n))
+    assert all(list(cls) == sorted(cls) for cls in d.classes)
+    assert d.representatives == tuple(cls[0] for cls in d.classes)
+    assert list(d.representatives) == sorted(d.representatives)
+    for cls, kind in zip(d.classes, d.kinds):
+        if len(cls) == 1:
+            assert kind is ClassKind.SINGLETON
+            continue
+        pairs = [(u, v) for i, u in enumerate(cls) for v in cls[i + 1 :]]
+        if kind is ClassKind.COMPLETE:
+            assert all(g.has_edge(u, v) for u, v in pairs)
+        else:
+            assert kind is ClassKind.EMPTY
+            assert not any(g.has_edge(u, v) for u, v in pairs)
 
 
 class TestAreTwins:
@@ -89,26 +138,59 @@ class TestTwinPartition:
         sizes = [0, 1, 2, 5, 9, 16, 33, 64]
         for n in sizes:
             g = random_graph(rng, n, 0.4)
-            d = twin_partition(g)
-            for u in range(n):
-                for v in range(n):
-                    same = d.class_of(u) == d.class_of(v)
-                    assert same == are_twins(g, u, v), (n, u, v)
+            assert_partition_sound(g, twin_partition(g))
 
     @given(graphs())
     @settings(max_examples=60)
     def test_kind_soundness(self, g):
+        assert_partition_sound(g, twin_partition(g))
+
+    @given(planted_twins())
+    @settings(max_examples=80, deadline=None)
+    def test_planted_compositions(self, planted):
+        g, blocks = planted
         d = twin_partition(g)
-        for cls, kind in zip(d.classes, d.kinds):
-            if len(cls) == 1:
-                assert kind is ClassKind.SINGLETON
-                continue
-            pairs = [(u, v) for i, u in enumerate(cls) for v in cls[i + 1 :]]
-            if kind is ClassKind.COMPLETE:
-                assert all(g.has_edge(u, v) for u, v in pairs)
-            else:
-                assert kind is ClassKind.EMPTY
-                assert not any(g.has_edge(u, v) for u, v in pairs)
+        assert_partition_sound(g, d)
+        for factor, block in blocks:
+            assert len({d.class_of(v) for v in block}) == 1
+            if len(block) > 1:
+                kind = ClassKind.COMPLETE if factor.edge_count() else ClassKind.EMPTY
+                assert d.kinds[d.class_of(block[0])] is kind
+
+    def test_empty_graph(self):
+        d = twin_partition(new_graph(0))
+        assert d.k == 0
+        assert d.classes == d.kinds == d.representatives == ()
+        assert d.reduced.n == 0
+
+    def test_k1(self):
+        d = twin_partition(new_graph(1))
+        assert d.classes == ((0,),)
+        assert d.kinds == (ClassKind.SINGLETON,)
+
+    def test_2k1_is_one_empty_class(self):
+        d = twin_partition(empty_graph(2))
+        assert d.classes == ((0, 1),)
+        assert d.kinds == (ClassKind.EMPTY,)
+
+    def test_k2_is_one_complete_class(self):
+        d = twin_partition(complete_graph(2))
+        assert d.classes == ((0, 1),)
+        assert d.kinds == (ClassKind.COMPLETE,)
+
+    def test_complete_and_empty_classes_together(self):
+        # P3[K3, K1, 3K1] with the blocks interleaved: 3 is the singleton,
+        # {0, 2, 5} the triangle and {1, 4, 6} the edgeless class.
+        g = new_graph(
+            7,
+            [(0, 2), (0, 5), (2, 5)]
+            + [(3, v) for v in (0, 2, 5, 1, 4, 6)],
+        )
+        d = twin_partition(g)
+        assert d.classes == ((0, 2, 5), (1, 4, 6), (3,))
+        assert d.kinds == (ClassKind.COMPLETE, ClassKind.EMPTY, ClassKind.SINGLETON)
+        assert d.representatives == (0, 1, 3)
+        assert d.reduced.edges() == ((0, 2), (1, 2))
 
     @given(graphs())
     @settings(max_examples=60)
