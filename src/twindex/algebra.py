@@ -48,15 +48,18 @@ def _as_table(table, n: int, what: str) -> np.ndarray:
 
 
 def _generating_set(table: np.ndarray) -> np.ndarray:
-    """Greedy generators: the least element outside the closure of those picked.
+    """Greedy generators: the greatest element outside the closure of those picked.
 
     The closure is taken under the operation itself (all products of members,
     in both orders), grown incrementally so each pair is multiplied once.
+    Light's test needs only some generating set; taking elements from the top
+    keeps it small for the multiplicative monoids of product rings, whose
+    low-indexed elements are rarely products of earlier ones.
     """
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
     gens = []
-    for a in range(n):
+    for a in range(n - 1, -1, -1):
         if inside[a]:
             continue
         gens.append(a)

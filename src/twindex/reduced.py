@@ -8,17 +8,19 @@ reduced graph H and each further vertex hangs off that tree by one edge. So
 the defining sum over all ``binom(n, m)`` subsets collapses to one sum over
 the supports of at most ``m`` classes::
 
-    SW_m = sum_S N_S * (d_H(S) + m - |S|) + sum_{i edgeless} binom(n_i, m)
+    SW_m = sum_S N_S * w(S) + sum_{i edgeless} binom(n_i, m),
+    w(S) = d_H(S) + m - |S|
 
 ``N_S``, the number of m-subsets with support exactly S, is the
 inclusion-exclusion sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets
-T of S, where ``n_T`` counts the vertices of T's classes
-(:func:`support_count`). A one-class support has
-``d_H = 0``, so the per-class terms come out of the same sum. The supports
-stream from :func:`twindex.steiner.subset_batches` and each chunk is answered
-by the Steiner kernel :func:`twindex.steiner.steiner_distances` on H's
-distance matrix: distances are needed only in the (usually much smaller)
-reduced graph, once per support. That is the entire speedup of the reduction.
+T of S, where ``n_T`` counts the vertices of T's classes. Swapping the two
+finite sums gives ``sum_t binom(t, m) * h[t]``, at most ``n + 1`` exact terms,
+where the int64 histogram ``h[t]`` collects ``(-1)^{|S|-|T|} * w(S)`` over the
+pairs with ``n_T = t``. A one-class support has ``d_H = 0``, so the per-class
+terms come out of the same sum. The level-shared kernel
+:func:`twindex.steiner.steiner_levels` answers every support on H's distance
+matrix: distances are needed only in the (usually much smaller) reduced
+graph, once per support. That is the entire speedup of the reduction.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
 from .graph import is_connected
-from .steiner import distance_matrix, steiner_distance, steiner_distances, subset_batches
+from .steiner import distance_matrix, steiner_distance, steiner_levels
 from .twins import ClassKind, TwinDecomposition
 
 
@@ -39,8 +41,8 @@ from .twins import ClassKind, TwinDecomposition
 class ReducedIndexStats:
     """Diagnostics from one reduced-formula evaluation.
 
-    ``num_profiles`` counts the supports of two or more classes that the
-    Steiner kernel answered on H, which are those with ``N_S > 0``.
+    ``num_profiles`` counts the supports of two or more classes that hold at
+    least ``m`` vertices (``N_S > 0``), the ones weighed into the histogram.
     ``dh_cache_hits`` is always 0, because each support is answered once.
     The two names are kept for the readers of ``index --json``.
     """
@@ -48,22 +50,6 @@ class ReducedIndexStats:
     num_classes: int = 0
     num_profiles: int = 0
     dh_cache_hits: int = 0
-
-
-def support_count(sizes: Iterable[int], m: int) -> int:
-    """``N_S``: the m-subsets that meet every class of sizes ``sizes`` and no other.
-
-    The sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets T of S,
-    with the subsets of the classes seen so far grouped by their vertex
-    count ``n_T``.
-    """
-    signed = {0: 1}
-    for size in sizes:
-        grown = {total: -sign for total, sign in signed.items()}
-        for total, sign in signed.items():
-            grown[total + size] = grown.get(total + size, 0) + sign
-        signed = grown
-    return sum(sign * comb(total, m) for total, sign in signed.items())
 
 
 def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int]) -> int:
@@ -105,6 +91,22 @@ def _connected_via_reduced(d: TwinDecomposition) -> bool:
     return is_connected(d.reduced)
 
 
+def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> None:
+    """Add ``(-1)^{|S - T|} * w(S)`` into ``hist[n_T]`` for every subset T of every support S.
+
+    ``held`` holds the class sizes of B supports, ``(B, s)``, and ``w`` their
+    weights; ``sum_t C(t, m) * hist[t]`` then grows by ``sum_S N_S * w(S)``.
+    """
+    rows, s = held.shape
+    counts = np.zeros((rows, 1 << s), dtype=np.int64)
+    signs = np.full(1 << s, (-1) ** s, dtype=np.int64)
+    for i in range(s):
+        low = 1 << i
+        counts[:, low : 2 * low] = counts[:, :low] + held[:, i : i + 1]
+        signs[low : 2 * low] = -signs[:low]
+    np.add.at(hist, counts, w[:, None] * signs)
+
+
 def _reduced_core(d: TwinDecomposition, m: int) -> tuple[int, ReducedIndexStats]:
     stats = ReducedIndexStats(num_classes=d.k)
     n = d.source.n
@@ -115,35 +117,23 @@ def _reduced_core(d: TwinDecomposition, m: int) -> tuple[int, ReducedIndexStats]
     if m == 1:
         return 0, stats
 
-    total = sum(
-        comb(size, m)
-        for size, kind in zip(d.class_sizes(), d.kinds)
-        if kind is ClassKind.EMPTY
-    )
-    sizes = np.array(d.class_sizes())
-    dist_h = distance_matrix(d.reduced)
-    for s in range(1, min(m, d.k) + 1):
-        for supports in subset_batches(d.k, s):
+    sizes = np.array(d.class_sizes(), dtype=np.int64)
+    hist = np.zeros(n + 1, dtype=np.int64)
+    # A support holding fewer than m vertices has N_S = 0; so has every
+    # support of a level whose s largest classes hold fewer.
+    largest = np.sort(sizes)[::-1].cumsum()
+    levels = steiner_levels(distance_matrix(d.reduced), range(d.k), min(m, d.k))
+    for s, level in enumerate(levels, 1):
+        if largest[s - 1] < m:
+            continue
+        for supports, dh in level:
             held = sizes[supports]
-            # A support holding fewer than m vertices has N_S = 0.
             keep = held.sum(axis=1) >= m
-            supports = supports[keep]
-            if not len(supports):
-                continue
-            if s > 1:
-                stats.num_profiles += len(supports)
-            # N_S depends only on the class sizes, so it is computed once per
-            # distinct sorted size tuple in the chunk. Each tuple is viewed
-            # as one opaque value, which np.unique groups several times
-            # faster than rows under axis=0.
-            rows = np.sort(held[keep], axis=1)
-            keys, group = np.unique(
-                rows.view(f"V{rows.itemsize * s}").ravel(), return_inverse=True
-            )
-            terms = np.zeros(len(keys), dtype=np.int64)
-            np.add.at(terms, group, steiner_distances(dist_h, supports) + m - s)
-            for key, term in zip(keys.view(rows.dtype).reshape(-1, s).tolist(), terms.tolist()):
-                total += support_count(key, m) * term
+            stats.num_profiles += int(keep.sum()) if s > 1 else 0
+            _add_support_weights(hist, held[keep], dh[keep] + m - s)
+    edgeless = [size for size, kind in zip(sizes.tolist(), d.kinds) if kind is ClassKind.EMPTY]
+    total = sum(comb(size, m) for size in edgeless)
+    total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())
     return total, stats
 
 

@@ -1,19 +1,18 @@
 """Exact Steiner distances and brute-force index computation.
 
-``steiner_distances`` is the one Steiner kernel: a Dreyfus-Wagner dynamic
-program over (terminal-subset, anchor-vertex) states that answers a whole
-batch of equal-size terminal sets with one numpy call sequence, under a fixed
-byte budget checked before allocation. ``steiner_distance`` is its one-row
-case, ``steiner_wiener_naive`` streams every m-subset through it, and the
-twin-class reduction answers its supports with it. ``steiner_distance_bruteforce``
-minimizes over connected vertex supersets and is the independent oracle the
-kernel and the twin-class reduction formula are validated against. All index
-values are exact Python integers.
+``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
+every subset of a terminal universe up to a given size, under a byte budget
+checked before allocation. ``steiner_distance`` reads its top level over the
+terminals, ``steiner_wiener_naive`` level m over all vertices, and the
+twin-class reduction every level over the reduced graph.
+``steiner_distance_bruteforce`` minimizes over connected vertex supersets and
+is the independent oracle the kernel and the twin-class reduction formula are
+validated against. All index values are exact Python integers.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -30,12 +29,12 @@ from .errors import (
 from .graph import Graph, all_pairs_distances, is_connected
 
 BRUTE_FORCE_VERTEX_CAP = 16
-# Largest kernel allocation one query row may need (see ``_row_bytes``);
+# Largest kernel table plus one chunk's working set (see ``steiner_levels``);
 # checked before any DP state is allocated.
 DP_BYTE_BUDGET = 1 << 26
-# Bytes per kernel batch. Small enough that the DP stays in cache and memory
-# stays flat, large enough that each numpy call spans many rows.
-BATCH_BYTES = 1 << 20
+# Working bytes per kernel chunk. Small enough that memory stays flat, large
+# enough that each numpy call spans many rows.
+CHUNK_BYTES = 1 << 20
 
 # Larger than any hop count, small enough that sums of a few never overflow
 # int64.
@@ -49,108 +48,128 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return mat.astype(np.int64)
 
 
-def _row_bytes(s: int, n: int) -> int:
-    """Peak kernel bytes per query row of ``s`` terminals on ``n`` vertices.
+def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.ndarray]:
+    """Every ``s``-subset of ``range(size)`` in colex order, as ``(rows, s)`` arrays.
 
-    The DP table and the submask-merge temporary together stay below
-    ``2^s * n`` int64 entries; from ``s = 4`` on, the min-plus relax adds an
-    ``(n, n)`` temporary per row. One or two terminals need only the row's
-    indices and its answer.
+    Unranked: member ``j`` is the largest ``c`` with ``C(c, j + 1)`` at most
+    what remains of the rank, and the first member is the remainder.
     """
-    if s <= 2:
-        return 8 * (s + 1)
-    return 8 * n * ((1 << s) + (n if s > 3 else 0))
+    total = comb(size, s)
+    for lo in range(0, total, rows):
+        rank = np.arange(lo, min(lo + rows, total), dtype=np.int64)
+        pos = np.empty((len(rank), s), dtype=np.intp)
+        for j in range(s, 1, -1):
+            column = binom[:, j]
+            pos[:, j - 1] = member = column.searchsorted(rank, side="right") - 1
+            rank -= column[member]
+        pos[:, 0] = rank
+        yield pos
 
 
-def batch_rows(s: int, n: int) -> int:
-    """Query rows of ``s`` terminals per kernel batch: as many as fit ``BATCH_BYTES``."""
-    return max(1, BATCH_BYTES // _row_bytes(s, n))
+def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
+    """``s``-subsets per chunk on ``n`` anchors: as many as fit ``CHUNK_BYTES``.
 
-
-def subset_batches(n: int, s: int) -> Iterator[np.ndarray]:
-    """Every ``s``-subset of ``range(n)`` in lexicographic order, as ``(B, s)`` arrays.
-
-    Each array holds :func:`batch_rows` ``(s, n)`` rows (the last may hold
-    fewer), so a stream of any length fills kernel batches with flat memory.
+    A row holds ``2^s`` submask ranks and three anchor rows (two gathered
+    table rows and their minimum), a relaxed row also an ``(n, n)`` temporary.
     """
-    subsets = itertools.combinations(range(n), s)
-    row_type = np.dtype((np.intp, s))
-    step = batch_rows(s, n)
-    while len(batch := np.fromiter(itertools.islice(subsets, step), dtype=row_type)):
-        yield batch
+    return max(1, CHUNK_BYTES // (8 * ((1 << s) + 3 * n + (n * n if relax else 0))))
 
 
-def _dp_table(dist: np.ndarray, terminals: np.ndarray) -> np.ndarray:
-    """Dreyfus-Wagner table for a batch of terminal rows, shape ``(2^s, B, n)``.
+@functools.lru_cache(maxsize=64)
+def _layout(size: int, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``C(c, j)`` for ``c < size``, ``j <= top``, and each table level's first row."""
+    binom = np.zeros((size, top + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for j in range(1, top + 1):
+        binom[1:, j] = binom[:-1, j - 1].cumsum()
+    offsets = np.zeros(top + 1, dtype=np.int64)
+    offsets[2:top] = binom[-1, 1 : top - 1].cumsum()
+    binom.flags.writeable = offsets.flags.writeable = False
+    return binom, offsets
 
-    For every mask but the full one, ``dp[mask, b, v]`` is the Steiner
-    distance of ``{terminals[b, i] : i in mask} | {v}``. Masks are processed
-    in increasing order: each one takes the cheapest merge of two
-    complementary submasks at every anchor, across the whole batch at once,
-    then one min-plus relax through the exact distance matrix (one pass
-    suffices because hop counts satisfy the triangle inequality). The full
-    mask keeps its merge unrelaxed: its minimum over anchors is the same, and
-    adding a root's distance row to it yields the root's column.
+
+def _submask_rows(pos: np.ndarray, binom: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Table row of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
+
+    That is the level offset plus the colex rank, ``sum_j C(p_j, j + 1)`` over
+    the submask's ascending members. Bit ``i`` joins every submask of the
+    lower bits as their largest member, so ``r`` steps fill all columns.
     """
-    rows, s = terminals.shape
-    full = (1 << s) - 1
-    dp = np.empty((full + 1, rows, dist.shape[0]), dtype=np.int64)
-    for i in range(s):
-        dp[1 << i] = dist[terminals[:, i]]
-    for mask in range(3, full + 1):
-        low = mask & -mask
-        if mask == low:
-            continue
-        # Each unordered split once: the part holding the lowest bit.
-        subs = []
-        sub = (mask - 1) & mask
-        while sub:
-            if sub & low:
-                subs.append(sub)
-            sub = (sub - 1) & mask
-        merged = dp[subs]
-        merged += dp[[mask ^ sub for sub in subs]]
-        best = merged.min(axis=0)
-        if mask == full:
-            dp[mask] = best
-        else:
-            dp[mask] = (best[:, :, None] + dist).min(axis=1)
-    return dp
+    rows, r = pos.shape
+    ranks = np.zeros((rows, 1 << r), dtype=np.int64)
+    members = np.zeros(1 << r, dtype=np.intp)
+    for i in range(r):
+        low = 1 << i
+        ranks[:, low : 2 * low] = ranks[:, :low] + binom[pos[:, i : i + 1], members[:low] + 1]
+        members[low : 2 * low] = members[:low] + 1
+    return ranks + offsets[members]
 
 
-def steiner_distances(dist: np.ndarray, terminals: np.ndarray) -> np.ndarray:
-    """Steiner distances of ``B`` terminal rows of equal size, as int64.
+def _merge(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0)."""
+    full = idx.shape[1] - 1
+    best = table[idx[:, 1]]
+    best += table[idx[:, full ^ 1]]
+    for part in range(3, full, 2):
+        pair = table[idx[:, part]]
+        pair += table[idx[:, full ^ part]]
+        np.minimum(best, pair, out=best)
+    return best
 
-    ``terminals`` is a ``(B, s)`` integer array of distinct vertices per row,
-    all in one component of the graph whose hop counts ``dist`` holds. One
-    terminal costs 0 and two cost their matrix entry. From three terminals on,
-    the last terminal of each row is the root of a Dreyfus-Wagner table over
-    the other ``s - 1`` (:func:`_dp_table`); for ``s = 3`` that is
-    ``min_v sum_i d(t_i, v)`` with no relax step. Rows are answered in
-    batches of :func:`batch_rows`. Raises :class:`TerminalCapExceeded`,
-    before allocating, when one row alone needs more than
-    ``DP_BYTE_BUDGET`` bytes.
+
+def steiner_levels(
+    dist: np.ndarray, universe: Iterable[int], top: int
+) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Steiner distance of every subset of ``universe`` with at most ``top`` members.
+
+    Returns one lazy stream per level ``s`` of ``(subsets, distances)`` chunks:
+    ``(B, s)`` ascending positions into ``universe`` in colex order, and their
+    int64 Steiner distances. ``universe`` lies in one component of ``dist``.
+
+    The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
+    subset ``R`` of ``universe[:-1]`` of size 1 to ``top - 2``, at level
+    offset plus colex rank: the cheapest split of ``R`` at each anchor,
+    relaxed once through ``dist`` (hop counts obey the triangle inequality).
+    Below ``top``, ``d(S)`` is the entry of ``S`` minus its last member at
+    that member. At ``top`` the splits of ``S`` minus its last member are
+    merged, and the minimum over anchors is taken after adding the last
+    member's distance row; three members give ``min_v sum_i d(t_i, v)``.
+    Raises :class:`TerminalCapExceeded`, before allocating, when the table
+    and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
-    terminals = np.asarray(terminals, dtype=np.intp)
-    count, s = terminals.shape
-    if s == 1:
-        return np.zeros(count, dtype=np.int64)
-    if s == 2:
-        return dist[terminals[:, 0], terminals[:, 1]]
-    n = dist.shape[0]
-    need = _row_bytes(s, n)
-    if need > DP_BYTE_BUDGET:
+    universe = np.asarray(universe, dtype=np.intp)
+    size, n = len(universe), dist.shape[0]
+    top = min(top, size)
+    entries = sum(comb(size - 1, r) for r in range(1, top - 1))
+    need = 8 * n * entries + max(CHUNK_BYTES, 8 * ((1 << top) + 3 * n + (n * n if top > 3 else 0)))
+    if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
-            f"{s} terminals on {n} vertices need {need} bytes of DP state, "
-            f"over the budget of {DP_BYTE_BUDGET}"
+            f"subsets of up to {top} of {size} terminals on {n} vertices need "
+            f"{need} bytes of DP state, over the budget of {DP_BYTE_BUDGET}"
         )
-    step = batch_rows(s, n)
-    out = np.empty(count, dtype=np.int64)
-    for lo in range(0, count, step):
-        batch = terminals[lo : lo + step]
-        dp = _dp_table(dist, batch[:, :-1])
-        out[lo : lo + step] = (dp[-1] + dist[batch[:, -1]]).min(axis=1)
-    return out
+    binom, offsets = _layout(size, top)
+    table = np.empty((entries, n), dtype=np.int64)
+    if top > 2:
+        table[: size - 1] = dist[universe[:-1]]
+    for r in range(2, top - 1):
+        for pos in _subsets(size - 1, r, _chunk_rows(n, r, relax=True), binom):
+            idx = _submask_rows(pos, binom, offsets)
+            table[idx[:, -1]] = (_merge(table, idx)[:, :, None] + dist).min(axis=1)
+
+    def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for pos in _subsets(size, s, _chunk_rows(n, s), binom):
+            last = universe[pos[:, -1]]
+            if s <= 2:
+                out = dist[universe[pos[:, 0]], last]
+            elif s < top:
+                rank = binom[pos[:, :-1], np.arange(1, s)].sum(axis=1)
+                out = table[offsets[s - 1] + rank, last]
+            else:
+                merged = _merge(table, _submask_rows(pos[:, :-1], binom, offsets))
+                out = np.add(merged, dist[last], out=merged).min(axis=1)
+            yield pos, out
+
+    return [level(s) for s in range(1, top + 1)]
 
 
 def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:
@@ -162,28 +181,22 @@ def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:
     return ts
 
 
-def _check_reachable(dist: np.ndarray, ts: tuple[int, ...]) -> None:
-    t0 = ts[0]
-    for t in ts[1:]:
-        if dist[t0, t] >= _INF:
-            raise DisconnectedTerminals(
-                f"terminals {t0} and {t} lie in different components"
-            )
-
-
 def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     """Exact Steiner distance of a terminal set (edges of the smallest subtree).
 
-    A one-row call of :func:`steiner_distances`: a single terminal costs 0,
-    two terminals cost their shortest-path distance. Raises
-    :class:`DisconnectedTerminals` when the terminals span several
-    components, and :class:`TerminalCapExceeded` when the DP would need more
-    than ``DP_BYTE_BUDGET`` bytes.
+    The top level of :func:`steiner_levels` over the ``s`` terminals, whose
+    table holds about ``2^(s-1) * n`` entries; one terminal costs 0, two their
+    shortest-path distance. Raises :class:`DisconnectedTerminals` when the
+    terminals span several components, and :class:`TerminalCapExceeded` when
+    the DP would need more than ``DP_BYTE_BUDGET`` bytes.
     """
     ts = _validated_terminals(g, terminals)
     dist = distance_matrix(g)
-    _check_reachable(dist, ts)
-    return int(steiner_distances(dist, np.array([ts]))[0])
+    far = [t for t in ts if dist[ts[0], t] >= _INF]
+    if far:
+        raise DisconnectedTerminals(f"terminals {ts[0]} and {far[0]} lie in different components")
+    _, value = next(steiner_levels(dist, ts, len(ts))[-1])
+    return int(value[0])
 
 
 def steiner_distance_bruteforce(g: Graph, terminals: Iterable[int]) -> int:
@@ -233,13 +246,6 @@ def _induced_connected(g: Graph, mask: int) -> bool:
     return seen == mask
 
 
-def _validate_index_args(g: Graph, m: int) -> None:
-    if not 1 <= m <= g.n:
-        raise BadSubsetSize(f"subset size {m} not in [1, {g.n}]")
-    if not is_connected(g):
-        raise DisconnectedGraph("index computation requires a connected graph")
-
-
 def steiner_wiener_naive(
     g: Graph,
     m: int,
@@ -249,18 +255,20 @@ def steiner_wiener_naive(
     """m-Steiner Wiener index by summing Steiner distances of every m-subset.
 
     This is the definition, evaluated literally: every m-subset is one
-    Steiner query. The subsets stream from :func:`subset_batches`, each
-    chunk answered by one :func:`steiner_distances` call, so memory stays
-    flat however many there are. ``progress(done, total)`` is invoked after
-    every chunk when given.
+    Steiner query, answered by the top level of :func:`steiner_levels` over
+    all vertices. The subsets stream in chunks, so memory stays flat however
+    many there are. ``progress(done, total)`` is invoked after every chunk of
+    m-subsets when given.
     """
-    _validate_index_args(g, m)
-    dist = distance_matrix(g)
+    if not 1 <= m <= g.n:
+        raise BadSubsetSize(f"subset size {m} not in [1, {g.n}]")
+    if not is_connected(g):
+        raise DisconnectedGraph("index computation requires a connected graph")
     total = comb(g.n, m)
     value = done = 0
-    for batch in subset_batches(g.n, m):
-        value += int(steiner_distances(dist, batch).sum())
-        done += len(batch)
+    for subsets, distances in steiner_levels(distance_matrix(g), range(g.n), m)[-1]:
+        value += int(distances.sum())
+        done += len(subsets)
         if progress is not None:
             progress(done, total)
     return value
@@ -277,9 +285,8 @@ def wiener_index(g: Graph) -> int:
 def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
     """Steiner distance of every non-empty vertex subset (test helper).
 
-    One :func:`_dp_table` run with the full vertex set as terminals yields
-    the answer for all ``2^n - 1`` subsets at once, as each mask's minimum
-    over anchors; only sensible for tiny graphs.
+    Every level of one :func:`steiner_levels` run over the full vertex set;
+    only sensible for tiny graphs.
     """
     if g.n > BRUTE_FORCE_VERTEX_CAP:
         raise GraphTooLargeForBruteForce(
@@ -287,11 +294,8 @@ def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
         )
     if not is_connected(g):
         raise DisconnectedGraph("all-subsets table requires a connected graph")
-    n = g.n
-    dp = _dp_table(distance_matrix(g), np.arange(n)[None, :])
-    lowest = dp[1:, 0].min(axis=1).tolist()
     out: dict[frozenset[int], int] = {}
-    for mask in range(1, 1 << n):
-        members = frozenset(v for v in range(n) if mask >> v & 1)
-        out[members] = lowest[mask - 1]
+    for level in steiner_levels(distance_matrix(g), range(g.n), g.n):
+        for subsets, distances in level:
+            out.update(zip(map(frozenset, subsets.tolist()), distances.tolist()))
     return out

@@ -218,15 +218,38 @@ class TestLightsTest:
 
     @pytest.mark.parametrize("table", VALID_GROUP_TABLES)
     def test_generating_set_generates(self, table):
+        assert _closure(table, _generating_set(table)) == set(range(len(table)))
+        assert len(_generating_set(table)) <= 4
+
+    @pytest.mark.parametrize(
+        "table,size",
+        [
+            (ring_from_spec("Z2xZ3xZ5xZ7")._mul, 8),
+            (ring_from_spec("Z2xZ2xZ2xZ2xZ2xZ2")._mul, 7),
+            (ring_from_spec("Z4xZ9xZ5")._mul, 6),
+            (ring_from_spec("Z2xZ2xZ2xZ2xZ2xZ2")._add, 6),
+            (group_from_spec("Z480")._table, 1),
+            (group_from_spec("D120")._table, 2),
+            (group_from_spec("Q8xZ15")._table, 2),
+        ],
+        ids=["Z2xZ3xZ5xZ7-mul", "Z2^6-mul", "Z4xZ9xZ5-mul", "Z2^6-add", "Z480", "D120", "Q8xZ15"],
+    )
+    def test_generating_set_sizes(self, table, size):
+        # Greatest element first: a product ring's monoid keeps a handful of
+        # generators, not most of its elements.
         gens = _generating_set(table)
-        closure = set(gens.tolist())
-        while True:
-            grown = closure | {int(table[a, b]) for a in closure for b in closure}
-            if grown == closure:
-                break
-            closure = grown
-        assert closure == set(range(len(table)))
-        assert len(gens) <= 4
+        assert len(gens) == size
+        assert _closure(table, gens) == set(range(len(table)))
+
+
+def _closure(table: np.ndarray, gens: np.ndarray) -> set[int]:
+    """Every product of members of ``gens`` under ``table``, by plain fixpoint."""
+    closure = set(gens.tolist())
+    while True:
+        grown = closure | {int(table[a, b]) for a in closure for b in closure}
+        if grown == closure:
+            return closure
+        closure = grown
 
 
 def _f2xy() -> FiniteRing:

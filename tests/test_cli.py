@@ -141,6 +141,11 @@ class TestIndex:
                 _, reduced, _ = run(capsys, "index", "--family", family, "--m", str(m), "--method", "reduced")
                 assert naive == reduced, (family, m)
 
+    def test_over_byte_budget_is_computation_error(self, capsys):
+        code, _, err = run(capsys, "index", "--family", "path:255", "--m", "4", "--method", "naive")
+        assert code == 1
+        assert "budget" in err
+
     def test_disconnected_is_computation_error(self, capsys, tmp_path):
         source = tmp_path / "g.txt"
         source.write_text("4\n0 1\n")

@@ -5,6 +5,7 @@ import random
 from collections import Counter
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -42,10 +43,19 @@ from twindex.generators import (
 )
 from twindex.algebra import dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
 from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
-from twindex.reduced import support_count
+from twindex.reduced import _add_support_weights
 from twindex.reference import star_index_formula
 
 from conftest import all_graphs, random_connected_graph
+
+
+def support_count(sizes, m):
+    """``N_S``, literally: the sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets T of S."""
+    return sum(
+        (-1) ** (len(sizes) - r) * comb(sum(t), m)
+        for r in range(len(sizes) + 1)
+        for t in itertools.combinations(sizes, r)
+    )
 
 
 class TestSupportCount:
@@ -76,6 +86,73 @@ class TestSupportCount:
                         for support in itertools.combinations(range(k), s):
                             got = support_count([sizes[i] for i in support], m)
                             assert got == seen[frozenset(support)], (sizes, support, m)
+
+
+class TestSupportHistogram:
+    @given(
+        st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+        st.integers(min_value=0, max_value=2**20),
+        st.integers(min_value=1, max_value=12),
+    )
+    @settings(max_examples=80)
+    def test_total_is_weighted_support_count(self, sizes, seed, m):
+        # Every support of every size, each with its own weight, weighed in
+        # chunks of one support size at a time.
+        rng = random.Random(seed)
+        hist = np.zeros(sum(sizes) + 1, dtype=np.int64)
+        expected = 0
+        for s in range(1, len(sizes) + 1):
+            supports = list(itertools.combinations(range(len(sizes)), s))
+            held = np.array([[sizes[i] for i in S] for S in supports], dtype=np.int64)
+            w = np.array([rng.randint(0, 40) for _ in supports], dtype=np.int64)
+            _add_support_weights(hist, held, w)
+            expected += sum(support_count(row, m) * x for row, x in zip(held.tolist(), w.tolist()))
+        assert hist.dtype == np.int64
+        assert sum(comb(t, m) * int(h) for t, h in enumerate(hist.tolist())) == expected
+
+    def test_no_supports(self):
+        hist = np.zeros(5, dtype=np.int64)
+        _add_support_weights(hist, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert not hist.any()
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_single_class(self, n):
+        # k = 1: one complete class, one support of one class.
+        d = twin_partition(complete_graph(n))
+        assert d.k == 1
+        for m in range(1, n + 1):
+            assert steiner_wiener_reduced(d, m) == (m - 1) * comb(n, m)
+
+    def test_edgeless_classes(self):
+        for parts in [(1, 5), (2, 3), (3, 3, 3), (1, 1, 4)]:
+            g = complete_multipartite_graph(parts)
+            d = twin_partition(g)
+            assert any(kind.name == "EMPTY" for kind in d.kinds)
+            for m in range(1, g.n + 1):
+                assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+
+    def test_supports_larger_than_m(self):
+        # k = 6 classes, so every m < 6 leaves supports of more than m classes
+        # out of the sum.
+        g = generalized_composition(
+            CompositionSpec(
+                path_graph(6),
+                (
+                    complete_graph(2), empty_graph(3), complete_graph(1),
+                    empty_graph(2), complete_graph(3), empty_graph(1),
+                ),
+            )
+        )
+        d = twin_partition(g)
+        assert d.k == 6
+        for m in range(1, 6):
+            assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+
+    def test_m_equals_n(self, rng):
+        # The only n-subset is V, spanned by any spanning tree.
+        for _ in range(20):
+            g = random_connected_graph(rng, rng.randint(1, 9), 0.4)
+            assert steiner_wiener_reduced(twin_partition(g), g.n) == g.n - 1
 
 
 class TestPerSetDistance:

@@ -1,5 +1,6 @@
 """Steiner distances (DP vs brute force) and brute-force index sums."""
 
+import functools
 import itertools
 import tracemalloc
 from math import comb
@@ -29,15 +30,51 @@ from twindex.generators import (
     power_graph_zn,
 )
 from twindex.algebra import dihedral_group
+from twindex import steiner
 from twindex.steiner import (
+    CHUNK_BYTES,
     DP_BYTE_BUDGET,
+    _chunk_rows,
     all_steiner_distances,
-    batch_rows,
     distance_matrix,
-    steiner_distances,
+    steiner_levels,
 )
 
 from conftest import all_graphs, random_connected_graph
+
+
+def components(g):
+    """The vertex sets of ``g``'s connected components."""
+    dist = distance_matrix(g)
+    seen, out = set(), []
+    for v in range(g.n):
+        if v not in seen:
+            comp = [u for u in range(g.n) if dist[v, u] < g.n]
+            seen.update(comp)
+            out.append(comp)
+    return out
+
+
+def check_levels(g, universe, top, oracle):
+    """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
+
+    The levels are read top first, so no level relies on an earlier one
+    having been read.
+    """
+    levels = steiner_levels(distance_matrix(g), universe, top)
+    assert len(levels) == top
+    for s in range(top, 0, -1):
+        seen = set()
+        for subsets, distances in levels[s - 1]:
+            assert subsets.shape == (len(distances), s)
+            assert distances.dtype == np.int64 and distances.ndim == 1
+            for row, value in zip(subsets.tolist(), distances.tolist()):
+                assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < len(universe)
+                members = frozenset(universe[i] for i in row)
+                assert members not in seen
+                seen.add(members)
+                assert value == oracle(members), (g.edges(), universe, top, members)
+        assert len(seen) == comb(len(universe), s)
 
 
 class TestSteinerDistance:
@@ -76,34 +113,107 @@ class TestSteinerDistance:
 
 
 class TestKernel:
-    def test_batches_match_single_rows_and_bruteforce(self, rng):
-        several_batches = 0
+    def test_every_subset_of_tiny_graphs(self):
+        # Every labelled graph with n <= 5; each component is one universe,
+        # so the others are unreachable from it.
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
+                for comp in components(g):
+                    for top in range(1, len(comp) + 1):
+                        check_levels(g, comp, top, oracle)
+
+    def test_every_top_on_random_graphs(self, rng):
         for n in range(1, 11):
             for _ in range(2):
                 g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
-                dist = distance_matrix(g)
-                for size in range(1, min(n, 7) + 1):
-                    rows = list(itertools.combinations(range(n), size))
-                    rng.shuffle(rows)
-                    several_batches += len(rows) > batch_rows(size, n)
-                    batched = steiner_distances(dist, np.array(rows))
-                    assert batched.dtype == np.int64 and batched.shape == (len(rows),)
-                    for row, value in zip(rows, batched.tolist()):
-                        assert steiner_distances(dist, np.array([row]))[0] == value
-                        assert steiner_distance_bruteforce(g, row) == value
-        assert several_batches > 0
+                oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
+                universe = list(range(n))
+                rng.shuffle(universe)
+                for top in range(1, n + 1):
+                    check_levels(g, universe, top, oracle)
+
+    def test_universes_beside_unreachable_components(self, rng):
+        # Two random components with interleaved labels; universes are
+        # shuffled subsets of one of them.
+        for _ in range(12):
+            a, b = rng.randint(1, 7), rng.randint(1, 6)
+            labels = list(range(a + b))
+            rng.shuffle(labels)
+            parts = [random_connected_graph(rng, a, 0.4), random_connected_graph(rng, b, 0.4)]
+            edges = [
+                (labels[u + shift], labels[v + shift])
+                for part, shift in zip(parts, (0, a))
+                for u, v in part.edges()
+            ]
+            g = new_graph(a + b, edges)
+            oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
+            universe = rng.sample(labels[:a], rng.randint(1, a))
+            for top in range(1, len(universe) + 1):
+                check_levels(g, universe, top, oracle)
+
+    def test_batches_match_single_rows_and_bruteforce(self, rng, monkeypatch):
+        # Whole levels, chunks of a few rows and chunks of one row yield the
+        # same subsets in the same order, each equal to the oracle.
+        def stream(dist, n, chunk_bytes):
+            monkeypatch.setattr(steiner, "CHUNK_BYTES", chunk_bytes)
+            chunks = [
+                (s.tolist(), d.tolist())
+                for level in steiner_levels(dist, range(n), min(n, 7))
+                for s, d in level
+            ]
+            pairs = [(tuple(r), v) for rows, values in chunks for r, v in zip(rows, values)]
+            return len(chunks), pairs
+
+        for n in range(1, 11):
+            g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
+            dist = distance_matrix(g)
+            whole_chunks, whole = stream(dist, n, CHUNK_BYTES)
+            few_chunks, few = stream(dist, n, 8 * (3 * n + 128) * 3)
+            single_chunks, single = stream(dist, n, 1)
+            assert whole == few == single
+            assert single_chunks == len(whole) == sum(comb(n, s) for s in range(1, min(n, 7) + 1))
+            assert whole_chunks == min(n, 7)
+            assert n < 6 or whole_chunks < few_chunks < single_chunks
+            for row, value in whole:
+                assert steiner_distance_bruteforce(g, row) == value
+
+    @pytest.mark.parametrize("s", [3, 4, 8])
+    def test_byte_budget_boundary(self, s, monkeypatch):
+        # s terminals on n vertices keep (2^(s-1) - 2) * n int64 entries
+        # beside one chunk of CHUNK_BYTES.
+        g = cycle_graph(16)
+        terminals = range(0, 2 * s, 2)
+        need = 8 * 16 * ((1 << (s - 1)) - 2) + CHUNK_BYTES
+        monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need)
+        assert steiner_distance(g, terminals) == 2 * (s - 1)
+        monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need - 1)
+        with pytest.raises(TerminalCapExceeded):
+            steiner_distance(g, terminals)
+
+    def test_two_terminals_keep_no_table(self, monkeypatch):
+        monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", 0)
+        assert steiner_distance(cycle_graph(16), {3, 11}) == 8
+        assert steiner_wiener_naive(cycle_graph(16), 2) == wiener_index(cycle_graph(16))
 
     def test_byte_budget_checked_before_allocating(self):
-        # 16 terminals on 128 vertices need just over 64 MiB of DP state.
+        # 17 terminals on 128 vertices: the table alone fills all but 2 KiB
+        # of the 64 MiB, so with one chunk's working set it is just over.
         g = cycle_graph(128)
         tracemalloc.start()
         try:
             with pytest.raises(TerminalCapExceeded):
-                steiner_distance(g, range(16))
+                steiner_distance(g, range(17))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < DP_BYTE_BUDGET // 16
+
+    @pytest.mark.parametrize("n,m", [(255, 4), (85, 5), (47, 6), (34, 7), (27, 8)])
+    def test_naive_queries_over_budget(self, n, m):
+        # The smallest over budget at each m, as the README lists them.
+        with pytest.raises(TerminalCapExceeded):
+            steiner_wiener_naive(path_graph(n), m)
 
 
 class TestBruteForceOracle:
@@ -217,7 +327,7 @@ class TestNaiveIndex:
         value = steiner_wiener_naive(
             cycle_graph(n), m, progress=lambda done, total: calls.append((done, total))
         )
-        assert len(calls) == -(-total // batch_rows(m, n)) > 1
+        assert len(calls) == -(-total // _chunk_rows(n, m)) > 1
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
         assert {t for _, t in calls} == {total}
         assert calls[-1] == (total, total)
