@@ -12,7 +12,6 @@ validated against. All index values are exact Python integers.
 
 from __future__ import annotations
 
-import functools
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -75,25 +74,16 @@ def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
     return max(1, CHUNK_BYTES // (8 * ((1 << s) + 3 * n + (n * n if relax else 0))))
 
 
-@functools.lru_cache(maxsize=64)
-def _layout(size: int, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``C(c, j)`` for ``c < size``, ``j <= top``, and each table level's first row."""
-    binom = np.zeros((size, top + 1), dtype=np.int64)
-    binom[:, 0] = 1
-    for j in range(1, top + 1):
-        binom[1:, j] = binom[:-1, j - 1].cumsum()
-    offsets = np.zeros(top + 1, dtype=np.int64)
-    offsets[2:top] = binom[-1, 1 : top - 1].cumsum()
-    binom.flags.writeable = offsets.flags.writeable = False
-    return binom, offsets
+def _submask_rows(
+    pos: np.ndarray, binom: np.ndarray, offsets: np.ndarray, universe: np.ndarray
+) -> np.ndarray:
+    """Row of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
 
-
-def _submask_rows(pos: np.ndarray, binom: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Table row of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
-
-    That is the level offset plus the colex rank, ``sum_j C(p_j, j + 1)`` over
-    the submask's ascending members. Bit ``i`` joins every submask of the
-    lower bits as their largest member, so ``r`` steps fill all columns.
+    A single member's row is its vertex, a row of ``dist``. A larger
+    submask's is a table row: the level offset plus the colex rank,
+    ``sum_j C(p_j, j + 1)`` over its ascending members. Bit ``i`` joins every
+    submask of the lower bits as their largest member, so ``r`` steps fill
+    all columns.
     """
     rows, r = pos.shape
     ranks = np.zeros((rows, 1 << r), dtype=np.int64)
@@ -102,17 +92,25 @@ def _submask_rows(pos: np.ndarray, binom: np.ndarray, offsets: np.ndarray) -> np
         low = 1 << i
         ranks[:, low : 2 * low] = ranks[:, :low] + binom[pos[:, i : i + 1], members[:low] + 1]
         members[low : 2 * low] = members[:low] + 1
-    return ranks + offsets[members]
+    ranks += offsets[members]
+    ranks[:, 1 << np.arange(r)] = universe[pos]
+    return ranks
 
 
-def _merge(table: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0)."""
+def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0).
+
+    A part with one member is read from ``dist``, a larger one from ``table``.
+    """
     full = idx.shape[1] - 1
-    best = table[idx[:, 1]]
-    best += table[idx[:, full ^ 1]]
+    def row(q: int) -> np.ndarray:
+        return (dist if q & (q - 1) == 0 else table)[idx[:, q]]
+
+    best = row(1)
+    best += row(full ^ 1)
     for part in range(3, full, 2):
-        pair = table[idx[:, part]]
-        pair += table[idx[:, full ^ part]]
+        pair = row(part)
+        pair += row(full ^ part)
         np.minimum(best, pair, out=best)
     return best
 
@@ -127,9 +125,10 @@ def steiner_levels(
     int64 Steiner distances. ``universe`` lies in one component of ``dist``.
 
     The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
-    subset ``R`` of ``universe[:-1]`` of size 1 to ``top - 2``, at level
+    subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
     offset plus colex rank: the cheapest split of ``R`` at each anchor,
     relaxed once through ``dist`` (hop counts obey the triangle inequality).
+    A single member needs no entry: its row of ``dist`` is read in place.
     Below ``top``, ``d(S)`` is the entry of ``S`` minus its last member at
     that member. At ``top`` the splits of ``S`` minus its last member are
     merged, and the minimum over anchors is taken after adding the last
@@ -140,21 +139,25 @@ def steiner_levels(
     universe = np.asarray(universe, dtype=np.intp)
     size, n = len(universe), dist.shape[0]
     top = min(top, size)
-    entries = sum(comb(size - 1, r) for r in range(1, top - 1))
+    entries = sum(comb(size - 1, r) for r in range(2, top - 1))
     need = 8 * n * entries + max(CHUNK_BYTES, 8 * ((1 << top) + 3 * n + (n * n if top > 3 else 0)))
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
             f"{need} bytes of DP state, over the budget of {DP_BYTE_BUDGET}"
         )
-    binom, offsets = _layout(size, top)
+    binom = np.zeros((size, top + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for j in range(1, top + 1):
+        binom[1:, j] = binom[:-1, j - 1].cumsum()
+    # First table row of each level from 2 on; single members live in dist.
+    offsets = np.zeros(top + 1, dtype=np.int64)
+    offsets[3:top] = binom[-1, 2 : top - 1].cumsum()
     table = np.empty((entries, n), dtype=np.int64)
-    if top > 2:
-        table[: size - 1] = dist[universe[:-1]]
     for r in range(2, top - 1):
         for pos in _subsets(size - 1, r, _chunk_rows(n, r, relax=True), binom):
-            idx = _submask_rows(pos, binom, offsets)
-            table[idx[:, -1]] = (_merge(table, idx)[:, :, None] + dist).min(axis=1)
+            idx = _submask_rows(pos, binom, offsets, universe)
+            table[idx[:, -1]] = (_merge(table, dist, idx)[:, :, None] + dist).min(axis=1)
 
     def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         for pos in _subsets(size, s, _chunk_rows(n, s), binom):
@@ -165,7 +168,7 @@ def steiner_levels(
                 rank = binom[pos[:, :-1], np.arange(1, s)].sum(axis=1)
                 out = table[offsets[s - 1] + rank, last]
             else:
-                merged = _merge(table, _submask_rows(pos[:, :-1], binom, offsets))
+                merged = _merge(table, dist, _submask_rows(pos[:, :-1], binom, offsets, universe))
                 out = np.add(merged, dist[last], out=merged).min(axis=1)
             yield pos, out
 
@@ -185,8 +188,8 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     """Exact Steiner distance of a terminal set (edges of the smallest subtree).
 
     The top level of :func:`steiner_levels` over the ``s`` terminals, whose
-    table holds about ``2^(s-1) * n`` entries; one terminal costs 0, two their
-    shortest-path distance. Raises :class:`DisconnectedTerminals` when the
+    table holds ``(2^(s-1) - s - 1) * n`` entries; one terminal costs 0, two
+    their shortest-path distance. Raises :class:`DisconnectedTerminals` when the
     terminals span several components, and :class:`TerminalCapExceeded` when
     the DP would need more than ``DP_BYTE_BUDGET`` bytes.
     """

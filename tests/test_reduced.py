@@ -14,6 +14,7 @@ from twindex import (
     BadSubsetSize,
     DisconnectedGraph,
     NeedTwoParts,
+    TerminalCapExceeded,
     CompositionSpec,
     TwinDecomposition,
     generalized_composition,
@@ -43,7 +44,9 @@ from twindex.generators import (
 )
 from twindex.algebra import dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
 from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
+from twindex import steiner
 from twindex.reduced import _add_support_weights
+from twindex.steiner import distance_matrix, steiner_levels
 from twindex.reference import star_index_formula
 
 from conftest import all_graphs, random_connected_graph
@@ -278,6 +281,19 @@ class TestReducedIndex:
         assert value == steiner_wiener_naive(g, 4)
         assert stats.num_profiles == comb(n, 4)
         assert support_count((1, 1), 4) == support_count((1, 1, 1), 4) == 0
+
+    def test_z480_shared_table_budget(self, monkeypatch):
+        # H has k = 23 vertices. Supports of up to m classes share one table
+        # of 8 * 23 * sum_{r=2}^{m-2} C(22, r) bytes: at m = 10 that is over
+        # the 64 MiB budget, so the query raises before allocating; at m = 9
+        # it is about 50 MiB and fits. Answering m = 9 takes about 30 s, so
+        # only its budget check runs here, with no subset streamed.
+        d = twin_partition(power_graph_zn(480))
+        assert d.k == 23
+        with pytest.raises(TerminalCapExceeded):
+            steiner_wiener_reduced(d, 10)
+        monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
+        assert len(steiner_levels(distance_matrix(d.reduced), range(23), 9)) == 9
 
 
 @st.composite

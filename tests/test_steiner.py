@@ -180,11 +180,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
-        # s terminals on n vertices keep (2^(s-1) - 2) * n int64 entries
-        # beside one chunk of CHUNK_BYTES.
+        # s terminals on n vertices keep (2^(s-1) - s - 1) * n int64 entries,
+        # one per subset of 2 to s - 2 of the first s - 1, beside one chunk of
+        # CHUNK_BYTES.
         g = cycle_graph(16)
         terminals = range(0, 2 * s, 2)
-        need = 8 * 16 * ((1 << (s - 1)) - 2) + CHUNK_BYTES
+        need = 8 * 16 * ((1 << (s - 1)) - s - 1) + CHUNK_BYTES
         monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need)
         assert steiner_distance(g, terminals) == 2 * (s - 1)
         monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need - 1)
@@ -197,7 +198,7 @@ class TestKernel:
         assert steiner_wiener_naive(cycle_graph(16), 2) == wiener_index(cycle_graph(16))
 
     def test_byte_budget_checked_before_allocating(self):
-        # 17 terminals on 128 vertices: the table alone fills all but 2 KiB
+        # 17 terminals on 128 vertices: the table alone fills all but 18 KiB
         # of the 64 MiB, so with one chunk's working set it is just over.
         g = cycle_graph(128)
         tracemalloc.start()
@@ -209,7 +210,7 @@ class TestKernel:
             tracemalloc.stop()
         assert peak < DP_BYTE_BUDGET // 16
 
-    @pytest.mark.parametrize("n,m", [(255, 4), (85, 5), (47, 6), (34, 7), (27, 8)])
+    @pytest.mark.parametrize("n,m", [(256, 4), (85, 5), (47, 6), (34, 7), (27, 8)])
     def test_naive_queries_over_budget(self, n, m):
         # The smallest over budget at each m, as the README lists them.
         with pytest.raises(TerminalCapExceeded):
