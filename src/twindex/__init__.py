@@ -30,14 +30,11 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import (
-    UNREACHABLE,
     CompositionSpec,
     Graph,
-    all_pairs_distances,
     generalized_composition,
     induced_subgraph,
     is_connected,
-    neighbors,
     new_graph,
     parse_graph,
     permuted,
@@ -46,6 +43,7 @@ from .graph import (
 )
 from .twins import ClassKind, TwinDecomposition, are_twins, recompose, twin_partition
 from .steiner import (
+    distance_matrix,
     steiner_distance,
     steiner_distance_bruteforce,
     steiner_wiener_naive,

@@ -5,23 +5,16 @@ twin decomposition, Steiner distances, and the algebraic graph generators all
 consume and produce it. Vertices are integers ``0..n-1``; semantic names
 (group elements, ring elements, ideals) ride along as per-vertex string
 labels so the algorithms stay label-agnostic.
-
-Distances between vertices in different components are reported as the
-dedicated marker :data:`UNREACHABLE` (``math.inf``), never as a sentinel
-integer.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ArityMismatch, ParseError, SelfLoopRejected, VertexOutOfRange
-
-UNREACHABLE = math.inf
 
 GRAPH_FORMATS = ("edgelist", "json", "dot")
 
@@ -130,11 +123,6 @@ def with_labels(g: Graph, labels: Sequence[str]) -> Graph:
     return Graph(g.adjacency, labels)
 
 
-def neighbors(g: Graph, v: int) -> frozenset[int]:
-    """Open neighborhood of ``v`` in ``g``."""
-    return g.neighbors(v)
-
-
 def is_connected(g: Graph) -> bool:
     """True iff ``g`` has at most one connected component.
 
@@ -151,26 +139,6 @@ def is_connected(g: Graph) -> bool:
                 seen.add(w)
                 queue.append(w)
     return len(seen) == g.n
-
-
-def bfs_distances(g: Graph, source: int) -> list[int | float]:
-    """Hop counts from ``source``; :data:`UNREACHABLE` where no path exists."""
-    g._check_vertex(source)
-    dist: list[int | float] = [UNREACHABLE] * g.n
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if dist[w] == UNREACHABLE:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    return dist
-
-
-def all_pairs_distances(g: Graph) -> list[list[int | float]]:
-    """Symmetric matrix of shortest-path hop counts (BFS from every vertex)."""
-    return [bfs_distances(g, v) for v in range(g.n)]
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:

@@ -107,7 +107,10 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
     np.add.at(hist, counts, w[:, None] * signs)
 
 
-def _reduced_core(d: TwinDecomposition, m: int) -> tuple[int, ReducedIndexStats]:
+def steiner_wiener_reduced_with_stats(
+    d: TwinDecomposition, m: int
+) -> tuple[int, ReducedIndexStats]:
+    """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
     stats = ReducedIndexStats(num_classes=d.k)
     n = d.source.n
     if not 1 <= m <= n:
@@ -145,15 +148,8 @@ def steiner_wiener_reduced(d: TwinDecomposition, m: int) -> int:
     ``N_S * (d_H(S) + m - |S|)``. Always equals
     :func:`twindex.steiner.steiner_wiener_naive` on the source graph.
     """
-    value, _ = _reduced_core(d, m)
+    value, _ = steiner_wiener_reduced_with_stats(d, m)
     return value
-
-
-def steiner_wiener_reduced_with_stats(
-    d: TwinDecomposition, m: int
-) -> tuple[int, ReducedIndexStats]:
-    """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
-    return _reduced_core(d, m)
 
 
 def wiener_reduced(d: TwinDecomposition) -> int:

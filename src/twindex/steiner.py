@@ -1,5 +1,10 @@
 """Exact Steiner distances and brute-force index computation.
 
+``distance_matrix`` is the package's one all-pairs routine: a bitset BFS from
+every vertex into an int64 matrix, ``_INF`` where no path exists. The
+whole-graph routes read connectivity off its row 0, so each walks its graph
+once.
+
 ``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
 every subset of a terminal universe up to a given size, under a byte budget
 checked before allocation. ``steiner_distance`` reads its top level over the
@@ -25,7 +30,7 @@ from .errors import (
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
 )
-from .graph import Graph, all_pairs_distances, is_connected
+from .graph import Graph
 
 BRUTE_FORCE_VERTEX_CAP = 16
 # Largest kernel table plus one chunk's working set (see ``steiner_levels``);
@@ -41,10 +46,42 @@ _INF = 1 << 40
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop counts as an int64 array with ``_INF`` for unreachable."""
-    mat = np.array(all_pairs_distances(g), dtype=np.float64).reshape(g.n, g.n)
-    mat[mat == np.inf] = _INF
-    return mat.astype(np.int64)
+    """All-pairs hop counts as an int64 array with ``_INF`` for unreachable.
+
+    A breadth-first search from every vertex over Python-int bitsets: each
+    level ORs the neighbour masks of its frontier, keeps the vertices not yet
+    seen as the next frontier, and writes the level into the source's row.
+    """
+    n = g.n
+    masks = [sum(1 << w for w in adj) for adj in g.adjacency]
+    everyone = (1 << n) - 1
+    rows = []
+    for source in range(n):
+        row = [_INF] * n
+        frontier = 1 << source
+        unseen = everyone ^ frontier
+        level = 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                v = low.bit_length() - 1
+                row[v] = level
+                reach |= masks[v]
+                frontier ^= low
+            frontier = reach & unseen
+            unseen ^= frontier
+            level += 1
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(n, n)
+
+
+def _connected_distances(g: Graph, message: str) -> np.ndarray:
+    """:func:`distance_matrix` of ``g``; :class:`DisconnectedGraph` if row 0 misses a vertex."""
+    dist = distance_matrix(g)
+    if g.n and dist[0].max() >= _INF:
+        raise DisconnectedGraph(message)
+    return dist
 
 
 def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.ndarray]:
@@ -265,11 +302,10 @@ def steiner_wiener_naive(
     """
     if not 1 <= m <= g.n:
         raise BadSubsetSize(f"subset size {m} not in [1, {g.n}]")
-    if not is_connected(g):
-        raise DisconnectedGraph("index computation requires a connected graph")
+    dist = _connected_distances(g, "index computation requires a connected graph")
     total = comb(g.n, m)
     value = done = 0
-    for subsets, distances in steiner_levels(distance_matrix(g), range(g.n), m)[-1]:
+    for subsets, distances in steiner_levels(dist, range(g.n), m)[-1]:
         value += int(distances.sum())
         done += len(subsets)
         if progress is not None:
@@ -279,10 +315,8 @@ def steiner_wiener_naive(
 
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
-    if not is_connected(g):
-        raise DisconnectedGraph("the Wiener index requires a connected graph")
-    rows = all_pairs_distances(g)
-    return sum(int(rows[u][v]) for u in range(g.n) for v in range(u + 1, g.n))
+    dist = _connected_distances(g, "the Wiener index requires a connected graph")
+    return int(np.triu(dist, 1).sum())
 
 
 def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
@@ -295,10 +329,9 @@ def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
         raise GraphTooLargeForBruteForce(
             f"all-subsets table needs n <= {BRUTE_FORCE_VERTEX_CAP}, got {g.n}"
         )
-    if not is_connected(g):
-        raise DisconnectedGraph("all-subsets table requires a connected graph")
+    dist = _connected_distances(g, "all-subsets table requires a connected graph")
     out: dict[frozenset[int], int] = {}
-    for level in steiner_levels(distance_matrix(g), range(g.n), g.n):
+    for level in steiner_levels(dist, range(g.n), g.n):
         for subsets, distances in level:
             out.update(zip(map(frozenset, subsets.tolist()), distances.tolist()))
     return out

@@ -1,7 +1,9 @@
 """Graph construction, traversal, composition, and serialization."""
 
 import math
+from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,21 +13,41 @@ from twindex import (
     CompositionSpec,
     ParseError,
     SelfLoopRejected,
-    UNREACHABLE,
     VertexOutOfRange,
-    all_pairs_distances,
+    distance_matrix,
     generalized_composition,
     induced_subgraph,
     is_connected,
-    neighbors,
     new_graph,
     parse_graph,
     permuted,
     render_graph,
     with_labels,
 )
-from twindex.generators import complete_graph, empty_graph, path_graph, power_graph_zn
+from twindex.generators import complete_graph, empty_graph, family_graph, path_graph, power_graph_zn
+from twindex.steiner import _INF
 from twindex.twins import twin_partition
+
+from conftest import all_graphs, random_graph
+
+
+def bfs_distances(g, source):
+    """Reference: one deque BFS from ``source``, ``math.inf`` where unreachable."""
+    dist = [math.inf] * g.n
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.adjacency[u]:
+            if dist[w] == math.inf:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def reference_matrix(g):
+    """The reference BFS from every vertex, with ``_INF`` for unreachable pairs."""
+    return [[_INF if d == math.inf else d for d in bfs_distances(g, v)] for v in range(g.n)]
 
 
 @st.composite
@@ -70,18 +92,17 @@ class TestConstruction:
 
 class TestNeighbors:
     def test_path_middle(self):
-        g = path_graph(3)
-        assert neighbors(g, 1) == {0, 2}
+        assert path_graph(3).neighbors(1) == {0, 2}
 
     def test_complete(self):
-        assert neighbors(complete_graph(4), 0) == {1, 2, 3}
+        assert complete_graph(4).neighbors(0) == {1, 2, 3}
 
     def test_isolated(self):
-        assert neighbors(empty_graph(3), 2) == frozenset()
+        assert empty_graph(3).neighbors(2) == frozenset()
 
     def test_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
-            neighbors(path_graph(3), 7)
+            path_graph(3).neighbors(7)
 
 
 class TestConnectivity:
@@ -104,22 +125,28 @@ class TestConnectivity:
 
 class TestDistances:
     def test_path_endpoints(self):
-        d = all_pairs_distances(path_graph(3))
-        assert d[0][2] == 2
+        d = distance_matrix(path_graph(3))
+        assert d[0, 2] == 2
 
     def test_complete_all_ones(self):
-        d = all_pairs_distances(complete_graph(5))
-        assert all(d[u][v] == 1 for u in range(5) for v in range(5) if u != v)
+        d = distance_matrix(complete_graph(5))
+        assert all(d[u, v] == 1 for u in range(5) for v in range(5) if u != v)
 
     def test_unreachable_marker(self):
-        d = all_pairs_distances(new_graph(4, [(0, 1), (2, 3)]))
-        assert d[0][2] == UNREACHABLE
-        assert math.isinf(d[1][3])
+        d = distance_matrix(new_graph(4, [(0, 1), (2, 3)]))
+        assert d.dtype == np.int64
+        assert d[0, 2] == d[2, 0] == _INF
+        assert d[1, 3] == _INF
+        assert d[0, 1] == d[2, 3] == 1
+
+    def test_empty_and_single_vertex(self):
+        assert distance_matrix(empty_graph(0)).shape == (0, 0)
+        assert distance_matrix(empty_graph(1)).tolist() == [[0]]
 
     @given(graphs())
     @settings(max_examples=60)
     def test_metric_properties(self, g):
-        d = all_pairs_distances(g)
+        d = distance_matrix(g).tolist()
         for u in range(g.n):
             assert d[u][u] == 0
             for v in range(g.n):
@@ -132,7 +159,7 @@ class TestDistances:
     @settings(max_examples=40)
     def test_agrees_with_floyd_warshall(self, g):
         n = g.n
-        dist = [[0 if u == v else math.inf for v in range(n)] for u in range(n)]
+        dist = [[0 if u == v else _INF for v in range(n)] for u in range(n)]
         for u, v in g.edges():
             dist[u][v] = dist[v][u] = 1
         for k in range(n):
@@ -140,7 +167,23 @@ class TestDistances:
                 for j in range(n):
                     if dist[i][k] + dist[k][j] < dist[i][j]:
                         dist[i][j] = dist[i][k] + dist[k][j]
-        assert all_pairs_distances(g) == dist
+        assert distance_matrix(g).tolist() == dist
+
+    def test_matches_reference_on_every_small_graph(self):
+        for n in range(7):
+            for g in all_graphs(n):
+                assert distance_matrix(g).tolist() == reference_matrix(g)
+
+    def test_matches_reference_past_one_machine_word(self, rng):
+        for n in (65, 100, 128, 200):
+            for p in (0.01, 0.03, 0.1, 0.5):
+                g = random_graph(rng, n, p)
+                assert distance_matrix(g).tolist() == reference_matrix(g), (n, p)
+
+    @pytest.mark.parametrize("spec", ["path:200", "power:Z480"])
+    def test_matches_reference_on_long_and_dense_graphs(self, spec):
+        g = family_graph(spec)
+        assert distance_matrix(g).tolist() == reference_matrix(g)
 
 
 class TestInducedSubgraph:

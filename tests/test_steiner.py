@@ -15,6 +15,7 @@ from twindex import (
     EmptyTerminalSet,
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
+    is_connected,
     new_graph,
     permuted,
     steiner_distance,
@@ -363,3 +364,44 @@ class TestWiener:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
             wiener_index(new_graph(2, []))
+
+
+class TestConnectivityFromMatrix:
+    """The whole-graph routes read connectivity off row 0 of their distance matrix."""
+
+    DISCONNECTED = {
+        "zero_isolated": new_graph(4, [(1, 2), (2, 3)]),
+        "zero_in_larger": new_graph(5, [(0, 1), (1, 2), (3, 4)]),
+    }
+    ROUTES = {
+        "naive": lambda g: steiner_wiener_naive(g, min(2, g.n)),
+        "wiener": wiener_index,
+        "all_subsets": all_steiner_distances,
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    @pytest.mark.parametrize("graph", list(DISCONNECTED))
+    def test_disconnected_rejected(self, route, graph):
+        with pytest.raises(DisconnectedGraph):
+            self.ROUTES[route](self.DISCONNECTED[graph])
+
+    def test_wiener_of_trivial_graphs(self):
+        assert wiener_index(new_graph(0)) == 0
+        assert wiener_index(new_graph(1)) == 0
+
+    @pytest.mark.parametrize("graph", list(DISCONNECTED))
+    def test_bad_subset_size_before_disconnected(self, graph):
+        g = self.DISCONNECTED[graph]
+        for m in (0, g.n + 1):
+            with pytest.raises(BadSubsetSize):
+                steiner_wiener_naive(g, m)
+
+    def test_raises_exactly_on_disconnected_graphs(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for route in self.ROUTES.values():
+                    if is_connected(g):
+                        route(g)
+                    else:
+                        with pytest.raises(DisconnectedGraph):
+                            route(g)
