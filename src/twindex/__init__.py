@@ -20,6 +20,7 @@ from .errors import (
     ImproperIdeal,
     LocalRingUnsupported,
     NeedTwoParts,
+    OrderTooLarge,
     ParseError,
     ReconstructionMismatch,
     RingMismatch,

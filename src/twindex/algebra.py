@@ -16,6 +16,20 @@ table, it holds for every ``g``, because the elements ``g`` for which it
 holds are closed under the operation. Distributivity reduces the same way
 to a generating set of the additive group.
 
+The generating set is grown greedily by closure: each step scatters the
+products of the new elements with every member, in both orders, into one
+boolean row. An ordered pair of members is multiplied only in the step where
+its later element joins, so a whole search reads the table fewer than
+``2 n^2`` times and sorts nothing. The power graph
+(:func:`twindex.generators.power_graph`) walks the powers of one generator
+per distinct cyclic subgroup ``C``, ``sum |C|`` Python steps, and reads
+every element's row from one boolean (subgroups x n) membership matrix.
+
+No table is allocated beyond :data:`TABLE_BYTE_BUDGET` bytes (one int64
+table of order at most 2048): every built-in constructor, direct product
+and spec parser checks the order first and raises
+:class:`~twindex.errors.OrderTooLarge`.
+
 Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 ``"D12"``, ``"Q8"`` and ``"E2^3"`` are parsed by :func:`group_from_spec` /
 :func:`ring_from_spec` for the command-line surface.
@@ -23,18 +37,31 @@ Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import reduce
-from typing import Iterable, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import BadParameter, RingMismatch, RingTooLarge
+from .errors import BadParameter, OrderTooLarge, RingMismatch, RingTooLarge
 
 IDEAL_ENUM_CAP = 256
+# Bytes of one int64 operation table, checked before any table is allocated.
+TABLE_BYTE_BUDGET = 1 << 25
+MAX_TABLE_ORDER = math.isqrt(TABLE_BYTE_BUDGET // 8)  # 2048
 
 
 # --- table validation helpers -------------------------------------------------
+
+
+def _check_order(n: int, what: str) -> None:
+    """Raise :class:`OrderTooLarge` unless one ``n x n`` int64 table fits the budget."""
+    if n > MAX_TABLE_ORDER:
+        raise OrderTooLarge(
+            f"{what} has order above {MAX_TABLE_ORDER}: one int64 operation table "
+            f"would exceed the {TABLE_BYTE_BUDGET}-byte table budget"
+        )
 
 
 def _as_table(table, n: int, what: str) -> np.ndarray:
@@ -51,10 +78,11 @@ def _generating_set(table: np.ndarray) -> np.ndarray:
     """Greedy generators: the greatest element outside the closure of those picked.
 
     The closure is taken under the operation itself (all products of members,
-    in both orders), grown incrementally so each pair is multiplied once.
-    Light's test needs only some generating set; taking elements from the top
-    keeps it small for the multiplicative monoids of product rings, whose
-    low-indexed elements are rarely products of earlier ones.
+    in both orders), grown incrementally so each pair is multiplied once: each
+    step scatters the products of the new frontier with every member into one
+    boolean row. Light's test needs only some generating set; taking elements
+    from the top keeps it small for the multiplicative monoids of product
+    rings, whose low-indexed elements are rarely products of earlier ones.
     """
     n = table.shape[0]
     inside = np.zeros(n, dtype=bool)
@@ -67,11 +95,12 @@ def _generating_set(table: np.ndarray) -> np.ndarray:
         frontier = np.array([a])
         while frontier.size:
             members = np.flatnonzero(inside)
-            found = np.concatenate(
-                (table[np.ix_(frontier, members)].ravel(), table[np.ix_(members, frontier)].ravel())
-            )
-            frontier = np.unique(found[~inside[found]])
-            inside[frontier] = True
+            hit = np.zeros(n, dtype=bool)
+            hit[table[frontier[:, None], members]] = True
+            hit[table[members[:, None], frontier]] = True
+            hit &= ~inside
+            frontier = np.flatnonzero(hit)
+            inside |= hit
     return np.array(gens, dtype=np.int64)
 
 
@@ -180,6 +209,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     """Integers modulo ``n`` under addition, elements labeled ``0..n-1``."""
     if n < 1:
         raise BadParameter(f"cyclic group needs n >= 1, got {n}")
+    _check_order(n, f"Z{n}")
     idx = np.arange(n)
     table = (idx[:, None] + idx[None, :]) % n
     return FiniteGroup(table, 0, [str(i) for i in range(n)], name=f"Z{n}")
@@ -194,13 +224,10 @@ def dihedral_group(n: int) -> FiniteGroup:
     if n < 3:
         raise BadParameter(f"dihedral group needs n >= 3, got {n}")
     order = 2 * n
-    table = np.zeros((order, order), dtype=np.int64)
-    for a in range(2):
-        for i in range(n):
-            for b in range(2):
-                for j in range(n):
-                    exp = (j + (i if b == 0 else -i)) % n
-                    table[a * n + i, b * n + j] = ((a + b) % 2) * n + exp
+    _check_order(order, f"D{order}")
+    idx = np.arange(order)
+    a, i = idx // n, idx % n
+    table = (a[:, None] + a) % 2 * n + (i + (1 - 2 * a) * i[:, None]) % n
     labels = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
     return FiniteGroup(table, 0, labels, name=f"D{order}")
@@ -229,6 +256,7 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     if k < 1:
         raise BadParameter(f"elementary abelian 2-group needs k >= 1, got {k}")
     n = 1 << k
+    _check_order(n, f"E2^{k}")
     idx = np.arange(n)
     table = idx[:, None] ^ idx[None, :]
     labels = [format(i, f"0{k}b") for i in range(n)]
@@ -242,19 +270,21 @@ def group_product(*groups: FiniteGroup) -> FiniteGroup:
     if len(groups) == 1:
         return groups[0]
     sizes = [g.order for g in groups]
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
+    name = "x".join(g.name for g in groups)
+    _check_order(total, name)
     digits = _mixed_radix_digits(total, sizes)
     table = np.zeros((total, total), dtype=np.int64)
+    identity = 0
     for j, g in enumerate(groups):
-        stride = int(np.prod(sizes[j + 1 :])) if j + 1 < len(sizes) else 1
+        stride = math.prod(sizes[j + 1 :])
         dj = digits[:, j]
         table += g._table[dj[:, None], dj[None, :]] * stride
+        identity += g.identity * stride
     labels = [
         "(" + ",".join(g.element_labels[digits[i, j]] for j, g in enumerate(groups)) + ")"
         for i in range(total)
     ]
-    identity = 0
-    name = "x".join(g.name for g in groups)
     return FiniteGroup(table, identity, labels, name=name)
 
 
@@ -340,6 +370,7 @@ def zmod(n: int) -> FiniteRing:
     """The ring of integers modulo ``n`` (``n >= 2``)."""
     if n < 2:
         raise BadParameter(f"Z_n needs n >= 2, got {n}")
+    _check_order(n, f"Z{n}")
     idx = np.arange(n)
     return FiniteRing(
         (idx[:, None] + idx[None, :]) % n,
@@ -358,13 +389,15 @@ def ring_product(*rings: FiniteRing) -> FiniteRing:
     if len(rings) == 1:
         return rings[0]
     sizes = [r.size for r in rings]
-    total = int(np.prod(sizes))
+    total = math.prod(sizes)
+    name = "x".join(r.name for r in rings)
+    _check_order(total, name)
     digits = _mixed_radix_digits(total, sizes)
     add = np.zeros((total, total), dtype=np.int64)
     mul = np.zeros((total, total), dtype=np.int64)
     zero = one = 0
     for j, r in enumerate(rings):
-        stride = int(np.prod(sizes[j + 1 :])) if j + 1 < len(sizes) else 1
+        stride = math.prod(sizes[j + 1 :])
         dj = digits[:, j]
         add += r._add[dj[:, None], dj[None, :]] * stride
         mul += r._mul[dj[:, None], dj[None, :]] * stride
@@ -374,7 +407,6 @@ def ring_product(*rings: FiniteRing) -> FiniteRing:
         "(" + ",".join(r.element_labels[digits[i, j]] for j, r in enumerate(rings)) + ")"
         for i in range(total)
     ]
-    name = "x".join(r.name for r in rings)
     return FiniteRing(add, mul, zero, one, labels, name=name)
 
 
@@ -389,6 +421,21 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def _monic_modulus(p: int, coeffs: Sequence[int]) -> list[int]:
+    """The coefficients reduced mod ``p``, leading zeros dropped; checks ``p`` prime,
+    degree >= 1 and a monic leading term."""
+    if not _is_prime(p):
+        raise BadParameter(f"modulus {p} is not prime")
+    coeffs = [c % p for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if len(coeffs) < 2:
+        raise BadParameter("quotient polynomial must have degree >= 1")
+    if coeffs[-1] != 1:
+        raise BadParameter("quotient polynomial must be monic")
+    return coeffs
+
+
 def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
     """``Z_p[x]`` modulo the monic polynomial with the given coefficients.
 
@@ -396,17 +443,11 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
     reduce to 1 mod ``p`` and the degree must be at least 1. Elements are the
     ``p^deg`` residue polynomials, labeled like ``"1+x+x2"``.
     """
-    if not _is_prime(p):
-        raise BadParameter(f"modulus {p} is not prime")
-    coeffs = [c % p for c in coeffs]
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
+    coeffs = _monic_modulus(p, coeffs)
     deg = len(coeffs) - 1
-    if deg < 1:
-        raise BadParameter("quotient polynomial must have degree >= 1")
-    if coeffs[-1] != 1:
-        raise BadParameter("quotient polynomial must be monic")
     size = p**deg
+    name = f"Z{p}[x]/({_poly_label(coeffs)})"
+    _check_order(size, name)
 
     def decode(i: int) -> list[int]:
         out = []
@@ -443,7 +484,6 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
                         prod[da + db] = (prod[da + db] + ca * cb) % p
             mul[i, j] = encode(reduce_poly(prod))
     labels = [_poly_label(cs) for cs in polys]
-    name = f"Z{p}[x]/({_poly_label(coeffs)})"
     return FiniteRing(add, mul, 0, 1, labels, name=name)
 
 
@@ -521,29 +561,36 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
 def all_ideals(r: FiniteRing) -> list[Ideal]:
     """Every ideal of ``r``, sorted by (size, element list).
 
-    The principal ideals ``R x`` are the distinct columns of the
-    multiplication table (with a one, ``R x`` is already closed under
-    addition); every other ideal is a finite sum of principal ones, so
-    closing under sums with principal ideals is complete.
+    The principal ideals ``R x`` are the distinct rows of one boolean mask
+    matrix (with a one, ``R x`` is already closed under addition); every other
+    ideal is a finite sum of principal ones, so closing under sums with
+    principal ideals is complete. Ideals are kept as element masks, keyed by
+    their packed bits, and each sum is one scatter of the addition table.
     """
     if r.size > IDEAL_ENUM_CAP:
         raise RingTooLarge(
             f"ring size {r.size} exceeds the enumeration cap {IDEAL_ENUM_CAP}"
         )
-    principal = [Ideal(r, tuple(col)) for col in {frozenset(c) for c in r._mul.T.tolist()}]
-    found = {i.members for i in principal}
-    ideals = list(principal)
+    n = r.size
+    masks = np.zeros((n, n), dtype=bool)
+    masks[np.arange(n)[:, None], r._mul] = True  # row x: the members of R x
+    found = {np.packbits(row).tobytes(): row for row in masks}
+    principal = np.array(list(found.values()))
+    principal_members = [np.flatnonzero(p) for p in principal]
     worklist = list(principal)
     while worklist:
         current = worklist.pop()
-        for p in principal:
-            if p.members <= current.members or current.members <= p.members:
-                continue
-            s = ideal_sum(current, p)
-            if s.members not in found:
-                found.add(s.members)
-                ideals.append(s)
-                worklist.append(s)
+        members = np.flatnonzero(current)
+        # Sums with a principal ideal on either side of ``current`` add nothing new.
+        incomparable = (principal & ~current).any(axis=1) & (current & ~principal).any(axis=1)
+        for j in np.flatnonzero(incomparable):
+            total = np.zeros(n, dtype=bool)
+            total[r._add[members[:, None], principal_members[j]]] = True
+            key = np.packbits(total).tobytes()
+            if key not in found:
+                found[key] = total
+                worklist.append(total)
+    ideals = [Ideal(r, tuple(np.flatnonzero(mask).tolist())) for mask in found.values()]
     ideals.sort(key=lambda i: (len(i.elements), i.elements))
     return ideals
 
@@ -626,7 +673,19 @@ def _parse_poly(text: str, p: int) -> list[int]:
     return [coeffs.get(d, 0) % p for d in range(degree + 1)]
 
 
-def _ring_atom(atom: str) -> FiniteRing:
+def _build_factors(spec: str, atoms: list[tuple[int, Callable]]) -> list:
+    """Build the ``(order, builder)`` factors once their orders fit one table.
+
+    The orders are read off the spec, so an over-budget product allocates
+    nothing. A factor of order below 1 is left for its constructor to reject.
+    """
+    orders = [order for order, _ in atoms]
+    if min(orders) >= 1:
+        _check_order(math.prod(orders), spec)
+    return [build() for _, build in atoms]
+
+
+def _ring_atom(atom: str) -> tuple[int, Callable[[], FiniteRing]]:
     if "[" in atom:
         head, _, rest = atom.partition("[")
         if not (head.startswith("Z") and rest.startswith("x]/(") and rest.endswith(")")):
@@ -635,13 +694,14 @@ def _ring_atom(atom: str) -> FiniteRing:
             p = int(head[1:])
         except ValueError:
             raise BadParameter(f"bad modulus in {atom!r}") from None
-        return poly_quotient_ring(p, _parse_poly(rest[len("x]/(") : -1], p))
+        coeffs = _monic_modulus(p, _parse_poly(rest[len("x]/(") : -1], p))
+        return p ** (len(coeffs) - 1), partial(poly_quotient_ring, p, coeffs)
     if atom.startswith("Z"):
         try:
             n = int(atom[1:])
         except ValueError:
             raise BadParameter(f"bad ring spec {atom!r}") from None
-        return zmod(n)
+        return n, partial(zmod, n)
     raise BadParameter(f"unknown ring spec {atom!r}")
 
 
@@ -650,16 +710,17 @@ def ring_from_spec(spec: str) -> FiniteRing:
     spec = spec.strip()
     if not spec:
         raise BadParameter("empty ring spec")
-    atoms = [_ring_atom(a) for a in _split_top_level(spec, "x")]
+    atoms = _build_factors(spec, [_ring_atom(a) for a in _split_top_level(spec, "x")])
     return ring_product(*atoms) if len(atoms) > 1 else atoms[0]
 
 
-def _group_atom(atom: str) -> FiniteGroup:
+def _group_atom(atom: str) -> tuple[int, Callable[[], FiniteGroup]]:
     if atom.startswith("Z"):
         try:
-            return cyclic_group(int(atom[1:]))
+            n = int(atom[1:])
         except ValueError:
             raise BadParameter(f"bad group spec {atom!r}") from None
+        return n, partial(cyclic_group, n)
     if atom.startswith("D"):
         try:
             order = int(atom[1:])
@@ -667,14 +728,17 @@ def _group_atom(atom: str) -> FiniteGroup:
             raise BadParameter(f"bad group spec {atom!r}") from None
         if order % 2 or order < 6:
             raise BadParameter(f"dihedral spec needs an even order >= 6, got {atom!r}")
-        return dihedral_group(order // 2)
+        return order, partial(dihedral_group, order // 2)
     if atom == "Q8":
-        return quaternion_group()
+        return 8, quaternion_group
     if atom.startswith("E2^"):
         try:
-            return elementary_abelian_2(int(atom[3:]))
+            k = int(atom[3:])
         except ValueError:
             raise BadParameter(f"bad group spec {atom!r}") from None
+        if k < 1:
+            raise BadParameter(f"bad group spec {atom!r}")
+        return 1 << k, partial(elementary_abelian_2, k)
     raise BadParameter(f"unknown group spec {atom!r}")
 
 
@@ -683,7 +747,7 @@ def group_from_spec(spec: str) -> FiniteGroup:
     spec = spec.strip()
     if not spec:
         raise BadParameter("empty group spec")
-    atoms = [_group_atom(a) for a in _split_top_level(spec, "x")]
+    atoms = _build_factors(spec, [_group_atom(a) for a in _split_top_level(spec, "x")])
     return group_product(*atoms) if len(atoms) > 1 else atoms[0]
 
 

@@ -75,6 +75,10 @@ class RingTooLarge(TwindexError, ValueError):
     """The ring exceeds the ideal-enumeration size cap."""
 
 
+class OrderTooLarge(TwindexError, ValueError):
+    """A group or ring order whose int64 operation table would exceed the byte budget."""
+
+
 class RingMismatch(TwindexError, ValueError):
     """Two ideals belong to different rings."""
 

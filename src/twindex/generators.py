@@ -50,14 +50,30 @@ def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
 
 
 def power_graph(g: FiniteGroup) -> Graph:
-    """Power graph: distinct elements adjacent iff one is a power of the other."""
+    """Power graph: distinct elements adjacent iff one is a power of the other.
+
+    ``x`` is a power of ``a`` iff ``x`` lies in the cyclic subgroup ``<a>``, and
+    the generators ``a^k`` (``gcd(k, ord a) = 1``) of ``<a>`` share its row. So
+    the powers are walked once per distinct cyclic subgroup, and each element
+    reads its row from one (subgroups x n) membership matrix.
+    """
     n, table = g.order, g._table
-    idx = np.arange(n)
-    is_power = np.zeros((n, n), dtype=bool)  # is_power[a, x]: x is a power of a
-    x = idx
-    for _ in range(n):
-        is_power[idx, x] = True
-        x = table[x, idx]
+    subgroup = np.full(n, -1, dtype=np.int64)  # subgroup[a]: row of <a> in member
+    rows = []
+    for a in range(n):
+        if subgroup[a] >= 0:
+            continue
+        powers, x = [a], table.item(a, a)
+        while x != a:
+            powers.append(x)
+            x = table.item(x, a)
+        order = len(powers)
+        subgroup[[p for k, p in enumerate(powers, 1) if gcd(k, order) == 1]] = len(rows)
+        rows.append(powers)
+    member = np.zeros((len(rows), n), dtype=bool)
+    for c, powers in enumerate(rows):
+        member[c, powers] = True
+    is_power = member[subgroup]  # is_power[a, x]: x is a power of a
     return graph_from_matrix(is_power | is_power.T, g.element_labels)
 
 

@@ -32,6 +32,23 @@ def all_graphs(n: int):
         yield new_graph(n, edges)
 
 
+# Group and ring specs that the table-driven code is checked on exhaustively.
+GROUP_SWEEP = (
+    [f"Z{n}" for n in range(1, 65)]
+    + [f"D{n}" for n in range(6, 41, 2)]
+    + ["Q8", "Q8xZ3", "Z2xZ30"]
+    + [f"E2^{k}" for k in range(1, 6)]
+)
+RING_SWEEP = [f"Z{n}" for n in range(2, 65)] + [
+    "Z2xZ2xZ4",
+    "Z4xZ9",
+    "Z2[x]/(x^3)",
+    "Z3[x]/(x^2)xZ2",
+]
+# Larger groups, each also checked against the reference implementations.
+LARGE_GROUPS = ["Z480", "D240", "Q8xZ15", "Q8xQ8", "D12xZ3"]
+
+
 @pytest.fixture
 def rng():
     return random.Random(0x5EED)

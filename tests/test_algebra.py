@@ -1,6 +1,7 @@
 """Groups, rings, ideals, and the compact spec-string grammar."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,16 +10,20 @@ from hypothesis import strategies as st
 
 from twindex import (
     BadParameter,
+    OrderTooLarge,
     RingMismatch,
     RingTooLarge,
 )
 from twindex.algebra import (
     IDEAL_ENUM_CAP,
+    MAX_TABLE_ORDER,
+    TABLE_BYTE_BUDGET,
     FiniteGroup,
     FiniteRing,
     Ideal,
     _check_associative,
     _check_distributive,
+    _check_order,
     _generating_set,
     all_ideals,
     cyclic_group,
@@ -39,6 +44,9 @@ from twindex.algebra import (
     ring_product,
     zmod,
 )
+from twindex.generators import family_graph
+
+from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP
 
 
 class TestGroups:
@@ -88,6 +96,16 @@ class TestGroups:
         g = group_product(cyclic_group(2), cyclic_group(3))
         assert g.order == 6
         assert g.element_labels[0] == "(0,0)"
+
+    def test_product_identity_from_factors(self):
+        # Z3 relabelled so that element 2 is the identity.
+        z3 = FiniteGroup([[(i + j + 1) % 3 for j in range(3)] for i in range(3)], 2, name="Z3'")
+        g = group_product(z3, cyclic_group(2))
+        assert g.identity == 4
+        assert g.element_labels[g.identity] == "(2,0)"
+        h = group_product(cyclic_group(2), z3)
+        assert h.identity == 2
+        assert h.element_labels[h.identity] == "(0,2)"
 
     @pytest.mark.parametrize("build", [lambda: cyclic_group(0), lambda: dihedral_group(2), lambda: elementary_abelian_2(0)])
     def test_bad_parameters(self, build):
@@ -438,3 +456,172 @@ class TestSpecStrings:
             ideal_from_spec(zmod(6), "(7)")
         with pytest.raises(BadParameter):
             ideal_from_spec(zmod(6), "3")
+
+
+# --- the table routines against the loop implementations they replaced -----------
+
+
+def reference_generating_set(table: np.ndarray) -> np.ndarray:
+    """Reference: the same greedy closure, deduplicated by ``np.unique`` at every step."""
+    n = table.shape[0]
+    inside = np.zeros(n, dtype=bool)
+    gens = []
+    for a in range(n - 1, -1, -1):
+        if inside[a]:
+            continue
+        gens.append(a)
+        inside[a] = True
+        frontier = np.array([a])
+        while frontier.size:
+            members = np.flatnonzero(inside)
+            found = np.concatenate(
+                (table[np.ix_(frontier, members)].ravel(), table[np.ix_(members, frontier)].ravel())
+            )
+            frontier = np.unique(found[~inside[found]])
+            inside[frontier] = True
+    return np.array(gens, dtype=np.int64)
+
+
+def reference_dihedral_table(n: int) -> np.ndarray:
+    """Reference: ``(s^a r^i)(s^b r^j) = s^(a+b) r^(j + (-1)^b i)`` by four nested loops."""
+    order = 2 * n
+    table = np.zeros((order, order), dtype=np.int64)
+    for a in range(2):
+        for i in range(n):
+            for b in range(2):
+                for j in range(n):
+                    exp = (j + (i if b == 0 else -i)) % n
+                    table[a * n + i, b * n + j] = ((a + b) % 2) * n + exp
+    return table
+
+
+def reference_all_ideals(r: FiniteRing) -> list[Ideal]:
+    """Reference: close the principal ideals under sums with them, by :func:`ideal_sum`."""
+    principal = [Ideal(r, tuple(col)) for col in {frozenset(c) for c in r._mul.T.tolist()}]
+    found = {i.members for i in principal}
+    ideals = list(principal)
+    worklist = list(principal)
+    while worklist:
+        current = worklist.pop()
+        for p in principal:
+            if p.members <= current.members or current.members <= p.members:
+                continue
+            s = ideal_sum(current, p)
+            if s.members not in found:
+                found.add(s.members)
+                ideals.append(s)
+                worklist.append(s)
+    ideals.sort(key=lambda i: (len(i.elements), i.elements))
+    return ideals
+
+
+def _sweep_tables():
+    for spec in GROUP_SWEEP + LARGE_GROUPS:
+        yield spec, group_from_spec(spec)._table
+    for spec in RING_SWEEP:
+        r = ring_from_spec(spec)
+        yield spec + "+", r._add
+        yield spec + "*", r._mul
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+
+
+class TestMatchesReference:
+    """The scatter, broadcast and mask rewrites return exactly what the loops did."""
+
+    def test_generating_set_on_sweeps(self):
+        for name, table in _sweep_tables():
+            assert _same_array(_generating_set(table), reference_generating_set(table)), name
+
+    @settings(max_examples=300)
+    @given(st.one_of(random_tables(), mutated_group_tables()))
+    def test_generating_set_on_random_tables(self, table):
+        assert _same_array(_generating_set(table), reference_generating_set(table))
+
+    def test_dihedral_tables(self):
+        atoms = [atom for spec in GROUP_SWEEP + LARGE_GROUPS for atom in spec.split("x")]
+        orders = [int(atom[1:]) for atom in atoms if atom.startswith("D")]
+        assert 240 in orders
+        for order in orders:
+            table = dihedral_group(order // 2)._table
+            assert _same_array(table, reference_dihedral_table(order // 2)), order
+
+    def test_all_ideals(self):
+        for spec in RING_SWEEP + ["Z2xZ3xZ5xZ7", "Z4xZ9xZ5", "Z2xZ2xZ2xZ2xZ2xZ2"]:
+            r = ring_from_spec(spec)
+            got, expected = all_ideals(r), reference_all_ideals(r)
+            assert [i.elements for i in got] == [i.elements for i in expected], spec
+            assert all(type(x) is int for i in got for x in i.elements), spec
+        r = _f2xy()
+        assert [i.elements for i in all_ideals(r)] == [i.elements for i in reference_all_ideals(r)]
+
+
+# --- the byte budget on one operation table ----------------------------------------
+
+
+def _peak_bytes_raising(build) -> int:
+    """Peak traced allocation while ``build`` raises :class:`OrderTooLarge`."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderTooLarge):
+            build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestOrderBudget:
+    def test_budget_and_bound(self):
+        assert TABLE_BYTE_BUDGET == 1 << 25
+        assert MAX_TABLE_ORDER == 2048
+        _check_order(MAX_TABLE_ORDER, "largest")
+        with pytest.raises(OrderTooLarge, match="above 2048"):
+            _check_order(MAX_TABLE_ORDER + 1, "one more")
+
+    def test_typed_as_a_computation_error(self):
+        assert issubclass(OrderTooLarge, ValueError)
+        assert not issubclass(OrderTooLarge, BadParameter)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: family_graph("power:Z20000"),
+            lambda: family_graph("power:E2^40"),
+            lambda: family_graph("zdg:Z200xZ200"),
+            lambda: ring_from_spec("Z2[x]/(x^12)"),
+        ],
+        ids=["power:Z20000", "power:E2^40", "zdg:Z200xZ200", "Z2[x]/(x^12)"],
+    )
+    def test_specs_raise_before_allocating(self, build):
+        assert _peak_bytes_raising(build) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: cyclic_group(2049),
+            lambda: zmod(2049),
+            lambda: dihedral_group(1025),
+            lambda: elementary_abelian_2(12),
+            lambda: poly_quotient_ring(3, [0] * 7 + [1]),
+        ],
+        ids=["Z2049", "zmod-2049", "D2050", "E2^12", "Z3[x]/(x^7)"],
+    )
+    def test_constructors_raise_before_allocating(self, build):
+        assert _peak_bytes_raising(build) < 1 << 20
+
+    def test_products_raise_before_allocating(self):
+        groups, rings = (cyclic_group(64), cyclic_group(33)), (zmod(64), zmod(33))
+        assert _peak_bytes_raising(lambda: group_product(*groups)) < 1 << 20
+        assert _peak_bytes_raising(lambda: ring_product(*rings)) < 1 << 20
+
+    def test_paper_scale_specs_still_build(self):
+        assert group_from_spec("Z480").order == 480
+        assert ring_from_spec("Z2xZ3xZ5xZ7").size == 210
+
+    def test_bad_factor_is_still_a_bad_parameter(self):
+        with pytest.raises(BadParameter):
+            group_from_spec("Z0xZ5000")
+        with pytest.raises(BadParameter):
+            ring_from_spec("Z4[x]/(x^20)")

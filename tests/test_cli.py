@@ -146,6 +146,12 @@ class TestIndex:
         assert code == 1
         assert "budget" in err
 
+    def test_order_over_table_budget_is_computation_error(self, capsys):
+        code, out, err = run(capsys, "index", "--family", "power:Z20000", "--m", "2")
+        assert code == 1
+        assert out == ""
+        assert "Z20000 has order above 2048" in err
+
     def test_disconnected_is_computation_error(self, capsys, tmp_path):
         source = tmp_path / "g.txt"
         source.write_text("4\n0 1\n")

@@ -43,6 +43,8 @@ from twindex.generators import (
     zero_divisor_graph,
 )
 
+from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP
+
 
 class TestPowerGraph:
     def test_z6(self):
@@ -251,20 +253,6 @@ class TestFamilySpecs:
 
 # --- the algebraic graphs by their per-pair definitions --------------------------
 
-GROUP_SWEEP = (
-    [f"Z{n}" for n in range(1, 65)]
-    + [f"D{n}" for n in range(6, 41, 2)]
-    + ["Q8", "Q8xZ3", "Z2xZ30"]
-    + [f"E2^{k}" for k in range(1, 6)]
-)
-RING_SWEEP = [f"Z{n}" for n in range(2, 65)] + [
-    "Z2xZ2xZ4",
-    "Z4xZ9",
-    "Z2[x]/(x^3)",
-    "Z3[x]/(x^2)xZ2",
-]
-
-
 def _literal_power_graph(g):
     subgroups = [cyclic_subgroup(g, a) for a in range(g.order)]
     edges = [
@@ -367,3 +355,29 @@ class TestMatchesDefinitions:
             assert _shape(comaximal_ideal_graph(r)) == expected, spec
             non_local += 1
         assert non_local == 39
+
+
+def reference_power_graph(g):
+    """Reference: the n-step loop that raises every element to each power 1..n."""
+    n, table = g.order, g._table
+    idx = np.arange(n)
+    is_power = np.zeros((n, n), dtype=bool)  # is_power[a, x]: x is a power of a
+    x = idx
+    for _ in range(n):
+        is_power[idx, x] = True
+        x = table[x, idx]
+    return graph_from_matrix(is_power | is_power.T, g.element_labels)
+
+
+class TestPowerGraphMatchesReference:
+    """One walk per cyclic subgroup gives the graph of the n-step loop."""
+
+    def test_group_sweep(self):
+        for spec in GROUP_SWEEP:
+            g = group_from_spec(spec)
+            assert power_graph(g) == reference_power_graph(g), spec
+
+    @pytest.mark.parametrize("spec", LARGE_GROUPS)
+    def test_large_groups(self, spec):
+        g = group_from_spec(spec)
+        assert power_graph(g) == reference_power_graph(g)
