@@ -449,41 +449,26 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
     name = f"Z{p}[x]/({_poly_label(coeffs)})"
     _check_order(size, name)
 
-    def decode(i: int) -> list[int]:
-        out = []
-        for _ in range(deg):
-            out.append(i % p)
-            i //= p
-        return out
-
-    def encode(cs: list[int]) -> int:
-        v = 0
-        for c in reversed(cs[:deg]):
-            v = v * p + (c % p)
-        return v
-
-    def reduce_poly(cs: list[int]) -> list[int]:
-        cs = [c % p for c in cs]
-        for k in range(len(cs) - 1, deg - 1, -1):
-            lead = cs[k]
-            if lead:
-                for i in range(deg + 1):
-                    cs[k - deg + i] = (cs[k - deg + i] - lead * coeffs[i]) % p
-        return cs[:deg] + [0] * max(0, deg - len(cs))
-
+    # digits[a, i]: the coefficient of x^i in element a, whose index is
+    # sum_i digits[a, i] * p^i.
+    digits = _mixed_radix_digits(size, [p] * deg)[:, ::-1]
+    place = p ** np.arange(deg, dtype=np.int64)
     add = np.zeros((size, size), dtype=np.int64)
+    for i in range(deg):
+        add += (digits[:, i, None] + digits[:, i]) % p * place[i]
+    scaled = (np.arange(p)[:, None, None] * digits) % p @ place  # scaled[c, a] = c * a
+    # x * a: the digits move up one place and the lead coefficient folds back
+    # through x^deg = -(coeffs[0] + ... + coeffs[deg-1] x^(deg-1)).
+    shifted = np.zeros_like(digits)
+    shifted[:, 1:] = digits[:, :-1]
+    times_x = (shifted - digits[:, -1:] * np.array(coeffs[:deg])) % p @ place
+    # a * b = sum_i digits[a, i] * (x^i b), summed through the addition table.
     mul = np.zeros((size, size), dtype=np.int64)
-    polys = [decode(i) for i in range(size)]
-    for i, a in enumerate(polys):
-        for j, b in enumerate(polys):
-            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
-            prod = [0] * (2 * deg - 1)
-            for da, ca in enumerate(a):
-                if ca:
-                    for db, cb in enumerate(b):
-                        prod[da + db] = (prod[da + db] + ca * cb) % p
-            mul[i, j] = encode(reduce_poly(prod))
-    labels = [_poly_label(cs) for cs in polys]
+    power = np.arange(size)  # x^i b for every b
+    for i in range(deg):
+        mul = add[mul, scaled[digits[:, i][:, None], power]]
+        power = times_x[power]
+    labels = [_poly_label(cs) for cs in digits.tolist()]
     return FiniteRing(add, mul, 0, 1, labels, name=name)
 
 

@@ -43,7 +43,8 @@ def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
     if len(set(labels)) != len(labels):
         raise BadParameter("vertex labels must be unique")
     np.fill_diagonal(adj, False)
-    return Graph(tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj), labels)
+    rows = np.packbits(adj, axis=1, bitorder="little")
+    return Graph(tuple(int.from_bytes(row.tobytes(), "little") for row in rows), labels)
 
 
 # --- algebraic families ---------------------------------------------------------

@@ -2,7 +2,8 @@
 
 The :class:`Graph` value is the substrate for everything else in the package:
 twin decomposition, Steiner distances, and the algebraic graph generators all
-consume and produce it. Vertices are integers ``0..n-1``; semantic names
+consume and produce it. Vertices are integers ``0..n-1``, each with one
+Python-int neighbour mask, the package's only adjacency format; semantic names
 (group elements, ring elements, ideals) ride along as per-vertex string
 labels so the algorithms stay label-agnostic.
 """
@@ -10,9 +11,9 @@ labels so the algorithms stay label-agnostic.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityMismatch, ParseError, SelfLoopRejected, VertexOutOfRange
 
@@ -23,40 +24,50 @@ def _default_labels(n: int) -> tuple[str, ...]:
     return tuple(str(v) for v in range(n))
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
-    """A simple undirected graph: symmetric loop-free adjacency sets.
+    """A simple undirected graph: one neighbour bitmask per vertex.
 
-    Construct through :func:`new_graph` (or the parsers/generators), which
-    validate indices and deduplicate edges. Instances are immutable and
-    hashable; equality is structural over ``(n, edges, labels)``.
+    Bit ``w`` of ``masks[v]`` is set iff ``v ~ w``; the masks are symmetric,
+    loop-free and hold no bit at or above ``n``. Construct through
+    :func:`new_graph` (or the parsers/generators), which validate indices and
+    deduplicate edges. Instances are immutable and hashable; equality is
+    structural over ``(n, edges, labels)``.
     """
 
-    adjacency: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
     labels: tuple[str, ...]
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        return len(self.masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
         """Open neighborhood of ``v``; never contains ``v`` itself."""
         self._check_vertex(v)
-        return self.adjacency[v]
+        return frozenset(_bits(self.masks[v]))
 
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
-        return v in self.adjacency[u]
+        return bool(self.masks[u] >> v & 1)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as ``(u, v)`` with ``u < v``, sorted lexicographically."""
         return tuple(
-            (u, v) for u in range(self.n) for v in sorted(self.adjacency[u]) if u < v
+            (u, u + 1 + w) for u, mask in enumerate(self.masks) for w in _bits(mask >> u + 1)
         )
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self.n:
@@ -96,7 +107,7 @@ def new_graph(
     """
     if n < 0:
         raise VertexOutOfRange(f"vertex count must be non-negative, got {n}")
-    adj: list[set[int]] = [set() for _ in range(n)]
+    masks = [0] * n
     for u, v in edges:
         if not 0 <= u < n:
             raise VertexOutOfRange(f"edge endpoint {u} not in [0, {n})")
@@ -104,15 +115,15 @@ def new_graph(
             raise VertexOutOfRange(f"edge endpoint {v} not in [0, {n})")
         if u == v:
             raise SelfLoopRejected(f"self-loop at vertex {u} rejected")
-        adj[u].add(v)
-        adj[v].add(u)
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
     if labels is None:
         labels = _default_labels(n)
     else:
         labels = tuple(str(s) for s in labels)
         if len(labels) != n:
             raise VertexOutOfRange(f"expected {n} labels, got {len(labels)}")
-    return Graph(tuple(frozenset(a) for a in adj), labels)
+    return Graph(tuple(masks), labels)
 
 
 def with_labels(g: Graph, labels: Sequence[str]) -> Graph:
@@ -120,25 +131,28 @@ def with_labels(g: Graph, labels: Sequence[str]) -> Graph:
     labels = tuple(str(s) for s in labels)
     if len(labels) != g.n:
         raise VertexOutOfRange(f"expected {g.n} labels, got {len(labels)}")
-    return Graph(g.adjacency, labels)
+    return Graph(g.masks, labels)
 
 
 def is_connected(g: Graph) -> bool:
     """True iff ``g`` has at most one connected component.
 
-    The empty graph and the one-vertex graph are connected.
+    The empty graph and the one-vertex graph are connected. A bitset
+    breadth-first search from vertex 0: each level ORs the neighbour masks of
+    its frontier and keeps the vertices not yet seen as the next frontier.
     """
     if g.n <= 1:
         return True
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
+    seen = frontier = 1
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= g.masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= frontier
+    return seen == (1 << g.n) - 1
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -151,14 +165,12 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     for v in keep:
         g._check_vertex(v)
     index_of = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (index_of[u], index_of[v])
-        for u in keep
-        for v in g.adjacency[u]
-        if u < v and v in index_of
-    ]
+    inside = sum(1 << v for v in keep)
+    masks = tuple(
+        sum(1 << index_of[w] for w in _bits(g.masks[u] & inside)) for u in keep
+    )
     labels = tuple(g.labels[v] for v in keep)
-    return new_graph(len(keep), edges, labels), tuple(keep)
+    return Graph(masks, labels), tuple(keep)
 
 
 def permuted(g: Graph, perm: Sequence[int]) -> Graph:
@@ -181,20 +193,15 @@ def generalized_composition(spec: CompositionSpec) -> Graph:
     blocks whose base vertices are adjacent.
     """
     base, factors = spec.base, spec.factors
-    offsets = []
-    total = 0
-    for f in factors:
-        offsets.append(total)
-        total += f.n
-    edges: list[tuple[int, int]] = []
+    offsets = list(accumulate((f.n for f in factors), initial=0))
+    blocks = [((1 << f.n) - 1) << off for f, off in zip(factors, offsets)]
+    masks: list[int] = []
     for i, f in enumerate(factors):
-        off = offsets[i]
-        edges.extend((off + u, off + v) for u, v in f.edges())
-    for i, j in base.edges():
-        for p in range(factors[i].n):
-            for q in range(factors[j].n):
-                edges.append((offsets[i] + p, offsets[j] + q))
-    return new_graph(total, edges)
+        joined = 0
+        for j in _bits(base.masks[i]):
+            joined |= blocks[j]
+        masks.extend(mask << offsets[i] | joined for mask in f.masks)
+    return Graph(tuple(masks), _default_labels(offsets[-1]))
 
 
 # --- text formats -----------------------------------------------------------
@@ -307,8 +314,10 @@ def render_graph(g: Graph, fmt: str = "edgelist") -> str:
         return json.dumps(obj, separators=(", ", ": ")) + "\n"
     if fmt == "dot":
         lines = ["graph G {"]
-        for v in range(g.n):
-            lines.append(f'  {v} [label="{g.labels[v]}"];')
+        for v, label in enumerate(g.labels):
+            # Escaped so every label stays one quoted DOT string.
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+            lines.append(f'  {v} [label="{label}"];')
         lines.extend(f"  {u} -- {v};" for u, v in g.edges())
         lines.append("}")
         return "\n".join(lines) + "\n"

@@ -52,8 +52,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
     level ORs the neighbour masks of its frontier, keeps the vertices not yet
     seen as the next frontier, and writes the level into the source's row.
     """
-    n = g.n
-    masks = [sum(1 << w for w in adj) for adj in g.adjacency]
+    n, masks = g.n, g.masks
     everyone = (1 << n) - 1
     rows = []
     for source in range(n):
@@ -277,12 +276,12 @@ def _induced_connected(g: Graph, mask: int) -> bool:
     seen = 1 << start
     stack = [start]
     while stack:
-        u = stack.pop()
-        for w in g.adjacency[u]:
-            bit = 1 << w
-            if mask & bit and not seen & bit:
-                seen |= bit
-                stack.append(w)
+        fresh = g.masks[stack.pop()] & mask & ~seen
+        seen |= fresh
+        while fresh:
+            low = fresh & -fresh
+            stack.append(low.bit_length() - 1)
+            fresh ^= low
     return seen == mask
 
 

@@ -38,7 +38,8 @@ class TwinDecomposition:
     ``classes`` are sorted tuples of vertex indices, ordered by their minimum
     member; ``representatives[i] == min(classes[i])``. ``reduced`` is the
     subgraph induced by the representatives, re-indexed ``0..k-1`` so class
-    ``i`` corresponds to reduced vertex ``i``.
+    ``i`` corresponds to reduced vertex ``i``. ``class_index[v]`` is the
+    index of the class holding vertex ``v``.
     """
 
     source: Graph
@@ -46,6 +47,7 @@ class TwinDecomposition:
     representatives: tuple[int, ...]
     kinds: tuple[ClassKind, ...]
     reduced: Graph
+    class_index: tuple[int, ...]
 
     @property
     def k(self) -> int:
@@ -56,15 +58,8 @@ class TwinDecomposition:
 
     def class_of(self, v: int) -> int:
         """Index of the twin class containing vertex ``v``."""
-        return self._class_index[v]
-
-    @property
-    def _class_index(self) -> dict[int, int]:
-        idx = getattr(self, "_class_index_cache", None)
-        if idx is None:
-            idx = {v: i for i, cls in enumerate(self.classes) for v in cls}
-            object.__setattr__(self, "_class_index_cache", idx)
-        return idx
+        self.source._check_vertex(v)
+        return self.class_index[v]
 
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
@@ -80,7 +75,8 @@ def twin_partition(g: Graph) -> TwinDecomposition:
     """Compute the twin classes of ``g`` and its reduced graph in one pass.
 
     Every vertex is bucketed by its open neighborhood ``N(v)`` and by its
-    closed neighborhood ``N[v]``. Walking the vertices in ascending order, an
+    closed neighborhood ``N[v]``, the neighbour masks ``masks[v]`` and
+    ``masks[v] | 1 << v``. Walking the vertices in ascending order, an
     unplaced vertex's class is its open bucket, of kind ``EMPTY``, when that
     bucket holds another vertex; otherwise it is its closed bucket, of kind
     ``COMPLETE``, or ``SINGLETON`` when that bucket holds the vertex alone.
@@ -94,30 +90,32 @@ def twin_partition(g: Graph) -> TwinDecomposition:
     construction. The pairwise predicate :func:`are_twins` serves as the
     oracle in tests.
     """
-    open_buckets: dict[frozenset[int], list[int]] = {}
-    closed_buckets: dict[frozenset[int], list[int]] = {}
-    for v, nv in enumerate(g.adjacency):
-        open_buckets.setdefault(nv, []).append(v)
-        closed_buckets.setdefault(nv | {v}, []).append(v)
+    open_buckets: dict[int, list[int]] = {}
+    closed_buckets: dict[int, list[int]] = {}
+    for v, mask in enumerate(g.masks):
+        open_buckets.setdefault(mask, []).append(v)
+        closed_buckets.setdefault(mask | 1 << v, []).append(v)
 
-    placed = [False] * g.n
+    class_index = [-1] * g.n
     classes: list[tuple[int, ...]] = []
     kinds: list[ClassKind] = []
-    for v, nv in enumerate(g.adjacency):
-        if placed[v]:
+    for v, mask in enumerate(g.masks):
+        if class_index[v] >= 0:
             continue
-        cls = open_buckets[nv]
+        cls = open_buckets[mask]
         if len(cls) > 1:
             kinds.append(ClassKind.EMPTY)
         else:
-            cls = closed_buckets[nv | {v}]
+            cls = closed_buckets[mask | 1 << v]
             kinds.append(ClassKind.COMPLETE if len(cls) > 1 else ClassKind.SINGLETON)
         for u in cls:
-            placed[u] = True
+            class_index[u] = len(classes)
         classes.append(tuple(cls))
     representatives = tuple(c[0] for c in classes)
     reduced, _ = induced_subgraph(g, representatives)
-    return TwinDecomposition(g, tuple(classes), representatives, tuple(kinds), reduced)
+    return TwinDecomposition(
+        g, tuple(classes), representatives, tuple(kinds), reduced, tuple(class_index)
+    )
 
 
 def recompose(d: TwinDecomposition) -> Graph:

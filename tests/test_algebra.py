@@ -515,6 +515,51 @@ def reference_all_ideals(r: FiniteRing) -> list[Ideal]:
     return ideals
 
 
+def reference_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
+    """Reference: both tables of ``Z_p[x]/(f)`` by a double loop over element pairs."""
+    coeffs = [c % p for c in coeffs]
+    while coeffs[-1] == 0:
+        coeffs.pop()
+    deg = len(coeffs) - 1
+    size = p**deg
+
+    def decode(i):
+        out = []
+        for _ in range(deg):
+            out.append(i % p)
+            i //= p
+        return out
+
+    def encode(cs):
+        v = 0
+        for c in reversed(cs[:deg]):
+            v = v * p + (c % p)
+        return v
+
+    def reduce_poly(cs):
+        cs = [c % p for c in cs]
+        for k in range(len(cs) - 1, deg - 1, -1):
+            lead = cs[k]
+            if lead:
+                for i in range(deg + 1):
+                    cs[k - deg + i] = (cs[k - deg + i] - lead * coeffs[i]) % p
+        return cs[:deg] + [0] * max(0, deg - len(cs))
+
+    add = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=np.int64)
+    polys = [decode(i) for i in range(size)]
+    for i, a in enumerate(polys):
+        for j, b in enumerate(polys):
+            add[i, j] = encode([(x + y) % p for x, y in zip(a, b)])
+            prod = [0] * (2 * deg - 1)
+            for da, ca in enumerate(a):
+                if ca:
+                    for db, cb in enumerate(b):
+                        prod[da + db] = (prod[da + db] + ca * cb) % p
+            mul[i, j] = encode(reduce_poly(prod))
+    return add, mul
+
+
 def _sweep_tables():
     for spec in GROUP_SWEEP + LARGE_GROUPS:
         yield spec, group_from_spec(spec)._table
@@ -547,6 +592,28 @@ class TestMatchesReference:
         for order in orders:
             table = dihedral_group(order // 2)._table
             assert _same_array(table, reference_dihedral_table(order // 2)), order
+
+    @pytest.mark.parametrize(
+        "p,coeffs",
+        [
+            (2, [0, 0, 0, 1]),  # x^3
+            (3, [1, 0, 1]),  # x^2 + 1
+            (2, [1, 1, 0, 1]),  # x^3 + x + 1
+            (5, [2, 0, 1]),  # x^2 + 2
+            (2, [0] * 6 + [1]),  # x^6
+            (3, [0] * 4 + [1]),  # x^4
+            (7, [3, 1]),  # x + 3
+            (3, [1, 2, 0, 1]),  # x^3 + 2x + 1
+            (2, [1, 0, 0, 1, 0, 0, 0, 1]),  # x^7 + x^3 + 1
+            (11, [5, 4, 12]),  # x^2 + 4x + 5, the lead read mod 11
+            (5, [-1, 0, 1, 0]),  # x^2 + 4, a trailing zero dropped
+        ],
+    )
+    def test_poly_quotient_tables(self, p, coeffs):
+        r = poly_quotient_ring(p, coeffs)
+        add, mul = reference_poly_quotient_tables(p, coeffs)
+        assert _same_array(r._add, add)
+        assert _same_array(r._mul, mul)
 
     def test_all_ideals(self):
         for spec in RING_SWEEP + ["Z2xZ3xZ5xZ7", "Z4xZ9xZ5", "Z2xZ2xZ2xZ2xZ2xZ2"]:

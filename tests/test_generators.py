@@ -1,5 +1,7 @@
 """Algebraic graph families and standard parametric graphs."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from twindex.algebra import (
     ring_product,
     zmod,
 )
+import twindex.generators
 from twindex.generators import (
     comaximal_ideal_graph,
     complete_graph,
@@ -222,6 +225,81 @@ class TestGraphFromMatrix:
         a = comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4"))
         b = comaximal_ideal_graph(ring_from_spec("Z2xZ2xZ4"))
         assert a == b
+
+
+# The family specs of the benchmark's paper-families pool.
+PAPER_POOL_SPECS = [
+    "power:Z60",
+    "power:Z120",
+    "power:Z240",
+    "power:Z480",
+    "power:D60",
+    "power:D120",
+    "power:Q8xZ15",
+    "power:Z2xZ30",
+    "zdg:Z180",
+    "izdg:Z120:I=(8)",
+    "izdg:Z180:I=(12)",
+    "comax:Z4xZ9xZ5",
+    "comax:Z2xZ3xZ5xZ7",
+]
+
+
+def reference_neighborhoods(adj, labels):
+    """Reference: one frozenset of neighbours per row, the diagonal dropped."""
+    adj = np.array(adj, dtype=bool)
+    np.fill_diagonal(adj, False)
+    return tuple(frozenset(np.flatnonzero(row).tolist()) for row in adj), tuple(labels)
+
+
+def assert_masks_valid(g, name=""):
+    """Masks are loop-free, symmetric and hold no bit at or above n."""
+    for v, mask in enumerate(g.masks):
+        assert type(mask) is int, (name, v)
+        assert not mask >> v & 1, (name, v)
+        assert mask >> g.n == 0, (name, v)
+        for w in g.neighbors(v):
+            assert g.masks[w] >> v & 1, (name, v, w)
+
+
+def _sweep_graphs():
+    for spec in GROUP_SWEEP + LARGE_GROUPS:
+        yield f"power:{spec}", power_graph(group_from_spec(spec))
+    for spec in RING_SWEEP:
+        r = ring_from_spec(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            yield f"zdg:{spec}", zero_divisor_graph(r)
+        try:
+            yield f"comax:{spec}", comaximal_ideal_graph(r)
+        except LocalRingUnsupported:
+            pass
+
+
+class TestMasks:
+    def test_invariants_on_sweeps(self):
+        built = 0
+        for name, g in _sweep_graphs():
+            assert_masks_valid(g, name)
+            built += 1
+        assert built == len(GROUP_SWEEP) + len(LARGE_GROUPS) + len(RING_SWEEP) + 39
+
+    @pytest.mark.parametrize("spec", PAPER_POOL_SPECS)
+    def test_graph_from_matrix_matches_frozenset_construction(self, spec, monkeypatch):
+        calls = []
+
+        def recording(adj, labels):
+            g = graph_from_matrix(adj, labels)
+            calls.append((reference_neighborhoods(adj, labels), g))
+            return g
+
+        monkeypatch.setattr(twindex.generators, "graph_from_matrix", recording)
+        family_graph(spec)
+        assert len(calls) == 1
+        (neighborhoods, labels), g = calls[0]
+        assert tuple(g.neighbors(v) for v in range(g.n)) == neighborhoods
+        assert g.labels == labels
+        assert_masks_valid(g, spec)
 
 
 class TestFamilySpecs:

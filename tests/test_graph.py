@@ -1,6 +1,7 @@
 """Graph construction, traversal, composition, and serialization."""
 
 import math
+import re
 from collections import deque
 
 import numpy as np
@@ -31,14 +32,14 @@ from twindex.twins import twin_partition
 from conftest import all_graphs, random_graph
 
 
-def bfs_distances(g, source):
+def bfs_distances(neighbors, source):
     """Reference: one deque BFS from ``source``, ``math.inf`` where unreachable."""
-    dist = [math.inf] * g.n
+    dist = [math.inf] * len(neighbors)
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
+        for w in neighbors[u]:
             if dist[w] == math.inf:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -47,7 +48,10 @@ def bfs_distances(g, source):
 
 def reference_matrix(g):
     """The reference BFS from every vertex, with ``_INF`` for unreachable pairs."""
-    return [[_INF if d == math.inf else d for d in bfs_distances(g, v)] for v in range(g.n)]
+    neighbors = [g.neighbors(v) for v in range(g.n)]
+    return [
+        [_INF if d == math.inf else d for d in bfs_distances(neighbors, v)] for v in range(g.n)
+    ]
 
 
 @st.composite
@@ -84,10 +88,10 @@ class TestConstruction:
     @given(graphs())
     def test_invariants_hold(self, g):
         for v in range(g.n):
-            assert v not in g.adjacency[v]
-            for w in g.adjacency[v]:
+            assert v not in g.neighbors(v)
+            for w in g.neighbors(v):
                 assert 0 <= w < g.n
-                assert v in g.adjacency[w]
+                assert v in g.neighbors(w)
 
 
 class TestNeighbors:
@@ -287,6 +291,16 @@ class TestSerialization:
         text = render_graph(path_graph(3), "dot")
         assert text.startswith("graph G {")
         assert "0 -- 1;" in text
+
+    def test_render_dot_escapes_labels(self):
+        text = render_graph(with_labels(path_graph(3), ['a"b', "c\\", "d"]), "dot")
+        assert '  0 [label="a\\"b"];' in text.splitlines()
+        assert '  1 [label="c\\\\"];' in text.splitlines()
+        # Each label line holds exactly one quoted string, escapes included.
+        quoted = re.compile(r'  \d+ \[label="(?:[^"\\]|\\.)*"\];')
+        label_lines = [line for line in text.splitlines() if "label=" in line]
+        assert len(label_lines) == 3
+        assert all(quoted.fullmatch(line) for line in label_lines)
 
     def test_json_roundtrip_preserves_labels(self):
         g = with_labels(path_graph(3), ["a", "b", "c"])

@@ -256,7 +256,7 @@ class TestReducedIndex:
             d = twin_partition(g)
             alt_reps = tuple(rng.choice(cls) for cls in d.classes)
             alt_reduced, _ = induced_subgraph(g, alt_reps)
-            alt = TwinDecomposition(g, d.classes, alt_reps, d.kinds, alt_reduced)
+            alt = TwinDecomposition(g, d.classes, alt_reps, d.kinds, alt_reduced, d.class_index)
             for m in range(1, g.n + 1):
                 assert steiner_wiener_reduced(alt, m) == steiner_wiener_reduced(d, m)
 

@@ -2,12 +2,14 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twindex import (
     ClassKind,
     CompositionSpec,
+    VertexOutOfRange,
     are_twins,
     generalized_composition,
     is_connected,
@@ -211,6 +213,22 @@ class TestTwinPartition:
             assert sorted(k.value for k in dg.kinds) == sorted(k.value for k in dh.kinds)
             mapped = {frozenset(perm[v] for v in cls) for cls in dg.classes}
             assert mapped == set(map(frozenset, dh.classes))
+
+
+class TestClassOf:
+    def test_matches_classes(self):
+        d = twin_partition(power_graph(dihedral_group(6)))
+        assert len(d.class_index) == d.source.n
+        for i, cls in enumerate(d.classes):
+            assert all(d.class_of(v) == i for v in cls)
+
+    def test_out_of_range(self):
+        d = twin_partition(power_graph_zn(6))
+        for v in (-1, 6, 100):
+            with pytest.raises(VertexOutOfRange):
+                d.class_of(v)
+        with pytest.raises(VertexOutOfRange):
+            twin_partition(empty_graph(0)).class_of(0)
 
 
 class TestRecompose:
