@@ -21,6 +21,11 @@ terms come out of the same sum. The level-shared kernel
 :func:`twindex.steiner.steiner_levels` answers every support on H's distance
 matrix: distances are needed only in the (usually much smaller) reduced
 graph, once per support. That is the entire speedup of the reduction.
+
+H's distance matrix is built once per query; its row 0 also tells whether G
+is connected. The kernel's int32 distances enter the histogram as int64
+weights, scattered in one flat ``np.add.at``, and the final sum is taken in
+exact Python integers.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
 from .graph import is_connected
-from .steiner import distance_matrix, steiner_distance, steiner_levels
+from .steiner import _INF, distance_matrix, steiner_distance, steiner_levels
 from .twins import ClassKind, TwinDecomposition
 
 
@@ -66,7 +71,7 @@ def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int])
         raise EmptyTerminalSet("terminal set must be non-empty")
     for t in ts:
         d.source._check_vertex(t)
-    if not _connected_via_reduced(d):
+    if not _connected_via_reduced(d, is_connected(d.reduced)):
         raise DisconnectedGraph("class-based Steiner distance requires a connected graph")
     m = len(ts)
     if m == 1:
@@ -78,8 +83,8 @@ def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int])
     return steiner_distance(d.reduced, support) + m - len(support)
 
 
-def _connected_via_reduced(d: TwinDecomposition) -> bool:
-    """Whether ``d.source`` is connected, read off the twin classes.
+def _connected_via_reduced(d: TwinDecomposition, h_connected: bool) -> bool:
+    """Whether ``d.source`` is connected, given whether H is.
 
     One class is connected iff it is a single vertex or a clique; with two or
     more classes G is connected iff H is, since each class is joined
@@ -88,7 +93,7 @@ def _connected_via_reduced(d: TwinDecomposition) -> bool:
     if d.k == 1:
         size = len(d.classes[0])
         return size <= 1 or d.kinds[0] is not ClassKind.EMPTY
-    return is_connected(d.reduced)
+    return h_connected
 
 
 def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> None:
@@ -104,7 +109,8 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
         low = 1 << i
         counts[:, low : 2 * low] = counts[:, :low] + held[:, i : i + 1]
         signs[low : 2 * low] = -signs[:low]
-    np.add.at(hist, counts, w[:, None] * signs)
+    # One flat scatter: numpy's 1-D add.at is several times faster than a 2-D index.
+    np.add.at(hist, counts.ravel(), (w[:, None] * signs).ravel())
 
 
 def steiner_wiener_reduced_with_stats(
@@ -115,7 +121,10 @@ def steiner_wiener_reduced_with_stats(
     n = d.source.n
     if not 1 <= m <= n:
         raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
-    if not _connected_via_reduced(d):
+    # Row 0 of H's distance matrix tells whether H is connected, so H is
+    # walked once.
+    dist = distance_matrix(d.reduced)
+    if not _connected_via_reduced(d, bool(dist[0].max() < _INF)):
         raise DisconnectedGraph("index computation requires a connected graph")
     if m == 1:
         return 0, stats
@@ -125,7 +134,7 @@ def steiner_wiener_reduced_with_stats(
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    levels = steiner_levels(distance_matrix(d.reduced), range(d.k), min(m, d.k))
+    levels = steiner_levels(dist, range(d.k), min(m, d.k))
     for s, level in enumerate(levels, 1):
         if largest[s - 1] < m:
             continue

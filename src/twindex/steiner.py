@@ -1,7 +1,7 @@
 """Exact Steiner distances and brute-force index computation.
 
 ``distance_matrix`` is the package's one all-pairs routine: a bitset BFS from
-every vertex into an int64 matrix, ``_INF`` where no path exists. The
+every vertex into an int32 matrix, ``_INF`` where no path exists. The
 whole-graph routes read connectivity off its row 0, so each walks its graph
 once.
 
@@ -13,6 +13,14 @@ twin-class reduction every level over the reduced graph.
 ``steiner_distance_bruteforce`` minimizes over connected vertex supersets and
 is the independent oracle the kernel and the twin-class reduction formula are
 validated against. All index values are exact Python integers.
+
+Distances and DP entries are int32, which halves the bytes the kernel moves
+and the budget charges. No sum overflows: ``_INF = 2^29``, and inside a
+universe that lies in one component every table entry is at most
+``_INF + 2n`` (an anchor outside the component costs ``_INF`` plus the
+Steiner distance of the subset). The largest sum the kernel forms has three
+terms, two split parts and one distance row, so it stays below
+``3 * _INF + 4n < 2^31`` for every ``n < 2^27``.
 """
 
 from __future__ import annotations
@@ -40,13 +48,16 @@ DP_BYTE_BUDGET = 1 << 26
 # enough that each numpy call spans many rows.
 CHUNK_BYTES = 1 << 20
 
-# Larger than any hop count, small enough that sums of a few never overflow
-# int64.
-_INF = 1 << 40
+# The one dtype of distances and DP state; its itemsize is what the budget
+# charges per entry. Submask ranks stay int64 (8 bytes).
+_DIST = np.dtype(np.int32)
+# Larger than any hop count; three of it plus a few hop counts stay below
+# 2^31 (see the module docstring).
+_INF = 1 << 29
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop counts as an int64 array with ``_INF`` for unreachable.
+    """All-pairs hop counts as an int32 array with ``_INF`` for unreachable.
 
     A breadth-first search from every vertex over Python-int bitsets: each
     level ORs the neighbour masks of its frontier, keeps the vertices not yet
@@ -72,7 +83,7 @@ def distance_matrix(g: Graph) -> np.ndarray:
             unseen ^= frontier
             level += 1
         rows.append(row)
-    return np.array(rows, dtype=np.int64).reshape(n, n)
+    return np.array(rows, dtype=_DIST).reshape(n, n)
 
 
 def _connected_distances(g: Graph, message: str) -> np.ndarray:
@@ -101,13 +112,19 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
         yield pos
 
 
-def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
-    """``s``-subsets per chunk on ``n`` anchors: as many as fit ``CHUNK_BYTES``.
+def _row_bytes(n: int, s: int, relax: bool) -> int:
+    """Working bytes of one ``s``-subset on ``n`` anchors.
 
-    A row holds ``2^s`` submask ranks and three anchor rows (two gathered
-    table rows and their minimum), a relaxed row also an ``(n, n)`` temporary.
+    A row holds ``2^s`` int64 submask ranks and three anchor rows (two
+    gathered table rows and their minimum), a relaxed row also an ``(n, n)``
+    temporary.
     """
-    return max(1, CHUNK_BYTES // (8 * ((1 << s) + 3 * n + (n * n if relax else 0))))
+    return 8 * (1 << s) + _DIST.itemsize * (3 * n + (n * n if relax else 0))
+
+
+def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
+    """``s``-subsets per chunk on ``n`` anchors: as many as fit ``CHUNK_BYTES``."""
+    return max(1, CHUNK_BYTES // _row_bytes(n, s, relax))
 
 
 def _submask_rows(
@@ -158,7 +175,7 @@ def steiner_levels(
 
     Returns one lazy stream per level ``s`` of ``(subsets, distances)`` chunks:
     ``(B, s)`` ascending positions into ``universe`` in colex order, and their
-    int64 Steiner distances. ``universe`` lies in one component of ``dist``.
+    int32 Steiner distances. ``universe`` lies in one component of ``dist``.
 
     The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
     subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
@@ -176,7 +193,7 @@ def steiner_levels(
     size, n = len(universe), dist.shape[0]
     top = min(top, size)
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
-    need = 8 * n * entries + max(CHUNK_BYTES, 8 * ((1 << top) + 3 * n + (n * n if top > 3 else 0)))
+    need = _DIST.itemsize * n * entries + max(CHUNK_BYTES, _row_bytes(n, top, top > 3))
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
@@ -189,7 +206,7 @@ def steiner_levels(
     # First table row of each level from 2 on; single members live in dist.
     offsets = np.zeros(top + 1, dtype=np.int64)
     offsets[3:top] = binom[-1, 2 : top - 1].cumsum()
-    table = np.empty((entries, n), dtype=np.int64)
+    table = np.empty((entries, n), dtype=_DIST)
     for r in range(2, top - 1):
         for pos in _subsets(size - 1, r, _chunk_rows(n, r, relax=True), binom):
             idx = _submask_rows(pos, binom, offsets, universe)

@@ -88,7 +88,8 @@ def twin_partition(g: Graph) -> TwinDecomposition:
     v, which is impossible when ``N(u) = N(v)``. Open buckets are independent
     sets and closed buckets are cliques by definition, so each kind holds by
     construction. The pairwise predicate :func:`are_twins` serves as the
-    oracle in tests.
+    oracle in tests. The buckets are dropped before H is built, and a
+    twin-free graph is its own H rather than a copy.
     """
     open_buckets: dict[int, list[int]] = {}
     closed_buckets: dict[int, list[int]] = {}
@@ -111,8 +112,9 @@ def twin_partition(g: Graph) -> TwinDecomposition:
         for u in cls:
             class_index[u] = len(classes)
         classes.append(tuple(cls))
+    del open_buckets, closed_buckets
     representatives = tuple(c[0] for c in classes)
-    reduced, _ = induced_subgraph(g, representatives)
+    reduced = g if len(classes) == g.n else induced_subgraph(g, representatives)[0]
     return TwinDecomposition(
         g, tuple(classes), representatives, tuple(kinds), reduced, tuple(class_index)
     )

@@ -142,7 +142,7 @@ class TestIndex:
                 assert naive == reduced, (family, m)
 
     def test_over_byte_budget_is_computation_error(self, capsys):
-        code, _, err = run(capsys, "index", "--family", "path:256", "--m", "4", "--method", "naive")
+        code, _, err = run(capsys, "index", "--family", "path:322", "--m", "4", "--method", "naive")
         assert code == 1
         assert "budget" in err
 

@@ -138,7 +138,7 @@ class TestDistances:
 
     def test_unreachable_marker(self):
         d = distance_matrix(new_graph(4, [(0, 1), (2, 3)]))
-        assert d.dtype == np.int64
+        assert d.dtype == np.int32
         assert d[0, 2] == d[2, 0] == _INF
         assert d[1, 3] == _INF
         assert d[0, 1] == d[2, 3] == 1

@@ -284,16 +284,16 @@ class TestReducedIndex:
 
     def test_z480_shared_table_budget(self, monkeypatch):
         # H has k = 23 vertices. Supports of up to m classes share one table
-        # of 8 * 23 * sum_{r=2}^{m-2} C(22, r) bytes: at m = 10 that is over
-        # the 64 MiB budget, so the query raises before allocating; at m = 9
-        # it is about 50 MiB and fits. Answering m = 9 takes about 30 s, so
+        # of 4 * 23 * sum_{r=2}^{m-2} C(22, r) bytes: at m = 11 that is over
+        # the 64 MiB budget, so the query raises before allocating; at m = 10
+        # it is about 56 MB and fits. Answering m = 10 takes about 47 s, so
         # only its budget check runs here, with no subset streamed.
         d = twin_partition(power_graph_zn(480))
         assert d.k == 23
         with pytest.raises(TerminalCapExceeded):
-            steiner_wiener_reduced(d, 10)
+            steiner_wiener_reduced(d, 11)
         monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
-        assert len(steiner_levels(distance_matrix(d.reduced), range(23), 9)) == 9
+        assert len(steiner_levels(distance_matrix(d.reduced), range(23), 10)) == 10
 
 
 @st.composite

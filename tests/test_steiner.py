@@ -68,7 +68,7 @@ def check_levels(g, universe, top, oracle):
         seen = set()
         for subsets, distances in levels[s - 1]:
             assert subsets.shape == (len(distances), s)
-            assert distances.dtype == np.int64 and distances.ndim == 1
+            assert distances.dtype == np.int32 and distances.ndim == 1
             for row, value in zip(subsets.tolist(), distances.tolist()):
                 assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < len(universe)
                 members = frozenset(universe[i] for i in row)
@@ -109,8 +109,9 @@ class TestSteinerDistance:
             steiner_distance(path_graph(3), set())
 
     def test_twenty_terminals_over_byte_budget(self):
+        # 4 * 40 * (2^19 - 40) table bytes: about 84 MB.
         with pytest.raises(TerminalCapExceeded):
-            steiner_distance(complete_graph(20), range(20))
+            steiner_distance(complete_graph(40), range(20))
 
 
 class TestKernel:
@@ -135,13 +136,17 @@ class TestKernel:
                     check_levels(g, universe, top, oracle)
 
     def test_universes_beside_unreachable_components(self, rng):
-        # Two random components with interleaved labels; universes are
-        # shuffled subsets of one of them.
-        for _ in range(12):
-            a, b = rng.randint(1, 7), rng.randint(1, 6)
+        # Two components with interleaved labels; universes are shuffled
+        # subsets of the first. In the first case the first is a path on 8
+        # vertices, all of them in the universe, beside a far component: at
+        # top = 8 the sums at anchors in the far component reach their
+        # largest, 3 * _INF plus a few hop counts, which int32 must hold.
+        for case in range(12):
+            a, b = (8 if case == 0 else rng.randint(1, 8)), rng.randint(1, 6)
+            first = path_graph(a) if case == 0 else random_connected_graph(rng, a, 0.4)
             labels = list(range(a + b))
             rng.shuffle(labels)
-            parts = [random_connected_graph(rng, a, 0.4), random_connected_graph(rng, b, 0.4)]
+            parts = [first, random_connected_graph(rng, b, 0.4)]
             edges = [
                 (labels[u + shift], labels[v + shift])
                 for part, shift in zip(parts, (0, a))
@@ -149,7 +154,7 @@ class TestKernel:
             ]
             g = new_graph(a + b, edges)
             oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
-            universe = rng.sample(labels[:a], rng.randint(1, a))
+            universe = rng.sample(labels[:a], a if case == 0 else rng.randint(1, a))
             for top in range(1, len(universe) + 1):
                 check_levels(g, universe, top, oracle)
 
@@ -170,7 +175,7 @@ class TestKernel:
             g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
             dist = distance_matrix(g)
             whole_chunks, whole = stream(dist, n, CHUNK_BYTES)
-            few_chunks, few = stream(dist, n, 8 * (3 * n + 128) * 3)
+            few_chunks, few = stream(dist, n, 4 * (3 * n + 128) * 3)
             single_chunks, single = stream(dist, n, 1)
             assert whole == few == single
             assert single_chunks == len(whole) == sum(comb(n, s) for s in range(1, min(n, 7) + 1))
@@ -181,12 +186,12 @@ class TestKernel:
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
-        # s terminals on n vertices keep (2^(s-1) - s - 1) * n int64 entries,
+        # s terminals on n vertices keep (2^(s-1) - s - 1) * n int32 entries,
         # one per subset of 2 to s - 2 of the first s - 1, beside one chunk of
         # CHUNK_BYTES.
         g = cycle_graph(16)
         terminals = range(0, 2 * s, 2)
-        need = 8 * 16 * ((1 << (s - 1)) - s - 1) + CHUNK_BYTES
+        need = 4 * 16 * ((1 << (s - 1)) - s - 1) + CHUNK_BYTES
         monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need)
         assert steiner_distance(g, terminals) == 2 * (s - 1)
         monkeypatch.setattr(steiner, "DP_BYTE_BUDGET", need - 1)
@@ -199,23 +204,26 @@ class TestKernel:
         assert steiner_wiener_naive(cycle_graph(16), 2) == wiener_index(cycle_graph(16))
 
     def test_byte_budget_checked_before_allocating(self):
-        # 17 terminals on 128 vertices: the table alone fills all but 18 KiB
+        # 18 terminals on 128 vertices: the table alone fills all but 18 KiB
         # of the 64 MiB, so with one chunk's working set it is just over.
         g = cycle_graph(128)
         tracemalloc.start()
         try:
             with pytest.raises(TerminalCapExceeded):
-                steiner_distance(g, range(17))
+                steiner_distance(g, range(18))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < DP_BYTE_BUDGET // 16
 
-    @pytest.mark.parametrize("n,m", [(256, 4), (85, 5), (47, 6), (34, 7), (27, 8)])
-    def test_naive_queries_over_budget(self, n, m):
-        # The smallest over budget at each m, as the README lists them.
+    @pytest.mark.parametrize("n,m", [(322, 4), (101, 5), (54, 6), (38, 7), (30, 8)])
+    def test_naive_queries_over_budget(self, n, m, monkeypatch):
+        # The smallest over budget at each m, as the README lists them: one
+        # vertex fewer passes the check (no subset is streamed).
         with pytest.raises(TerminalCapExceeded):
             steiner_wiener_naive(path_graph(n), m)
+        monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
+        assert steiner_wiener_naive(path_graph(n - 1), m) == 0
 
 
 class TestBruteForceOracle:

@@ -12,16 +12,24 @@ from twindex import (
     VertexOutOfRange,
     are_twins,
     generalized_composition,
+    induced_subgraph,
     is_connected,
     new_graph,
     permuted,
     recompose,
     twin_partition,
+    with_labels,
 )
-from twindex.generators import complete_graph, empty_graph, power_graph, power_graph_zn
+from twindex.generators import (
+    complete_graph,
+    empty_graph,
+    path_graph,
+    power_graph,
+    power_graph_zn,
+)
 from twindex.algebra import dihedral_group
 
-from conftest import random_graph
+from conftest import all_graphs, random_graph
 
 
 @st.composite
@@ -134,6 +142,22 @@ class TestTwinPartition:
         d = twin_partition(g)
         assert d.reduced.n == 3
         assert set(d.reduced.edges()) == {(0, 1), (0, 2)}
+
+    def test_twin_free_graph_is_its_own_reduced_graph(self):
+        # Every twin-free labelled graph with n <= 5, a labelled path and a
+        # large random one: H is the source graph itself, equal to the
+        # subgraph induced on all vertices.
+        rng = random.Random(7)
+        graphs = [g for n in range(6) for g in all_graphs(n)]
+        graphs += [with_labels(path_graph(6), "abcdef"), random_graph(rng, 200, 0.3)]
+        twin_free = 0
+        for g in graphs:
+            d = twin_partition(g)
+            if d.k == g.n:
+                twin_free += 1
+                assert d.reduced is g
+                assert d.reduced == induced_subgraph(g, range(g.n))[0]
+        assert twin_free > 100
 
     def test_partition_matches_pairwise_predicate(self):
         rng = random.Random(11)
