@@ -38,9 +38,7 @@ from .graph import (
     is_connected,
     new_graph,
     parse_graph,
-    permuted,
     render_graph,
-    with_labels,
 )
 from .twins import ClassKind, TwinDecomposition, are_twins, recompose, twin_partition
 from .steiner import (
@@ -64,14 +62,12 @@ from .algebra import (
     Ideal,
     all_ideals,
     cyclic_group,
-    cyclic_subgroup,
     dihedral_group,
     elementary_abelian_2,
     group_from_spec,
     group_product,
     ideal_from_spec,
     ideal_generated,
-    is_comaximal,
     jacobson_radical,
     maximal_ideals,
     poly_quotient_ring,

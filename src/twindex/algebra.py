@@ -4,12 +4,19 @@ Everything is small enough (paper-style families, at most a few hundred
 elements) that dense ``n x n`` numpy tables are the simplest uniform
 representation: one code path covers ``Z_n``, dihedral and quaternion
 groups, direct products, and polynomial quotient rings. Ideal machinery
-(generation, enumeration, Jacobson radical, comaximality) operates on plain
-element sets.
+(generation, sums, enumeration, Jacobson radical) operates on plain element
+sets; ``I`` and ``J`` are comaximal iff ``r.one in ideal_sum(I, J)``.
 
 Every table proves its axioms at construction, whether the package built it
-or the caller supplied it. The checks are exact but cost ``O(|A| n^2)``
-rather than ``O(n^3)``, by Light's associativity test (Clifford & Preston,
+or the caller supplied it, and groups and rings go through one validation
+path. :func:`_checked_table` checks the table's shape and entries, that the
+identity index lies in ``[0, n)`` and is a two-sided identity, and
+associativity; a group's table and a ring's addition also prove inverses.
+Element labels are stored as strings and must be unique, so a label names
+exactly one element.
+
+The associativity check is exact but costs ``O(|A| n^2)`` rather than
+``O(n^3)``, by Light's associativity test (Clifford & Preston,
 *The Algebraic Theory of Semigroups* I, section 1.2): if ``(x g) y == x (g y)``
 holds for all ``x, y`` and every ``g`` in a set ``A`` that generates the
 table, it holds for every ``g``, because the elements ``g`` for which it
@@ -25,6 +32,10 @@ its later element joins, so a whole search reads the table fewer than
 per distinct cyclic subgroup ``C``, ``sum |C|`` Python steps, and reads
 every element's row from one boolean (subgroups x n) membership matrix.
 
+Direct products of groups and of rings share one mixed-radix builder, which
+combines each factor's ``(table, identity)`` pairs: one pair for a group,
+two for a ring.
+
 No table is allocated beyond :data:`TABLE_BYTE_BUDGET` bytes (one int64
 table of order at most 2048): every built-in constructor, direct product
 and spec parser checks the order first and raises
@@ -32,7 +43,9 @@ and spec parser checks the order first and raises
 
 Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 ``"D12"``, ``"Q8"`` and ``"E2^3"`` are parsed by :func:`group_from_spec` /
-:func:`ring_from_spec` for the command-line surface.
+:func:`ring_from_spec` for the command-line surface; both go through one
+reader, which checks the order of the whole product before it builds any
+factor.
 """
 
 from __future__ import annotations
@@ -52,7 +65,7 @@ TABLE_BYTE_BUDGET = 1 << 25
 MAX_TABLE_ORDER = math.isqrt(TABLE_BYTE_BUDGET // 8)  # 2048
 
 
-# --- table validation helpers -------------------------------------------------
+# --- checked tables and direct products ------------------------------------------
 
 
 def _check_order(n: int, what: str) -> None:
@@ -64,14 +77,43 @@ def _check_order(n: int, what: str) -> None:
         )
 
 
-def _as_table(table, n: int, what: str) -> np.ndarray:
+def _checked_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``table`` as a read-only ``n x n`` int64 array, once it proves a monoid.
+
+    Checks the shape and the range of the entries, that ``identity`` lies in
+    ``[0, n)`` and is a two-sided identity, and associativity by Light's
+    test. Returns the table and the generating set that test used.
+    """
     arr = np.asarray(table, dtype=np.int64)
     if arr.shape != (n, n):
         raise BadParameter(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise BadParameter(f"{what} table entries must lie in [0, {n})")
+    if not 0 <= identity < n:
+        raise BadParameter(f"{what} identity index {identity} out of range [0, {n})")
+    idx = np.arange(n)
+    if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
+        raise BadParameter(f"element {identity} is not a two-sided identity for {what}")
     arr.setflags(write=False)
-    return arr
+    return arr, _check_associative(arr, what)
+
+
+def _checked_group_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_checked_table`, and every element has an inverse."""
+    arr, gens = _checked_table(table, n, identity, what)
+    if not (arr == identity).any(axis=1).all():
+        raise BadParameter(f"some element has no inverse for {what}")
+    return arr, gens
+
+
+def _element_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
+    """``n`` distinct element labels as strings; ``"0" .. "n-1"`` when none are given."""
+    labels = tuple(map(str, range(n) if labels is None else labels))
+    if len(labels) != n:
+        raise BadParameter(f"expected {n} labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise BadParameter("element labels must be unique")
+    return labels
 
 
 def _generating_set(table: np.ndarray) -> np.ndarray:
@@ -127,11 +169,49 @@ def _check_distributive(add: np.ndarray, mul: np.ndarray, add_gens: np.ndarray) 
             raise BadParameter(f"distributivity fails at element {g}")
 
 
-def _check_identity(table: np.ndarray, e: int, what: str) -> None:
-    n = table.shape[0]
-    idx = np.arange(n)
-    if not (np.array_equal(table[e], idx) and np.array_equal(table[:, e], idx)):
-        raise BadParameter(f"element {e} is not a two-sided {what} identity")
+def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRing:
+    """The direct product of ``factors``, built as ``cls``; one factor is its own product.
+
+    ``pairs(f)`` lists a factor's ``(table, identity)`` pairs in constructor
+    order: one for a group, addition then multiplication for a ring. Elements
+    are tuples in row-major index order, so each product table and identity
+    is a mixed-radix sum of the factors' ones.
+    """
+    if not factors:
+        raise BadParameter("a direct product needs at least one factor")
+    if len(factors) == 1:
+        return factors[0]
+    sizes = [len(f.element_labels) for f in factors]
+    total = math.prod(sizes)
+    name = "x".join(f.name for f in factors)
+    _check_order(total, name)
+    digits = _mixed_radix_digits(total, sizes)
+    tables, identities = [], []
+    for parts in zip(*map(pairs, factors)):
+        table = np.zeros((total, total), dtype=np.int64)
+        identity = 0
+        for j, (factor_table, factor_identity) in enumerate(parts):
+            stride = math.prod(sizes[j + 1 :])
+            dj = digits[:, j]
+            table += factor_table[dj[:, None], dj[None, :]] * stride
+            identity += factor_identity * stride
+        tables.append(table)
+        identities.append(identity)
+    labels = [
+        "(" + ",".join(f.element_labels[d] for f, d in zip(factors, row)) + ")"
+        for row in digits.tolist()
+    ]
+    return cls(*tables, *identities, labels, name=name)
+
+
+def _mixed_radix_digits(total: int, sizes: Sequence[int]) -> np.ndarray:
+    """Row-major digit matrix: ``digits[i, j]`` is index ``i``'s j-th coordinate."""
+    digits = np.zeros((total, len(sizes)), dtype=np.int64)
+    idx = np.arange(total)
+    for j in range(len(sizes) - 1, -1, -1):
+        digits[:, j] = idx % sizes[j]
+        idx //= sizes[j]
+    return digits
 
 
 # --- groups -------------------------------------------------------------------
@@ -141,7 +221,8 @@ class FiniteGroup:
     """A finite group given by its composition table.
 
     Construction proves every group axiom, associativity by Light's test over
-    a generating set; instances are immutable.
+    a generating set, and that the labels are distinct; instances are
+    immutable.
     """
 
     def __init__(
@@ -151,26 +232,10 @@ class FiniteGroup:
         labels: Sequence[str] | None = None,
         name: str = "group",
     ):
-        tab = _as_table(table, len(table), "composition")
-        n = tab.shape[0]
-        if n == 0:
-            raise BadParameter("a group needs at least one element")
-        if not 0 <= identity < n:
-            raise BadParameter(f"identity index {identity} out of range")
-        _check_identity(tab, identity, "group")
-        _check_associative(tab, "composition")
-        if not (tab == identity).any(axis=1).all():
-            raise BadParameter("some element has no inverse")
-        self._table = tab
+        self._table, _ = _checked_group_table(table, len(table), identity, "composition")
         self.identity = identity
         self.name = name
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise BadParameter(f"expected {n} labels, got {len(labels)}")
-        self.element_labels = labels
+        self.element_labels = _element_labels(labels, self.order)
 
     @property
     def order(self) -> int:
@@ -191,18 +256,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-def cyclic_subgroup(g: FiniteGroup, a: int) -> frozenset[int]:
-    """All powers of ``a``: the cyclic subgroup it generates."""
-    if not 0 <= a < g.order:
-        raise BadParameter(f"element {a} out of range for {g!r}")
-    seen = {g.identity}
-    x = a
-    while x not in seen:
-        seen.add(x)
-        x = g.op(x, a)
-    return frozenset(seen)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -265,37 +318,7 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
 
 def group_product(*groups: FiniteGroup) -> FiniteGroup:
     """Direct product; elements are tuples in row-major index order."""
-    if not groups:
-        raise BadParameter("product of groups needs at least one factor")
-    if len(groups) == 1:
-        return groups[0]
-    sizes = [g.order for g in groups]
-    total = math.prod(sizes)
-    name = "x".join(g.name for g in groups)
-    _check_order(total, name)
-    digits = _mixed_radix_digits(total, sizes)
-    table = np.zeros((total, total), dtype=np.int64)
-    identity = 0
-    for j, g in enumerate(groups):
-        stride = math.prod(sizes[j + 1 :])
-        dj = digits[:, j]
-        table += g._table[dj[:, None], dj[None, :]] * stride
-        identity += g.identity * stride
-    labels = [
-        "(" + ",".join(g.element_labels[digits[i, j]] for j, g in enumerate(groups)) + ")"
-        for i in range(total)
-    ]
-    return FiniteGroup(table, identity, labels, name=name)
-
-
-def _mixed_radix_digits(total: int, sizes: Sequence[int]) -> np.ndarray:
-    """Row-major digit matrix: ``digits[i, j]`` is index ``i``'s j-th coordinate."""
-    digits = np.zeros((total, len(sizes)), dtype=np.int64)
-    idx = np.arange(total)
-    for j in range(len(sizes) - 1, -1, -1):
-        digits[:, j] = idx % sizes[j]
-        idx //= sizes[j]
-    return digits
+    return _product(FiniteGroup, groups, lambda g: [(g._table, g.identity)])
 
 
 # --- rings --------------------------------------------------------------------
@@ -305,10 +328,10 @@ class FiniteRing:
     """A finite commutative ring with unity given by its two tables.
 
     Construction proves the abelian additive group, associative commutative
-    multiplication with identity, distributivity, and ``zero != one`` for
-    size >= 2. Associativity is checked by Light's test over a generating set
-    of each table, distributivity over a generating set of the additive
-    group.
+    multiplication with identity, distributivity, ``zero != one`` for
+    size >= 2, and that the labels are distinct. Associativity is checked by
+    Light's test over a generating set of each table, distributivity over a
+    generating set of the additive group.
     """
 
     def __init__(
@@ -321,20 +344,12 @@ class FiniteRing:
         name: str = "ring",
     ):
         n = len(add)
-        if n < 1:
-            raise BadParameter("a ring needs at least one element")
-        add_t = _as_table(add, n, "addition")
-        mul_t = _as_table(mul, n, "multiplication")
+        add_t, add_gens = _checked_group_table(add, n, zero, "addition")
+        mul_t, _ = _checked_table(mul, n, one, "multiplication")
         if not np.array_equal(add_t, add_t.T):
             raise BadParameter("addition is not commutative")
-        _check_identity(add_t, zero, "additive")
-        add_gens = _check_associative(add_t, "addition")
-        if not (add_t == zero).any(axis=1).all():
-            raise BadParameter("some element has no additive inverse")
         if not np.array_equal(mul_t, mul_t.T):
             raise BadParameter("multiplication is not commutative")
-        _check_identity(mul_t, one, "multiplicative")
-        _check_associative(mul_t, "multiplication")
         _check_distributive(add_t, mul_t, add_gens)
         if n >= 2 and zero == one:
             raise BadParameter("zero and one must differ for size >= 2")
@@ -343,14 +358,8 @@ class FiniteRing:
         self.zero = zero
         self.one = one
         self.name = name
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise BadParameter(f"expected {n} labels, got {len(labels)}")
-        self.element_labels = labels
-        self.label_index = {s: i for i, s in enumerate(labels)}
+        self.element_labels = _element_labels(labels, n)
+        self.label_index = {s: i for i, s in enumerate(self.element_labels)}
 
     @property
     def size(self) -> int:
@@ -384,30 +393,7 @@ def zmod(n: int) -> FiniteRing:
 
 def ring_product(*rings: FiniteRing) -> FiniteRing:
     """Direct product with componentwise operations and tuple labels."""
-    if not rings:
-        raise BadParameter("product of rings needs at least one factor")
-    if len(rings) == 1:
-        return rings[0]
-    sizes = [r.size for r in rings]
-    total = math.prod(sizes)
-    name = "x".join(r.name for r in rings)
-    _check_order(total, name)
-    digits = _mixed_radix_digits(total, sizes)
-    add = np.zeros((total, total), dtype=np.int64)
-    mul = np.zeros((total, total), dtype=np.int64)
-    zero = one = 0
-    for j, r in enumerate(rings):
-        stride = math.prod(sizes[j + 1 :])
-        dj = digits[:, j]
-        add += r._add[dj[:, None], dj[None, :]] * stride
-        mul += r._mul[dj[:, None], dj[None, :]] * stride
-        zero += r.zero * stride
-        one += r.one * stride
-    labels = [
-        "(" + ",".join(r.element_labels[digits[i, j]] for j, r in enumerate(rings)) + ")"
-        for i in range(total)
-    ]
-    return FiniteRing(add, mul, zero, one, labels, name=name)
+    return _product(FiniteRing, rings, lambda r: [(r._add, r.zero), (r._mul, r.one)])
 
 
 def _is_prime(p: int) -> bool:
@@ -606,14 +592,6 @@ def jacobson_radical(r: FiniteRing) -> Ideal:
     return ideal_intersection(r, maximal_ideals(r))
 
 
-def is_comaximal(r: FiniteRing, i: Ideal, j: Ideal) -> bool:
-    """True iff ``I + J`` is the whole ring (equivalently, contains one)."""
-    if i.ring is not r or j.ring is not r:
-        raise RingMismatch("ideals do not belong to the given ring")
-    table = r._add[np.ix_(np.array(i.elements), np.array(j.elements))]
-    return bool((table == r.one).any())
-
-
 # --- compact spec strings -------------------------------------------------------
 
 
@@ -635,7 +613,8 @@ def _split_top_level(s: str, sep: str) -> list[str]:
     return parts
 
 
-def _parse_poly(text: str, p: int) -> list[int]:
+def _parse_poly(text: str) -> list[int]:
+    """The integer coefficients of ``text``, lowest degree first, not yet reduced."""
     coeffs: dict[int, int] = {}
     for term in text.split("+"):
         term = term.strip()
@@ -653,87 +632,67 @@ def _parse_poly(text: str, p: int) -> list[int]:
             d = int(d_str.lstrip("^")) if d_str else 1
         except ValueError:
             raise BadParameter(f"bad polynomial term {term!r}") from None
+        if d < 0:
+            raise BadParameter(f"negative exponent in polynomial term {term!r}")
         coeffs[d] = coeffs.get(d, 0) + c
-    degree = max(coeffs)
-    return [coeffs.get(d, 0) % p for d in range(degree + 1)]
-
-
-def _build_factors(spec: str, atoms: list[tuple[int, Callable]]) -> list:
-    """Build the ``(order, builder)`` factors once their orders fit one table.
-
-    The orders are read off the spec, so an over-budget product allocates
-    nothing. A factor of order below 1 is left for its constructor to reject.
-    """
-    orders = [order for order, _ in atoms]
-    if min(orders) >= 1:
-        _check_order(math.prod(orders), spec)
-    return [build() for _, build in atoms]
-
-
-def _ring_atom(atom: str) -> tuple[int, Callable[[], FiniteRing]]:
-    if "[" in atom:
-        head, _, rest = atom.partition("[")
-        if not (head.startswith("Z") and rest.startswith("x]/(") and rest.endswith(")")):
-            raise BadParameter(f"bad quotient ring spec {atom!r}")
-        try:
-            p = int(head[1:])
-        except ValueError:
-            raise BadParameter(f"bad modulus in {atom!r}") from None
-        coeffs = _monic_modulus(p, _parse_poly(rest[len("x]/(") : -1], p))
-        return p ** (len(coeffs) - 1), partial(poly_quotient_ring, p, coeffs)
-    if atom.startswith("Z"):
-        try:
-            n = int(atom[1:])
-        except ValueError:
-            raise BadParameter(f"bad ring spec {atom!r}") from None
-        return n, partial(zmod, n)
-    raise BadParameter(f"unknown ring spec {atom!r}")
-
-
-def ring_from_spec(spec: str) -> FiniteRing:
-    """Parse ring specs like ``Z24``, ``Z2xZ2xZ4`` or ``Z2[x]/(x^3)xZ2``."""
-    spec = spec.strip()
-    if not spec:
-        raise BadParameter("empty ring spec")
-    atoms = _build_factors(spec, [_ring_atom(a) for a in _split_top_level(spec, "x")])
-    return ring_product(*atoms) if len(atoms) > 1 else atoms[0]
-
-
-def _group_atom(atom: str) -> tuple[int, Callable[[], FiniteGroup]]:
-    if atom.startswith("Z"):
-        try:
-            n = int(atom[1:])
-        except ValueError:
-            raise BadParameter(f"bad group spec {atom!r}") from None
-        return n, partial(cyclic_group, n)
-    if atom.startswith("D"):
-        try:
-            order = int(atom[1:])
-        except ValueError:
-            raise BadParameter(f"bad group spec {atom!r}") from None
-        if order % 2 or order < 6:
-            raise BadParameter(f"dihedral spec needs an even order >= 6, got {atom!r}")
-        return order, partial(dihedral_group, order // 2)
-    if atom == "Q8":
-        return 8, quaternion_group
-    if atom.startswith("E2^"):
-        try:
-            k = int(atom[3:])
-        except ValueError:
-            raise BadParameter(f"bad group spec {atom!r}") from None
-        if k < 1:
-            raise BadParameter(f"bad group spec {atom!r}")
-        return 1 << k, partial(elementary_abelian_2, k)
-    raise BadParameter(f"unknown group spec {atom!r}")
+    return [coeffs.get(d, 0) for d in range(max(coeffs) + 1)]
 
 
 def group_from_spec(spec: str) -> FiniteGroup:
     """Parse group specs like ``Z6``, ``D12``, ``Q8``, ``E2^3`` or products."""
+    return _read_spec(spec, "group")
+
+
+def ring_from_spec(spec: str) -> FiniteRing:
+    """Parse ring specs like ``Z24``, ``Z2xZ2xZ4`` or ``Z2[x]/(x^3)xZ2``."""
+    return _read_spec(spec, "ring")
+
+
+def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
+    """The group or ring (``kind``) that ``spec`` names: ``x``-joined factors.
+
+    Every factor's order is read off the text first, so an over-budget
+    product allocates nothing. A factor of order below 1 is left for its
+    constructor to reject.
+    """
     spec = spec.strip()
     if not spec:
-        raise BadParameter("empty group spec")
-    atoms = _build_factors(spec, [_group_atom(a) for a in _split_top_level(spec, "x")])
-    return group_product(*atoms) if len(atoms) > 1 else atoms[0]
+        raise BadParameter(f"empty {kind} spec")
+    factors = [_spec_factor(atom, kind) for atom in _split_top_level(spec, "x")]
+    orders = [order for order, _ in factors]
+    if min(orders) >= 1:
+        _check_order(math.prod(orders), spec)
+    product = group_product if kind == "group" else ring_product
+    return product(*(build() for _, build in factors))
+
+
+def _spec_factor(atom: str, kind: str) -> tuple[int, Callable]:
+    """One factor of a spec: its order, read off the text, and its builder."""
+    if kind == "group" and atom == "Q8":
+        return 8, quaternion_group
+    # Only a ring factor may carry a polynomial quotient ``Z<p>[x]/(<poly>)``.
+    head, bracket, rest = atom.partition("[") if kind == "ring" else (atom, "", "")
+    prefix = next((p for p in ("Z", "D", "E2^") if head.startswith(p)), "")
+    if bracket and not (prefix == "Z" and rest.startswith("x]/(") and rest.endswith(")")):
+        raise BadParameter(f"bad quotient ring spec {atom!r}")
+    if not prefix or (kind == "ring" and prefix != "Z"):
+        raise BadParameter(f"unknown {kind} spec {atom!r}")
+    try:
+        k = int(head[len(prefix) :])
+    except ValueError:
+        raise BadParameter(f"bad {kind} spec {atom!r}") from None
+    if bracket:
+        coeffs = _monic_modulus(k, _parse_poly(rest[len("x]/(") : -1]))
+        return k ** (len(coeffs) - 1), partial(poly_quotient_ring, k, coeffs)
+    if prefix == "D":
+        if k % 2 or k < 6:
+            raise BadParameter(f"dihedral spec needs an even order >= 6, got {atom!r}")
+        return k, partial(dihedral_group, k // 2)
+    if prefix == "E2^":
+        if k < 1:
+            raise BadParameter(f"bad group spec {atom!r}")
+        return 1 << k, partial(elementary_abelian_2, k)
+    return k, partial(cyclic_group if kind == "group" else zmod, k)
 
 
 def ideal_from_spec(r: FiniteRing, spec: str) -> Ideal:

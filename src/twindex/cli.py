@@ -54,16 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_input(p, with_format=True):
+    def add_input(p):
         p.add_argument("--family", help="family spec, e.g. power:Z6 or comax:Z2xZ2xZ4")
         p.add_argument("--in", dest="infile", help="read a graph from a file ('-' for stdin)")
-        if with_format:
-            p.add_argument(
-                "--format",
-                choices=("edgelist", "json"),
-                default="edgelist",
-                help="parse format for --in (default: edgelist)",
-            )
+        p.add_argument(
+            "--format",
+            choices=("edgelist", "json"),
+            default="edgelist",
+            help="parse format for --in (default: edgelist)",
+        )
 
     gen = sub.add_parser("gen", help="emit a graph from a family spec")
     gen.add_argument("--family", required=True)

@@ -126,14 +126,6 @@ def new_graph(
     return Graph(tuple(masks), labels)
 
 
-def with_labels(g: Graph, labels: Sequence[str]) -> Graph:
-    """Copy of ``g`` carrying the given per-vertex labels."""
-    labels = tuple(str(s) for s in labels)
-    if len(labels) != g.n:
-        raise VertexOutOfRange(f"expected {g.n} labels, got {len(labels)}")
-    return Graph(g.masks, labels)
-
-
 def is_connected(g: Graph) -> bool:
     """True iff ``g`` has at most one connected component.
 
@@ -171,17 +163,6 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     )
     labels = tuple(g.labels[v] for v in keep)
     return Graph(masks, labels), tuple(keep)
-
-
-def permuted(g: Graph, perm: Sequence[int]) -> Graph:
-    """Relabel ``g`` by ``perm`` (``perm[old] = new``); labels move along."""
-    if sorted(perm) != list(range(g.n)):
-        raise VertexOutOfRange("perm must be a permutation of 0..n-1")
-    edges = [(perm[u], perm[v]) for u, v in g.edges()]
-    labels: list[str] = [""] * g.n
-    for old, new in enumerate(perm):
-        labels[new] = g.labels[old]
-    return new_graph(g.n, edges, labels)
 
 
 def generalized_composition(spec: CompositionSpec) -> Graph:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from twindex import is_connected, new_graph
+from twindex import BadParameter, Graph, VertexOutOfRange, is_connected, new_graph
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5):
@@ -22,6 +22,40 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5):
         if is_connected(g):
             return g
     raise AssertionError(f"could not sample a connected graph on {n} vertices")
+
+
+def with_labels(g: Graph, labels):
+    """Copy of ``g`` carrying the given per-vertex labels."""
+    labels = tuple(str(s) for s in labels)
+    if len(labels) != g.n:
+        raise VertexOutOfRange(f"expected {g.n} labels, got {len(labels)}")
+    return Graph(g.masks, labels)
+
+
+def permuted(g: Graph, perm):
+    """Relabel ``g`` by ``perm`` (``perm[old] = new``); labels move along."""
+    if sorted(perm) != list(range(g.n)):
+        raise VertexOutOfRange("perm must be a permutation of 0..n-1")
+    edges = [(perm[u], perm[v]) for u, v in g.edges()]
+    labels = [""] * g.n
+    for old, new in enumerate(perm):
+        labels[new] = g.labels[old]
+    return new_graph(g.n, edges, labels)
+
+
+def cyclic_subgroup(g, a: int) -> frozenset[int]:
+    """All powers of ``a`` in the group ``g``: the cyclic subgroup it generates.
+
+    The power-graph reference: it walks the powers one product at a time.
+    """
+    if not 0 <= a < g.order:
+        raise BadParameter(f"element {a} out of range for {g!r}")
+    seen = {g.identity}
+    x = a
+    while x not in seen:
+        seen.add(x)
+        x = g.op(x, a)
+    return frozenset(seen)
 
 
 def all_graphs(n: int):

@@ -27,7 +27,6 @@ from twindex.algebra import (
     _generating_set,
     all_ideals,
     cyclic_group,
-    cyclic_subgroup,
     dihedral_group,
     elementary_abelian_2,
     group_from_spec,
@@ -35,7 +34,6 @@ from twindex.algebra import (
     ideal_from_spec,
     ideal_generated,
     ideal_sum,
-    is_comaximal,
     jacobson_radical,
     maximal_ideals,
     poly_quotient_ring,
@@ -44,9 +42,10 @@ from twindex.algebra import (
     ring_product,
     zmod,
 )
-from twindex.generators import family_graph
+from twindex.generators import family_graph, power_graph
+from twindex.graph import parse_graph, render_graph
 
-from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP
+from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP, cyclic_subgroup
 
 
 class TestGroups:
@@ -107,6 +106,27 @@ class TestGroups:
         assert h.identity == 2
         assert h.element_labels[h.identity] == "(0,2)"
 
+    def test_single_factor_is_its_own_product(self):
+        g = cyclic_group(5)
+        assert group_product(g) is g
+
+    @pytest.mark.parametrize("identity", [-1, -5, 6])
+    def test_identity_out_of_range(self, identity):
+        with pytest.raises(BadParameter):
+            FiniteGroup(cyclic_group(6)._table, identity)
+
+    def test_duplicate_labels_rejected(self):
+        with pytest.raises(BadParameter, match="unique"):
+            FiniteGroup(cyclic_group(6)._table, 0, ["0", "1", "2", "1", "4", "5"])
+
+    def test_labels_are_strings(self):
+        # Graph labels must be strings for the JSON format to read them back.
+        g = power_graph(FiniteGroup(cyclic_group(3)._table, 0, [0, 1, 2]))
+        assert g.labels == ("0", "1", "2")
+        assert parse_graph(render_graph(g, "json"), "json") == g
+        with pytest.raises(BadParameter, match="unique"):
+            FiniteGroup(cyclic_group(2)._table, 0, [1, "1"])
+
     @pytest.mark.parametrize("build", [lambda: cyclic_group(0), lambda: dihedral_group(2), lambda: elementary_abelian_2(0)])
     def test_bad_parameters(self, build):
         with pytest.raises(BadParameter):
@@ -156,6 +176,43 @@ class TestRings:
         a, b = r.label_index["(3,1)"], r.label_index["(2,0)"]
         assert r.element_labels[r.mul(a, b)] == "(0,0)"
         assert r.element_labels[r.add(a, b)] == "(5,1)"
+
+    def test_product_zero_and_one_from_factors(self):
+        # Z3 relabelled so that element i stands for i + 1: zero is 2, one is 0.
+        z3 = FiniteRing(
+            [[(i + j + 1) % 3 for j in range(3)] for i in range(3)],
+            [[((i + 1) * (j + 1) + 2) % 3 for j in range(3)] for i in range(3)],
+            2,
+            0,
+            name="Z3'",
+        )
+        r = ring_product(z3, zmod(2))
+        assert (r.zero, r.one) == (4, 1)
+        assert (r.element_labels[r.zero], r.element_labels[r.one]) == ("(2,0)", "(0,1)")
+        s = ring_product(zmod(2), z3)
+        assert (s.zero, s.one) == (2, 3)
+        assert (s.element_labels[s.zero], s.element_labels[s.one]) == ("(0,2)", "(1,0)")
+
+    def test_single_factor_is_its_own_product(self):
+        r = zmod(5)
+        assert ring_product(r) is r
+
+    @pytest.mark.parametrize("index", [-1, -5, 6])
+    @pytest.mark.parametrize("which", ["zero", "one"])
+    def test_zero_and_one_out_of_range(self, which, index):
+        # An index from the end (-5 is element 1 of Z6) must not pass as
+        # zero or one, and 6 must not reach the table as an index.
+        r = zmod(6)
+        identities = {"zero": r.zero, "one": r.one, which: index}
+        with pytest.raises(BadParameter, match="out of range"):
+            FiniteRing(r._add, r._mul, **identities)
+
+    def test_duplicate_labels_rejected(self):
+        # A repeated label would name two elements, so an ideal spec "(1)"
+        # could resolve to the wrong generator.
+        r = zmod(6)
+        with pytest.raises(BadParameter, match="unique"):
+            FiniteRing(r._add, r._mul, 0, 1, ["0", "1", "2", "1", "4", "5"])
 
     def test_axioms_verified(self):
         n = 3
@@ -402,20 +459,20 @@ class TestIdeals:
     def test_comaximal_in_z6(self):
         r = zmod(6)
         i2, i3 = ideal_generated(r, [2]), ideal_generated(r, [3])
-        assert is_comaximal(r, i2, i3)
+        assert r.one in ideal_sum(i2, i3)
 
     def test_proper_ideal_never_comaximal_with_itself(self):
         r = zmod(4)
         i = ideal_generated(r, [2])
-        assert not is_comaximal(r, i, i)
+        assert r.one not in ideal_sum(i, i)
         r6 = zmod(6)
         i3 = ideal_generated(r6, [3])
-        assert not is_comaximal(r6, i3, i3)
+        assert r6.one not in ideal_sum(i3, i3)
 
     def test_ring_mismatch(self):
         r, s = zmod(6), zmod(6)
         with pytest.raises(RingMismatch):
-            is_comaximal(r, ideal_generated(r, [2]), ideal_generated(s, [3]))
+            ideal_sum(ideal_generated(r, [2]), ideal_generated(s, [3]))
 
 
 class TestSpecStrings:
@@ -438,6 +495,13 @@ class TestSpecStrings:
     def test_bad_group_or_ring_specs(self, spec):
         with pytest.raises(BadParameter):
             group_from_spec(spec)
+        with pytest.raises(BadParameter):
+            ring_from_spec(spec)
+
+    @pytest.mark.parametrize("spec", ["Z0[x]/(x^2)", "Z2[x]/(x^-1+x^2)", "Z3[x]/(x^2)xZ0[x]/(x)"])
+    def test_bad_quotient_specs(self, spec):
+        # The modulus is checked before the polynomial is reduced by it, and
+        # a negative exponent is no polynomial term.
         with pytest.raises(BadParameter):
             ring_from_spec(spec)
 

@@ -13,12 +13,10 @@ from twindex import (
     is_connected,
     twin_partition,
     wiener_index,
-    with_labels,
 )
 from twindex.algebra import (
     all_ideals,
     cyclic_group,
-    cyclic_subgroup,
     group_from_spec,
     elementary_abelian_2,
     ideal_generated,
@@ -46,7 +44,7 @@ from twindex.generators import (
     zero_divisor_graph,
 )
 
-from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP
+from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP, cyclic_subgroup, with_labels
 
 
 class TestPowerGraph:

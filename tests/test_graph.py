@@ -21,15 +21,13 @@ from twindex import (
     is_connected,
     new_graph,
     parse_graph,
-    permuted,
     render_graph,
-    with_labels,
 )
 from twindex.generators import complete_graph, empty_graph, family_graph, path_graph, power_graph_zn
 from twindex.steiner import _INF
 from twindex.twins import twin_partition
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, permuted, random_graph, with_labels
 
 
 def bfs_distances(neighbors, source):

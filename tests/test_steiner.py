@@ -17,7 +17,6 @@ from twindex import (
     TerminalCapExceeded,
     is_connected,
     new_graph,
-    permuted,
     steiner_distance,
     steiner_distance_bruteforce,
     steiner_wiener_naive,
@@ -41,7 +40,7 @@ from twindex.steiner import (
     steiner_levels,
 )
 
-from conftest import all_graphs, random_connected_graph
+from conftest import all_graphs, permuted, random_connected_graph
 
 
 def components(g):

@@ -15,10 +15,8 @@ from twindex import (
     induced_subgraph,
     is_connected,
     new_graph,
-    permuted,
     recompose,
     twin_partition,
-    with_labels,
 )
 from twindex.generators import (
     complete_graph,
@@ -29,7 +27,7 @@ from twindex.generators import (
 )
 from twindex.algebra import dihedral_group
 
-from conftest import all_graphs, random_graph
+from conftest import all_graphs, permuted, random_graph, with_labels
 
 
 @st.composite
