@@ -10,7 +10,7 @@ sets; ``I`` and ``J`` are comaximal iff ``r.one in ideal_sum(I, J)``.
 Every table proves its axioms at construction, whether the package built it
 or the caller supplied it, and groups and rings go through one validation
 path. :func:`_checked_table` checks the table's shape and entries, that the
-identity index lies in ``[0, n)`` and is a two-sided identity, and
+identity index is an integer in ``[0, n)`` and a two-sided identity, and
 associativity; a group's table and a ring's addition also prove inverses.
 Element labels are stored as strings and must be unique, so a label names
 exactly one element.
@@ -51,6 +51,7 @@ factor.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial, reduce
 from typing import Callable, Iterable, Sequence
@@ -77,11 +78,20 @@ def _check_order(n: int, what: str) -> None:
         )
 
 
+def _element_index(x, n: int, what: str) -> int:
+    """``x`` as an int in ``[0, n)``; numpy integers pass, ``bool`` and ``float`` raise."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Integral):
+        raise BadParameter(f"{what} {x!r} is not an integer")
+    if not 0 <= x < n:
+        raise BadParameter(f"{what} {x} out of range [0, {n})")
+    return int(x)
+
+
 def _checked_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """``table`` as a read-only ``n x n`` int64 array, once it proves a monoid.
 
-    Checks the shape and the range of the entries, that ``identity`` lies in
-    ``[0, n)`` and is a two-sided identity, and associativity by Light's
+    Checks the shape and the range of the entries, that ``identity`` is an
+    integer in ``[0, n)`` and a two-sided identity, and associativity by Light's
     test. Returns the table and the generating set that test used.
     """
     arr = np.asarray(table, dtype=np.int64)
@@ -89,8 +99,7 @@ def _checked_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray,
         raise BadParameter(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise BadParameter(f"{what} table entries must lie in [0, {n})")
-    if not 0 <= identity < n:
-        raise BadParameter(f"{what} identity index {identity} out of range [0, {n})")
+    identity = _element_index(identity, n, f"{what} identity index")
     idx = np.arange(n)
     if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
         raise BadParameter(f"element {identity} is not a two-sided identity for {what}")
@@ -233,7 +242,7 @@ class FiniteGroup:
         name: str = "group",
     ):
         self._table, _ = _checked_group_table(table, len(table), identity, "composition")
-        self.identity = identity
+        self.identity = int(identity)
         self.name = name
         self.element_labels = _element_labels(labels, self.order)
 
@@ -355,8 +364,8 @@ class FiniteRing:
             raise BadParameter("zero and one must differ for size >= 2")
         self._add = add_t
         self._mul = mul_t
-        self.zero = zero
-        self.one = one
+        self.zero = int(zero)
+        self.one = int(one)
         self.name = name
         self.element_labels = _element_labels(labels, n)
         self.label_index = {s: i for i, s in enumerate(self.element_labels)}
@@ -508,8 +517,7 @@ def ideal_generated(r: FiniteRing, gens: Iterable[int] = ()) -> Ideal:
     """Smallest ideal containing ``gens``: fixed-point closure of ``R*gens``."""
     current = {r.zero}
     for g in gens:
-        if not 0 <= g < r.size:
-            raise BadParameter(f"generator {g} out of range for {r!r}")
+        g = _element_index(g, r.size, "generator")
         current.update(r._mul[:, g].tolist())
     while True:
         arr = np.fromiter(current, count=len(current), dtype=np.int64)

@@ -1,5 +1,9 @@
 """Command-line surface: generate graphs, decompose, compute indices, bench.
 
+``index`` and ``bench`` run every route through :func:`_run_index`; a bench
+CSV row is the fastest of ``--reps`` such records. ``--method closed_form``
+reads ``SW_m`` off the family spec and builds no graph.
+
 Exit codes: 0 success, 1 computation error (disconnected input, caps
 exceeded, unsupported ring), 2 usage error (bad flags or malformed specs),
 3 reference-value verification failure.
@@ -9,16 +13,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import time
 from dataclasses import asdict, dataclass
+from pathlib import Path
 
 from .errors import BadParameter, ParseError, TwindexError
 from .generators import family_graph
 from .graph import GRAPH_FORMATS, Graph, parse_graph, render_graph
-from .reduced import steiner_wiener_reduced_with_stats, sw_complete_multipartite
-from .reference import run_all_checks, verify_star_formula
+from .reduced import steiner_wiener_reduced_with_stats
+from .reference import closed_form, run_all_checks, verify_star_formula
 from .steiner import steiner_wiener_naive
 from .twins import twin_partition
 
@@ -97,19 +103,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _input_graph(args) -> tuple[Graph, str]:
-    if getattr(args, "family", None) and getattr(args, "infile", None):
+def _input_graph(args, build: bool = True) -> tuple[Graph | None, str]:
+    """The input graph and its name; ``build=False`` checks and names it only."""
+    family, infile = getattr(args, "family", None), getattr(args, "infile", None)
+    if family and infile:
         raise BadParameter("give either --family or --in, not both")
-    if getattr(args, "family", None):
-        return family_graph(args.family), args.family
-    if getattr(args, "infile", None):
-        if args.infile == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        return parse_graph(text, args.format), args.infile
-    raise BadParameter("an input graph is required: --family or --in")
+    if not (family or infile):
+        raise BadParameter("an input graph is required: --family or --in")
+    if not build:
+        return None, family or infile
+    if family:
+        return family_graph(family), family
+    text = sys.stdin.read() if infile == "-" else Path(infile).read_text(encoding="utf-8")
+    return parse_graph(text, args.format), infile
 
 
 def _write(path: str, text: str) -> None:
@@ -128,39 +134,28 @@ def _progress(done: int, total: int) -> None:
         sys.stderr.flush()
 
 
-def _multipartite_sizes(family: str | None) -> list[int]:
-    if not family or not family.startswith("multipartite:"):
-        raise BadParameter("--method closed_form needs --family multipartite:<sizes>")
-    return [int(s) for s in family.split(":", 1)[1].split(",")]
+def _run_index(
+    method: str, m: int, g: Graph | None, family: str | None, *, source: str, command: str,
+    progress=None,
+) -> RunRecord:
+    """Run and time one route to ``SW_m``; the record ``index --json`` prints.
 
-
-def _compute_index(g: Graph, descriptor: str, args, argv_echo: str) -> RunRecord:
+    ``closed_form`` reads the family spec and needs no graph; ``naive`` and
+    ``reduced`` run on ``g``. ``source`` names the input in the record.
+    """
     start = time.perf_counter()
-    extras: dict[str, int] = {}
-    if args.method == "naive":
-        progress = _progress if not args.json else None
-        value = steiner_wiener_naive(g, args.m, progress=progress)
-    elif args.method == "reduced":
-        decomposition = twin_partition(g)
-        value, stats = steiner_wiener_reduced_with_stats(decomposition, args.m)
-        extras = {
-            "num_classes": stats.num_classes,
-            "num_profiles": stats.num_profiles,
-            "dh_cache_hits": stats.dh_cache_hits,
-        }
+    extras = {}
+    if method == "closed_form":
+        value = closed_form(family, m) if family else None
+        if value is None:
+            raise BadParameter("--method closed_form needs --family multipartite:<sizes>")
+    elif method == "naive":
+        value = steiner_wiener_naive(g, m, progress=progress)
     else:
-        sizes = _multipartite_sizes(getattr(args, "family", None))
-        value = sw_complete_multipartite(sizes, args.m)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return RunRecord(
-        command=argv_echo,
-        input=descriptor,
-        method=args.method,
-        m=args.m,
-        value=str(value),
-        elapsed_ms=round(elapsed_ms, 3),
-        **extras,
-    )
+        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
+        extras = asdict(stats)
+    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    return RunRecord(command, source, method, m, str(value), elapsed_ms, **extras)
 
 
 def cmd_gen(args, argv_echo: str) -> int:
@@ -196,12 +191,12 @@ def cmd_twins(args, argv_echo: str) -> int:
 
 
 def cmd_index(args, argv_echo: str) -> int:
-    g, descriptor = _input_graph(args)
-    record = _compute_index(g, descriptor, args, argv_echo)
-    if args.json:
-        sys.stdout.write(record.to_json() + "\n")
-    else:
-        sys.stdout.write(record.value + "\n")
+    g, source = _input_graph(args, build=args.method != "closed_form")
+    progress = None if args.json else _progress
+    record = _run_index(
+        args.method, args.m, g, args.family, source=source, command=argv_echo, progress=progress
+    )
+    sys.stdout.write((record.to_json() if args.json else record.value) + "\n")
     return 0
 
 
@@ -210,48 +205,29 @@ def cmd_bench(args, argv_echo: str) -> int:
         m_values = [int(s) for s in str(args.m).split(",")]
     except ValueError:
         raise BadParameter(f"bad --m list {args.m!r}") from None
-    rows = []
+    reps = max(1, args.reps)
+    rows: list[tuple[int, RunRecord]] = []
     for family in args.family:
         g = family_graph(family)
         for m in m_values:
-            values = {}
+            best = {}
             for method in ("naive", "reduced"):
-                best = None
-                for _ in range(max(1, args.reps)):
-                    start = time.perf_counter()
-                    if method == "naive":
-                        value = steiner_wiener_naive(g, m)
-                    else:
-                        value = steiner_wiener_reduced_with_stats(twin_partition(g), m)[0]
-                    elapsed = (time.perf_counter() - start) * 1000.0
-                    best = elapsed if best is None else min(best, elapsed)
-                values[method] = value
-                rows.append(
-                    {
-                        "family": family,
-                        "n": g.n,
-                        "m": m,
-                        "method": method,
-                        "value": str(value),
-                        "elapsed_ms": round(best, 3),
-                        "reps": max(1, args.reps),
-                    }
-                )
-            if values["naive"] != values["reduced"]:
+                records = [
+                    _run_index(method, m, g, family, source=family, command=argv_echo)
+                    for _ in range(reps)
+                ]
+                best[method] = min(records, key=lambda r: r.elapsed_ms)
+                rows.append((g.n, best[method]))
+            if best["naive"].value != best["reduced"].value:
                 raise TwindexError(
                     f"method disagreement on {family} m={m}: "
-                    f"naive={values['naive']} reduced={values['reduced']}"
+                    f"naive={best['naive'].value} reduced={best['reduced'].value}"
                 )
-    out = sys.stdout if args.out == "-" else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.DictWriter(
-            out, fieldnames=["family", "n", "m", "method", "value", "elapsed_ms", "reps"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(["family", "n", "m", "method", "value", "elapsed_ms", "reps"])
+    writer.writerows((r.input, n, r.m, r.method, r.value, r.elapsed_ms, reps) for n, r in rows)
+    _write(args.out, out.getvalue())
     return 0
 
 

@@ -215,6 +215,23 @@ def power_graph_zn(n: int) -> Graph:
     return power_graph(cyclic_group(n))
 
 
+def multipartite_sizes(spec: str) -> tuple[int, ...] | None:
+    """Part sizes of a ``multipartite:<s1,s2,...>`` spec; ``None`` for any other family.
+
+    The one parser of the sizes, for :func:`family_graph` and the closed form.
+    """
+    kind, _, rest = spec.partition(":")
+    if kind != "multipartite":
+        return None
+    try:
+        sizes = tuple(int(s) for s in rest.split(","))
+    except ValueError:
+        raise BadParameter(f"bad part sizes in {spec!r}") from None
+    if any(p < 1 for p in sizes):
+        raise BadParameter(f"part sizes must be positive, got {list(sizes)}")
+    return sizes
+
+
 def family_graph(spec: str) -> Graph:
     """Build a graph from a compact family spec string.
 
@@ -242,11 +259,7 @@ def family_graph(spec: str) -> Graph:
     if kind == "comax":
         return comaximal_ideal_graph(ring_from_spec(rest))
     if kind == "multipartite":
-        try:
-            sizes = [int(s) for s in rest.split(",")]
-        except ValueError:
-            raise BadParameter(f"bad part sizes in {spec!r}") from None
-        return complete_multipartite_graph(sizes)
+        return complete_multipartite_graph(multipartite_sizes(spec))
     scalar_families = {
         "wheel": wheel_graph,
         "star": star_graph,

@@ -1,10 +1,12 @@
 """Reference index values reported in the literature for the built-in families.
 
 Each check recomputes a published Wiener / Steiner-Wiener value with both the
-naive oracle and the twin-class reduction. The two methods must always agree
-with each other; a disagreement with the recorded literature value is
-reported as a (documented) erratum rather than silently absorbed, since the
-naive oracle evaluates the definition directly.
+naive oracle, the twin-class reduction and, where the family has one, the
+closed form from :func:`closed_form`, the one lookup that ``verify-paper``
+and ``index --method closed_form`` read. The methods must always agree with
+each other; a disagreement with the recorded literature value is reported as
+a (documented) erratum rather than silently absorbed, since the naive oracle
+evaluates the definition directly.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
-from .generators import family_graph, star_graph
+from .generators import family_graph, multipartite_sizes, star_graph
 from .reduced import steiner_wiener_reduced, sw_complete_multipartite
 from .steiner import steiner_wiener_naive
 from .twins import twin_partition
@@ -26,7 +27,6 @@ class ReferenceCheck:
     family: str
     m: int
     expected: int
-    closed_form: Callable[[], int] | None = None
 
 
 @dataclass
@@ -49,13 +49,7 @@ REFERENCE_CHECKS: tuple[ReferenceCheck, ...] = (
     ReferenceCheck("SW_3 of the power graph of Z6", "power:Z6", 3, 41),
     ReferenceCheck("W of the power graph of D12", "power:D12", 2, 113),
     ReferenceCheck("SW_6 of the power graph of Q8", "power:Q8", 6, 141),
-    ReferenceCheck(
-        "SW_5 of K_{3,3,3}",
-        "multipartite:3,3,3",
-        5,
-        504,
-        closed_form=lambda: sw_complete_multipartite((3, 3, 3), 5),
-    ),
+    ReferenceCheck("SW_5 of K_{3,3,3}", "multipartite:3,3,3", 5, 504),
     ReferenceCheck("SW_8 of the ideal-based zero-divisor graph of Z24 with I=(8)", "izdg:Z24:I=(8)", 8, 63),
     ReferenceCheck(
         "SW_4 of the ideal-based zero-divisor graph of Z2[x]/(x^3) x Z2 with I=(0)xZ2",
@@ -75,12 +69,22 @@ REFERENCE_CHECKS: tuple[ReferenceCheck, ...] = (
 )
 
 
+def closed_form(family: str, m: int) -> int | None:
+    """``SW_m`` of ``family`` from its spec alone, no graph built; ``None`` if none.
+
+    Only ``multipartite:<sizes>`` has one, the paper's corollary
+    (:func:`sw_complete_multipartite`), read through ``family_graph``'s parser.
+    """
+    sizes = multipartite_sizes(family)
+    return None if sizes is None else sw_complete_multipartite(sizes, m)
+
+
 def run_check(check: ReferenceCheck) -> CheckResult:
     start = time.perf_counter()
     g = family_graph(check.family)
     naive = steiner_wiener_naive(g, check.m)
     reduced = steiner_wiener_reduced(twin_partition(g), check.m)
-    closed = check.closed_form() if check.closed_form else None
+    closed = closed_form(check.family, check.m)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return CheckResult(check, naive, reduced, closed, elapsed_ms)
 

@@ -333,21 +333,3 @@ def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
     dist = _connected_distances(g, "the Wiener index requires a connected graph")
     return int(np.triu(dist, 1).sum())
-
-
-def all_steiner_distances(g: Graph) -> dict[frozenset[int], int]:
-    """Steiner distance of every non-empty vertex subset (test helper).
-
-    Every level of one :func:`steiner_levels` run over the full vertex set;
-    only sensible for tiny graphs.
-    """
-    if g.n > BRUTE_FORCE_VERTEX_CAP:
-        raise GraphTooLargeForBruteForce(
-            f"all-subsets table needs n <= {BRUTE_FORCE_VERTEX_CAP}, got {g.n}"
-        )
-    dist = _connected_distances(g, "all-subsets table requires a connected graph")
-    out: dict[frozenset[int], int] = {}
-    for level in steiner_levels(dist, range(g.n), g.n):
-        for subsets, distances in level:
-            out.update(zip(map(frozenset, subsets.tolist()), distances.tolist()))
-    return out

@@ -115,6 +115,18 @@ class TestGroups:
         with pytest.raises(BadParameter):
             FiniteGroup(cyclic_group(6)._table, identity)
 
+    @pytest.mark.parametrize("identity", [1.5, 0.0, True, False, np.bool_(False), np.float64(0)])
+    def test_identity_not_an_integer(self, identity):
+        # A float is no table index, and a bool would index the table as a mask.
+        with pytest.raises(BadParameter, match="not an integer"):
+            FiniteGroup(cyclic_group(3)._table, identity)
+
+    @pytest.mark.parametrize("identity", [np.int64(0), np.int32(0), np.uint8(0)])
+    def test_numpy_integer_identity(self, identity):
+        g = FiniteGroup(cyclic_group(3)._table, identity)
+        assert g.identity == 0 and type(g.identity) is int
+        assert g.inverse(1) == 2
+
     def test_duplicate_labels_rejected(self):
         with pytest.raises(BadParameter, match="unique"):
             FiniteGroup(cyclic_group(6)._table, 0, ["0", "1", "2", "1", "4", "5"])
@@ -206,6 +218,20 @@ class TestRings:
         identities = {"zero": r.zero, "one": r.one, which: index}
         with pytest.raises(BadParameter, match="out of range"):
             FiniteRing(r._add, r._mul, **identities)
+
+    @pytest.mark.parametrize("index", [1.0, 1.5, True, np.float64(1)])
+    @pytest.mark.parametrize("which", ["zero", "one"])
+    def test_zero_and_one_not_integers(self, which, index):
+        r = zmod(6)
+        identities = {"zero": r.zero, "one": r.one, which: index}
+        with pytest.raises(BadParameter, match="not an integer"):
+            FiniteRing(r._add, r._mul, **identities)
+
+    def test_numpy_integer_zero_and_one(self):
+        r = zmod(6)
+        s = FiniteRing(r._add, r._mul, np.int64(0), np.int64(1))
+        assert (s.zero, s.one) == (0, 1)
+        assert type(s.zero) is int and type(s.one) is int
 
     def test_duplicate_labels_rejected(self):
         # A repeated label would name two elements, so an ideal spec "(1)"
@@ -351,6 +377,21 @@ class TestIdeals:
     def test_zero_ideal(self):
         r = zmod(6)
         assert ideal_generated(r, []).elements == (0,)
+
+    @pytest.mark.parametrize("gen", [2.5, 2.0, True, np.float64(2), np.bool_(True)])
+    def test_generator_not_an_integer(self, gen):
+        with pytest.raises(BadParameter, match="not an integer"):
+            ideal_generated(zmod(6), [gen])
+
+    @pytest.mark.parametrize("gen", [-1, 6])
+    def test_generator_out_of_range(self, gen):
+        with pytest.raises(BadParameter, match="out of range"):
+            ideal_generated(zmod(6), [gen])
+
+    def test_numpy_integer_generators(self):
+        r = zmod(24)
+        assert ideal_generated(r, [np.int64(8)]).elements == (0, 8, 16)
+        assert ideal_generated(r, np.array([8, 6])).elements == ideal_generated(r, [2]).elements
 
     def test_generated_in_product(self):
         r = ring_product(zmod(6), zmod(2))

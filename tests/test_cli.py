@@ -7,6 +7,7 @@ import json
 import pytest
 
 from twindex.cli import main
+from twindex.reduced import steiner_wiener_reduced_with_stats
 
 
 def run(capsys, *argv):
@@ -134,6 +135,49 @@ class TestIndex:
         assert code == 2
         assert "multipartite" in err
 
+    def test_closed_form_builds_no_graph(self, capsys, monkeypatch):
+        def no_graph(spec):
+            raise AssertionError(f"closed_form built {spec}")
+
+        monkeypatch.setattr("twindex.cli.family_graph", no_graph)
+        code, out, _ = run(
+            capsys, "index", "--family", "multipartite:3,3,3", "--m", "5", "--method", "closed_form"
+        )
+        assert (code, out) == (0, "504\n")
+
+    @pytest.mark.parametrize(
+        "family", ["multipartite:a,3", "multipartite:0,3", "power:Z6", "power:Z20000"]
+    )
+    def test_closed_form_bad_family_is_usage_error(self, capsys, family):
+        # power:Z20000 is over the table budget (exit 1 under the other
+        # methods); closed_form rejects it before any table is built.
+        code, out, _ = run(
+            capsys, "index", "--family", family, "--m", "2", "--method", "closed_form"
+        )
+        assert (code, out) == (2, "")
+
+    def test_closed_form_from_file_is_usage_error(self, capsys, tmp_path):
+        source = tmp_path / "g.txt"
+        source.write_text("2\n0 1\n")
+        code, _, err = run(
+            capsys, "index", "--in", str(source), "--m", "2", "--method", "closed_form"
+        )
+        assert code == 2
+        assert "multipartite" in err
+        code, _, err = run(
+            capsys, "index", "--in", str(source), "--family", "multipartite:3,3",
+            "--m", "2", "--method", "closed_form",
+        )
+        assert code == 2
+        assert "not both" in err
+
+    def test_closed_form_one_part_is_computation_error(self, capsys):
+        code, out, err = run(
+            capsys, "index", "--family", "multipartite:5", "--m", "2", "--method", "closed_form"
+        )
+        assert (code, out) == (1, "")
+        assert "at least two parts" in err
+
     def test_methods_agree_across_families(self, capsys):
         for family in ["power:Z6", "power:Q8", "comax:Z6", "wheel:5", "izdg:Z24:I=(8)"]:
             for m in (2, 3):
@@ -212,6 +256,34 @@ class TestBench:
         rows = list(csv.DictReader(target.open()))
         assert {row["method"] for row in rows} == {"naive", "reduced"}
         assert all(row["value"] == "41" for row in rows)
+
+
+    def test_stdout_and_file_bytes_match(self, capsys, tmp_path):
+        target = tmp_path / "bench.csv"
+        argv = ["bench", "--family", "power:Z6", "--family", "wheel:5", "--m", "2,3", "--reps", "1"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--out", str(target))[:2] == (0, "")
+        written = target.read_bytes().decode()
+        assert written.startswith("family,n,m,method,value,elapsed_ms,reps\r\n")
+        assert out.startswith("family,n,m,method,value,elapsed_ms,reps\r\n")
+        assert written.count("\r\n") == out.count("\r\n") == 9
+        assert "\n" not in written.replace("\r\n", "")
+
+        def timings_masked(text):
+            return [line.rsplit(",", 2)[0] for line in text.split("\r\n")]
+
+        assert timings_masked(written) == timings_masked(out)
+
+    def test_disagreement_is_computation_error(self, capsys, monkeypatch):
+        def off_by_one(d, m):
+            value, stats = steiner_wiener_reduced_with_stats(d, m)
+            return value + 1, stats
+
+        monkeypatch.setattr("twindex.cli.steiner_wiener_reduced_with_stats", off_by_one)
+        code, out, err = run(capsys, "bench", "--family", "power:Z6", "--m", "3", "--reps", "1")
+        assert (code, out) == (1, "")
+        assert "method disagreement on power:Z6 m=3: naive=41 reduced=42" in err
 
 
 class TestVerify:

@@ -35,7 +35,6 @@ from twindex.steiner import (
     CHUNK_BYTES,
     DP_BYTE_BUDGET,
     _chunk_rows,
-    all_steiner_distances,
     distance_matrix,
     steiner_levels,
 )
@@ -258,12 +257,10 @@ class TestBruteForceOracle:
         for n in (5, 6, 7):
             for _ in range(12):
                 g = random_connected_graph(rng, n, 0.45)
-                table = all_steiner_distances(g)
                 for size in range(1, n + 1):
                     for s in itertools.combinations(range(n), size):
                         expected = steiner_distance_bruteforce(g, s)
                         assert steiner_distance(g, s) == expected
-                        assert table[frozenset(s)] == expected
 
     def test_agreement_larger_sampled_subsets(self, rng):
         for n in (8, 9):
@@ -383,7 +380,6 @@ class TestConnectivityFromMatrix:
     ROUTES = {
         "naive": lambda g: steiner_wiener_naive(g, min(2, g.n)),
         "wiener": wiener_index,
-        "all_subsets": all_steiner_distances,
     }
 
     @pytest.mark.parametrize("route", list(ROUTES))
