@@ -9,9 +9,9 @@ sets; ``I`` and ``J`` are comaximal iff ``r.one in ideal_sum(I, J)``.
 
 Every table proves its axioms at construction, whether the package built it
 or the caller supplied it, and groups and rings go through one validation
-path. :func:`_checked_table` checks the table's shape and entries, that the
-identity index is an integer in ``[0, n)`` and a two-sided identity, and
-associativity; a group's table and a ring's addition also prove inverses.
+path. :func:`_checked_table` checks the table's shape and entries, and that
+the identity index is an integer in ``[0, n)`` and a two-sided identity; a
+group's table and a ring's addition also prove associativity and inverses.
 Element labels are stored as strings and must be unique, so a label names
 exactly one element.
 
@@ -21,7 +21,13 @@ The associativity check is exact but costs ``O(|A| n^2)`` rather than
 holds for all ``x, y`` and every ``g`` in a set ``A`` that generates the
 table, it holds for every ``g``, because the elements ``g`` for which it
 holds are closed under the operation. Distributivity reduces the same way
-to a generating set of the additive group.
+to the generating set ``A`` of the additive group. A ring's multiplication
+is then tested over that same ``A``, which is far smaller than a generating
+set of the multiplicative monoid (1 element against 8 for ``Z2xZ3xZ5xZ7``):
+with addition an abelian group and multiplication commutative and
+distributive, multiplication is additive in each argument, so if ``g`` and
+``h`` pass, both sides for ``g + h`` expand to ``(x g) y + (x h) y``, and the
+elements that pass are closed under addition.
 
 The generating set is grown greedily by closure: each step scatters the
 products of the new elements with every member, in both orders, into one
@@ -32,9 +38,11 @@ its later element joins, so a whole search reads the table fewer than
 per distinct cyclic subgroup ``C``, ``sum |C|`` Python steps, and reads
 every element's row from one boolean (subgroups x n) membership matrix.
 
-Direct products of groups and of rings share one mixed-radix builder, which
-combines each factor's ``(table, identity)`` pairs: one pair for a group,
-two for a ring.
+Direct products of groups and of rings share one builder, which combines
+each factor's ``(table, identity)`` pairs (one pair for a group, two for a
+ring) by broadcasting, not by digit gathers: each factor's scaled table
+lies along its own two axes of one ``sizes + sizes`` array, which is summed
+and reshaped to ``(total, total)``.
 
 No table is allocated beyond :data:`TABLE_BYTE_BUDGET` bytes (one int64
 table of order at most 2048): every built-in constructor, direct product
@@ -50,6 +58,7 @@ factor.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -87,12 +96,12 @@ def _element_index(x, n: int, what: str) -> int:
     return int(x)
 
 
-def _checked_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """``table`` as a read-only ``n x n`` int64 array, once it proves a monoid.
+def _checked_table(table, n: int, identity: int, what: str) -> np.ndarray:
+    """``table`` as a read-only ``n x n`` int64 array with a two-sided identity.
 
-    Checks the shape and the range of the entries, that ``identity`` is an
-    integer in ``[0, n)`` and a two-sided identity, and associativity by Light's
-    test. Returns the table and the generating set that test used.
+    Checks the shape and the range of the entries, and that ``identity`` is an
+    integer in ``[0, n)`` and a two-sided identity. Associativity is left to
+    the caller, which knows the generating set that proves it.
     """
     arr = np.asarray(table, dtype=np.int64)
     if arr.shape != (n, n):
@@ -104,12 +113,17 @@ def _checked_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray,
     if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
         raise BadParameter(f"element {identity} is not a two-sided identity for {what}")
     arr.setflags(write=False)
-    return arr, _check_associative(arr, what)
+    return arr
 
 
 def _checked_group_table(table, n: int, identity: int, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_checked_table`, and every element has an inverse."""
-    arr, gens = _checked_table(table, n, identity, what)
+    """:func:`_checked_table`, associative over its own generating set, with inverses.
+
+    Returns the table and that generating set.
+    """
+    arr = _checked_table(table, n, identity, what)
+    gens = _generating_set(arr)
+    _check_associative(arr, gens, what)
     if not (arr == identity).any(axis=1).all():
         raise BadParameter(f"some element has no inverse for {what}")
     return arr, gens
@@ -155,16 +169,16 @@ def _generating_set(table: np.ndarray) -> np.ndarray:
     return np.array(gens, dtype=np.int64)
 
 
-def _check_associative(table: np.ndarray, what: str) -> np.ndarray:
-    """Light's test: ``(x g) y == x (g y)`` for all ``x, y`` and generators ``g``.
+def _check_associative(table: np.ndarray, gens: np.ndarray, what: str) -> None:
+    """Light's test: ``(x g) y == x (g y)`` for all ``x, y`` and every ``g`` in ``gens``.
 
-    Returns the generating set it checked.
+    Exact when the ``g`` that pass are known to cover the table from ``gens``:
+    under the operation itself for any table, under addition for a ring's
+    proven bi-additive multiplication.
     """
-    gens = _generating_set(table)
     for g in gens:
-        if not np.array_equal(table[table[:, g], :], table[:, table[g, :]]):
+        if not np.array_equal(table[table[:, g]], np.take(table, table[g], axis=1)):
             raise BadParameter(f"{what} is not associative (witness element {g})")
-    return gens
 
 
 def _check_distributive(add: np.ndarray, mul: np.ndarray, add_gens: np.ndarray) -> None:
@@ -183,33 +197,29 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
 
     ``pairs(f)`` lists a factor's ``(table, identity)`` pairs in constructor
     order: one for a group, addition then multiplication for a ring. Elements
-    are tuples in row-major index order, so each product table and identity
-    is a mixed-radix sum of the factors' ones.
+    are tuples in row-major index order. Each product table is one
+    ``sizes + sizes`` array: factor ``j``'s table, scaled by its stride, is
+    broadcast along axes ``j`` and ``k + j`` and summed in.
     """
     if not factors:
         raise BadParameter("a direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
     sizes = [len(f.element_labels) for f in factors]
-    total = math.prod(sizes)
+    total, k = math.prod(sizes), len(sizes)
     name = "x".join(f.name for f in factors)
     _check_order(total, name)
-    digits = _mixed_radix_digits(total, sizes)
+    strides = [math.prod(sizes[j + 1 :]) for j in range(k)]
     tables, identities = [], []
     for parts in zip(*map(pairs, factors)):
-        table = np.zeros((total, total), dtype=np.int64)
-        identity = 0
-        for j, (factor_table, factor_identity) in enumerate(parts):
-            stride = math.prod(sizes[j + 1 :])
-            dj = digits[:, j]
-            table += factor_table[dj[:, None], dj[None, :]] * stride
-            identity += factor_identity * stride
-        tables.append(table)
-        identities.append(identity)
-    labels = [
-        "(" + ",".join(f.element_labels[d] for f, d in zip(factors, row)) + ")"
-        for row in digits.tolist()
-    ]
+        table = np.zeros(sizes + sizes, dtype=np.int64)
+        for j, (factor_table, _) in enumerate(parts):
+            shape = [1] * (2 * k)
+            shape[j] = shape[k + j] = sizes[j]
+            table += (factor_table * strides[j]).reshape(shape)
+        tables.append(table.reshape(total, total))
+        identities.append(sum(e * stride for (_, e), stride in zip(parts, strides)))
+    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*(f.element_labels for f in factors))]
     return cls(*tables, *identities, labels, name=name)
 
 
@@ -272,9 +282,15 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise BadParameter(f"cyclic group needs n >= 1, got {n}")
     _check_order(n, f"Z{n}")
+    return FiniteGroup(_sum_mod(n), 0, [str(i) for i in range(n)], name=f"Z{n}")
+
+
+def _sum_mod(n: int) -> np.ndarray:
+    """The table of ``a + b mod n``: each sum, less ``n`` where it reaches ``n``."""
     idx = np.arange(n)
-    table = (idx[:, None] + idx[None, :]) % n
-    return FiniteGroup(table, 0, [str(i) for i in range(n)], name=f"Z{n}")
+    table = idx[:, None] + idx
+    table[table >= n] -= n
+    return table
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -336,11 +352,13 @@ def group_product(*groups: FiniteGroup) -> FiniteGroup:
 class FiniteRing:
     """A finite commutative ring with unity given by its two tables.
 
-    Construction proves the abelian additive group, associative commutative
-    multiplication with identity, distributivity, ``zero != one`` for
-    size >= 2, and that the labels are distinct. Associativity is checked by
-    Light's test over a generating set of each table, distributivity over a
-    generating set of the additive group.
+    Construction proves ``zero != one`` for size >= 2 before it reads any
+    table, then the abelian additive group, commutative multiplication with
+    identity, distributivity, associative multiplication, and that the
+    labels are distinct. Addition is proved associative by Light's test over
+    its own generating set; distributivity and then the associativity of
+    multiplication are proved over that same additive generating set, which
+    is exact because multiplication is additive in each argument by then.
     """
 
     def __init__(
@@ -353,19 +371,24 @@ class FiniteRing:
         name: str = "ring",
     ):
         n = len(add)
+        zero = _element_index(zero, n, "addition identity index")
+        one = _element_index(one, n, "multiplication identity index")
+        if n >= 2 and zero == one:
+            raise BadParameter("zero and one must differ for size >= 2")
         add_t, add_gens = _checked_group_table(add, n, zero, "addition")
-        mul_t, _ = _checked_table(mul, n, one, "multiplication")
+        mul_t = _checked_table(mul, n, one, "multiplication")
         if not np.array_equal(add_t, add_t.T):
             raise BadParameter("addition is not commutative")
         if not np.array_equal(mul_t, mul_t.T):
             raise BadParameter("multiplication is not commutative")
         _check_distributive(add_t, mul_t, add_gens)
-        if n >= 2 and zero == one:
-            raise BadParameter("zero and one must differ for size >= 2")
+        # Multiplication is now additive in each argument, so the g that pass
+        # Light's test are closed under addition: the additive generators suffice.
+        _check_associative(mul_t, add_gens, "multiplication")
         self._add = add_t
         self._mul = mul_t
-        self.zero = int(zero)
-        self.one = int(one)
+        self.zero = zero
+        self.one = one
         self.name = name
         self.element_labels = _element_labels(labels, n)
         self.label_index = {s: i for i, s in enumerate(self.element_labels)}
@@ -391,7 +414,7 @@ def zmod(n: int) -> FiniteRing:
     _check_order(n, f"Z{n}")
     idx = np.arange(n)
     return FiniteRing(
-        (idx[:, None] + idx[None, :]) % n,
+        _sum_mod(n),
         (idx[:, None] * idx[None, :]) % n,
         0,
         1,

@@ -1,13 +1,18 @@
 """Groups, rings, ideals, and the compact spec-string grammar."""
 
+import importlib.util
 import itertools
+import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twindex import algebra
 from twindex import (
     BadParameter,
     OrderTooLarge,
@@ -25,6 +30,8 @@ from twindex.algebra import (
     _check_distributive,
     _check_order,
     _generating_set,
+    _mixed_radix_digits,
+    _split_top_level,
     all_ideals,
     cyclic_group,
     dihedral_group,
@@ -233,6 +240,14 @@ class TestRings:
         assert (s.zero, s.one) == (0, 1)
         assert type(s.zero) is int and type(s.one) is int
 
+    @pytest.mark.parametrize("mul", ["mul", "add"])
+    def test_zero_equals_one_rejected(self, mul):
+        # Reported before any table check: with zero as one, Z6's
+        # multiplication has no identity and its addition is not distributive.
+        r = zmod(6)
+        with pytest.raises(BadParameter, match="zero and one must differ"):
+            FiniteRing(r._add, getattr(r, f"_{mul}"), 0, 0)
+
     def test_duplicate_labels_rejected(self):
         # A repeated label would name two elements, so an ideal spec "(1)"
         # could resolve to the wrong generator.
@@ -301,13 +316,97 @@ def mutated_rings(draw):
     return r._add, mul
 
 
+MUTATED_RING_SPECS = ("Z6", "Z2xZ4", "Z2[x]/(x^2)", "Z8", "Z2xZ2xZ2", "Z9", "Z3[x]/(x^2)")
+
+
+@st.composite
+def multiply_mutated_rings(draw):
+    """A ring from :data:`MUTATED_RING_SPECS` with 1-3 symmetric entries of its multiplication changed."""
+    r = ring_from_spec(draw(st.sampled_from(MUTATED_RING_SPECS)))
+    mul = r._mul.copy()
+    cell = st.integers(0, len(mul) - 1)
+    for x, y, v in draw(st.lists(st.tuples(cell, cell, cell), min_size=1, max_size=3)):
+        mul[x, y] = mul[y, x] = v
+    return r, mul
+
+
+def _ring_by_scan(add, mul, one) -> bool:
+    """Literal scans of the multiplicative axioms over an abelian group ``add``."""
+    n = len(mul)
+    identity = all(mul[one][x] == x == mul[x][one] for x in range(n))
+    commutative = all(mul[x][y] == mul[y][x] for x in range(n) for y in range(n))
+    # With commutativity, left distributivity gives the right one.
+    return identity and commutative and _left_distributive(add, mul) and _associative(mul)
+
+
+def _bilinear_f2_cubed(xx: int, xy: int, yy: int) -> np.ndarray:
+    """The multiplication on ``(Z_2)^3`` (XOR on bit vectors) that is additive in
+    each argument, has identity 1, and gives ``2 2 = xx``, ``2 4 = xy`` and ``4 4 = yy``."""
+    basis = {(1, 1): 1, (1, 2): 2, (1, 4): 4, (2, 2): xx, (2, 4): xy, (4, 4): yy}
+    table = np.zeros((8, 8), dtype=np.int64)
+    for a, b, i, j in itertools.product(range(8), range(8), (1, 2, 4), (1, 2, 4)):
+        if a & i and b & j:
+            table[a, b] ^= basis[min(i, j), max(i, j)]
+    return table
+
+
+class TestRingMultiplication:
+    """Ring multiplication is proved associative over the additive generators."""
+
+    def test_all_bilinear_multiplications_on_f2_cubed(self):
+        # Every commutative unital multiplication on (Z_2)^3 that is additive
+        # in each argument: 1 is the identity and the products of 2 and 4 are free.
+        add = elementary_abelian_2(3)._table
+        accepted = rejected = 0
+        for products in itertools.product(range(8), repeat=3):
+            mul = _bilinear_f2_cubed(*products)
+            if _associative(mul.tolist()):
+                FiniteRing(add, mul, 0, 1)
+                accepted += 1
+            else:
+                with pytest.raises(BadParameter, match="multiplication is not associative"):
+                    FiniteRing(add, mul, 0, 1)
+                rejected += 1
+        assert (accepted, rejected) == (64, 448)
+
+    @settings(max_examples=500)
+    @given(multiply_mutated_rings())
+    def test_mutated_multiplication_exact(self, ring_and_mul):
+        r, mul = ring_and_mul
+        raised = _raises_bad_parameter(lambda: FiniteRing(r._add, mul, r.zero, r.one))
+        assert raised == (not _ring_by_scan(r._add.tolist(), mul.tolist(), r.one))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda r: FiniteRing(r._add, r._mul, r.zero, r.one),
+            lambda r: zmod(12),
+            lambda r: ring_product(r, r),
+            lambda r: poly_quotient_ring(3, [0, 0, 1]),
+        ],
+        ids=["constructor", "zmod", "product", "poly_quotient"],
+    )
+    def test_generating_set_of_addition_only(self, monkeypatch, build):
+        # Built before counting: a product's factors prove their own tables.
+        r = ring_from_spec("Z2xZ3xZ5")
+        tables = []
+
+        def counted(table):
+            tables.append(table)
+            return _generating_set(table)
+
+        monkeypatch.setattr(algebra, "_generating_set", counted)
+        s = build(r)
+        assert len(tables) == 1 and tables[0] is s._add
+
+
 class TestLightsTest:
     """The generator-based axiom checks agree with the literal triple scans."""
 
     @settings(max_examples=300)
     @given(st.one_of(random_tables(), mutated_group_tables()))
     def test_associativity_exact(self, table):
-        raised = _raises_bad_parameter(lambda: _check_associative(table, "table"))
+        raised = _raises_bad_parameter(lambda: _check_associative(table, _generating_set(table), "table"))
         assert raised == (not _associative(table.tolist()))
 
     @settings(max_examples=200)
@@ -587,6 +686,48 @@ def reference_generating_set(table: np.ndarray) -> np.ndarray:
     return np.array(gens, dtype=np.int64)
 
 
+def reference_product(cls, factors, pairs):
+    """Reference: the mixed-radix product, one 2-D digit gather per factor table."""
+    sizes = [len(f.element_labels) for f in factors]
+    total = math.prod(sizes)
+    digits = _mixed_radix_digits(total, sizes)
+    tables, identities = [], []
+    for parts in zip(*map(pairs, factors)):
+        table = np.zeros((total, total), dtype=np.int64)
+        identity = 0
+        for j, (factor_table, factor_identity) in enumerate(parts):
+            stride = math.prod(sizes[j + 1 :])
+            dj = digits[:, j]
+            table += factor_table[dj[:, None], dj[None, :]] * stride
+            identity += factor_identity * stride
+        tables.append(table)
+        identities.append(identity)
+    labels = [
+        "(" + ",".join(f.element_labels[d] for f, d in zip(factors, row)) + ")"
+        for row in digits.tolist()
+    ]
+    return cls(*tables, *identities, labels, name="x".join(f.name for f in factors))
+
+
+def _paper_pool() -> dict[str, int]:
+    """The benchmark's paper-families pool, read from its workload module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PAPER_POOL
+
+
+def _product_specs():
+    """``(spec, kind)`` for every product of the sweeps and of the paper-families pool."""
+    specs = [(s, "group") for s in GROUP_SWEEP + LARGE_GROUPS]
+    specs += [(s, "ring") for s in RING_SWEEP]
+    for family in _paper_pool():
+        kind, spec = family.split(":")[:2]
+        specs.append((spec, "group" if kind == "power" else "ring"))
+    return [(s, kind) for s, kind in dict.fromkeys(specs) if len(_split_top_level(s, "x")) > 1]
+
+
 def reference_dihedral_table(n: int) -> np.ndarray:
     """Reference: ``(s^a r^i)(s^b r^j) = s^(a+b) r^(j + (-1)^b i)`` by four nested loops."""
     order = 2 * n
@@ -689,6 +830,35 @@ class TestMatchesReference:
     @given(st.one_of(random_tables(), mutated_group_tables()))
     def test_generating_set_on_random_tables(self, table):
         assert _same_array(_generating_set(table), reference_generating_set(table))
+
+    def test_products(self):
+        specs = _product_specs()
+        assert ("Z2xZ3xZ5xZ7", "ring") in specs and ("Q8xZ15", "group") in specs
+        for spec, kind in specs:
+            read = group_from_spec if kind == "group" else ring_from_spec
+            factors = [read(atom) for atom in _split_top_level(spec, "x")]
+            if kind == "group":
+                got = group_product(*factors)
+                expected = reference_product(FiniteGroup, factors, lambda g: [(g._table, g.identity)])
+                pairs = [(got._table, expected._table)]
+                identities = [(got.identity, expected.identity)]
+            else:
+                got = ring_product(*factors)
+                expected = reference_product(FiniteRing, factors, lambda r: [(r._add, r.zero), (r._mul, r.one)])
+                pairs = [(got._add, expected._add), (got._mul, expected._mul)]
+                identities = [(got.zero, expected.zero), (got.one, expected.one)]
+            assert all(_same_array(a, b) for a, b in pairs), spec
+            assert all(a == b and type(a) is type(b) is int for a, b in identities), spec
+            assert got.element_labels == expected.element_labels, spec
+            assert got.name == expected.name == read(spec).name, spec
+
+    def test_sums_mod_n(self):
+        for n in [*range(1, 65), 480, 2048]:
+            idx = np.arange(n)
+            expected = (idx[:, None] + idx) % n
+            assert _same_array(cyclic_group(n)._table, expected), n
+            if n >= 2:
+                assert _same_array(zmod(n)._add, expected), n
 
     def test_dihedral_tables(self):
         atoms = [atom for spec in GROUP_SWEEP + LARGE_GROUPS for atom in spec.split("x")]
