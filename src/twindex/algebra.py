@@ -29,11 +29,17 @@ distributive, multiplication is additive in each argument, so if ``g`` and
 ``h`` pass, both sides for ``g + h`` expand to ``(x g) y + (x h) y``, and the
 elements that pass are closed under addition.
 
-The generating set is grown greedily by closure: each step scatters the
-products of the new elements with every member, in both orders, into one
-boolean row. An ordered pair of members is multiplied only in the step where
-its later element joins, so a whole search reads the table fewer than
-``2 n^2`` times and sorts nothing. The power graph
+The generating set is found greedily by a word search: the next generator
+is the greatest element that no left-nested word ``((g1 g2) g3) ...`` over
+the generators already picked reaches. Every word lies in the closure, so a
+set whose words cover the table generates it, and Light's test stays exact
+on any table; on an associative table the words are the closure itself. The
+reached words are grown by right multiplication, one scalar table read per
+new member and generator, so a search reads the table about
+``n (|A| + 1)`` times. A table with few products can make ``|A|`` near
+``n``: one of order 2048 whose non-identity products are all the identity
+takes 2047 generators and about two million reads before its
+associativity check fails. The power graph
 (:func:`twindex.generators.power_graph`) walks the powers of one generator
 per distinct cyclic subgroup ``C``, ``sum |C|`` Python steps, and reads
 every element's row from one boolean (subgroups x n) membership matrix.
@@ -41,8 +47,14 @@ every element's row from one boolean (subgroups x n) membership matrix.
 Direct products of groups and of rings share one builder, which combines
 each factor's ``(table, identity)`` pairs (one pair for a group, two for a
 ring) by broadcasting, not by digit gathers: each factor's scaled table
-lies along its own two axes of one ``sizes + sizes`` array, which is summed
-and reshaped to ``(total, total)``.
+lies along its own two axes of a ``sizes + sizes`` view of the
+``(total, total)`` table and is summed into it.
+
+Every table a constructor stores is read-only. A built-in constructor or
+product hands over the table it just built, frozen, and it is stored as it
+is; any other table, such as a caller's writeable array, is copied once, so
+the caller's array stays writeable and later writes to it cannot change a
+proven table.
 
 No table is allocated beyond :data:`TABLE_BYTE_BUDGET` bytes (one int64
 table of order at most 2048): every built-in constructor, direct product
@@ -96,14 +108,30 @@ def _element_index(x, n: int, what: str) -> int:
     return int(x)
 
 
+def _frozen(table: np.ndarray) -> np.ndarray:
+    """``table``, made read-only so :func:`_checked_table` keeps it without a copy.
+
+    Only for a fresh array that owns its memory and that its builder passes on
+    and no longer writes.
+    """
+    table.setflags(write=False)
+    return table
+
+
 def _checked_table(table, n: int, identity: int, what: str) -> np.ndarray:
     """``table`` as a read-only ``n x n`` int64 array with a two-sided identity.
 
-    Checks the shape and the range of the entries, and that ``identity`` is an
-    integer in ``[0, n)`` and a two-sided identity. Associativity is left to
-    the caller, which knows the generating set that proves it.
+    A read-only int64 array that owns its memory (see :func:`_frozen`) is kept
+    as it is; anything else is copied once, so a caller's writeable array is
+    neither frozen nor kept, and writing to it later cannot change a proven
+    table. Checks the shape and the range of the entries, and that
+    ``identity`` is an integer in ``[0, n)`` and a two-sided identity.
+    Associativity is left to the caller, which knows the generating set that
+    proves it.
     """
-    arr = np.asarray(table, dtype=np.int64)
+    frozen = isinstance(table, np.ndarray) and table.dtype == np.int64
+    frozen = frozen and not table.flags.writeable and table.base is None
+    arr = table if frozen else np.array(table, dtype=np.int64)
     if arr.shape != (n, n):
         raise BadParameter(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
@@ -140,32 +168,45 @@ def _element_labels(labels: Sequence[str] | None, n: int) -> tuple[str, ...]:
 
 
 def _generating_set(table: np.ndarray) -> np.ndarray:
-    """Greedy generators: the greatest element outside the closure of those picked.
+    """Greedy generators: the greatest element outside the words over those picked.
 
-    The closure is taken under the operation itself (all products of members,
-    in both orders), grown incrementally so each pair is multiplied once: each
-    step scatters the products of the new frontier with every member into one
-    boolean row. Light's test needs only some generating set; taking elements
-    from the top keeps it small for the multiplicative monoids of product
-    rings, whose low-indexed elements are rarely products of earlier ones.
+    The reached set ``R`` holds the left-nested words ``((g1 g2) g3) ...`` over
+    the generators picked so far, and is closed under multiplication on the
+    right by each of them. A new generator ``a`` joins ``R`` with ``r a`` for
+    every old member ``r`` (one gather of column ``a``), and a stack walk
+    multiplies each new member on the right by every generator, one scalar
+    read each. Every word lies in the closure, so once ``R`` covers the table
+    the set generates it, and the elements that pass Light's test are closed
+    under the operation even when the table is not associative. On an
+    associative table the words are all the products, so ``R`` is the closure
+    and the greedy picks the elements a closure search would.
+
+    A search reads the table about ``n (|gens| + 1)`` times. Taking elements
+    from the top keeps the set small for the multiplicative monoids of product
+    rings, whose low-indexed elements are rarely products of earlier ones. A
+    table that is not associative may need more generators than its closure
+    does; at worst, an order-2048 table whose non-identity products are all
+    the identity takes 2047 generators and about two million reads.
     """
     n = table.shape[0]
-    inside = np.zeros(n, dtype=bool)
-    gens = []
+    inside = bytearray(n)
+    members, gens = [], []
+    item = table.item
     for a in range(n - 1, -1, -1):
         if inside[a]:
             continue
+        stack = table[members, a].tolist()
+        stack.append(a)
         gens.append(a)
-        inside[a] = True
-        frontier = np.array([a])
-        while frontier.size:
-            members = np.flatnonzero(inside)
-            hit = np.zeros(n, dtype=bool)
-            hit[table[frontier[:, None], members]] = True
-            hit[table[members[:, None], frontier]] = True
-            hit &= ~inside
-            frontier = np.flatnonzero(hit)
-            inside |= hit
+        while stack:
+            x = stack.pop()
+            if not inside[x]:
+                inside[x] = 1
+                members.append(x)
+                for g in gens:
+                    y = item(x, g)
+                    if not inside[y]:
+                        stack.append(y)
     return np.array(gens, dtype=np.int64)
 
 
@@ -197,9 +238,9 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
 
     ``pairs(f)`` lists a factor's ``(table, identity)`` pairs in constructor
     order: one for a group, addition then multiplication for a ring. Elements
-    are tuples in row-major index order. Each product table is one
-    ``sizes + sizes`` array: factor ``j``'s table, scaled by its stride, is
-    broadcast along axes ``j`` and ``k + j`` and summed in.
+    are tuples in row-major index order. Each product table is summed through
+    one ``sizes + sizes`` view: factor ``j``'s table, scaled by its stride, is
+    broadcast along axes ``j`` and ``k + j`` and added in.
     """
     if not factors:
         raise BadParameter("a direct product needs at least one factor")
@@ -212,12 +253,13 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
     strides = [math.prod(sizes[j + 1 :]) for j in range(k)]
     tables, identities = [], []
     for parts in zip(*map(pairs, factors)):
-        table = np.zeros(sizes + sizes, dtype=np.int64)
+        table = np.zeros((total, total), dtype=np.int64)
+        axes = table.reshape(sizes + sizes)
         for j, (factor_table, _) in enumerate(parts):
             shape = [1] * (2 * k)
             shape[j] = shape[k + j] = sizes[j]
-            table += (factor_table * strides[j]).reshape(shape)
-        tables.append(table.reshape(total, total))
+            axes += (factor_table * strides[j]).reshape(shape)
+        tables.append(_frozen(table))
         identities.append(sum(e * stride for (_, e), stride in zip(parts, strides)))
     labels = ["(" + ",".join(t) + ")" for t in itertools.product(*(f.element_labels for f in factors))]
     return cls(*tables, *identities, labels, name=name)
@@ -286,11 +328,11 @@ def cyclic_group(n: int) -> FiniteGroup:
 
 
 def _sum_mod(n: int) -> np.ndarray:
-    """The table of ``a + b mod n``: each sum, less ``n`` where it reaches ``n``."""
-    idx = np.arange(n)
-    table = idx[:, None] + idx
-    table[table >= n] -= n
-    return table
+    """The read-only table of ``a + b mod n``: row ``a`` is the window
+    ``a .. a + n - 1`` of ``0 .. n-1`` written twice, copied once."""
+    idx = np.arange(n, dtype=np.int64)
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((idx, idx)), n)
+    return _frozen(windows[:n].copy())
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -308,7 +350,7 @@ def dihedral_group(n: int) -> FiniteGroup:
     table = (a[:, None] + a) % 2 * n + (i + (1 - 2 * a) * i[:, None]) % n
     labels = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
-    return FiniteGroup(table, 0, labels, name=f"D{order}")
+    return FiniteGroup(_frozen(table), 0, labels, name=f"D{order}")
 
 
 def quaternion_group() -> FiniteGroup:
@@ -326,7 +368,7 @@ def quaternion_group() -> FiniteGroup:
                     else:
                         exp, refl = (i - k + 2) % 4, 0
                     table[j * 4 + i, l * 4 + k] = refl * 4 + exp
-    return FiniteGroup(table, 0, labels, name="Q8")
+    return FiniteGroup(_frozen(table), 0, labels, name="Q8")
 
 
 def elementary_abelian_2(k: int) -> FiniteGroup:
@@ -338,7 +380,7 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     idx = np.arange(n)
     table = idx[:, None] ^ idx[None, :]
     labels = [format(i, f"0{k}b") for i in range(n)]
-    return FiniteGroup(table, 0, labels, name=f"E2^{k}")
+    return FiniteGroup(_frozen(table), 0, labels, name=f"E2^{k}")
 
 
 def group_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -415,7 +457,7 @@ def zmod(n: int) -> FiniteRing:
     idx = np.arange(n)
     return FiniteRing(
         _sum_mod(n),
-        (idx[:, None] * idx[None, :]) % n,
+        _frozen((idx[:, None] * idx[None, :]) % n),
         0,
         1,
         [str(i) for i in range(n)],
@@ -487,7 +529,7 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
         mul = add[mul, scaled[digits[:, i][:, None], power]]
         power = times_x[power]
     labels = [_poly_label(cs) for cs in digits.tolist()]
-    return FiniteRing(add, mul, 0, 1, labels, name=name)
+    return FiniteRing(_frozen(add), _frozen(mul), 0, 1, labels, name=name)
 
 
 def _poly_label(cs: Sequence[int]) -> str:

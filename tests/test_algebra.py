@@ -160,6 +160,23 @@ class TestGroups:
         with pytest.raises(BadParameter):
             FiniteGroup(table, 0)
 
+    def test_caller_table_stays_writeable_and_apart(self):
+        t = (np.arange(3)[:, None] + np.arange(3)) % 3
+        g = FiniteGroup(t, 0)
+        assert t.flags.writeable and not g._table.flags.writeable
+        t[0, 0] = 1
+        assert g._table[0, 0] == 0 and g.op(0, 0) == 0
+
+    def test_non_associative_at_the_order_cap(self):
+        # Identity 0 and every other product 0: inverses exist, but nothing
+        # but 0 is a product, so the greedy takes all 2047 other elements.
+        n = MAX_TABLE_ORDER
+        table = np.zeros((n, n), dtype=np.int64)
+        table[0] = table[:, 0] = np.arange(n)
+        assert len(_generating_set(table)) == n - 1
+        with pytest.raises(BadParameter, match="not associative"):
+            FiniteGroup(table, 0)
+
 
 class TestRings:
     def test_zmod_basics(self):
@@ -262,6 +279,38 @@ class TestRings:
         bad_mul = np.zeros((n, n), dtype=int)  # no multiplicative identity
         with pytest.raises(BadParameter):
             FiniteRing(add, bad_mul, 0, 1)
+
+    def test_caller_tables_stay_writeable_and_apart(self):
+        idx = np.arange(3)
+        add, mul = (idx[:, None] + idx) % 3, idx[:, None] * idx % 3
+        r = FiniteRing(add, mul, 0, 1)
+        assert add.flags.writeable and mul.flags.writeable
+        add[1, 1] = mul[2, 2] = 0
+        assert (r._add[1, 1], r.add(1, 1), r._mul[2, 2], r.mul(2, 2)) == (2, 2, 1, 1)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: group_from_spec("Z3xD6xQ8xE2^2"),
+        lambda: ring_from_spec("Z12xZ2[x]/(x^3)"),
+    ],
+    ids=["groups", "rings"],
+)
+def test_built_tables_kept_without_a_copy(monkeypatch, build):
+    # Every built-in constructor and product hands over a frozen table that
+    # it no longer writes, so the checked table is that array itself.
+    checked = algebra._checked_table
+    kept = []
+
+    def spy(table, *args):
+        arr = checked(table, *args)
+        kept.append(arr is table)
+        return arr
+
+    monkeypatch.setattr(algebra, "_checked_table", spy)
+    build()
+    assert kept and all(kept)
 
 
 def _associative(t) -> bool:
@@ -829,6 +878,29 @@ class TestMatchesReference:
     @settings(max_examples=300)
     @given(st.one_of(random_tables(), mutated_group_tables()))
     def test_generating_set_on_random_tables(self, table):
+        # On a table that is not associative the words over the generators
+        # may miss products of the closure, so the set may be larger than the
+        # reference's; it must still generate the table and decide Light's
+        # test exactly.
+        gens = _generating_set(table)
+        assert _closure(table, gens) == set(range(len(table)))
+        associative = _associative(table.tolist())
+        if associative:
+            assert _same_array(gens, reference_generating_set(table))
+        raised = _raises_bad_parameter(lambda: _check_associative(table, gens, "table"))
+        assert raised == (not associative)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: group_from_spec("E2^11")._table,
+            lambda: group_from_spec("Z2048")._table,
+            lambda: ring_from_spec("Z2[x]/(x^11)")._add,
+        ],
+        ids=["E2^11", "Z2048", "Z2[x]/(x^11)+"],
+    )
+    def test_generating_set_at_the_order_cap(self, build):
+        table = build()
         assert _same_array(_generating_set(table), reference_generating_set(table))
 
     def test_products(self):
