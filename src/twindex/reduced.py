@@ -13,19 +13,35 @@ the supports of at most ``m`` classes::
 
 ``N_S``, the number of m-subsets with support exactly S, is the
 inclusion-exclusion sum of ``(-1)^{|S|-|T|} binom(n_T, m)`` over the subsets
-T of S, where ``n_T`` counts the vertices of T's classes. Swapping the two
-finite sums gives ``sum_t binom(t, m) * h[t]``, at most ``n + 1`` exact terms,
-where the int64 histogram ``h[t]`` collects ``(-1)^{|S|-|T|} * w(S)`` over the
-pairs with ``n_T = t``. A one-class support has ``d_H = 0``, so the per-class
-terms come out of the same sum. The level-shared kernel
-:func:`twindex.steiner.steiner_levels` answers every support on H's distance
-matrix: distances are needed only in the (usually much smaller) reduced
-graph, once per support. That is the entire speedup of the reduction.
+T of S, where ``n_T`` counts the vertices of T's classes. Since the ``N_S``
+add up to ``binom(n, m)``, and swapping the two finite sums moves the signs
+onto the weights::
 
-H's distance matrix is built once per query; its row 0 also tells whether G
-is connected. The kernel's int32 distances enter the histogram as int64
-weights, scattered in one flat ``np.add.at``, and the final sum is taken in
-exact Python integers.
+    SW_m = m * binom(n, m) + sum_t binom(t, m) * h[t] + sum_{i edgeless} binom(n_i, m)
+
+where the int64 histogram ``h[t]`` sums ``û(T)``, the superset Möbius
+transform of ``u(S) = d_H(S) - |S|``, over the class sets with ``n_T = t``.
+``u`` does not depend on m. The sum has at most ``n + 1`` terms and is
+taken in exact Python integers.
+
+Two engines fill ``h``; :func:`_transform_chosen` picks one per query from
+``(k, m)``:
+
+* The connected-set transform answers all ``2^k`` class sets at once in
+  ``O(k * 2^k)``: a connectivity indicator over the class sets, a
+  superset-min that turns it into every ``d_H(S)``, and the Möbius
+  transform (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
+  Möbius: fast subset convolution", STOC 2007). It never builds H's
+  distance matrix and reads whether H is connected off the full class set.
+  It wins at small k and large m.
+* The level-shared kernel :func:`twindex.steiner.steiner_levels` answers
+  the supports of at most ``m`` classes from H's distance matrix, whose row
+  0 tells whether H is connected, and each support's signed subset sums go
+  into ``h``; supports with ``N_S = 0`` are left out, which leaves the sum
+  unchanged. It wins at large k and small m, as on twin-free graphs.
+
+Either way distances are needed only in the (usually much smaller) reduced
+graph, which is the entire speedup of the reduction.
 """
 
 from __future__ import annotations
@@ -38,16 +54,33 @@ import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
 from .graph import is_connected
-from .steiner import _INF, distance_matrix, steiner_distance, steiner_levels
+from .steiner import (
+    CHUNK_BYTES,
+    DP_BYTE_BUDGET,
+    _INF,
+    distance_matrix,
+    steiner_distance,
+    steiner_levels,
+)
 from .twins import ClassKind, TwinDecomposition
+
+# Peak bytes per class set of the connected-set transform, measured with
+# tracemalloc (the ``_connected_sets`` pass is the largest).
+_TRANSFORM_SET_BYTES = 32
+# Kernel merges that one transform step costs, and the kernel's fixed numpy
+# cost, in merges, per query and per level from 3 on (each builds table rows
+# or merges). Fitted on timed queries (CHANGES.md).
+_MERGES_PER_STEP = 5 / 3
+_QUERY_MERGES = 1 << 10
+_LEVEL_MERGES = 1 << 16
 
 
 @dataclass
 class ReducedIndexStats:
     """Diagnostics from one reduced-formula evaluation.
 
-    ``num_profiles`` counts the supports of two or more classes that hold at
-    least ``m`` vertices (``N_S > 0``), the ones weighed into the histogram.
+    ``num_profiles`` counts the supports of two to ``m`` classes that hold at
+    least ``m`` vertices (``N_S > 0``); both engines report the same count.
     ``dh_cache_hits`` is always 0, because each support is answered once.
     The two names are kept for the readers of ``index --json``.
     """
@@ -96,41 +129,60 @@ def _connected_via_reduced(d: TwinDecomposition, h_connected: bool) -> bool:
     return h_connected
 
 
+def _transform_chosen(k: int, m: int) -> bool:
+    """Whether the connected-set transform answers ``SW_m`` over ``k`` classes.
+
+    Its work, ``k * 2^k`` steps, is weighed against the kernel's merges,
+    ``sum_{s=2}^{min(m, k)} C(k, s) * 2^(s-1) * k``, plus the kernel's
+    fixed costs, which decide small queries. The transform counts only
+    while its arrays fit ``DP_BYTE_BUDGET``, which holds up to k = 21.
+    """
+    if _TRANSFORM_SET_BYTES << k > DP_BYTE_BUDGET:
+        return False
+    top = min(m, k)
+    merges = sum(k * comb(k, s) << (s - 1) for s in range(2, top + 1))
+    merges += _QUERY_MERGES + _LEVEL_MERGES * max(0, top - 2)
+    return _MERGES_PER_STEP * (k << k) <= merges
+
+
 def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> None:
     """Add ``(-1)^{|S - T|} * w(S)`` into ``hist[n_T]`` for every subset T of every support S.
 
     ``held`` holds the class sizes of B supports, ``(B, s)``, and ``w`` their
     weights; ``sum_t C(t, m) * hist[t]`` then grows by ``sum_S N_S * w(S)``.
+    Subset sums and signed weights are int64, 16 bytes a subset, for numpy's
+    fast 1-D ``add.at``. They are built for a slice of the supports at a
+    time, at most half of ``CHUNK_BYTES``; with the kernel's ``(B, k)``
+    distances still alive (at most a third of a chunk), weighing a chunk
+    stays within ``CHUNK_BYTES``.
     """
     rows, s = held.shape
-    counts = np.zeros((rows, 1 << s), dtype=np.int64)
     signs = np.full(1 << s, (-1) ** s, dtype=np.int64)
     for i in range(s):
         low = 1 << i
-        counts[:, low : 2 * low] = counts[:, :low] + held[:, i : i + 1]
         signs[low : 2 * low] = -signs[:low]
-    # One flat scatter: numpy's 1-D add.at is several times faster than a 2-D index.
-    np.add.at(hist, counts.ravel(), (w[:, None] * signs).ravel())
+    step = max(1, CHUNK_BYTES // (32 << s))
+    for lo in range(0, rows, step):
+        part = held[lo : lo + step]
+        counts = np.zeros((len(part), 1 << s), dtype=np.int64)
+        for i in range(s):
+            low = 1 << i
+            np.add(counts[:, :low], part[:, i : i + 1], out=counts[:, low : 2 * low])
+        np.add.at(hist, counts.ravel(), (w[lo : lo + step, None] * signs).ravel())
 
 
-def steiner_wiener_reduced_with_stats(
-    d: TwinDecomposition, m: int
-) -> tuple[int, ReducedIndexStats]:
-    """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
-    stats = ReducedIndexStats(num_classes=d.k)
-    n = d.source.n
-    if not 1 <= m <= n:
-        raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
-    # Row 0 of H's distance matrix tells whether H is connected, so H is
-    # walked once.
-    dist = distance_matrix(d.reduced)
-    if not _connected_via_reduced(d, bool(dist[0].max() < _INF)):
-        raise DisconnectedGraph("index computation requires a connected graph")
-    if m == 1:
-        return 0, stats
+def _kernel_histogram(
+    d: TwinDecomposition, dist: np.ndarray, m: int, stats: ReducedIndexStats
+) -> np.ndarray:
+    """The weight histogram ``h`` from the kernel's supports.
 
+    Every support S of at most ``m`` classes that holds ``m`` vertices is one
+    ``d_H`` from :func:`twindex.steiner.steiner_levels`, and adds
+    ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
+    (:func:`_add_support_weights`); the other supports have ``N_S = 0``.
+    """
     sizes = np.array(d.class_sizes(), dtype=np.int64)
-    hist = np.zeros(n + 1, dtype=np.int64)
+    hist = np.zeros(d.source.n + 1, dtype=np.int64)
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
@@ -142,9 +194,95 @@ def steiner_wiener_reduced_with_stats(
             held = sizes[supports]
             keep = held.sum(axis=1) >= m
             stats.num_profiles += int(keep.sum()) if s > 1 else 0
-            _add_support_weights(hist, held[keep], dh[keep] + m - s)
-    edgeless = [size for size, kind in zip(sizes.tolist(), d.kinds) if kind is ClassKind.EMPTY]
-    total = sum(comb(size, m) for size in edgeless)
+            _add_support_weights(hist, held[keep], dh[keep] - s)
+    return hist
+
+
+def _connected_sets(masks: list[int]) -> np.ndarray:
+    """Whether H is connected on each class set W, as a bool array indexed by W's bitmask.
+
+    ``nbr[X]``, the OR of the members' neighbour masks, is built by
+    doubling. Each W grows from its lowest member by
+    ``reach = (nbr[reach] & W) | reach`` until it stops; W is connected iff
+    it reaches all of W. Only the sets that grew are gathered again.
+    """
+    nbr = np.zeros(1 << len(masks), dtype=np.int32)
+    for i, mask in enumerate(masks):
+        low = 1 << i
+        np.bitwise_or(nbr[:low], mask, out=nbr[low : 2 * low])
+    sets = np.arange(len(nbr), dtype=np.int32)
+    reach = sets & -sets
+    growing = sets
+    while len(growing):
+        old = reach[growing]
+        grown = nbr[old]
+        grown &= growing
+        grown |= old
+        moved = grown != old
+        growing = growing[moved]
+        reach[growing] = grown[moved]
+    return reach == sets
+
+
+def _transform_histogram(
+    d: TwinDecomposition, connected: np.ndarray, m: int, stats: ReducedIndexStats
+) -> np.ndarray:
+    """``h[t]``, the sum of ``û(T)`` over the class sets with ``n_T = t``, from every class set at once.
+
+    ``d_H(S)`` is the least ``|W| - 1`` over the connected ``W ⊇ S``: a
+    superset-min over ``|W| - 1`` on the connected sets. ``û`` is the
+    superset Möbius transform of ``u(S) = d_H(S) - |S|``. Distances are
+    int8 (``d_H < k``) and ``û`` int32 (``|û(T)| <= k * 2^k``); the
+    histogram is int64.
+    """
+    k = d.k
+    size = np.zeros(1 << k, dtype=np.int8)
+    n_t = np.zeros(1 << k, dtype=np.int32)
+    for i, n_i in enumerate(d.class_sizes()):
+        low = 1 << i
+        np.add(size[:low], 1, out=size[low : 2 * low])
+        np.add(n_t[:low], n_i, out=n_t[low : 2 * low])
+    stats.num_profiles = int(np.count_nonzero((size >= 2) & (size <= m) & (n_t >= m)))
+    dh = np.where(connected, size - 1, k).astype(np.int8)
+    for i in range(k):
+        pair = dh.reshape(-1, 2, 1 << i)
+        np.minimum(pair[:, 0], pair[:, 1], out=pair[:, 0])
+    u = np.subtract(dh, size, dtype=np.int32)
+    for i in range(k):
+        pair = u.reshape(-1, 2, 1 << i)
+        pair[:, 0] -= pair[:, 1]
+    hist = np.zeros(d.source.n + 1, dtype=np.int64)
+    np.add.at(hist, n_t, u.astype(np.int64))
+    return hist
+
+
+def steiner_wiener_reduced_with_stats(
+    d: TwinDecomposition, m: int
+) -> tuple[int, ReducedIndexStats]:
+    """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
+    stats = ReducedIndexStats(num_classes=d.k)
+    n = d.source.n
+    if not 1 <= m <= n:
+        raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
+    # Each engine walks H once: the transform reads whether H is connected
+    # off the full class set, the kernel off row 0 of H's distance matrix.
+    transform = _transform_chosen(d.k, m)
+    if transform:
+        connected = _connected_sets(d.reduced.masks)
+        h_connected = bool(connected[-1])
+    else:
+        dist = distance_matrix(d.reduced)
+        h_connected = bool(dist[0].max() < _INF)
+    if not _connected_via_reduced(d, h_connected):
+        raise DisconnectedGraph("index computation requires a connected graph")
+    if m == 1:
+        return 0, stats
+    if transform:
+        hist = _transform_histogram(d, connected, m, stats)
+    else:
+        hist = _kernel_histogram(d, dist, m, stats)
+    edgeless = [size for size, kind in zip(d.class_sizes(), d.kinds) if kind is ClassKind.EMPTY]
+    total = m * comb(n, m) + sum(comb(size, m) for size in edgeless)
     total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())
     return total, stats
 

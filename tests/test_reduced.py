@@ -1,9 +1,15 @@
 """The twin-class index formula, support counts, closed forms, and the bound."""
 
+import importlib.util
 import itertools
+import json
 import random
+import sys
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,12 +50,49 @@ from twindex.generators import (
 )
 from twindex.algebra import dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
 from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
-from twindex import steiner
+from twindex import reduced, steiner
+from twindex.generators import family_graph
 from twindex.reduced import _add_support_weights
-from twindex.steiner import distance_matrix, steiner_levels
-from twindex.reference import star_index_formula
+from twindex.steiner import CHUNK_BYTES, distance_matrix, steiner_levels
+from twindex.reference import REFERENCE_CHECKS, star_index_formula
 
 from conftest import all_graphs, random_connected_graph
+
+ENGINES = ("transform", "kernel")
+
+
+@contextmanager
+def forced(engine: str):
+    """Run the reduced route on ``engine`` inside the block, whatever the selector says."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced, "_transform_chosen", lambda k, m: engine == "transform")
+        yield
+
+
+def by_engine(d, m):
+    """``steiner_wiener_reduced_with_stats(d, m)`` under each engine, in ``ENGINES`` order."""
+    results = []
+    for engine in ENGINES:
+        with forced(engine):
+            results.append(steiner_wiener_reduced_with_stats(d, m))
+    return results
+
+
+def engines_agree(d, m) -> int:
+    """The value both engines give, after checking they give the same value and support count."""
+    (value, stats), (other, other_stats) = by_engine(d, m)
+    assert value == other, (m, value, other)
+    assert stats == other_stats, (m, stats, other_stats)
+    return value
+
+
+def twin_free_graph(rng, n, p=0.4):
+    """A random connected graph on ``n`` vertices without twins: its own reduced graph."""
+    return next(
+        g
+        for g in (random_connected_graph(rng, n, p) for _ in range(200))
+        if twin_partition(g).k == n
+    )
 
 
 def support_count(sizes, m):
@@ -124,7 +167,16 @@ class TestSupportHistogram:
         d = twin_partition(complete_graph(n))
         assert d.k == 1
         for m in range(1, n + 1):
-            assert steiner_wiener_reduced(d, m) == (m - 1) * comb(n, m)
+            assert engines_agree(d, m) == (m - 1) * comb(n, m)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_single_edgeless_class_rejected(self, n):
+        # k = 1 with an edgeless class: G is disconnected, though H is one vertex.
+        d = twin_partition(empty_graph(n))
+        assert d.k == 1
+        for engine in ENGINES:
+            with forced(engine), pytest.raises(DisconnectedGraph, match="requires a connected graph"):
+                steiner_wiener_reduced(d, 2)
 
     def test_edgeless_classes(self):
         for parts in [(1, 5), (2, 3), (3, 3, 3), (1, 1, 4)]:
@@ -132,7 +184,7 @@ class TestSupportHistogram:
             d = twin_partition(g)
             assert any(kind.name == "EMPTY" for kind in d.kinds)
             for m in range(1, g.n + 1):
-                assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+                assert engines_agree(d, m) == steiner_wiener_naive(g, m)
 
     def test_supports_larger_than_m(self):
         # k = 6 classes, so every m < 6 leaves supports of more than m classes
@@ -149,13 +201,13 @@ class TestSupportHistogram:
         d = twin_partition(g)
         assert d.k == 6
         for m in range(1, 6):
-            assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+            assert engines_agree(d, m) == steiner_wiener_naive(g, m)
 
     def test_m_equals_n(self, rng):
         # The only n-subset is V, spanned by any spanning tree.
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(1, 9), 0.4)
-            assert steiner_wiener_reduced(twin_partition(g), g.n) == g.n - 1
+            assert engines_agree(twin_partition(g), g.n) == g.n - 1
 
 
 class TestPerSetDistance:
@@ -219,21 +271,24 @@ class TestReducedIndex:
 
     def test_m1_is_zero(self):
         d = twin_partition(power_graph_zn(6))
-        assert steiner_wiener_reduced(d, 1) == 0
+        assert engines_agree(d, 1) == 0
 
     def test_single_complete_class(self):
         d = twin_partition(complete_graph(6))
         assert steiner_wiener_reduced(d, 4) == 3 * comb(6, 4)
 
     def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedGraph):
-            steiner_wiener_reduced(twin_partition(new_graph(2, [])), 2)
-        with pytest.raises(DisconnectedGraph):
-            steiner_wiener_reduced(twin_partition(new_graph(3, [(0, 1)])), 2)
+        for engine in ENGINES:
+            with forced(engine):
+                with pytest.raises(DisconnectedGraph):
+                    steiner_wiener_reduced(twin_partition(new_graph(2, [])), 2)
+                with pytest.raises(DisconnectedGraph):
+                    steiner_wiener_reduced(twin_partition(new_graph(3, [(0, 1)])), 2)
 
     def test_bad_subset_size(self):
-        with pytest.raises(BadSubsetSize):
-            steiner_wiener_reduced(twin_partition(complete_graph(3)), 5)
+        for engine in ENGINES:
+            with forced(engine), pytest.raises(BadSubsetSize):
+                steiner_wiener_reduced(twin_partition(complete_graph(3)), 5)
 
     def test_matches_naive_on_random_graphs(self, rng):
         for _ in range(25):
@@ -262,24 +317,20 @@ class TestReducedIndex:
 
     def test_stats_reported(self):
         d = twin_partition(power_graph_zn(6))
-        value, stats = steiner_wiener_reduced_with_stats(d, 3)
-        assert value == 41
-        assert stats.num_classes == 3
-        assert stats.num_profiles == 4
-        assert stats.dh_cache_hits == 0
+        for value, stats in by_engine(d, 3):
+            assert value == 41
+            assert stats.num_classes == 3
+            assert stats.num_profiles == 4
+            assert stats.dh_cache_hits == 0
 
     def test_twin_free_m4(self, rng):
         # Every class is one vertex, so supports of 2 or 3 classes hold fewer
         # than m = 4 vertices: they have N_S = 0 and never reach the kernel.
         n = 10
-        g = next(
-            g
-            for g in (random_connected_graph(rng, n, 0.4) for _ in range(200))
-            if twin_partition(g).k == n
-        )
-        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), 4)
-        assert value == steiner_wiener_naive(g, 4)
-        assert stats.num_profiles == comb(n, 4)
+        g = twin_free_graph(rng, n)
+        for value, stats in by_engine(twin_partition(g), 4):
+            assert value == steiner_wiener_naive(g, 4)
+            assert stats.num_profiles == comb(n, 4)
         assert support_count((1, 1), 4) == support_count((1, 1, 1), 4) == 0
 
     def test_z480_shared_table_budget(self, monkeypatch):
@@ -323,7 +374,107 @@ class TestPlantedCompositions:
     def test_reduced_matches_naive(self, g):
         d = twin_partition(g)
         for m in range(1, min(g.n, 3 if g.n > 16 else 5) + 1):
-            assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+            assert engines_agree(d, m) == steiner_wiener_naive(g, m)
+
+
+def _benchmark_rows():
+    """``(spec, m, value)``: the benchmark's golden rows and the pairs it leaves out (value None)."""
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    rows = [(r["spec"], r["m"], r["value"]) for r in json.loads((root / "golden.json").read_text())["rows"]]
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", root / "workloads.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return rows + [(family, m, None) for family, m, _ in module.LEFT_OUT]
+
+
+class TestEngines:
+    """The connected-set transform and the level-shared kernel answer every query alike."""
+
+    def test_every_small_connected_graph(self):
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                if not is_connected(g):
+                    continue
+                d = twin_partition(g)
+                for m in range(1, n + 1):
+                    assert engines_agree(d, m) == steiner_wiener_naive(g, m)
+
+    def test_reference_checks(self):
+        for check in REFERENCE_CHECKS:
+            assert engines_agree(twin_partition(family_graph(check.family)), check.m) == check.expected
+
+    def test_benchmark_pairs(self):
+        # Every golden row and left-out pair whose H has at most 20 classes;
+        # the transform over 2^23 class sets of power:Z480 is over budget.
+        for spec, m, value in _benchmark_rows():
+            d = twin_partition(family_graph(spec))
+            if d.k <= 20:
+                got = engines_agree(d, m)
+                assert value is None or got == value, (spec, m)
+
+    def test_left_out_values(self):
+        # Values pinned when both engines first agreed on them.
+        for spec, m, value in [
+            ("zdg:Z180", 5, 1727967184),
+            ("power:Z240", 5, 26124975280),
+            ("comax:Z2xZ3xZ5xZ7", 5, 10368),
+            ("power:Q8xZ15", 6, 20026851296),
+            ("power:Z120", 10, 1045390925342623),
+        ]:
+            assert engines_agree(twin_partition(family_graph(spec)), m) == value
+
+    def test_engine_choice(self):
+        # Up to 8 classes the transform answers every m from 3 on, and m = 2
+        # up to 6 classes; from k = 7 on, the kernel's one pass over H's
+        # distances answers m = 2 at least as fast.
+        for k in range(2, 9):
+            for m in range(2 if k <= 6 else 3, 3 * k + 2):
+                assert reduced._transform_chosen(k, m), (k, m)
+        assert not reduced._transform_chosen(7, 2)
+        # The benchmark's twin-free shapes stay on the kernel.
+        for k in range(20, 35):
+            for m in (2, 3, 4):
+                assert not reduced._transform_chosen(k, m), (k, m)
+
+    def test_transform_budget(self):
+        # Two int32 arrays over 2^23 class sets alone fill DP_BYTE_BUDGET, so
+        # power:Z480 (k = 23) stays on the kernel at every m; k = 21 fits.
+        assert not any(reduced._transform_chosen(23, m) for m in range(2, 24))
+        assert reduced._transform_chosen(21, 10)
+
+    def test_transform_memory(self, rng):
+        # The transform's peak over 2^k class sets stays within what the
+        # budget charges for them.
+        g = twin_free_graph(rng, 16, 0.3)
+        d = twin_partition(g)
+        with forced("transform"):
+            tracemalloc.start()
+            try:
+                steiner_wiener_reduced(d, 6)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= reduced._TRANSFORM_SET_BYTES << d.k
+
+    def test_kernel_chunk_memory(self, rng, monkeypatch):
+        # Weighing a chunk of supports takes at most half a chunk beside the
+        # kernel's distances, so it adds nothing to the peak of a
+        # kernel-chosen query.
+        k, m = 24, 5
+        d = twin_partition(twin_free_graph(rng, k, 0.3))
+        assert not reduced._transform_chosen(k, m)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                steiner_wiener_reduced(d, m)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        weighed = peak()
+        monkeypatch.setattr(reduced, "_add_support_weights", lambda hist, held, w: None)
+        assert weighed <= peak() + CHUNK_BYTES // 64
 
 
 class TestWienerReduced:
