@@ -25,6 +25,7 @@ from .errors import (
     ReconstructionMismatch,
     RingMismatch,
     RingTooLarge,
+    RouteDisagreement,
     SelfLoopRejected,
     TerminalCapExceeded,
     TwindexError,

@@ -1,12 +1,14 @@
 """Command-line surface: generate graphs, decompose, compute indices, bench.
 
 ``index`` and ``bench`` run every route through :func:`_run_index`; a bench
-CSV row is the fastest of ``--reps`` such records. ``--method closed_form``
-reads ``SW_m`` off the family spec and builds no graph.
+CSV row is the fastest of ``--reps`` such records, and the routes' values
+must pass :func:`~twindex.reference.agree`. ``verify-paper`` reads
+:func:`~twindex.reference.cross_check`. ``--method closed_form`` reads
+``SW_m`` off the family spec and builds no graph.
 
 Exit codes: 0 success, 1 computation error (disconnected input, caps
-exceeded, unsupported ring), 2 usage error (bad flags or malformed specs),
-3 reference-value verification failure.
+exceeded, unsupported ring, routes that disagree), 2 usage error (bad flags
+or malformed specs), 3 reference-value verification failure.
 """
 
 from __future__ import annotations
@@ -20,11 +22,11 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-from .errors import BadParameter, ParseError, TwindexError
+from .errors import BadParameter, ParseError, RouteDisagreement, TwindexError
 from .generators import family_graph
 from .graph import GRAPH_FORMATS, Graph, parse_graph, render_graph
 from .reduced import steiner_wiener_reduced_with_stats
-from .reference import closed_form, run_all_checks, verify_star_formula
+from .reference import agree, closed_form, cross_check, run_all_checks
 from .steiner import steiner_wiener_naive
 from .twins import twin_partition
 
@@ -205,7 +207,8 @@ def cmd_bench(args, argv_echo: str) -> int:
         m_values = [int(s) for s in str(args.m).split(",")]
     except ValueError:
         raise BadParameter(f"bad --m list {args.m!r}") from None
-    reps = max(1, args.reps)
+    if args.reps < 1:
+        raise BadParameter(f"--reps must be at least 1, got {args.reps}")
     rows: list[tuple[int, RunRecord]] = []
     for family in args.family:
         g = family_graph(family)
@@ -214,61 +217,53 @@ def cmd_bench(args, argv_echo: str) -> int:
             for method in ("naive", "reduced"):
                 records = [
                     _run_index(method, m, g, family, source=family, command=argv_echo)
-                    for _ in range(reps)
+                    for _ in range(args.reps)
                 ]
                 best[method] = min(records, key=lambda r: r.elapsed_ms)
                 rows.append((g.n, best[method]))
-            if best["naive"].value != best["reduced"].value:
-                raise TwindexError(
-                    f"method disagreement on {family} m={m}: "
-                    f"naive={best['naive'].value} reduced={best['reduced'].value}"
-                )
+            agree({method: int(r.value) for method, r in best.items()}, f"{family} m={m}")
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(["family", "n", "m", "method", "value", "elapsed_ms", "reps"])
-    writer.writerows((r.input, n, r.m, r.method, r.value, r.elapsed_ms, reps) for n, r in rows)
+    writer.writerows((r.input, n, r.m, r.method, r.value, r.elapsed_ms, args.reps) for n, r in rows)
     _write(args.out, out.getvalue())
     return 0
 
 
 def cmd_verify(args, argv_echo: str) -> int:
-    results = run_all_checks()
-    star_ok = verify_star_formula()
-    failures = 0
-    records = []
-    for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failures += 0 if res.passed else 1
-        detail = f"naive={res.naive} reduced={res.reduced}"
-        if res.closed is not None:
-            detail += f" closed_form={res.closed}"
-        line = (
-            f"{status} {res.check.name}: expected {res.check.expected}, "
-            f"{detail} ({res.elapsed_ms:.1f} ms)"
+    lines, records = [], []
+    for res in run_all_checks():
+        routes = " ".join(f"{route}={value}" for route, value in res.routes.items())
+        lines.append(
+            f"{'PASS' if res.passed else 'FAIL'} {res.check.name}: "
+            f"expected {res.check.expected}, {routes} ({res.elapsed_ms:.1f} ms)"
         )
         records.append(
             {
                 "name": res.check.name,
                 "expected": res.check.expected,
-                "naive": res.naive,
-                "reduced": res.reduced,
-                "closed_form": res.closed,
+                **res.routes,
+                "closed_form": res.routes.get("closed_form"),
                 "elapsed_ms": round(res.elapsed_ms, 3),
                 "passed": res.passed,
             }
         )
-        if not args.json:
-            sys.stdout.write(line + "\n")
-    star_line = "PASS" if star_ok else "FAIL"
-    if not star_ok:
-        failures += 1
+    # The star K_{1,n-1} is the complete multipartite graph with parts (1, n-1).
+    star_ok, star_line = True, "star closed form sweep (n=4..10, all m)"
+    try:
+        for n in range(4, 11):
+            for m in range(2, n):
+                cross_check(f"multipartite:1,{n - 1}", m)
+    except RouteDisagreement as exc:
+        star_ok, star_line = False, f"{star_line}: {exc}"
+    lines.append(f"{'PASS' if star_ok else 'FAIL'} {star_line}")
     records.append({"name": "star closed form sweep (n=4..10)", "passed": star_ok})
+    failures = sum(not record["passed"] for record in records)
     if args.json:
         sys.stdout.write(json.dumps({"checks": records, "failures": failures}) + "\n")
     else:
-        sys.stdout.write(f"{star_line} star closed form sweep (n=4..10, all m)\n")
-        total = len(records)
-        sys.stdout.write(f"{total - failures}/{total} checks passed\n")
+        lines.append(f"{len(records) - failures}/{len(records)} checks passed")
+        sys.stdout.write("\n".join(lines) + "\n")
     return 3 if failures else 0
 
 

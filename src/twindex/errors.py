@@ -67,6 +67,15 @@ class ReconstructionMismatch(TwindexError, RuntimeError):
     """Recomposition did not reproduce the source graph (internal bug)."""
 
 
+class RouteDisagreement(TwindexError, RuntimeError):
+    """Two routes to the same index gave different values; ``.routes`` holds them all."""
+
+    def __init__(self, routes, where):
+        self.routes = dict(routes)
+        detail = " ".join(f"{route}={value}" for route, value in self.routes.items())
+        super().__init__(f"method disagreement on {where}: {detail}")
+
+
 class BadParameter(TwindexError, ValueError):
     """Invalid parameter for a group, ring, or graph family constructor."""
 

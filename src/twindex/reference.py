@@ -1,12 +1,21 @@
-"""Reference index values reported in the literature for the built-in families.
+"""Reference index values reported in the literature, and the route cross-check.
 
-Each check recomputes a published Wiener / Steiner-Wiener value with both the
-naive oracle, the twin-class reduction and, where the family has one, the
-closed form from :func:`closed_form`, the one lookup that ``verify-paper``
-and ``index --method closed_form`` read. The methods must always agree with
-each other; a disagreement with the recorded literature value is reported as
-a (documented) erratum rather than silently absorbed, since the naive oracle
-evaluates the definition directly.
+:func:`cross_check` computes ``SW_m`` of a family spec by every route that
+applies, in a fixed order:
+
+- ``naive``: the literal sum over every m-subset, when ``C(n, m)`` is at most
+  ``NAIVE_CAP``;
+- ``wiener``: the all-pairs distance sum, at ``m = 2``;
+- ``reduced``: the twin-class reduction;
+- ``closed_form``: the paper's corollary, read off ``multipartite:`` specs by
+  :func:`closed_form` with no graph built.
+
+:func:`agree` is the one rule for route agreement: every route must give the
+same value, or it raises :class:`RouteDisagreement` (exit 1) carrying all of
+them. ``verify-paper`` checks each :data:`REFERENCE_CHECKS` row this way; a
+row fails when the routes disagree with each other or with the recorded
+literature value, which is then reported as an erratum rather than silently
+absorbed, since the naive oracle evaluates the definition directly.
 """
 
 from __future__ import annotations
@@ -15,10 +24,14 @@ import time
 from dataclasses import dataclass
 from math import comb
 
-from .generators import family_graph, multipartite_sizes, star_graph
+from .errors import RouteDisagreement
+from .generators import family_graph, multipartite_sizes
 from .reduced import steiner_wiener_reduced, sw_complete_multipartite
-from .steiner import steiner_wiener_naive
+from .steiner import steiner_wiener_naive, wiener_index
 from .twins import twin_partition
+
+# Largest number of m-subsets the naive route enumerates in a cross-check.
+NAIVE_CAP = 300_000
 
 
 @dataclass(frozen=True)
@@ -32,17 +45,12 @@ class ReferenceCheck:
 @dataclass
 class CheckResult:
     check: ReferenceCheck
-    naive: int
-    reduced: int
-    closed: int | None
+    routes: dict[str, int]
     elapsed_ms: float
 
     @property
     def passed(self) -> bool:
-        values = {self.naive, self.reduced}
-        if self.closed is not None:
-            values.add(self.closed)
-        return values == {self.check.expected}
+        return set(self.routes.values()) == {self.check.expected}
 
 
 REFERENCE_CHECKS: tuple[ReferenceCheck, ...] = (
@@ -79,36 +87,38 @@ def closed_form(family: str, m: int) -> int | None:
     return None if sizes is None else sw_complete_multipartite(sizes, m)
 
 
+def agree(routes: dict[str, int], where: str) -> int:
+    """The one value every route in ``routes`` gave; raise if they differ."""
+    values = set(routes.values())
+    if len(values) != 1:
+        raise RouteDisagreement(routes, where)
+    return values.pop()
+
+
+def cross_check(family: str, m: int) -> dict[str, int]:
+    """``SW_m`` of ``family`` by every applicable route, checked by :func:`agree`."""
+    g = family_graph(family)
+    routes = {}
+    if comb(g.n, m) <= NAIVE_CAP:
+        routes["naive"] = steiner_wiener_naive(g, m)
+    if m == 2:
+        routes["wiener"] = wiener_index(g)
+    routes["reduced"] = steiner_wiener_reduced(twin_partition(g), m)
+    closed = closed_form(family, m)
+    if closed is not None:
+        routes["closed_form"] = closed
+    agree(routes, f"{family} m={m}")
+    return routes
+
+
 def run_check(check: ReferenceCheck) -> CheckResult:
     start = time.perf_counter()
-    g = family_graph(check.family)
-    naive = steiner_wiener_naive(g, check.m)
-    reduced = steiner_wiener_reduced(twin_partition(g), check.m)
-    closed = closed_form(check.family, check.m)
-    elapsed_ms = (time.perf_counter() - start) * 1000.0
-    return CheckResult(check, naive, reduced, closed, elapsed_ms)
+    try:
+        routes = cross_check(check.family, check.m)
+    except RouteDisagreement as exc:
+        routes = exc.routes
+    return CheckResult(check, routes, (time.perf_counter() - start) * 1000.0)
 
 
 def run_all_checks() -> list[CheckResult]:
     return [run_check(c) for c in REFERENCE_CHECKS]
-
-
-def star_index_formula(n: int, m: int) -> int:
-    """Closed form for ``SW_m`` of the star ``K_{1, n-1}``.
-
-    ``m * binom(n-1, m) + (m-1) * binom(n-1, m-1)``: subsets avoiding the
-    center need to borrow it, subsets through the center form a star tree.
-    Algebraically equal to the complete-multipartite closed form with parts
-    ``(1, n-1)``.
-    """
-    return m * comb(n - 1, m) + (m - 1) * comb(n - 1, m - 1)
-
-
-def verify_star_formula(n_range=range(4, 11)) -> bool:
-    """Check the star closed form against the naive oracle for small stars."""
-    for n in n_range:
-        g = star_graph(n)
-        for m in range(2, n):
-            if steiner_wiener_naive(g, m) != star_index_formula(n, m):
-                return False
-    return True

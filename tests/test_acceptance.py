@@ -25,7 +25,7 @@ from twindex import (
     wiener_reduced,
 )
 from twindex.generators import complete_graph, family_graph, power_graph_zn, star_graph
-from twindex.reference import star_index_formula
+from twindex.reference import closed_form
 
 from conftest import all_graphs, random_connected_graph, random_graph
 
@@ -119,7 +119,7 @@ def test_criterion_10_star_formula():
     for n in range(4, 11):
         g = star_graph(n)
         for m in range(2, n):
-            expected = star_index_formula(n, m)
+            expected = closed_form(f"multipartite:1,{n - 1}", m)
             assert steiner_wiener_naive(g, m) == expected, (n, m)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0

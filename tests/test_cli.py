@@ -7,7 +7,7 @@ import json
 import pytest
 
 from twindex.cli import main
-from twindex.reduced import steiner_wiener_reduced_with_stats
+from twindex.reduced import steiner_wiener_reduced, steiner_wiener_reduced_with_stats
 
 
 def run(capsys, *argv):
@@ -285,6 +285,12 @@ class TestBench:
         assert (code, out) == (1, "")
         assert "method disagreement on power:Z6 m=3: naive=41 reduced=42" in err
 
+    @pytest.mark.parametrize("reps", ["0", "-5"])
+    def test_reps_below_one_is_usage_error(self, capsys, reps):
+        code, out, err = run(capsys, "bench", "--family", "power:Z6", "--m", "3", "--reps", reps)
+        assert (code, out) == (2, "")
+        assert f"--reps must be at least 1, got {reps}" in err
+
 
 class TestVerify:
     def test_all_rows_pass(self, capsys):
@@ -300,6 +306,39 @@ class TestVerify:
         record = json.loads(out)
         assert record["failures"] == 0
         assert len(record["checks"]) == 11
+        for check in record["checks"][:10]:
+            assert {"naive", "reduced", "closed_form"} <= set(check)
+            assert ("wiener" in check) == check["name"].startswith("W ")
+
+    @pytest.fixture
+    def reduced_off_by_one(self, monkeypatch):
+        monkeypatch.setattr(
+            "twindex.reference.steiner_wiener_reduced",
+            lambda d, m: steiner_wiener_reduced(d, m) + 1,
+        )
+
+    def test_failing_rows(self, capsys, reduced_off_by_one):
+        code, out, _ = run(capsys, "verify-paper")
+        assert code == 3
+        lines = out.splitlines()
+        assert all(line.startswith("FAIL") for line in lines[:-1])
+        assert "expected 41, naive=41 reduced=42" in lines[0]
+        assert "expected 113, naive=113 wiener=113 reduced=114" in lines[1]
+        assert "naive=504 reduced=505 closed_form=504" in lines[3]
+        assert lines[10] == (
+            "FAIL star closed form sweep (n=4..10, all m): method disagreement on "
+            "multipartite:1,3 m=2: naive=9 wiener=9 reduced=10 closed_form=9"
+        )
+        assert lines[-1] == "0/11 checks passed"
+
+    def test_failing_rows_json(self, capsys, reduced_off_by_one):
+        code, out, _ = run(capsys, "verify-paper", "--json")
+        assert code == 3
+        record = json.loads(out)
+        assert record["failures"] == 11
+        assert record["checks"][0]["naive"] == 41
+        assert record["checks"][0]["reduced"] == 42
+        assert not any(check["passed"] for check in record["checks"])
 
 
 class TestUsage:

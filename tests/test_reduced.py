@@ -54,7 +54,7 @@ from twindex import reduced, steiner
 from twindex.generators import family_graph
 from twindex.reduced import _add_support_weights
 from twindex.steiner import CHUNK_BYTES, distance_matrix, steiner_levels
-from twindex.reference import REFERENCE_CHECKS, star_index_formula
+from twindex.reference import REFERENCE_CHECKS
 
 from conftest import all_graphs, random_connected_graph
 
@@ -515,12 +515,6 @@ class TestMultipartiteClosedForm:
         expected = comb(n, 2) + sum(comb(p, 2) for p in parts)
         assert sw_complete_multipartite(parts, 2) == expected
         assert wiener_index(complete_multipartite_graph(parts)) == expected
-
-    def test_star_closed_forms_agree(self):
-        # the star K_{1,n-1} is complete multipartite with parts (1, n-1)
-        for n in range(3, 31):
-            for m in range(2, n):
-                assert sw_complete_multipartite((1, n - 1), m) == star_index_formula(n, m)
 
     def test_matches_naive(self, rng):
         for parts in [(1, 2), (2, 2), (3, 3, 3), (1, 3, 4), (2, 2, 2, 2)]:

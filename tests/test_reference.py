@@ -1,0 +1,62 @@
+"""The route cross-check: which routes run, and the one agreement rule."""
+
+from math import comb
+
+import pytest
+
+from twindex import RouteDisagreement, steiner_wiener_reduced
+from twindex import reference
+from twindex.generators import family_graph, star_graph
+from twindex.reference import NAIVE_CAP, agree, cross_check
+
+
+class TestCrossCheck:
+    def test_naive_and_reduced(self):
+        assert cross_check("power:Z6", 3) == {"naive": 41, "reduced": 41}
+
+    def test_wiener_route_at_m2(self):
+        routes = cross_check("power:D12", 2)
+        assert list(routes) == ["naive", "wiener", "reduced"]
+        assert set(routes.values()) == {113}
+
+    def test_closed_form_route(self):
+        assert cross_check("multipartite:3,3,3", 5) == {
+            "naive": 504, "reduced": 504, "closed_form": 504,
+        }
+
+    def test_naive_left_out_over_the_cap(self, monkeypatch):
+        # A 100-vertex star: C(100, 4) = 3,921,225 subsets, and two twin classes.
+        assert comb(100, 4) > NAIVE_CAP
+
+        def never(g, m):
+            raise AssertionError("the naive route ran over the cap")
+
+        monkeypatch.setattr(reference, "steiner_wiener_naive", never)
+        routes = cross_check("star:100", 4)
+        assert list(routes) == ["reduced"]
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(reference, "NAIVE_CAP", comb(6, 3))
+        assert "naive" in cross_check("power:Z6", 3)
+        monkeypatch.setattr(reference, "NAIVE_CAP", comb(6, 3) - 1)
+        assert "naive" not in cross_check("power:Z6", 3)
+
+    def test_disagreement_carries_every_route(self, monkeypatch):
+        monkeypatch.setattr(
+            reference, "steiner_wiener_reduced", lambda d, m: steiner_wiener_reduced(d, m) + 1
+        )
+        with pytest.raises(RouteDisagreement) as exc:
+            cross_check("power:Z6", 3)
+        assert exc.value.routes == {"naive": 41, "reduced": 42}
+        assert str(exc.value) == "method disagreement on power:Z6 m=3: naive=41 reduced=42"
+
+    def test_star_is_multipartite(self):
+        # verify-paper's star sweep runs on these specs.
+        for n in range(4, 11):
+            assert family_graph(f"multipartite:1,{n - 1}") == star_graph(n)
+
+
+class TestAgree:
+    def test_single_value(self):
+        assert agree({"naive": 7, "reduced": 7, "closed_form": 7}, "x m=2") == 7
+
