@@ -32,7 +32,6 @@ from .errors import (
     VertexOutOfRange,
 )
 from .graph import (
-    CompositionSpec,
     Graph,
     generalized_composition,
     induced_subgraph,
@@ -50,7 +49,6 @@ from .steiner import (
     wiener_index,
 )
 from .reduced import (
-    steiner_distance_via_classes,
     steiner_wiener_reduced,
     steiner_wiener_reduced_with_stats,
     sw_complete_multipartite,

@@ -25,7 +25,7 @@ from .algebra import (
     ideal_intersection,
     maximal_among,
 )
-from .graph import CompositionSpec, Graph, generalized_composition, new_graph
+from .graph import Graph, generalized_composition, new_graph
 
 
 def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
@@ -198,16 +198,14 @@ def complete_multipartite_graph(part_sizes) -> Graph:
     parts = list(part_sizes)
     if not parts or any(p < 1 for p in parts):
         raise BadParameter(f"part sizes must be positive, got {parts}")
-    spec = CompositionSpec(complete_graph(len(parts)), tuple(empty_graph(p) for p in parts))
-    return generalized_composition(spec)
+    return generalized_composition(complete_graph(len(parts)), [empty_graph(p) for p in parts])
 
 
 def wheel_graph(n: int) -> Graph:
     """Wheel on ``n + 1`` vertices, built literally as ``K_2[C_n, K_1]``."""
     if n < 3:
         raise BadParameter(f"need rim size n >= 3, got {n}")
-    spec = CompositionSpec(complete_graph(2), (cycle_graph(n), complete_graph(1)))
-    return generalized_composition(spec)
+    return generalized_composition(complete_graph(2), (cycle_graph(n), complete_graph(1)))
 
 
 def power_graph_zn(n: int) -> Graph:

@@ -6,6 +6,11 @@ consume and produce it. Vertices are integers ``0..n-1``, each with one
 Python-int neighbour mask, the package's only adjacency format; semantic names
 (group elements, ring elements, ideals) ride along as per-vertex string
 labels so the algorithms stay label-agnostic.
+
+One bitset walk, :func:`induces_connected`, tells whether a vertex mask
+induces a connected subgraph, for :func:`is_connected` and the Steiner
+oracle. :func:`generalized_composition` builds ``base[factors]``, the form in
+which a twin decomposition rebuilds its graph.
 """
 
 from __future__ import annotations
@@ -74,26 +79,6 @@ class Graph:
             raise VertexOutOfRange(f"vertex {v} not in [0, {self.n})")
 
 
-@dataclass(frozen=True)
-class CompositionSpec:
-    """A base graph plus one factor graph per base vertex.
-
-    :func:`generalized_composition` evaluates it by replacing vertex ``i`` of
-    the base with the whole factor ``factors[i]`` and joining two blocks
-    completely whenever their base vertices are adjacent.
-    """
-
-    base: Graph
-    factors: tuple[Graph, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "factors", tuple(self.factors))
-        if len(self.factors) != self.base.n:
-            raise ArityMismatch(
-                f"base has {self.base.n} vertices but {len(self.factors)} factors given"
-            )
-
-
 def new_graph(
     n: int,
     edges: Iterable[tuple[int, int]] = (),
@@ -126,25 +111,32 @@ def new_graph(
     return Graph(tuple(masks), labels)
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff ``g`` has at most one connected component.
+def induces_connected(g: Graph, mask: int) -> bool:
+    """True iff the vertices of ``mask`` induce a connected subgraph of ``g``.
 
-    The empty graph and the one-vertex graph are connected. A bitset
-    breadth-first search from vertex 0: each level ORs the neighbour masks of
-    its frontier and keeps the vertices not yet seen as the next frontier.
+    The empty mask and a single vertex are connected. A bitset breadth-first
+    search from the lowest vertex of ``mask``: each level ORs the neighbour
+    masks of its frontier and keeps the vertices of ``mask`` not yet seen as
+    the next frontier.
     """
-    if g.n <= 1:
-        return True
-    seen = frontier = 1
+    seen = frontier = mask & -mask
     while frontier:
         reach = 0
         while frontier:
             low = frontier & -frontier
             reach |= g.masks[low.bit_length() - 1]
             frontier ^= low
-        frontier = reach & ~seen
+        frontier = reach & mask & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == mask
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff ``g`` has at most one connected component.
+
+    :func:`induces_connected` over every vertex; the empty graph is connected.
+    """
+    return induces_connected(g, (1 << g.n) - 1)
 
 
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -165,15 +157,18 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(masks, labels), tuple(keep)
 
 
-def generalized_composition(spec: CompositionSpec) -> Graph:
-    """Evaluate ``base[factors[0], ..., factors[k-1]]``.
+def generalized_composition(base: Graph, factors: Sequence[Graph]) -> Graph:
+    """Evaluate ``base[factors[0], ..., factors[k-1]]``, one factor per base vertex.
 
+    Vertex ``i`` of the base is replaced by the whole factor ``factors[i]``.
     The vertex set is the disjoint union of the factor vertex sets, blocks
     laid out in base-vertex order. Two vertices are adjacent iff they sit in
     the same block and are adjacent in its factor, or they sit in different
-    blocks whose base vertices are adjacent.
+    blocks whose base vertices are adjacent. Raises :class:`ArityMismatch`
+    unless there are exactly ``base.n`` factors.
     """
-    base, factors = spec.base, spec.factors
+    if len(factors) != base.n:
+        raise ArityMismatch(f"base has {base.n} vertices but {len(factors)} factors given")
     offsets = list(accumulate((f.n for f in factors), initial=0))
     blocks = [((1 << f.n) - 1) << off for f, off in zip(factors, offsets)]
     masks: list[int] = []

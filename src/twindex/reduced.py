@@ -52,16 +52,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadSubsetSize, DisconnectedGraph, EmptyTerminalSet, NeedTwoParts
-from .graph import is_connected
-from .steiner import (
-    CHUNK_BYTES,
-    DP_BYTE_BUDGET,
-    _INF,
-    distance_matrix,
-    steiner_distance,
-    steiner_levels,
-)
+from .errors import BadSubsetSize, DisconnectedGraph, NeedTwoParts
+from .steiner import CHUNK_BYTES, DP_BYTE_BUDGET, _INF, distance_matrix, steiner_levels
+from .steiner import steiner_distance  # noqa: F401  -- not called; perfbench/tracing.py patches it
 from .twins import ClassKind, TwinDecomposition
 
 # Peak bytes per class set of the connected-set transform, measured with
@@ -88,45 +81,6 @@ class ReducedIndexStats:
     num_classes: int = 0
     num_profiles: int = 0
     dh_cache_hits: int = 0
-
-
-def steiner_distance_via_classes(d: TwinDecomposition, terminals: Iterable[int]) -> int:
-    """Steiner distance from the twin classes the terminals meet.
-
-    Within a single complete class the optimum is a star (``m - 1`` edges);
-    within a single edgeless class every terminal must reach a common outside
-    neighbor (``m`` edges, for ``m >= 2``); across classes it is the reduced
-    graph's Steiner distance of the support's representatives plus one edge
-    for each of the other ``m - |support|`` terminals.
-    """
-    ts = tuple(set(terminals))
-    if not ts:
-        raise EmptyTerminalSet("terminal set must be non-empty")
-    for t in ts:
-        d.source._check_vertex(t)
-    if not _connected_via_reduced(d, is_connected(d.reduced)):
-        raise DisconnectedGraph("class-based Steiner distance requires a connected graph")
-    m = len(ts)
-    if m == 1:
-        return 0
-    support = sorted({d.class_of(t) for t in ts})
-    if len(support) == 1:
-        kind = d.kinds[support[0]]
-        return m if kind is ClassKind.EMPTY else m - 1
-    return steiner_distance(d.reduced, support) + m - len(support)
-
-
-def _connected_via_reduced(d: TwinDecomposition, h_connected: bool) -> bool:
-    """Whether ``d.source`` is connected, given whether H is.
-
-    One class is connected iff it is a single vertex or a clique; with two or
-    more classes G is connected iff H is, since each class is joined
-    completely to every class adjacent to it.
-    """
-    if d.k == 1:
-        size = len(d.classes[0])
-        return size <= 1 or d.kinds[0] is not ClassKind.EMPTY
-    return h_connected
 
 
 def _transform_chosen(k: int, m: int) -> bool:
@@ -273,7 +227,9 @@ def steiner_wiener_reduced_with_stats(
     else:
         dist = distance_matrix(d.reduced)
         h_connected = bool(dist[0].max() < _INF)
-    if not _connected_via_reduced(d, h_connected):
+    # One class is connected iff it is a single vertex or a clique; more are
+    # iff H is, as each class is joined completely to every adjacent class.
+    if not h_connected or d.kinds == (ClassKind.EMPTY,):
         raise DisconnectedGraph("index computation requires a connected graph")
     if m == 1:
         return 0, stats

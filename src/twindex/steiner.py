@@ -10,9 +10,11 @@ every subset of a terminal universe up to a given size, under a byte budget
 checked before allocation. ``steiner_distance`` reads its top level over the
 terminals, ``steiner_wiener_naive`` level m over all vertices, and the
 twin-class reduction every level over the reduced graph.
-``steiner_distance_bruteforce`` minimizes over connected vertex supersets and
-is the independent oracle the kernel and the twin-class reduction formula are
-validated against. All index values are exact Python integers.
+``steiner_distance_bruteforce`` is the independent oracle the kernel and the
+twin-class reduction formula are validated against: the least ``|W| - 1``
+over the vertex sets ``W`` that hold the terminals and induce a connected
+subgraph. It shares nothing with Dreyfus-Wagner or the twin reduction. All
+index values are exact Python integers.
 
 Distances and DP entries are int32, which halves the bytes the kernel moves
 and the budget charges. No sum overflows: ``_INF = 2^29``, and inside a
@@ -38,7 +40,7 @@ from .errors import (
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
 )
-from .graph import Graph
+from .graph import Graph, induces_connected
 
 BRUTE_FORCE_VERTEX_CAP = 16
 # Largest kernel table plus one chunk's working set (see ``steiner_levels``);
@@ -48,6 +50,9 @@ DP_BYTE_BUDGET = 1 << 26
 # enough that each numpy call spans many rows.
 CHUNK_BYTES = 1 << 20
 
+# Scratch that numpy's iterators hold while one operation runs: at most two
+# buffers of ``getbufsize()`` int64 (measured with tracemalloc).
+_BUFFER_BYTES = 16 * np.getbufsize()
 # The one dtype of distances and DP state; its itemsize is what the budget
 # charges per entry. Submask ranks stay int64 (8 bytes).
 _DIST = np.dtype(np.int32)
@@ -113,18 +118,29 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
 
 
 def _row_bytes(n: int, s: int, relax: bool) -> int:
-    """Working bytes of one ``s``-subset on ``n`` anchors.
+    """Peak working bytes of one ``s``-subset on ``n`` anchors.
 
-    A row holds ``2^s`` int64 submask ranks and three anchor rows (two
-    gathered table rows and their minimum), a relaxed row also an ``(n, n)``
-    temporary.
+    Every row keeps ``2s + 4`` int64: its positions and the previous chunk's,
+    which the reader still holds, ``_subsets``' rank and member, and its last
+    member. A top-level row adds ``2^(s-1)`` int64 submask ranks and at most
+    as many gather temporaries, or ``_merge``'s three anchor rows; the merged
+    row and ``dist[last]`` come after, in less. A relaxed row adds ``2^s``
+    ranks and at most the previous chunk's ranks plus the gather
+    temporaries, or its ``(n, n)`` sum beside the merged row and their
+    minimum.
     """
-    return 8 * (1 << s) + _DIST.itemsize * (3 * n + (n * n if relax else 0))
+    if relax:
+        ranks = 8 << s
+        work = max(2 * ranks, _DIST.itemsize * (n * n + 2 * n))
+    else:
+        ranks = 4 << s
+        work = max(ranks, _DIST.itemsize * 3 * n)
+    return 8 * (2 * s + 4) + ranks + work
 
 
 def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
-    """``s``-subsets per chunk on ``n`` anchors: as many as fit ``CHUNK_BYTES``."""
-    return max(1, CHUNK_BYTES // _row_bytes(n, s, relax))
+    """``s``-subsets per chunk on ``n`` anchors: as many as fit beside numpy's buffers."""
+    return max(1, (CHUNK_BYTES - _BUFFER_BYTES) // _row_bytes(n, s, relax))
 
 
 def _submask_rows(
@@ -143,7 +159,7 @@ def _submask_rows(
     members = np.zeros(1 << r, dtype=np.intp)
     for i in range(r):
         low = 1 << i
-        ranks[:, low : 2 * low] = ranks[:, :low] + binom[pos[:, i : i + 1], members[:low] + 1]
+        ranks[:, low : 2 * low] = ranks[:, :low] + binom[:, members[:low] + 1][pos[:, i]]
         members[low : 2 * low] = members[:low] + 1
     ranks += offsets[members]
     ranks[:, 1 << np.arange(r)] = universe[pos]
@@ -193,7 +209,9 @@ def steiner_levels(
     size, n = len(universe), dist.shape[0]
     top = min(top, size)
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
-    need = _DIST.itemsize * n * entries + max(CHUNK_BYTES, _row_bytes(n, top, top > 3))
+    need = _DIST.itemsize * n * entries + max(
+        CHUNK_BYTES, _BUFFER_BYTES + _row_bytes(n, top, top > 3)
+    )
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
@@ -221,8 +239,8 @@ def steiner_levels(
                 rank = binom[pos[:, :-1], np.arange(1, s)].sum(axis=1)
                 out = table[offsets[s - 1] + rank, last]
             else:
-                merged = _merge(table, dist, _submask_rows(pos[:, :-1], binom, offsets, universe))
-                out = np.add(merged, dist[last], out=merged).min(axis=1)
+                out = _merge(table, dist, _submask_rows(pos[:, :-1], binom, offsets, universe))
+                out = np.add(out, dist[last], out=out).min(axis=1)
             yield pos, out
 
     return [level(s) for s in range(1, top + 1)]
@@ -260,46 +278,30 @@ def steiner_distance_bruteforce(g: Graph, terminals: Iterable[int]) -> int:
 
     The smallest subtree containing ``S`` has vertex set ``W`` with
     ``G[W]`` connected and ``|W| - 1`` edges, so the minimum of ``|W| - 1``
-    over connected supersets is the Steiner distance. Exponential in ``n``;
-    capped at ``n <= 16``.
+    over connected supersets is the Steiner distance. Each superset, ``S``
+    plus a submask of the others stepped by ``extra = (extra - 1) & rest``,
+    is tested by :func:`twindex.graph.induces_connected`. Exponential in
+    ``n``; capped at ``n <= 16``.
     """
     if g.n > BRUTE_FORCE_VERTEX_CAP:
         raise GraphTooLargeForBruteForce(
             f"brute force needs n <= {BRUTE_FORCE_VERTEX_CAP}, got {g.n}"
         )
     ts = _validated_terminals(g, terminals)
-    base = 0
-    for t in ts:
-        base |= 1 << t
-    others = [v for v in range(g.n) if not base & (1 << v)]
-    best: int | None = None
-    for extra_bits in range(1 << len(others)):
-        mask = base
-        for i, v in enumerate(others):
-            if extra_bits >> i & 1:
-                mask |= 1 << v
-        size = mask.bit_count()
-        if best is not None and size - 1 >= best:
-            continue
-        if _induced_connected(g, mask):
-            best = size - 1
-    if best is None:
+    base = sum(1 << t for t in ts)
+    rest = ((1 << g.n) - 1) ^ base
+    best = g.n  # above every |W| - 1
+    extra = rest
+    while True:
+        mask = base | extra
+        if mask.bit_count() <= best and induces_connected(g, mask):
+            best = mask.bit_count() - 1
+        if not extra:
+            break
+        extra = (extra - 1) & rest
+    if best == g.n:
         raise DisconnectedTerminals("terminals lie in different components")
     return best
-
-
-def _induced_connected(g: Graph, mask: int) -> bool:
-    start = (mask & -mask).bit_length() - 1
-    seen = 1 << start
-    stack = [start]
-    while stack:
-        fresh = g.masks[stack.pop()] & mask & ~seen
-        seen |= fresh
-        while fresh:
-            low = fresh & -fresh
-            stack.append(low.bit_length() - 1)
-            fresh ^= low
-    return seen == mask
 
 
 def steiner_wiener_naive(

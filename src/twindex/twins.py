@@ -7,7 +7,8 @@ neighborhood bucket: an edgeless class of false twins or a clique of true
 twins. :func:`twin_partition` reads the classes and their kinds off the two
 bucketings in one pass, and the whole graph is recovered as a generalized
 composition of the class subgraphs over the reduced graph of class
-representatives.
+representatives. The pairwise test :func:`are_twins` compares two neighbour
+masks, each with the other vertex's bit cleared.
 """
 
 from __future__ import annotations
@@ -16,13 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import ReconstructionMismatch
-from .graph import (
-    CompositionSpec,
-    Graph,
-    generalized_composition,
-    induced_subgraph,
-    new_graph,
-)
+from .graph import Graph, generalized_composition, induced_subgraph, new_graph
 
 
 class ClassKind(enum.Enum):
@@ -64,11 +59,9 @@ class TwinDecomposition:
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
     """True iff ``N(u) \\ {v} == N(v) \\ {u}`` (every vertex twins itself)."""
-    nu = g.neighbors(u)
-    nv = g.neighbors(v)
-    if u == v:
-        return True
-    return nu - {v} == nv - {u}
+    g._check_vertex(u)
+    g._check_vertex(v)
+    return g.masks[u] & ~(1 << v) == g.masks[v] & ~(1 << u)
 
 
 def twin_partition(g: Graph) -> TwinDecomposition:
@@ -131,7 +124,7 @@ def recompose(d: TwinDecomposition) -> Graph:
     for cls in d.classes:
         sub, _ = induced_subgraph(d.source, cls)
         factors.append(sub)
-    composed = generalized_composition(CompositionSpec(d.reduced, tuple(factors)))
+    composed = generalized_composition(d.reduced, factors)
     perm = [0] * d.source.n
     pos = 0
     for cls in d.classes:

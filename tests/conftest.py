@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from twindex import BadParameter, Graph, VertexOutOfRange, is_connected, new_graph
@@ -64,6 +65,25 @@ def all_graphs(n: int):
     for bits in range(1 << len(pairs)):
         edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
         yield new_graph(n, edges)
+
+
+def graphs_up_to_isomorphism(n: int):
+    """One graph per isomorphism class on n vertices, each its least edge mask.
+
+    Bit i of an edge mask is the i-th pair of ``itertools.combinations``. A
+    vertex permutation moves each edge bit to the bit of the image pair, so
+    every mask's least image over all ``n!`` permutations names its class.
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    bit_of = {pair: i for i, pair in enumerate(pairs)}
+    masks = np.arange(1 << len(pairs), dtype=np.int64)
+    bits = masks[:, None] >> np.arange(len(pairs)) & 1
+    least = masks.copy()
+    for perm in itertools.permutations(range(n)):
+        image = [bit_of[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+        np.minimum(least, bits @ (1 << np.array(image, dtype=np.int64)), out=least)
+    for mask in np.unique(least).tolist():
+        yield new_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
 
 
 # Group and ring specs that the table-driven code is checked on exhaustively.

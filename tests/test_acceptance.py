@@ -12,7 +12,6 @@ import time
 import warnings
 
 from twindex import (
-    CompositionSpec,
     generalized_composition,
     is_connected,
     recompose,
@@ -27,7 +26,7 @@ from twindex import (
 from twindex.generators import complete_graph, family_graph, power_graph_zn, star_graph
 from twindex.reference import closed_form
 
-from conftest import all_graphs, random_connected_graph, random_graph
+from conftest import all_graphs, graphs_up_to_isomorphism, random_connected_graph, random_graph
 
 
 def report(num: int, text: str) -> None:
@@ -127,9 +126,10 @@ def test_criterion_10_star_formula():
 
 
 def test_criterion_11_formula_oracle_equivalence():
-    # Exhaustive edge-set enumeration up to n = 5; full enumeration at n = 6, 7
-    # would blow the 60 s envelope, so those sizes are sampled (150 graphs
-    # each); 60 random connected graphs at each of n = 8, 9.
+    # Exhaustive edge-set enumeration up to n = 5, and every connected graph
+    # on 6 vertices up to isomorphism (112 of the 156 classes; OEIS A001349
+    # and A000088). Sampled: 150 random connected graphs at each of n = 6, 7
+    # and 60 at each of n = 8, 9.
     start = time.perf_counter()
 
     def sweep(g):
@@ -145,6 +145,11 @@ def test_criterion_11_formula_oracle_equivalence():
             if is_connected(g):
                 sweep(g)
                 exhaustive += 1
+    six = list(graphs_up_to_isomorphism(6))
+    connected_six = [g for g in six if is_connected(g)]
+    assert (len(six), len(connected_six)) == (156, 112)
+    for g in connected_six:
+        sweep(g)
     rng = random.Random(0xACCE55)
     sampled = 0
     for n, trials in [(6, 150), (7, 150), (8, 60), (9, 60)]:
@@ -155,8 +160,8 @@ def test_criterion_11_formula_oracle_equivalence():
     assert elapsed < 120.0
     report(
         11,
-        f"reduced == naive on {exhaustive} exhaustive (n<=5) and {sampled} sampled "
-        f"(n=6..9) connected graphs, all m [{elapsed:.1f} s]",
+        f"reduced == naive on {exhaustive} exhaustive (n<=5), {len(connected_six)} n=6 up to "
+        f"isomorphism and {sampled} sampled (n=6..9) connected graphs, all m [{elapsed:.1f} s]",
     )
 
 
@@ -183,7 +188,7 @@ def test_criterion_13_completely_joined_bound():
                 break
             sizes[rng.randrange(p)] += 1
         factors = tuple(random_graph(rng, s, 0.5) for s in sizes)
-        g = generalized_composition(CompositionSpec(complete_graph(p), factors))
+        g = generalized_composition(complete_graph(p), factors)
         for m in range(1, g.n + 1):
             assert steiner_wiener_naive(g, m) <= sw_completely_joined_bound(g.n, m)
     elapsed = time.perf_counter() - start

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from twindex import (
     ArityMismatch,
-    CompositionSpec,
     ParseError,
     SelfLoopRejected,
     VertexOutOfRange,
@@ -24,6 +23,7 @@ from twindex import (
     render_graph,
 )
 from twindex.generators import complete_graph, empty_graph, family_graph, path_graph, power_graph_zn
+from twindex.graph import induces_connected
 from twindex.steiner import _INF
 from twindex.twins import twin_partition
 
@@ -115,14 +115,21 @@ class TestConnectivity:
         assert not is_connected(empty_graph(2))
 
     def test_complete_bipartite_connected(self):
-        k33 = generalized_composition(
-            CompositionSpec(complete_graph(2), (empty_graph(3), empty_graph(3)))
-        )
+        k33 = generalized_composition(complete_graph(2), (empty_graph(3), empty_graph(3)))
         assert is_connected(k33)
 
     def test_trivial_graphs_connected(self):
         assert is_connected(empty_graph(0))
         assert is_connected(empty_graph(1))
+
+    def test_induced_masks_match_reference_bfs(self):
+        for n in range(5):
+            for g in all_graphs(n):
+                for mask in range(1 << n):
+                    sub, _ = induced_subgraph(g, [v for v in range(n) if mask >> v & 1])
+                    neighbors = [sub.neighbors(v) for v in range(sub.n)]
+                    reached = bfs_distances(neighbors, 0) if sub.n else []
+                    assert induces_connected(g, mask) == (math.inf not in reached)
 
 
 class TestDistances:
@@ -211,22 +218,20 @@ class TestInducedSubgraph:
 
 class TestComposition:
     def test_join_of_empties_is_complete_bipartite(self):
-        g = generalized_composition(
-            CompositionSpec(complete_graph(2), (empty_graph(3), empty_graph(4)))
-        )
+        g = generalized_composition(complete_graph(2), (empty_graph(3), empty_graph(4)))
         assert g.n == 7
         assert g.edge_count() == 12
         assert all(g.has_edge(u, v) for u in range(3) for v in range(3, 7))
 
     def test_single_block_identity(self):
         inner = path_graph(4)
-        g = generalized_composition(CompositionSpec(complete_graph(1), (inner,)))
+        g = generalized_composition(complete_graph(1), (inner,))
         assert g.n == inner.n
         assert g.edges() == inner.edges()
 
     def test_arity_mismatch(self):
         with pytest.raises(ArityMismatch):
-            CompositionSpec(complete_graph(2), (empty_graph(1),))
+            generalized_composition(complete_graph(2), (empty_graph(1),))
 
     def test_reassembles_power_graph_of_z6(self):
         # Factors K_3, K_2, K_1 over the reduced graph of the Z_6 power graph;
@@ -234,7 +239,7 @@ class TestComposition:
         pg = power_graph_zn(6)
         d = twin_partition(pg)
         factors = (complete_graph(3), complete_graph(2), complete_graph(1))
-        composed = generalized_composition(CompositionSpec(d.reduced, factors))
+        composed = generalized_composition(d.reduced, factors)
         perm = {}
         pos = 0
         for cls in d.classes:
@@ -249,7 +254,7 @@ class TestComposition:
     def test_edge_count_formula(self, base, factors):
         factors = factors[: base.n]
         factors += [empty_graph(1)] * (base.n - len(factors))
-        g = generalized_composition(CompositionSpec(base, tuple(factors)))
+        g = generalized_composition(base, factors)
         expected = sum(f.edge_count() for f in factors) + sum(
             factors[i].n * factors[j].n for i, j in base.edges()
         )

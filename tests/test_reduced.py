@@ -21,14 +21,12 @@ from twindex import (
     DisconnectedGraph,
     NeedTwoParts,
     TerminalCapExceeded,
-    CompositionSpec,
     TwinDecomposition,
     generalized_composition,
     induced_subgraph,
     is_connected,
     new_graph,
     steiner_distance,
-    steiner_distance_via_classes,
     steiner_wiener_naive,
     steiner_wiener_reduced,
     steiner_wiener_reduced_with_stats,
@@ -190,13 +188,11 @@ class TestSupportHistogram:
         # k = 6 classes, so every m < 6 leaves supports of more than m classes
         # out of the sum.
         g = generalized_composition(
-            CompositionSpec(
-                path_graph(6),
-                (
-                    complete_graph(2), empty_graph(3), complete_graph(1),
-                    empty_graph(2), complete_graph(3), empty_graph(1),
-                ),
-            )
+            path_graph(6),
+            (
+                complete_graph(2), empty_graph(3), complete_graph(1),
+                empty_graph(2), complete_graph(3), empty_graph(1),
+            ),
         )
         d = twin_partition(g)
         assert d.k == 6
@@ -210,21 +206,38 @@ class TestSupportHistogram:
             assert engines_agree(twin_partition(g), g.n) == g.n - 1
 
 
+def class_distance(d, terminals) -> int:
+    """The per-set lemma: ``d_G(S)`` from the twin classes S meets.
+
+    One terminal costs 0. Within a single class, a clique spans S with a
+    star (``m - 1`` edges) and an edgeless class needs a common outside
+    neighbour (``m`` edges). Across classes it is the Steiner distance of
+    the support in H plus one edge for each further terminal.
+    """
+    m = len(terminals)
+    support = sorted({d.class_of(t) for t in terminals})
+    if m == 1:
+        return 0
+    if len(support) == 1:
+        return m if d.kinds[support[0]].name == "EMPTY" else m - 1
+    return steiner_distance(d.reduced, support) + m - len(support)
+
+
 class TestPerSetDistance:
     def test_single_complete_class(self):
         g = power_graph_zn(6)
         d = twin_partition(g)
-        assert steiner_distance_via_classes(d, {0, 1, 5}) == 2
+        assert class_distance(d, {0, 1, 5}) == steiner_distance(g, {0, 1, 5}) == 2
 
     def test_single_empty_class(self):
         g = power_graph(dihedral_group(6))
         d = twin_partition(g)
-        assert steiner_distance_via_classes(d, {6, 8, 10}) == 3
+        assert class_distance(d, {6, 8, 10}) == steiner_distance(g, {6, 8, 10}) == 3
 
     def test_multi_class(self):
         g = power_graph_zn(6)
         d = twin_partition(g)
-        assert steiner_distance_via_classes(d, {2, 3, 4}) == 3
+        assert class_distance(d, {2, 3, 4}) == steiner_distance(g, {2, 3, 4}) == 3
 
     def test_matches_direct_computation(self, rng):
         for _ in range(12):
@@ -232,23 +245,7 @@ class TestPerSetDistance:
             d = twin_partition(g)
             for size in range(1, g.n + 1):
                 for s in itertools.combinations(range(g.n), size):
-                    assert steiner_distance_via_classes(d, s) == steiner_distance(g, s)
-
-    def test_disconnected_rejected(self):
-        d = twin_partition(new_graph(3, [(0, 1)]))
-        with pytest.raises(DisconnectedGraph):
-            steiner_distance_via_classes(d, {0, 2})
-
-    def test_raises_exactly_on_disconnected_graphs(self):
-        # The rule reads connectivity off the classes; G itself is the oracle.
-        for n in range(1, 6):
-            for g in all_graphs(n):
-                d = twin_partition(g)
-                if is_connected(g):
-                    assert steiner_distance_via_classes(d, {0}) == 0
-                else:
-                    with pytest.raises(DisconnectedGraph):
-                        steiner_distance_via_classes(d, {0})
+                    assert class_distance(d, s) == steiner_distance(g, s)
 
 
 class TestReducedIndex:
@@ -284,6 +281,20 @@ class TestReducedIndex:
                     steiner_wiener_reduced(twin_partition(new_graph(2, [])), 2)
                 with pytest.raises(DisconnectedGraph):
                     steiner_wiener_reduced(twin_partition(new_graph(3, [(0, 1)])), 2)
+
+    def test_raises_exactly_on_disconnected_graphs(self):
+        # The kernel reads whether H is connected off distance row 0, the
+        # transform off the full class set; G itself is the oracle.
+        for engine in ENGINES:
+            with forced(engine):
+                for n in range(1, 6):
+                    for g in all_graphs(n):
+                        d = twin_partition(g)
+                        if is_connected(g):
+                            assert steiner_wiener_reduced(d, 1) == 0
+                        else:
+                            with pytest.raises(DisconnectedGraph):
+                                steiner_wiener_reduced(d, 1)
 
     def test_bad_subset_size(self):
         for engine in ENGINES:
@@ -357,7 +368,7 @@ def planted_compositions(draw):
         draw(st.sampled_from([complete_graph, empty_graph]))(draw(st.integers(1, 6)))
         for _ in range(base_n)
     )
-    return generalized_composition(CompositionSpec(base, factors))
+    return generalized_composition(base, factors)
 
 
 class TestPlantedCompositions:
@@ -366,9 +377,7 @@ class TestPlantedCompositions:
     @example(complete_multipartite_graph((3, 4)))  # two edgeless classes
     @example(star_graph(6))  # a singleton class beside an edgeless one
     @example(  # classes smaller than m beside larger ones
-        generalized_composition(
-            CompositionSpec(path_graph(3), (empty_graph(1), complete_graph(5), empty_graph(2)))
-        )
+        generalized_composition(path_graph(3), (empty_graph(1), complete_graph(5), empty_graph(2)))
     )
     @settings(max_examples=60, deadline=None)
     def test_reduced_matches_naive(self, g):
@@ -476,6 +485,23 @@ class TestEngines:
         monkeypatch.setattr(reduced, "_add_support_weights", lambda hist, held, w: None)
         assert weighed <= peak() + CHUNK_BYTES // 64
 
+    @pytest.mark.parametrize("k,m", [(34, 3), (24, 5), (24, 4), (30, 4)])
+    def test_kernel_chunk_within_chunk_bytes(self, rng, k, m):
+        # Beside its table, every level of the kernel works in one chunk,
+        # read as the reduced route reads it: a chunk's subsets and distances
+        # stay alive while the next chunk is built.
+        dist = distance_matrix(twin_free_graph(rng, k, 0.3))
+        table = 4 * k * sum(comb(k - 1, r) for r in range(2, m - 1))
+        tracemalloc.start()
+        try:
+            for level in steiner_levels(dist, range(k), m):
+                for subsets, distances in level:
+                    pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - table <= CHUNK_BYTES
+
 
 class TestWienerReduced:
     def test_ideal_based_graph_of_z6z2(self):
@@ -569,4 +595,4 @@ def _random_completely_joined(rng: random.Random, max_total: int):
     for s in sizes:
         edges = [(u, v) for u in range(s) for v in range(u + 1, s) if rng.random() < 0.5]
         factors.append(new_graph(s, edges))
-    return generalized_composition(CompositionSpec(complete_graph(p), tuple(factors)))
+    return generalized_composition(complete_graph(p), factors)

@@ -34,6 +34,7 @@ from twindex import steiner
 from twindex.steiner import (
     CHUNK_BYTES,
     DP_BYTE_BUDGET,
+    _BUFFER_BYTES,
     _chunk_rows,
     distance_matrix,
     steiner_levels,
@@ -173,7 +174,7 @@ class TestKernel:
             g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
             dist = distance_matrix(g)
             whole_chunks, whole = stream(dist, n, CHUNK_BYTES)
-            few_chunks, few = stream(dist, n, 4 * (3 * n + 128) * 3)
+            few_chunks, few = stream(dist, n, _BUFFER_BYTES + 4 * (3 * n + 128) * 3)
             single_chunks, single = stream(dist, n, 1)
             assert whole == few == single
             assert single_chunks == len(whole) == sum(comb(n, s) for s in range(1, min(n, 7) + 1))

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from twindex import (
     ClassKind,
-    CompositionSpec,
     VertexOutOfRange,
     are_twins,
     generalized_composition,
@@ -53,7 +52,7 @@ def planted_twins(draw):
         draw(st.sampled_from([complete_graph, empty_graph]))(draw(st.integers(1, 5)))
         for _ in range(base_n)
     )
-    g = generalized_composition(CompositionSpec(base, factors))
+    g = generalized_composition(base, factors)
     perm = list(range(g.n))
     rng.shuffle(perm)
     blocks, start = [], 0
@@ -107,6 +106,20 @@ class TestAreTwins:
         for u in range(g.n):
             for v in range(g.n):
                 assert are_twins(g, u, v) == are_twins(g, v, u)
+
+    def test_matches_neighbourhood_sets(self):
+        # The definition over neighbour sets is the reference for the masks.
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                for u in range(n):
+                    for v in range(n):
+                        expected = g.neighbors(u) - {v} == g.neighbors(v) - {u}
+                        assert are_twins(g, u, v) == expected
+
+    def test_out_of_range(self):
+        for u, v in [(0, 6), (6, 0), (-1, 0)]:
+            with pytest.raises(VertexOutOfRange):
+                are_twins(power_graph_zn(6), u, v)
 
 
 class TestTwinPartition:
