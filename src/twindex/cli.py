@@ -1,10 +1,11 @@
 """Command-line surface: generate graphs, decompose, compute indices, bench.
 
-``index`` and ``bench`` run every route through :func:`_run_index`; a bench
-CSV row is the fastest of ``--reps`` such records, and the routes' values
-must pass :func:`~twindex.reference.agree`. ``verify-paper`` reads
-:func:`~twindex.reference.cross_check`. ``--method closed_form`` reads
-``SW_m`` off the family spec and builds no graph.
+Every command that computes an index reaches its routes through one runner,
+:func:`~twindex.reference.run_route`: ``index`` prints its record, a ``bench``
+CSV row is the fastest of ``--reps`` records and the routes' values must pass
+:func:`~twindex.reference.agree`, and ``verify-paper`` reads
+:func:`~twindex.reference.cross_check` on each reference row. This module runs
+no route itself; ``--method closed_form`` builds no graph.
 
 Exit codes: 0 success, 1 computation error (disconnected input, caps
 exceeded, unsupported ring, routes that disagree), 2 usage error (bad flags
@@ -19,37 +20,15 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .errors import BadParameter, ParseError, RouteDisagreement, TwindexError
 from .generators import family_graph
 from .graph import GRAPH_FORMATS, Graph, parse_graph, render_graph
-from .reduced import steiner_wiener_reduced_with_stats
-from .reference import agree, closed_form, cross_check, run_all_checks
-from .steiner import steiner_wiener_naive
+from .reference import REFERENCE_CHECKS, RunRecord, agree, cross_check, run_route
 from .twins import twin_partition
 
 PROGRESS_THRESHOLD = 2000
-
-
-@dataclass
-class RunRecord:
-    """One index computation, as echoed by ``index --json``."""
-
-    command: str
-    input: str
-    method: str
-    m: int
-    value: str
-    elapsed_ms: float
-    num_classes: int | None = None
-    num_profiles: int | None = None
-    dh_cache_hits: int | None = None
-
-    def to_json(self) -> str:
-        record = {k: v for k, v in asdict(self).items() if v is not None}
-        return json.dumps(record)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -136,30 +115,6 @@ def _progress(done: int, total: int) -> None:
         sys.stderr.flush()
 
 
-def _run_index(
-    method: str, m: int, g: Graph | None, family: str | None, *, source: str, command: str,
-    progress=None,
-) -> RunRecord:
-    """Run and time one route to ``SW_m``; the record ``index --json`` prints.
-
-    ``closed_form`` reads the family spec and needs no graph; ``naive`` and
-    ``reduced`` run on ``g``. ``source`` names the input in the record.
-    """
-    start = time.perf_counter()
-    extras = {}
-    if method == "closed_form":
-        value = closed_form(family, m) if family else None
-        if value is None:
-            raise BadParameter("--method closed_form needs --family multipartite:<sizes>")
-    elif method == "naive":
-        value = steiner_wiener_naive(g, m, progress=progress)
-    else:
-        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
-        extras = asdict(stats)
-    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
-    return RunRecord(command, source, method, m, str(value), elapsed_ms, **extras)
-
-
 def cmd_gen(args, argv_echo: str) -> int:
     g, _ = _input_graph(args)
     _write(args.out, render_graph(g, args.format))
@@ -195,7 +150,7 @@ def cmd_twins(args, argv_echo: str) -> int:
 def cmd_index(args, argv_echo: str) -> int:
     g, source = _input_graph(args, build=args.method != "closed_form")
     progress = None if args.json else _progress
-    record = _run_index(
+    record = run_route(
         args.method, args.m, g, args.family, source=source, command=argv_echo, progress=progress
     )
     sys.stdout.write((record.to_json() if args.json else record.value) + "\n")
@@ -216,7 +171,7 @@ def cmd_bench(args, argv_echo: str) -> int:
             best = {}
             for method in ("naive", "reduced"):
                 records = [
-                    _run_index(method, m, g, family, source=family, command=argv_echo)
+                    run_route(method, m, g, family, source=family, command=argv_echo)
                     for _ in range(args.reps)
                 ]
                 best[method] = min(records, key=lambda r: r.elapsed_ms)
@@ -232,27 +187,34 @@ def cmd_bench(args, argv_echo: str) -> int:
 
 def cmd_verify(args, argv_echo: str) -> int:
     lines, records = [], []
-    for res in run_all_checks():
-        routes = " ".join(f"{route}={value}" for route, value in res.routes.items())
+    for check in REFERENCE_CHECKS:
+        start = time.perf_counter()
+        try:
+            routes = cross_check(check.family, check.m)
+        except RouteDisagreement as exc:
+            routes = exc.routes
+        elapsed_ms = (time.perf_counter() - start) * 1000.0
+        passed = set(routes.values()) == {check.expected}
+        values = " ".join(f"{route}={value}" for route, value in routes.items())
         lines.append(
-            f"{'PASS' if res.passed else 'FAIL'} {res.check.name}: "
-            f"expected {res.check.expected}, {routes} ({res.elapsed_ms:.1f} ms)"
+            f"{'PASS' if passed else 'FAIL'} {check.name}: "
+            f"expected {check.expected}, {values} ({elapsed_ms:.1f} ms)"
         )
         records.append(
             {
-                "name": res.check.name,
-                "expected": res.check.expected,
-                **res.routes,
-                "closed_form": res.routes.get("closed_form"),
-                "elapsed_ms": round(res.elapsed_ms, 3),
-                "passed": res.passed,
+                "name": check.name,
+                "expected": check.expected,
+                **routes,
+                "closed_form": routes.get("closed_form"),
+                "elapsed_ms": round(elapsed_ms, 3),
+                "passed": passed,
             }
         )
     # The star K_{1,n-1} is the complete multipartite graph with parts (1, n-1).
     star_ok, star_line = True, "star closed form sweep (n=4..10, all m)"
     try:
         for n in range(4, 11):
-            for m in range(2, n):
+            for m in range(1, n + 1):
                 cross_check(f"multipartite:1,{n - 1}", m)
     except RouteDisagreement as exc:
         star_ok, star_line = False, f"{star_line}: {exc}"
@@ -283,10 +245,7 @@ def main(argv: list[str] | None = None) -> int:
     argv_echo = "twindex " + " ".join(argv)
     try:
         return _COMMANDS[args.command](args, argv_echo)
-    except (BadParameter, ParseError) as exc:
-        sys.stderr.write(f"twindex: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (BadParameter, ParseError, OSError) as exc:
         sys.stderr.write(f"twindex: {exc}\n")
         return 2
     except TwindexError as exc:

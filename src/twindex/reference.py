@@ -1,12 +1,15 @@
-"""Reference index values reported in the literature, and the route cross-check.
+"""Reference index values reported in the literature, the route runner and
+the route cross-check.
 
-:func:`cross_check` computes ``SW_m`` of a family spec by every route that
-applies, in a fixed order:
+:func:`run_route` is the one function that maps a route name to its code and
+times it into a :class:`RunRecord`; ``index``, ``bench`` and
+:func:`cross_check` all call it. :func:`cross_check` runs every route that
+applies to a family spec, in this order:
 
 - ``naive``: the literal sum over every m-subset, when ``C(n, m)`` is at most
-  ``NAIVE_CAP``;
-- ``wiener``: the all-pairs distance sum, at ``m = 2``;
-- ``reduced``: the twin-class reduction;
+  ``NAIVE_CAP`` (``index`` and ``bench`` run it uncapped);
+- ``wiener``: the all-pairs distance sum, at ``m = 2`` (no CLI option runs it);
+- ``reduced``: the twin-class reduction, whose work counts the record carries;
 - ``closed_form``: the paper's corollary, read off ``multipartite:`` specs by
   :func:`closed_form` with no graph built.
 
@@ -20,13 +23,15 @@ absorbed, since the naive oracle evaluates the definition directly.
 
 from __future__ import annotations
 
+import json
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
-from .errors import RouteDisagreement
+from .errors import BadParameter, RouteDisagreement
 from .generators import family_graph, multipartite_sizes
-from .reduced import steiner_wiener_reduced, sw_complete_multipartite
+from .graph import Graph
+from .reduced import steiner_wiener_reduced_with_stats, sw_complete_multipartite
 from .steiner import steiner_wiener_naive, wiener_index
 from .twins import twin_partition
 
@@ -43,14 +48,22 @@ class ReferenceCheck:
 
 
 @dataclass
-class CheckResult:
-    check: ReferenceCheck
-    routes: dict[str, int]
-    elapsed_ms: float
+class RunRecord:
+    """One index computation, as echoed by ``index --json``."""
 
-    @property
-    def passed(self) -> bool:
-        return set(self.routes.values()) == {self.check.expected}
+    command: str
+    input: str
+    method: str
+    m: int
+    value: str
+    elapsed_ms: float
+    num_classes: int | None = None
+    num_profiles: int | None = None
+    dh_cache_hits: int | None = None
+
+    def to_json(self) -> str:
+        record = {k: v for k, v in asdict(self).items() if v is not None}
+        return json.dumps(record)
 
 
 REFERENCE_CHECKS: tuple[ReferenceCheck, ...] = (
@@ -95,30 +108,42 @@ def agree(routes: dict[str, int], where: str) -> int:
     return values.pop()
 
 
+def run_route(
+    method: str, m: int, g: Graph | None, family: str | None, *, source: str, command: str,
+    progress=None,
+) -> RunRecord:
+    """Run and time one route to ``SW_m``; the record ``index --json`` prints.
+
+    ``closed_form`` reads the family spec and needs no graph; the other
+    routes run on ``g``. ``source`` names the input in the record.
+    """
+    start = time.perf_counter()
+    extras = {}
+    if method == "closed_form":
+        value = closed_form(family, m) if family else None
+        if value is None:
+            raise BadParameter("--method closed_form needs --family multipartite:<sizes>")
+    elif method == "naive":
+        value = steiner_wiener_naive(g, m, progress=progress)
+    elif method == "wiener":
+        if m != 2:
+            raise BadParameter(f"the wiener route computes SW_2 only, not m={m}")
+        value = wiener_index(g)
+    else:
+        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
+        extras = asdict(stats)
+    elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
+    return RunRecord(command, source, method, m, str(value), elapsed_ms, **extras)
+
+
 def cross_check(family: str, m: int) -> dict[str, int]:
     """``SW_m`` of ``family`` by every applicable route, checked by :func:`agree`."""
     g = family_graph(family)
-    routes = {}
-    if comb(g.n, m) <= NAIVE_CAP:
-        routes["naive"] = steiner_wiener_naive(g, m)
-    if m == 2:
-        routes["wiener"] = wiener_index(g)
-    routes["reduced"] = steiner_wiener_reduced(twin_partition(g), m)
-    closed = closed_form(family, m)
-    if closed is not None:
-        routes["closed_form"] = closed
+    applies = {"naive": comb(g.n, m) <= NAIVE_CAP, "wiener": m == 2, "reduced": True}
+    applies["closed_form"] = multipartite_sizes(family) is not None
+    routes = {
+        method: int(run_route(method, m, g, family, source=family, command="cross_check").value)
+        for method, runs in applies.items() if runs
+    }
     agree(routes, f"{family} m={m}")
     return routes
-
-
-def run_check(check: ReferenceCheck) -> CheckResult:
-    start = time.perf_counter()
-    try:
-        routes = cross_check(check.family, check.m)
-    except RouteDisagreement as exc:
-        routes = exc.routes
-    return CheckResult(check, routes, (time.perf_counter() - start) * 1000.0)
-
-
-def run_all_checks() -> list[CheckResult]:
-    return [run_check(c) for c in REFERENCE_CHECKS]

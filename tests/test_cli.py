@@ -3,17 +3,34 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twindex
 from twindex.cli import main
-from twindex.reduced import steiner_wiener_reduced, steiner_wiener_reduced_with_stats
+from twindex.reduced import steiner_wiener_reduced_with_stats
+from twindex.reference import cross_check
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def reduced_off_by_one(monkeypatch):
+    """The reduced route, patched at the one name the route runner calls, adds 1."""
+
+    def off_by_one(d, m):
+        value, stats = steiner_wiener_reduced_with_stats(d, m)
+        return value + 1, stats
+
+    monkeypatch.setattr("twindex.reference.steiner_wiener_reduced_with_stats", off_by_one)
 
 
 class TestGen:
@@ -275,12 +292,7 @@ class TestBench:
 
         assert timings_masked(written) == timings_masked(out)
 
-    def test_disagreement_is_computation_error(self, capsys, monkeypatch):
-        def off_by_one(d, m):
-            value, stats = steiner_wiener_reduced_with_stats(d, m)
-            return value + 1, stats
-
-        monkeypatch.setattr("twindex.cli.steiner_wiener_reduced_with_stats", off_by_one)
+    def test_disagreement_is_computation_error(self, capsys, reduced_off_by_one):
         code, out, err = run(capsys, "bench", "--family", "power:Z6", "--m", "3", "--reps", "1")
         assert (code, out) == (1, "")
         assert "method disagreement on power:Z6 m=3: naive=41 reduced=42" in err
@@ -310,12 +322,18 @@ class TestVerify:
             assert {"naive", "reduced", "closed_form"} <= set(check)
             assert ("wiener" in check) == check["name"].startswith("W ")
 
-    @pytest.fixture
-    def reduced_off_by_one(self, monkeypatch):
-        monkeypatch.setattr(
-            "twindex.reference.steiner_wiener_reduced",
-            lambda d, m: steiner_wiener_reduced(d, m) + 1,
-        )
+    def test_star_sweep_covers_every_m(self, capsys, monkeypatch):
+        calls = []
+
+        def recording(family, m):
+            calls.append((family, m))
+            return cross_check(family, m)
+
+        monkeypatch.setattr("twindex.cli.cross_check", recording)
+        assert run(capsys, "verify-paper")[0] == 0
+        star = [(f, m) for f, m in calls if f.startswith("multipartite:1,")]
+        assert star == [(f"multipartite:1,{n - 1}", m) for n in range(4, 11) for m in range(1, n + 1)]
+        assert len(star) == 49
 
     def test_failing_rows(self, capsys, reduced_off_by_one):
         code, out, _ = run(capsys, "verify-paper")
@@ -327,7 +345,7 @@ class TestVerify:
         assert "naive=504 reduced=505 closed_form=504" in lines[3]
         assert lines[10] == (
             "FAIL star closed form sweep (n=4..10, all m): method disagreement on "
-            "multipartite:1,3 m=2: naive=9 wiener=9 reduced=10 closed_form=9"
+            "multipartite:1,3 m=1: naive=0 reduced=1 closed_form=0"
         )
         assert lines[-1] == "0/11 checks passed"
 
@@ -339,6 +357,36 @@ class TestVerify:
         assert record["checks"][0]["naive"] == 41
         assert record["checks"][0]["reduced"] == 42
         assert not any(check["passed"] for check in record["checks"])
+
+
+class TestRouteRunner:
+    def test_one_patch_point_reaches_every_command(self, capsys, reduced_off_by_one):
+        # index, bench and verify-paper all run the reduced route through
+        # reference.run_route, so the one patch reaches each of them.
+        assert run(capsys, "index", "--family", "power:Z6", "--m", "3")[:2] == (0, "42\n")
+        assert run(capsys, "bench", "--family", "power:Z6", "--m", "3", "--reps", "1")[0] == 1
+        assert run(capsys, "verify-paper")[0] == 3
+
+
+def python_m_twindex(*argv):
+    """Run ``python -m twindex`` on this checkout's package in a new process."""
+    src = str(Path(twindex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "twindex", *argv],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+
+
+class TestModuleEntryPoint:
+    def test_index(self):
+        proc = python_m_twindex("index", "--family", "power:Z6", "--m", "3")
+        assert (proc.returncode, proc.stdout) == (0, "41\n")
+
+    def test_malformed_spec_is_usage_error(self):
+        proc = python_m_twindex("index", "--family", "nosuch:3", "--m", "2")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("twindex: ")
 
 
 class TestUsage:

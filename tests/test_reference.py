@@ -1,13 +1,13 @@
-"""The route cross-check: which routes run, and the one agreement rule."""
+"""The route runner and cross-check: which routes run, and the one agreement rule."""
 
 from math import comb
 
 import pytest
 
-from twindex import RouteDisagreement, steiner_wiener_reduced
+from twindex import BadParameter, RouteDisagreement, steiner_wiener_reduced_with_stats
 from twindex import reference
 from twindex.generators import family_graph, star_graph
-from twindex.reference import NAIVE_CAP, agree, cross_check
+from twindex.reference import NAIVE_CAP, agree, cross_check, run_route
 
 
 class TestCrossCheck:
@@ -28,7 +28,7 @@ class TestCrossCheck:
         # A 100-vertex star: C(100, 4) = 3,921,225 subsets, and two twin classes.
         assert comb(100, 4) > NAIVE_CAP
 
-        def never(g, m):
+        def never(g, m, progress=None):
             raise AssertionError("the naive route ran over the cap")
 
         monkeypatch.setattr(reference, "steiner_wiener_naive", never)
@@ -42,9 +42,11 @@ class TestCrossCheck:
         assert "naive" not in cross_check("power:Z6", 3)
 
     def test_disagreement_carries_every_route(self, monkeypatch):
-        monkeypatch.setattr(
-            reference, "steiner_wiener_reduced", lambda d, m: steiner_wiener_reduced(d, m) + 1
-        )
+        def off_by_one(d, m):
+            value, stats = steiner_wiener_reduced_with_stats(d, m)
+            return value + 1, stats
+
+        monkeypatch.setattr(reference, "steiner_wiener_reduced_with_stats", off_by_one)
         with pytest.raises(RouteDisagreement) as exc:
             cross_check("power:Z6", 3)
         assert exc.value.routes == {"naive": 41, "reduced": 42}
@@ -54,6 +56,20 @@ class TestCrossCheck:
         # verify-paper's star sweep runs on these specs.
         for n in range(4, 11):
             assert family_graph(f"multipartite:1,{n - 1}") == star_graph(n)
+
+
+class TestRunRoute:
+    def test_every_route_names_itself(self):
+        g = family_graph("multipartite:2,2")
+        for method in ("naive", "wiener", "reduced", "closed_form"):
+            record = run_route(method, 2, g, "multipartite:2,2", source="K", command="t")
+            assert (record.method, record.value, record.input) == (method, "8", "K")
+            assert (record.num_classes is None) == (method != "reduced")
+
+    def test_wiener_route_is_m2_only(self):
+        # W is SW_2; the route must not answer another m with it.
+        with pytest.raises(BadParameter, match="SW_2 only"):
+            run_route("wiener", 3, family_graph("power:Z6"), None, source="x", command="t")
 
 
 class TestAgree:
