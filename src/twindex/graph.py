@@ -8,9 +8,11 @@ Python-int neighbour mask, the package's only adjacency format; semantic names
 labels so the algorithms stay label-agnostic.
 
 One bitset walk, :func:`induces_connected`, tells whether a vertex mask
-induces a connected subgraph, for :func:`is_connected` and the Steiner
-oracle. :func:`generalized_composition` builds ``base[factors]``, the form in
-which a twin decomposition rebuilds its graph.
+induces a connected subgraph, for the Steiner oracle and for
+:func:`is_connected`, which every index route checks before it builds a
+distance matrix or a class-set array. :func:`generalized_composition`
+builds ``base[factors]``, the form in which a twin decomposition rebuilds
+its graph.
 """
 
 from __future__ import annotations

@@ -32,16 +32,16 @@ Two engines fill ``h``; :func:`_transform_chosen` picks one per query from
   superset-min that turns it into every ``d_H(S)``, and the Möbius
   transform (Björklund, Husfeldt, Kaski and Koivisto, "Fourier meets
   Möbius: fast subset convolution", STOC 2007). It never builds H's
-  distance matrix and reads whether H is connected off the full class set.
-  It wins at small k and large m.
+  distance matrix. It wins at small k and large m.
 * The level-shared kernel :func:`twindex.steiner.steiner_levels` answers
-  the supports of at most ``m`` classes from H's distance matrix, whose row
-  0 tells whether H is connected, and each support's signed subset sums go
-  into ``h``; supports with ``N_S = 0`` are left out, which leaves the sum
-  unchanged. It wins at large k and small m, as on twin-free graphs.
+  the supports of at most ``m`` classes from H's distance matrix, and each
+  support's signed subset sums go into ``h``; supports with ``N_S = 0`` are
+  left out, which leaves the sum unchanged. It wins at large k and small m,
+  as on twin-free graphs.
 
-Either way distances are needed only in the (usually much smaller) reduced
-graph, which is the entire speedup of the reduction.
+Neither engine runs until :func:`twindex.graph.is_connected` has found H
+connected. Either way distances are needed only in the (usually much
+smaller) reduced graph, which is the entire speedup of the reduction.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from typing import Iterable
 import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, NeedTwoParts
-from .steiner import CHUNK_BYTES, DP_BYTE_BUDGET, _INF, distance_matrix, steiner_levels
+from .graph import is_connected
+from .steiner import CHUNK_BYTES, DP_BYTE_BUDGET, distance_matrix, steiner_levels
 from .steiner import steiner_distance  # noqa: F401  -- not called; perfbench/tracing.py patches it
 from .twins import ClassKind, TwinDecomposition
 
@@ -218,25 +219,16 @@ def steiner_wiener_reduced_with_stats(
     n = d.source.n
     if not 1 <= m <= n:
         raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
-    # Each engine walks H once: the transform reads whether H is connected
-    # off the full class set, the kernel off row 0 of H's distance matrix.
-    transform = _transform_chosen(d.k, m)
-    if transform:
-        connected = _connected_sets(d.reduced.masks)
-        h_connected = bool(connected[-1])
-    else:
-        dist = distance_matrix(d.reduced)
-        h_connected = bool(dist[0].max() < _INF)
     # One class is connected iff it is a single vertex or a clique; more are
     # iff H is, as each class is joined completely to every adjacent class.
-    if not h_connected or d.kinds == (ClassKind.EMPTY,):
+    if not is_connected(d.reduced) or d.kinds == (ClassKind.EMPTY,):
         raise DisconnectedGraph("index computation requires a connected graph")
     if m == 1:
         return 0, stats
-    if transform:
-        hist = _transform_histogram(d, connected, m, stats)
+    if _transform_chosen(d.k, m):
+        hist = _transform_histogram(d, _connected_sets(d.reduced.masks), m, stats)
     else:
-        hist = _kernel_histogram(d, dist, m, stats)
+        hist = _kernel_histogram(d, distance_matrix(d.reduced), m, stats)
     edgeless = [size for size, kind in zip(d.class_sizes(), d.kinds) if kind is ClassKind.EMPTY]
     total = m * comb(n, m) + sum(comb(size, m) for size in edgeless)
     total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())

@@ -129,9 +129,11 @@ def run_route(
         if m != 2:
             raise BadParameter(f"the wiener route computes SW_2 only, not m={m}")
         value = wiener_index(g)
-    else:
+    elif method == "reduced":
         value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
         extras = asdict(stats)
+    else:
+        raise BadParameter(f"unknown route {method!r}")
     elapsed_ms = round((time.perf_counter() - start) * 1000.0, 3)
     return RunRecord(command, source, method, m, str(value), elapsed_ms, **extras)
 

@@ -1,9 +1,7 @@
 """Exact Steiner distances and brute-force index computation.
 
 ``distance_matrix`` is the package's one all-pairs routine: a bitset BFS from
-every vertex into an int32 matrix, ``_INF`` where no path exists. The
-whole-graph routes read connectivity off its row 0, so each walks its graph
-once.
+every vertex into an int32 matrix, ``_INF`` where no path exists.
 
 ``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
 every subset of a terminal universe up to a given size, under a byte budget
@@ -40,7 +38,7 @@ from .errors import (
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
 )
-from .graph import Graph, induces_connected
+from .graph import Graph, induces_connected, is_connected
 
 BRUTE_FORCE_VERTEX_CAP = 16
 # Largest kernel table plus one chunk's working set (see ``steiner_levels``);
@@ -89,14 +87,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
             level += 1
         rows.append(row)
     return np.array(rows, dtype=_DIST).reshape(n, n)
-
-
-def _connected_distances(g: Graph, message: str) -> np.ndarray:
-    """:func:`distance_matrix` of ``g``; :class:`DisconnectedGraph` if row 0 misses a vertex."""
-    dist = distance_matrix(g)
-    if g.n and dist[0].max() >= _INF:
-        raise DisconnectedGraph(message)
-    return dist
 
 
 def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.ndarray]:
@@ -320,7 +310,9 @@ def steiner_wiener_naive(
     """
     if not 1 <= m <= g.n:
         raise BadSubsetSize(f"subset size {m} not in [1, {g.n}]")
-    dist = _connected_distances(g, "index computation requires a connected graph")
+    if not is_connected(g):
+        raise DisconnectedGraph("index computation requires a connected graph")
+    dist = distance_matrix(g)
     total = comb(g.n, m)
     value = done = 0
     for subsets, distances in steiner_levels(dist, range(g.n), m)[-1]:
@@ -333,5 +325,6 @@ def steiner_wiener_naive(
 
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over unordered vertex pairs."""
-    dist = _connected_distances(g, "the Wiener index requires a connected graph")
-    return int(np.triu(dist, 1).sum())
+    if not is_connected(g):
+        raise DisconnectedGraph("the Wiener index requires a connected graph")
+    return int(np.triu(distance_matrix(g), 1).sum())

@@ -86,6 +86,34 @@ def graphs_up_to_isomorphism(n: int):
         yield new_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
 
 
+def connectivity_sweep():
+    """Every labeled graph on 1 to 5 vertices, then one per isomorphism class on 6 (156)."""
+    for n in range(1, 6):
+        yield from all_graphs(n)
+    yield from graphs_up_to_isomorphism(6)
+
+
+def connected_by_dfs(g: Graph) -> bool:
+    """Whether ``g`` is connected, by a depth-first search over ``g.edges()``.
+
+    It shares no code with ``twindex.is_connected``, the index routes' own
+    rule, so it can be their oracle.
+    """
+    if not g.n:
+        return True
+    adjacent = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        adjacent[u].append(v)
+        adjacent[v].append(u)
+    seen, stack = {0}, [0]
+    while stack:
+        for w in adjacent[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == g.n
+
+
 # Group and ring specs that the table-driven code is checked on exhaustively.
 GROUP_SWEEP = (
     [f"Z{n}" for n in range(1, 65)]

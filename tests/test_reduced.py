@@ -54,7 +54,7 @@ from twindex.reduced import _add_support_weights
 from twindex.steiner import CHUNK_BYTES, distance_matrix, steiner_levels
 from twindex.reference import REFERENCE_CHECKS
 
-from conftest import all_graphs, random_connected_graph
+from conftest import all_graphs, connected_by_dfs, connectivity_sweep, random_connected_graph
 
 ENGINES = ("transform", "kernel")
 
@@ -283,18 +283,18 @@ class TestReducedIndex:
                     steiner_wiener_reduced(twin_partition(new_graph(3, [(0, 1)])), 2)
 
     def test_raises_exactly_on_disconnected_graphs(self):
-        # The kernel reads whether H is connected off distance row 0, the
-        # transform off the full class set; G itself is the oracle.
+        # Both engines run only once is_connected has found H connected; a
+        # DFS over G's edges, written in the tests, is the oracle.
         for engine in ENGINES:
             with forced(engine):
-                for n in range(1, 6):
-                    for g in all_graphs(n):
-                        d = twin_partition(g)
-                        if is_connected(g):
-                            assert steiner_wiener_reduced(d, 1) == 0
+                for g in connectivity_sweep():
+                    d = twin_partition(g)
+                    for m in (1, min(2, g.n)):
+                        if connected_by_dfs(g):
+                            assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
                         else:
                             with pytest.raises(DisconnectedGraph):
-                                steiner_wiener_reduced(d, 1)
+                                steiner_wiener_reduced(d, m)
 
     def test_bad_subset_size(self):
         for engine in ENGINES:
@@ -356,6 +356,37 @@ class TestReducedIndex:
             steiner_wiener_reduced(d, 11)
         monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
         assert len(steiner_levels(distance_matrix(d.reduced), range(23), 10)) == 10
+
+
+class TestConnectivityFirst:
+    """Every index route checks connectivity before it builds anything of size n^2 or 2^k."""
+
+    @pytest.fixture
+    def nothing_built(self, monkeypatch):
+        """Make every distance matrix and class-set array an index route builds raise."""
+        def built(*args):
+            raise AssertionError("built before the connectivity check")
+
+        for module, name in [(steiner, "distance_matrix"), (reduced, "distance_matrix"),
+                             (reduced, "_connected_sets")]:
+            monkeypatch.setattr(module, name, built)
+
+    def test_disconnected_refused_before_building(self, nothing_built):
+        matching = new_graph(8, [(v, v + 1) for v in range(0, 8, 2)])
+        for g in (matching, new_graph(3, [(0, 1)])):
+            with pytest.raises(DisconnectedGraph):
+                steiner_wiener_naive(g, 2)
+            with pytest.raises(DisconnectedGraph):
+                wiener_index(g)
+            for engine in ENGINES:
+                with forced(engine), pytest.raises(DisconnectedGraph):
+                    steiner_wiener_reduced(twin_partition(g), 2)
+
+    def test_m1_runs_no_engine(self, nothing_built):
+        d = twin_partition(path_graph(5))
+        for engine in ENGINES:
+            with forced(engine):
+                assert steiner_wiener_reduced(d, 1) == 0
 
 
 @st.composite

@@ -71,6 +71,11 @@ class TestRunRoute:
         with pytest.raises(BadParameter, match="SW_2 only"):
             run_route("wiener", 3, family_graph("power:Z6"), None, source="x", command="t")
 
+    def test_unknown_route_is_refused(self):
+        # A mistyped route must not fall through to reduced under its own name.
+        with pytest.raises(BadParameter, match="unknown route 'bogus'"):
+            run_route("bogus", 3, family_graph("power:Z6"), None, source="x", command="t")
+
 
 class TestAgree:
     def test_single_value(self):

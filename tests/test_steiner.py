@@ -15,7 +15,6 @@ from twindex import (
     EmptyTerminalSet,
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
-    is_connected,
     new_graph,
     steiner_distance,
     steiner_distance_bruteforce,
@@ -40,7 +39,13 @@ from twindex.steiner import (
     steiner_levels,
 )
 
-from conftest import all_graphs, permuted, random_connected_graph
+from conftest import (
+    all_graphs,
+    connected_by_dfs,
+    connectivity_sweep,
+    permuted,
+    random_connected_graph,
+)
 
 
 def components(g):
@@ -372,7 +377,7 @@ class TestWiener:
 
 
 class TestConnectivityFromMatrix:
-    """The whole-graph routes read connectivity off row 0 of their distance matrix."""
+    """The whole-graph routes refuse a disconnected graph before building its distance matrix."""
 
     DISCONNECTED = {
         "zero_isolated": new_graph(4, [(1, 2), (2, 3)]),
@@ -401,11 +406,17 @@ class TestConnectivityFromMatrix:
                 steiner_wiener_naive(g, m)
 
     def test_raises_exactly_on_disconnected_graphs(self):
-        for n in range(1, 6):
-            for g in all_graphs(n):
-                for route in self.ROUTES.values():
-                    if is_connected(g):
+        # is_connected is the routes' own rule, so a DFS written in the tests is the oracle.
+        routes = (
+            lambda g: steiner_wiener_naive(g, 1),
+            lambda g: steiner_wiener_naive(g, min(2, g.n)),
+            wiener_index,
+        )
+        for g in connectivity_sweep():
+            if connected_by_dfs(g):
+                assert steiner_wiener_naive(g, 1) == 0
+                assert steiner_wiener_naive(g, min(2, g.n)) == wiener_index(g)
+            else:
+                for route in routes:
+                    with pytest.raises(DisconnectedGraph):
                         route(g)
-                    else:
-                        with pytest.raises(DisconnectedGraph):
-                            route(g)
