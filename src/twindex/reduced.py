@@ -36,8 +36,11 @@ Two engines fill ``h``; :func:`_transform_chosen` picks one per query from
 * The level-shared kernel :func:`twindex.steiner.steiner_levels` answers
   the supports of at most ``m`` classes from H's distance matrix, and each
   support's signed subset sums go into ``h``; supports with ``N_S = 0`` are
-  left out, which leaves the sum unchanged. It wins at large k and small m,
-  as on twin-free graphs.
+  left out, which leaves the sum unchanged. A support that holds exactly
+  ``m`` vertices has ``N_S = 1``: every proper subset T holds fewer, so
+  ``binom(n_T, m) = 0``, and its weight goes to ``h[m]`` alone. On a
+  twin-free graph every support kept is such a one. The kernel wins at
+  large k and small m, as on twin-free graphs.
 
 Neither engine runs until :func:`twindex.graph.is_connected` has found H
 connected. Either way distances are needed only in the (usually much
@@ -54,7 +57,7 @@ import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, NeedTwoParts
 from .graph import is_connected
-from .steiner import CHUNK_BYTES, DP_BYTE_BUDGET, distance_matrix, steiner_levels
+from .steiner import DP_BYTE_BUDGET, distance_matrix, steiner_levels
 from .steiner import steiner_distance  # noqa: F401  -- not called; perfbench/tracing.py patches it
 from .twins import ClassKind, TwinDecomposition
 
@@ -67,6 +70,9 @@ _TRANSFORM_SET_BYTES = 32
 _MERGES_PER_STEP = 5 / 3
 _QUERY_MERGES = 1 << 10
 _LEVEL_MERGES = 1 << 16
+# Least number of values that one ``add.at`` of ``_add_support_weights``
+# scatters, unless the supports have fewer subsets in all.
+_SCATTER_SPAN = 1 << 12
 
 
 @dataclass
@@ -105,25 +111,33 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
 
     ``held`` holds the class sizes of B supports, ``(B, s)``, and ``w`` their
     weights; ``sum_t C(t, m) * hist[t]`` then grows by ``sum_S N_S * w(S)``.
-    Subset sums and signed weights are int64, 16 bytes a subset, for numpy's
-    fast 1-D ``add.at``. They are built for a slice of the supports at a
-    time, at most half of ``CHUNK_BYTES``; with the kernel's ``(B, k)``
-    distances still alive (at most a third of a chunk), weighing a chunk
-    stays within ``CHUNK_BYTES``.
+    The subsets of the first ``low`` classes are laid out side by side, as
+    ``(B, 2^low)`` int64 sums and signed weights with ``B * 2^low`` at most
+    ``_SCATTER_SPAN``. The subsets of the other classes come in Gray-code
+    order: each step adds or removes one class in every sum, which flips
+    the sign, and is one 1-D ``add.at``. So the arrays take at most 24 bytes
+    a support or ``24 * _SCATTER_SPAN`` bytes, and every ``add.at`` spans
+    at least half of ``_SCATTER_SPAN`` values or all of them.
     """
     rows, s = held.shape
-    signs = np.full(1 << s, (-1) ** s, dtype=np.int64)
-    for i in range(s):
-        low = 1 << i
-        signs[low : 2 * low] = -signs[:low]
-    step = max(1, CHUNK_BYTES // (32 << s))
-    for lo in range(0, rows, step):
-        part = held[lo : lo + step]
-        counts = np.zeros((len(part), 1 << s), dtype=np.int64)
-        for i in range(s):
-            low = 1 << i
-            np.add(counts[:, :low], part[:, i : i + 1], out=counts[:, low : 2 * low])
-        np.add.at(hist, counts.ravel(), (w[lo : lo + step, None] * signs).ravel())
+    low = min(s, max(0, (_SCATTER_SPAN // max(rows, 1)).bit_length() - 1))
+    n_t = np.zeros((rows, 1 << low), dtype=np.int64)
+    signs = np.full(1 << low, (-1) ** low, dtype=np.int64)
+    for i in range(low):
+        b = 1 << i
+        np.add(n_t[:, :b], held[:, i : i + 1], out=n_t[:, b : 2 * b])
+        signs[b : 2 * b] = -signs[:b]
+    plus = w[:, None] * signs
+    signed = (plus.ravel(), -plus.ravel())
+    for step in range(1 << (s - low)):
+        if step:
+            i = (step & -step).bit_length() - 1
+            column = held[:, low + i : low + i + 1]
+            if (step ^ step >> 1) >> i & 1:
+                n_t += column
+            else:
+                n_t -= column
+        np.add.at(hist, n_t.ravel(), signed[(s - low - step) & 1])
 
 
 def _kernel_histogram(
@@ -131,8 +145,9 @@ def _kernel_histogram(
 ) -> np.ndarray:
     """The weight histogram ``h`` from the kernel's supports.
 
-    Every support S of at most ``m`` classes that holds ``m`` vertices is one
-    ``d_H`` from :func:`twindex.steiner.steiner_levels`, and adds
+    Every support S of at most ``m`` classes that holds at least ``m``
+    vertices is one ``d_H`` from :func:`twindex.steiner.steiner_levels`.
+    One that holds exactly ``m`` adds ``u(S)`` at ``m``; a larger one adds
     ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
     (:func:`_add_support_weights`); the other supports have ``N_S = 0``.
     """
@@ -146,10 +161,15 @@ def _kernel_histogram(
         if largest[s - 1] < m:
             continue
         for supports, dh in level:
-            held = sizes[supports]
-            keep = held.sum(axis=1) >= m
-            stats.num_profiles += int(keep.sum()) if s > 1 else 0
-            _add_support_weights(hist, held[keep], dh[keep] - s)
+            n_s = sizes[supports].sum(axis=1)
+            exact = n_s == m
+            more = n_s > m
+            stats.num_profiles += int(exact.sum() + more.sum()) if s > 1 else 0
+            # N_S = 1 where S holds exactly m vertices: every proper subset
+            # holds fewer, so only hist[m] gains its weight.
+            hist[m] += int(dh[exact].sum()) - s * int(exact.sum())
+            if more.any():
+                _add_support_weights(hist, sizes[supports[more]], dh[more] - s)
     return hist
 
 

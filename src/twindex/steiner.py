@@ -5,7 +5,10 @@ every vertex into an int32 matrix, ``_INF`` where no path exists.
 
 ``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
 every subset of a terminal universe up to a given size, under a byte budget
-checked before allocation. ``steiner_distance`` reads its top level over the
+checked before allocation. Its top level merges the splits of each subset R of
+one member fewer once, and extends R by every later member c (Dreyfus and
+Wagner, "The Steiner problem in graphs", *Networks* 1, 1971, share the merge of
+R across every ``R | {c}``). ``steiner_distance`` reads its top level over the
 terminals, ``steiner_wiener_naive`` level m over all vertices, and the
 twin-class reduction every level over the reduced graph.
 ``steiner_distance_bruteforce`` is the independent oracle the kernel and the
@@ -107,30 +110,45 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
         yield pos
 
 
-def _row_bytes(n: int, s: int, relax: bool) -> int:
-    """Peak working bytes of one ``s``-subset on ``n`` anchors.
+def _stream_bytes(s: int) -> int:
+    """Peak working bytes of one streamed ``s``-subset: a lookup row, or one output of the top.
+
+    While the next chunk is built, a row holds ``3s + 4`` int64 and two
+    distances: its positions and the previous chunk's, which the reader
+    still holds; ``_subsets``' rank and member; its last member and the
+    previous chunk's rank; and its ``s - 1`` gathered binomials and their
+    sum. A top-level output holds less: its gathered positions with their
+    index, and the repeat temporaries.
+    """
+    return 8 * (3 * s + 4) + 2 * _DIST.itemsize
+
+
+def _row_bytes(n: int, s: int, outputs: int = 0, relax: bool = False) -> int:
+    """Peak working bytes of one merged row on ``n`` anchors, with ``outputs`` streamed rows.
 
     Every row keeps ``2s + 4`` int64: its positions and the previous chunk's,
-    which the reader still holds, ``_subsets``' rank and member, and its last
-    member. A top-level row adds ``2^(s-1)`` int64 submask ranks and at most
-    as many gather temporaries, or ``_merge``'s three anchor rows; the merged
-    row and ``dist[last]`` come after, in less. A relaxed row adds ``2^s``
-    ranks and at most the previous chunk's ranks plus the gather
-    temporaries, or its ``(n, n)`` sum beside the merged row and their
-    minimum.
+    which the loop still holds, ``_subsets``' rank and member, and a last
+    member. A relaxed row of ``s`` members adds ``2^s`` ranks and at most
+    the previous chunk's ranks plus the gather temporaries, or its
+    ``(n, n)`` sum beside the merged row and their minimum. A top-level row
+    is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
+    gather temporaries or ``_merge``'s three anchor rows, then its merged row
+    and its row of the sum buffer, beside the ``outputs`` subsets
+    ``R | {c}`` it yields (:func:`_stream_bytes` each).
     """
     if relax:
         ranks = 8 << s
         work = max(2 * ranks, _DIST.itemsize * (n * n + 2 * n))
     else:
         ranks = 4 << s
-        work = max(ranks, _DIST.itemsize * 3 * n)
+        work = max(ranks, _DIST.itemsize * 3 * n) + _DIST.itemsize * 2 * n
+        work += outputs * _stream_bytes(s)
     return 8 * (2 * s + 4) + ranks + work
 
 
-def _chunk_rows(n: int, s: int, relax: bool = False) -> int:
-    """``s``-subsets per chunk on ``n`` anchors: as many as fit beside numpy's buffers."""
-    return max(1, (CHUNK_BYTES - _BUFFER_BYTES) // _row_bytes(n, s, relax))
+def _chunk_rows(row_bytes: int) -> int:
+    """Rows per chunk: as many rows of ``row_bytes`` as fit beside numpy's buffers."""
+    return max(1, (CHUNK_BYTES - _BUFFER_BYTES) // row_bytes)
 
 
 def _submask_rows(
@@ -180,8 +198,8 @@ def steiner_levels(
     """Steiner distance of every subset of ``universe`` with at most ``top`` members.
 
     Returns one lazy stream per level ``s`` of ``(subsets, distances)`` chunks:
-    ``(B, s)`` ascending positions into ``universe`` in colex order, and their
-    int32 Steiner distances. ``universe`` lies in one component of ``dist``.
+    ``(B, s)`` ascending positions into ``universe`` and their int32 Steiner
+    distances. ``universe`` lies in one component of ``dist``.
 
     The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
     subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
@@ -189,9 +207,13 @@ def steiner_levels(
     relaxed once through ``dist`` (hop counts obey the triangle inequality).
     A single member needs no entry: its row of ``dist`` is read in place.
     Below ``top``, ``d(S)`` is the entry of ``S`` minus its last member at
-    that member. At ``top`` the splits of ``S`` minus its last member are
-    merged, and the minimum over anchors is taken after adding the last
-    member's distance row; three members give ``min_v sum_i d(t_i, v)``.
+    that member, and the subsets come in colex order. At ``top > 2`` the
+    splits of each ``(top - 1)``-subset R of ``universe[:-1]`` are merged
+    once, and ``d(R | {c})`` for every later member ``c`` is the minimum
+    over anchors after adding ``c``'s distance row, in a sum buffer kept
+    across chunks; three members give ``min_v sum_i d(t_i, v)``. Each chunk
+    of the top level holds every ``R | {c}`` of one colex chunk of R, so the
+    top level streams R-chunk-major, not in colex order.
     Raises :class:`TerminalCapExceeded`, before allocating, when the table
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
@@ -199,9 +221,9 @@ def steiner_levels(
     size, n = len(universe), dist.shape[0]
     top = min(top, size)
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
-    need = _DIST.itemsize * n * entries + max(
-        CHUNK_BYTES, _BUFFER_BYTES + _row_bytes(n, top, top > 3)
-    )
+    top_row = _row_bytes(n, top, size)
+    row = max(top_row, _row_bytes(n, top - 2, relax=True) if top > 3 else 0)
+    need = _DIST.itemsize * n * entries + max(CHUNK_BYTES, _BUFFER_BYTES + row)
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
@@ -216,24 +238,44 @@ def steiner_levels(
     offsets[3:top] = binom[-1, 2 : top - 1].cumsum()
     table = np.empty((entries, n), dtype=_DIST)
     for r in range(2, top - 1):
-        for pos in _subsets(size - 1, r, _chunk_rows(n, r, relax=True), binom):
+        for pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
             idx = _submask_rows(pos, binom, offsets, universe)
             table[idx[:, -1]] = (_merge(table, dist, idx)[:, :, None] + dist).min(axis=1)
 
-    def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for pos in _subsets(size, s, _chunk_rows(n, s), binom):
+    def lookups(s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for pos in _subsets(size, s, _chunk_rows(_stream_bytes(s)), binom):
             last = universe[pos[:, -1]]
             if s <= 2:
                 out = dist[universe[pos[:, 0]], last]
-            elif s < top:
+            else:
                 rank = binom[pos[:, :-1], np.arange(1, s)].sum(axis=1)
                 out = table[offsets[s - 1] + rank, last]
-            else:
-                out = _merge(table, dist, _submask_rows(pos[:, :-1], binom, offsets, universe))
-                out = np.add(out, dist[last], out=out).min(axis=1)
             yield pos, out
 
-    return [level(s) for s in range(1, top + 1)]
+    def merged_top() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        rows = _chunk_rows(top_row)
+        total = comb(size - 1, top - 1)
+        work = np.empty((min(rows, total), n), dtype=_DIST)
+        extended = np.arange(size)
+        vertices = universe.tolist()
+        for rpos in _subsets(size - 1, top - 1, rows, binom):
+            merged = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
+            # Colex order sorts the rows by their largest member, so the rows
+            # that c extends, those whose largest member is below c, are a prefix.
+            counts = rpos[:, -1].searchsorted(extended)
+            ends = counts.cumsum()
+            pos = np.empty((ends[-1], top), dtype=np.intp)
+            pos[:, -1] = np.repeat(extended, counts)
+            pos[:, :-1] = rpos[np.arange(len(pos)) - np.repeat(ends - counts, counts)]
+            out = np.empty(len(pos), dtype=_DIST)
+            first = rpos[0, -1] + 1
+            for v, p, end in zip(vertices[first:], counts[first:].tolist(), ends[first:].tolist()):
+                np.add(merged[:p], dist[v], out=work[:p])
+                work[:p].min(axis=1, out=out[end - p : end])
+            yield pos, out
+
+    streams = [lookups(s) for s in range(1, top)]
+    return streams + [merged_top() if top > 2 else lookups(top)]
 
 
 def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:

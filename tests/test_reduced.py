@@ -54,7 +54,13 @@ from twindex.reduced import _add_support_weights
 from twindex.steiner import CHUNK_BYTES, distance_matrix, steiner_levels
 from twindex.reference import REFERENCE_CHECKS
 
-from conftest import all_graphs, connected_by_dfs, connectivity_sweep, random_connected_graph
+from conftest import (
+    all_graphs,
+    connected_by_dfs,
+    connectivity_sweep,
+    graphs_up_to_isomorphism,
+    random_connected_graph,
+)
 
 ENGINES = ("transform", "kernel")
 
@@ -154,6 +160,21 @@ class TestSupportHistogram:
         assert hist.dtype == np.int64
         assert sum(comb(t, m) * int(h) for t, h in enumerate(hist.tolist())) == expected
 
+    @pytest.mark.parametrize("span", [1, 4, 16, 1 << 12])
+    def test_gray_code_steps(self, span, monkeypatch):
+        # Spans below the subset count step through the classes beyond the
+        # first few in Gray-code order; a span of 1 steps through all.
+        monkeypatch.setattr(reduced, "_SCATTER_SPAN", span)
+        rng = random.Random(span)
+        for s in range(1, 8):
+            held = [[rng.randint(1, 6) for _ in range(s)] for _ in range(5)]
+            w = [rng.randint(-3, 40) for _ in range(5)]
+            hist = np.zeros(max(map(sum, held)) + 1, dtype=np.int64)
+            _add_support_weights(hist, np.array(held, dtype=np.int64), np.array(w, dtype=np.int32))
+            for m in range(1, len(hist)):
+                expected = sum(support_count(row, m) * x for row, x in zip(held, w))
+                assert sum(comb(t, m) * int(h) for t, h in enumerate(hist.tolist())) == expected
+
     def test_no_supports(self):
         hist = np.zeros(5, dtype=np.int64)
         _add_support_weights(hist, np.zeros((0, 3), dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -204,6 +225,75 @@ class TestSupportHistogram:
         for _ in range(20):
             g = random_connected_graph(rng, rng.randint(1, 9), 0.4)
             assert engines_agree(twin_partition(g), g.n) == g.n - 1
+
+
+@contextmanager
+def scattered():
+    """Force the kernel and record the class sizes of every support it sends to the scatter."""
+    held = []
+
+    def spy(hist, rows, w):
+        held.extend(rows.tolist())
+        real(hist, rows, w)
+
+    real = reduced._add_support_weights
+    with forced("kernel"), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduced, "_add_support_weights", spy)
+        yield held
+
+
+class TestExactSupportFold:
+    """Supports holding exactly m vertices (N_S = 1) go to ``hist[m]``, not to the scatter."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 7])
+    def test_single_class(self, n):
+        g = complete_graph(n)
+        for m in range(1, n + 1):
+            with scattered() as held:
+                assert steiner_wiener_reduced(twin_partition(g), m) == steiner_wiener_naive(g, m)
+            assert all(sum(row) > m for row in held)
+
+    def test_edgeless_classes(self):
+        for parts in [(1, 5), (2, 3), (3, 3, 3), (1, 1, 4)]:
+            g = complete_multipartite_graph(parts)
+            d = twin_partition(g)
+            for m in range(1, g.n + 1):
+                with scattered() as held:
+                    assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
+                assert all(sum(row) > m for row in held)
+
+    def test_level_with_both_kinds(self):
+        # Classes of 1, 2 and 3 vertices at m = 3: among the two-class
+        # supports, {1, 2} holds exactly 3 vertices and is folded, while
+        # {1, 3} and {2, 3} hold more and are scattered. The class of 3 is
+        # folded too.
+        factors = (complete_graph(1), empty_graph(2), complete_graph(3))
+        g = generalized_composition(path_graph(3), factors)
+        d = twin_partition(g)
+        assert sorted(d.class_sizes()) == [1, 2, 3]
+        with scattered() as held:
+            value, stats = steiner_wiener_reduced_with_stats(d, 3)
+        assert value == steiner_wiener_naive(g, 3)
+        assert stats.num_profiles == 4
+        assert sorted(map(sorted, held)) == [[1, 2, 3], [1, 3], [2, 3]]
+
+    def test_twin_free_scatters_nothing(self, rng):
+        g = twin_free_graph(rng, 12)
+        for m in (2, 3, 4):
+            with scattered() as held:
+                value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
+            assert value == steiner_wiener_naive(g, m)
+            assert stats.num_profiles == comb(12, m)
+            assert held == []
+
+    def test_every_connected_graph_on_six_vertices(self):
+        graphs = [g for g in graphs_up_to_isomorphism(6) if is_connected(g)]
+        assert len(graphs) == 112
+        for g in graphs:
+            d = twin_partition(g)
+            for m in range(1, 7):
+                with scattered():
+                    assert steiner_wiener_reduced(d, m) == steiner_wiener_naive(g, m)
 
 
 def class_distance(d, terminals) -> int:
@@ -499,10 +589,12 @@ class TestEngines:
     def test_kernel_chunk_memory(self, rng, monkeypatch):
         # Weighing a chunk of supports takes at most half a chunk beside the
         # kernel's distances, so it adds nothing to the peak of a
-        # kernel-chosen query.
+        # kernel-chosen query. Classes of 2 or 3 vertices over a twin-free
+        # base leave supports that hold more than m vertices to weigh.
         k, m = 24, 5
-        d = twin_partition(twin_free_graph(rng, k, 0.3))
-        assert not reduced._transform_chosen(k, m)
+        factors = [rng.choice([complete_graph, empty_graph])(rng.randint(2, 3)) for _ in range(k)]
+        d = twin_partition(generalized_composition(twin_free_graph(rng, k, 0.3), factors))
+        assert d.k == k and not reduced._transform_chosen(k, m)
 
         def peak():
             tracemalloc.start()
@@ -512,6 +604,9 @@ class TestEngines:
             finally:
                 tracemalloc.stop()
 
+        with scattered() as held:
+            peak()
+        assert len(held) > comb(k, m)
         weighed = peak()
         monkeypatch.setattr(reduced, "_add_support_weights", lambda hist, held, w: None)
         assert weighed <= peak() + CHUNK_BYTES // 64

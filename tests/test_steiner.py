@@ -35,6 +35,8 @@ from twindex.steiner import (
     DP_BYTE_BUDGET,
     _BUFFER_BYTES,
     _chunk_rows,
+    _row_bytes,
+    _stream_bytes,
     distance_matrix,
     steiner_levels,
 )
@@ -64,13 +66,15 @@ def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
     The levels are read top first, so no level relies on an earlier one
-    having been read.
+    having been read. Returns the number of chunks of each level.
     """
     levels = steiner_levels(distance_matrix(g), universe, top)
     assert len(levels) == top
+    chunks = [0] * top
     for s in range(top, 0, -1):
         seen = set()
         for subsets, distances in levels[s - 1]:
+            chunks[s - 1] += 1
             assert subsets.shape == (len(distances), s)
             assert distances.dtype == np.int32 and distances.ndim == 1
             for row, value in zip(subsets.tolist(), distances.tolist()):
@@ -80,6 +84,37 @@ def check_levels(g, universe, top, oracle):
                 seen.add(members)
                 assert value == oracle(members), (g.edges(), universe, top, members)
         assert len(seen) == comb(len(universe), s)
+    return chunks
+
+
+def beside_far_component(rng, first, b):
+    """``first`` and a random connected graph on ``b`` vertices, labels interleaved.
+
+    Returns the graph and the labels ``first``'s vertices got.
+    """
+    a = first.n
+    labels = list(range(a + b))
+    rng.shuffle(labels)
+    parts = [first, random_connected_graph(rng, b, 0.4)]
+    edges = [
+        (labels[u + shift], labels[v + shift])
+        for part, shift in zip(parts, (0, a))
+        for u, v in part.edges()
+    ]
+    return new_graph(a + b, edges), labels[:a]
+
+
+def expected_chunks(n, size, top):
+    """Chunks of every level of ``steiner_levels`` over ``size`` of ``n`` vertices up to ``top``.
+
+    A level below the top streams its subsets as lookups; the top level
+    (from three members on) streams one chunk per chunk of the
+    ``(top - 1)``-subsets of all but the last member.
+    """
+    counts = [-(-comb(size, s) // _chunk_rows(_stream_bytes(s))) for s in range(1, top)]
+    if top > 2:
+        return counts + [-(-comb(size - 1, top - 1) // _chunk_rows(_row_bytes(n, top, size)))]
+    return counts + [-(-comb(size, top) // _chunk_rows(_stream_bytes(top)))]
 
 
 class TestSteinerDistance:
@@ -148,23 +183,39 @@ class TestKernel:
         for case in range(12):
             a, b = (8 if case == 0 else rng.randint(1, 8)), rng.randint(1, 6)
             first = path_graph(a) if case == 0 else random_connected_graph(rng, a, 0.4)
-            labels = list(range(a + b))
-            rng.shuffle(labels)
-            parts = [first, random_connected_graph(rng, b, 0.4)]
-            edges = [
-                (labels[u + shift], labels[v + shift])
-                for part, shift in zip(parts, (0, a))
-                for u, v in part.edges()
-            ]
-            g = new_graph(a + b, edges)
+            g, labels = beside_far_component(rng, first, b)
             oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
-            universe = rng.sample(labels[:a], a if case == 0 else rng.randint(1, a))
+            universe = rng.sample(labels, a if case == 0 else rng.randint(1, a))
             for top in range(1, len(universe) + 1):
                 check_levels(g, universe, top, oracle)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_shared_top_across_chunk_boundaries(self, rng, monkeypatch, rows):
+        # The top level merges each (top - 1)-subset R once, in R-chunks of
+        # 1 or 3 rows here, so the prefix of rows that each last member c
+        # extends spans many chunks. The last graph is a path on 8 vertices,
+        # all in the universe, beside a far component: at top = 8 its sums
+        # reach 3 * _INF plus a few hop counts.
+        cases = [random_connected_graph(rng, n, rng.choice([0.25, 0.5])) for n in range(3, 11)]
+        cases = [(g, list(range(g.n))) for g in cases]
+        cases.append(beside_far_component(rng, path_graph(8), 2))
+        for g, universe in cases:
+            oracle = functools.cache(lambda s, g=g: steiner_distance_bruteforce(g, s))
+            rng.shuffle(universe)
+            size = len(universe)
+            for top in range(3, size + 1):
+                top_row = _row_bytes(g.n, top, size)
+                monkeypatch.setattr(steiner, "CHUNK_BYTES", _BUFFER_BYTES + rows * top_row)
+                assert _chunk_rows(top_row) == rows
+                chunks = check_levels(g, universe, top, oracle)
+                assert chunks == expected_chunks(g.n, size, top)
+                assert chunks[-1] == -(-comb(size - 1, top - 1) // rows)
+
     def test_batches_match_single_rows_and_bruteforce(self, rng, monkeypatch):
         # Whole levels, chunks of a few rows and chunks of one row yield the
-        # same subsets in the same order, each equal to the oracle.
+        # same subsets, each once and equal to the oracle, in exactly the
+        # chunks the byte accounting gives. The top level streams its chunks
+        # R-major, not in colex order, so the pairs are compared sorted.
         def stream(dist, n, chunk_bytes):
             monkeypatch.setattr(steiner, "CHUNK_BYTES", chunk_bytes)
             chunks = [
@@ -173,17 +224,22 @@ class TestKernel:
                 for s, d in level
             ]
             pairs = [(tuple(r), v) for rows, values in chunks for r, v in zip(rows, values)]
-            return len(chunks), pairs
+            assert len(set(r for r, _ in pairs)) == len(pairs)
+            assert len(chunks) == sum(expected_chunks(n, n, min(n, 7)))
+            return len(chunks), sorted(pairs)
 
         for n in range(1, 11):
+            top = min(n, 7)
             g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
             dist = distance_matrix(g)
             whole_chunks, whole = stream(dist, n, CHUNK_BYTES)
             few_chunks, few = stream(dist, n, _BUFFER_BYTES + 4 * (3 * n + 128) * 3)
             single_chunks, single = stream(dist, n, 1)
             assert whole == few == single
-            assert single_chunks == len(whole) == sum(comb(n, s) for s in range(1, min(n, 7) + 1))
-            assert whole_chunks == min(n, 7)
+            assert len(whole) == sum(comb(n, s) for s in range(1, top + 1))
+            merged = comb(n - 1, top - 1) if top > 2 else comb(n, top)
+            assert single_chunks == sum(comb(n, s) for s in range(1, top)) + merged
+            assert whole_chunks == top
             assert n < 6 or whole_chunks < few_chunks < single_chunks
             for row, value in whole:
                 assert steiner_distance_bruteforce(g, row) == value
@@ -339,7 +395,9 @@ class TestNaiveIndex:
         value = steiner_wiener_naive(
             cycle_graph(n), m, progress=lambda done, total: calls.append((done, total))
         )
-        assert len(calls) == -(-total // _chunk_rows(n, m)) > 1
+        # One call per chunk of the (m - 1)-subsets that the top level merges.
+        rows = _chunk_rows(_row_bytes(n, m, n))
+        assert len(calls) == expected_chunks(n, n, m)[-1] == -(-comb(n - 1, m - 1) // rows) > 1
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
         assert {t for _, t in calls} == {total}
         assert calls[-1] == (total, total)
