@@ -3,7 +3,7 @@
 Run with: python demos/04_ring_graphs.py
 """
 
-from twindex import steiner_wiener_reduced, twin_partition, wiener_reduced
+from twindex import steiner_wiener_reduced, twin_partition
 from twindex.algebra import all_ideals, ideal_from_spec, jacobson_radical, ring_from_spec, zmod
 from twindex.generators import comaximal_ideal_graph, ideal_zero_divisor_graph, zero_divisor_graph
 
@@ -30,4 +30,4 @@ print(f"\n{rr!r}: {len(all_ideals(rr))} ideals,",
 gc = comaximal_ideal_graph(rr)
 dc = twin_partition(gc)
 print("comaximal graph:", gc.n, "vertices, class sizes", dc.class_sizes())
-print("W =", wiener_reduced(dc), " SW_8 =", steiner_wiener_reduced(dc, 8))
+print("W =", steiner_wiener_reduced(dc, 2), " SW_8 =", steiner_wiener_reduced(dc, 8))

@@ -11,7 +11,8 @@ import time
 from math import comb
 
 from twindex import steiner_wiener_naive, steiner_wiener_reduced_with_stats, twin_partition
-from twindex.generators import power_graph_zn
+from twindex.algebra import cyclic_group
+from twindex.generators import power_graph
 
 M = 3
 print(f"m = {M}, power graphs of Z_n")
@@ -19,7 +20,7 @@ print(f"{'n':>4} {'subsets':>9} {'classes':>8} {'supports':>9} "
       f"{'naive':>10} {'reduced':>10} {'speedup':>8}  value")
 
 for n in (12, 20, 30, 40, 60):
-    g = power_graph_zn(n)
+    g = power_graph(cyclic_group(n))
     d = twin_partition(g)
 
     t0 = time.perf_counter()

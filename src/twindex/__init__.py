@@ -53,7 +53,6 @@ from .reduced import (
     steiner_wiener_reduced_with_stats,
     sw_complete_multipartite,
     sw_completely_joined_bound,
-    wiener_reduced,
 )
 from .algebra import (
     FiniteGroup,
@@ -84,7 +83,6 @@ from .generators import (
     ideal_zero_divisor_graph,
     path_graph,
     power_graph,
-    power_graph_zn,
     power_graph_zn_classes,
     star_graph,
     wheel_graph,

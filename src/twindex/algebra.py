@@ -607,34 +607,74 @@ def all_ideals(r: FiniteRing) -> list[Ideal]:
 
     The principal ideals ``R x`` are the distinct rows of one boolean mask
     matrix (with a one, ``R x`` is already closed under addition); every other
-    ideal is a finite sum of principal ones, so closing under sums with
-    principal ideals is complete. Ideals are kept as element masks, keyed by
-    their packed bits, and each sum is one scatter of the addition table.
+    ideal is a finite sum of principal ones, so closing the found ideals under
+    sums with principal ones is complete.
+
+    Most sums are read off the found ideals, not summed. For a found ideal
+    ``I`` and a principal ``J`` the mask product gives ``|I & J|``, and the
+    second isomorphism theorem for the additive group gives
+    ``|I + J| = |I| |J| / |I & J|``. A found ``K`` contains ``I`` exactly when
+    ``|K & I| = |I|``, read from the same products. Every ideal that contains
+    both ``I`` and ``J`` contains ``I + J``, so one of size ``|I + J|`` is
+    ``I + J``. Only pairs that no found ideal explains in this way are summed
+    through the addition table, and their sums are tested in turn. On a
+    principal ideal ring every sum is principal, so nothing is summed. The
+    test takes at most n new ideals at a time and one size of ``K`` at a
+    time, so besides the n x n mask every temporary holds O(f * n) entries
+    for f found ideals, never one per (found, found, principal) triple.
     """
     if r.size > IDEAL_ENUM_CAP:
         raise RingTooLarge(
             f"ring size {r.size} exceeds the enumeration cap {IDEAL_ENUM_CAP}"
         )
     n = r.size
+    # One scatter of the multiplication table; a flat index would be an n x n
+    # intp temporary, the largest allocation of the whole enumeration.
     masks = np.zeros((n, n), dtype=bool)
     masks[np.arange(n)[:, None], r._mul] = True  # row x: the members of R x
-    found = {np.packbits(row).tobytes(): row for row in masks}
-    principal = np.array(list(found.values()))
-    principal_members = [np.flatnonzero(p) for p in principal]
-    worklist = list(principal)
-    while worklist:
-        current = worklist.pop()
-        members = np.flatnonzero(current)
-        # Sums with a principal ideal on either side of ``current`` add nothing new.
-        incomparable = (principal & ~current).any(axis=1) & (current & ~principal).any(axis=1)
-        for j in np.flatnonzero(incomparable):
+    packed = np.packbits(masks, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()  # one opaque key per row
+    keys, first = np.unique(rows, return_index=True)
+    seen = {key.tobytes() for key in keys}
+    principal = masks[first]
+    principal_i = principal.astype(np.int32)
+    principal_size = principal.sum(axis=1)
+    found = principal  # rows [start:] are the ideals not yet tested
+    start = 0
+    while start < len(found):
+        stop = min(len(found), start + n)  # at most n new ideals per batch
+        found_i = found.astype(np.int32)
+        size = found.sum(axis=1)
+        new_size = size[start:stop]
+        in_principal = found_i @ principal_i.T  # [K, J]: |K & J|
+        # [K, I]: |K & I| for every new I; the first batch is the principal ideals.
+        in_new = in_principal if start == 0 else found_i @ found_i[start:stop].T
+        joint = in_principal[start:stop]  # |I & J|
+        product = new_size[:, None] * principal_size
+        explained = np.zeros(joint.shape, dtype=bool)
+        for s in set(size.tolist()):
+            target = joint * s == product  # |I + J| == s
+            if not target.any():
+                continue
+            k = size == s
+            holds_i = in_new[k] == new_size
+            holds_j = in_principal[k] == principal_size
+            explained |= target & (holds_i.T @ holds_j)  # some K holds both
+        if start == 0:  # both principal: test each unordered pair once
+            explained |= np.triu(np.ones(explained.shape, dtype=bool))
+        sums = []
+        for i, j in zip(*np.nonzero(~explained)):
             total = np.zeros(n, dtype=bool)
-            total[r._add[members[:, None], principal_members[j]]] = True
+            members = np.flatnonzero(found[start + i])
+            total[r._add[members[:, None], np.flatnonzero(principal[j])]] = True
             key = np.packbits(total).tobytes()
-            if key not in found:
-                found[key] = total
-                worklist.append(total)
-    ideals = [Ideal(r, tuple(np.flatnonzero(mask).tolist())) for mask in found.values()]
+            if key not in seen:
+                seen.add(key)
+                sums.append(total)
+        start = stop
+        if sums:
+            found = np.vstack([found, sums])
+    ideals = [Ideal(r, tuple(np.flatnonzero(mask).tolist())) for mask in found]
     ideals.sort(key=lambda i: (len(i.elements), i.elements))
     return ideals
 

@@ -21,7 +21,6 @@ from .algebra import (
     FiniteRing,
     Ideal,
     all_ideals,
-    cyclic_group,
     ideal_intersection,
     maximal_among,
 )
@@ -206,11 +205,6 @@ def wheel_graph(n: int) -> Graph:
     if n < 3:
         raise BadParameter(f"need rim size n >= 3, got {n}")
     return generalized_composition(complete_graph(2), (cycle_graph(n), complete_graph(1)))
-
-
-def power_graph_zn(n: int) -> Graph:
-    """Convenience wrapper: the power graph of the cyclic group ``Z_n``."""
-    return power_graph(cyclic_group(n))
 
 
 def multipartite_sizes(spec: str) -> tuple[int, ...] | None:

@@ -267,13 +267,6 @@ def steiner_wiener_reduced(d: TwinDecomposition, m: int) -> int:
     return value
 
 
-def wiener_reduced(d: TwinDecomposition) -> int:
-    """Wiener index via twin classes: :func:`steiner_wiener_reduced` at ``m = 2``."""
-    if d.source.n < 2:
-        return 0
-    return steiner_wiener_reduced(d, 2)
-
-
 def sw_complete_multipartite(part_sizes: Iterable[int], m: int) -> int:
     """Closed form for ``SW_m`` of the complete multipartite graph.
 

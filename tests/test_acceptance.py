@@ -21,9 +21,9 @@ from twindex import (
     sw_completely_joined_bound,
     twin_partition,
     wiener_index,
-    wiener_reduced,
 )
-from twindex.generators import complete_graph, family_graph, power_graph_zn, star_graph
+from twindex.algebra import cyclic_group
+from twindex.generators import complete_graph, family_graph, power_graph, star_graph
 from twindex.reference import closed_form
 
 from conftest import all_graphs, graphs_up_to_isomorphism, random_connected_graph, random_graph
@@ -53,7 +53,7 @@ def test_criterion_02_wiener_power_graph_d12():
     start = time.perf_counter()
     g = family_graph("power:D12")
     w = wiener_index(g)
-    wr = wiener_reduced(twin_partition(g))
+    wr = steiner_wiener_reduced(twin_partition(g), 2)
     elapsed = time.perf_counter() - start
     assert w == wr == 113
     assert elapsed < 1.0
@@ -106,7 +106,7 @@ def test_criterion_09_wiener_comaximal_graphs():
         start = time.perf_counter()
         g = family_graph(family)
         w = wiener_index(g)
-        wr = wiener_reduced(twin_partition(g))
+        wr = steiner_wiener_reduced(twin_partition(g), 2)
         elapsed = time.perf_counter() - start
         assert w == wr == expected, (family, w, wr, expected)
         assert elapsed < 1.0, (family, elapsed)
@@ -198,7 +198,7 @@ def test_criterion_13_completely_joined_bound():
 
 def test_criterion_14_reduction_speedup_on_z60():
     start = time.perf_counter()
-    g = power_graph_zn(60)
+    g = power_graph(cyclic_group(60))
     d = twin_partition(g)
     t0 = time.perf_counter()
     naive = steiner_wiener_naive(g, 3)

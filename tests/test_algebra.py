@@ -968,8 +968,42 @@ class TestMatchesReference:
             got, expected = all_ideals(r), reference_all_ideals(r)
             assert [i.elements for i in got] == [i.elements for i in expected], spec
             assert all(type(x) is int for i in got for x in i.elements), spec
-        r = _f2xy()
-        assert [i.elements for i in all_ideals(r)] == [i.elements for i in reference_all_ideals(r)]
+        f2xy = _f2xy()
+        for r in [f2xy, ring_product(f2xy, zmod(2)), ring_product(f2xy, zmod(3)), ring_product(f2xy, f2xy)]:
+            got = all_ideals(r)
+            assert [i.elements for i in got] == [i.elements for i in reference_all_ideals(r)], r.name
+            # A non-principal ideal is no row of the principal mask, so the
+            # enumerator found it by summing through the addition table.
+            principal = {frozenset(column) for column in r._mul.T.tolist()}
+            assert any(i.members not in principal for i in got), r.name
+
+
+class TestIdealsAtTheCap:
+    """``Z2^8`` has order ``IDEAL_ENUM_CAP`` and 256 ideals, one per subset of its factors."""
+
+    SPEC = "Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"
+
+    def test_every_ideal_is_closed(self):
+        r = ring_from_spec(self.SPEC)
+        assert r.size == IDEAL_ENUM_CAP
+        ideals = all_ideals(r)
+        assert len(ideals) == 256
+        for ideal in ideals:
+            members = np.array(ideal.elements)
+            assert set(r._add[np.ix_(members, members)].ravel().tolist()) == ideal.members
+            assert set(r._mul[:, members].ravel().tolist()) == ideal.members
+
+    def test_peak_memory(self):
+        # The n x n membership mask is 64 KiB; a temporary with one entry per
+        # (found, found, principal) triple would be 64 MiB.
+        r = ring_from_spec(self.SPEC)
+        tracemalloc.start()
+        try:
+            all_ideals(r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
 
 
 # --- the byte budget on one operation table ----------------------------------------

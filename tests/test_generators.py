@@ -37,7 +37,6 @@ from twindex.generators import (
     ideal_zero_divisor_graph,
     path_graph,
     power_graph,
-    power_graph_zn,
     power_graph_zn_classes,
     star_graph,
     wheel_graph,
@@ -80,7 +79,7 @@ class TestDivisorClasses:
 
     def test_refines_twin_partition(self):
         for n in range(2, 37):
-            g = power_graph_zn(n)
+            g = power_graph(cyclic_group(n))
             twin_classes = [set(c) for c in twin_partition(g).classes]
             for _, members in power_graph_zn_classes(n):
                 assert any(set(members) <= cls for cls in twin_classes), n

@@ -22,7 +22,8 @@ from twindex import (
     parse_graph,
     render_graph,
 )
-from twindex.generators import complete_graph, empty_graph, family_graph, path_graph, power_graph_zn
+from twindex.algebra import cyclic_group
+from twindex.generators import complete_graph, empty_graph, family_graph, path_graph, power_graph
 from twindex.graph import induces_connected
 from twindex.steiner import _INF
 from twindex.twins import twin_partition
@@ -236,7 +237,7 @@ class TestComposition:
     def test_reassembles_power_graph_of_z6(self):
         # Factors K_3, K_2, K_1 over the reduced graph of the Z_6 power graph;
         # relabeling blocks back to class order must reproduce the original.
-        pg = power_graph_zn(6)
+        pg = power_graph(cyclic_group(6))
         d = twin_partition(pg)
         factors = (complete_graph(3), complete_graph(2), complete_graph(1))
         composed = generalized_composition(d.reduced, factors)

@@ -34,7 +34,6 @@ from twindex import (
     sw_completely_joined_bound,
     twin_partition,
     wiener_index,
-    wiener_reduced,
 )
 from twindex.generators import (
     complete_graph,
@@ -42,11 +41,10 @@ from twindex.generators import (
     empty_graph,
     path_graph,
     power_graph,
-    power_graph_zn,
     star_graph,
     wheel_graph,
 )
-from twindex.algebra import dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
+from twindex.algebra import cyclic_group, dihedral_group, quaternion_group, zmod, ideal_generated, ring_from_spec
 from twindex.generators import ideal_zero_divisor_graph, comaximal_ideal_graph
 from twindex import reduced, steiner
 from twindex.generators import family_graph
@@ -315,7 +313,7 @@ def class_distance(d, terminals) -> int:
 
 class TestPerSetDistance:
     def test_single_complete_class(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         d = twin_partition(g)
         assert class_distance(d, {0, 1, 5}) == steiner_distance(g, {0, 1, 5}) == 2
 
@@ -325,7 +323,7 @@ class TestPerSetDistance:
         assert class_distance(d, {6, 8, 10}) == steiner_distance(g, {6, 8, 10}) == 3
 
     def test_multi_class(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         d = twin_partition(g)
         assert class_distance(d, {2, 3, 4}) == steiner_distance(g, {2, 3, 4}) == 3
 
@@ -340,7 +338,7 @@ class TestPerSetDistance:
 
 class TestReducedIndex:
     def test_z6_power_graph(self):
-        d = twin_partition(power_graph_zn(6))
+        d = twin_partition(power_graph(cyclic_group(6)))
         assert steiner_wiener_reduced(d, 3) == 41
 
     def test_q8_power_graph(self):
@@ -357,7 +355,7 @@ class TestReducedIndex:
         assert steiner_wiener_reduced(twin_partition(g), 8) == 65
 
     def test_m1_is_zero(self):
-        d = twin_partition(power_graph_zn(6))
+        d = twin_partition(power_graph(cyclic_group(6)))
         assert engines_agree(d, 1) == 0
 
     def test_single_complete_class(self):
@@ -417,7 +415,7 @@ class TestReducedIndex:
                 assert steiner_wiener_reduced(alt, m) == steiner_wiener_reduced(d, m)
 
     def test_stats_reported(self):
-        d = twin_partition(power_graph_zn(6))
+        d = twin_partition(power_graph(cyclic_group(6)))
         for value, stats in by_engine(d, 3):
             assert value == 41
             assert stats.num_classes == 3
@@ -440,7 +438,7 @@ class TestReducedIndex:
         # the 64 MiB budget, so the query raises before allocating; at m = 10
         # it is about 56 MB and fits. Answering m = 10 takes about 47 s, so
         # only its budget check runs here, with no subset streamed.
-        d = twin_partition(power_graph_zn(480))
+        d = twin_partition(power_graph(cyclic_group(480)))
         assert d.k == 23
         with pytest.raises(TerminalCapExceeded):
             steiner_wiener_reduced(d, 11)
@@ -633,28 +631,24 @@ class TestWienerReduced:
     def test_ideal_based_graph_of_z6z2(self):
         r = ring_from_spec("Z6xZ2")
         g = ideal_zero_divisor_graph(r, ideal_generated(r, [r.label_index["(0,1)"]]))
-        assert wiener_reduced(twin_partition(g)) == 22
+        assert steiner_wiener_reduced(twin_partition(g), 2) == 22
 
     def test_comaximal_graph_of_z8z9(self):
         g = comaximal_ideal_graph(ring_from_spec("Z8xZ9"))
-        assert wiener_reduced(twin_partition(g)) == 14
+        assert steiner_wiener_reduced(twin_partition(g), 2) == 14
 
     def test_comaximal_graph_of_z3z5z9(self):
         g = comaximal_ideal_graph(ring_from_spec("Z3xZ5xZ9"))
-        assert wiener_reduced(twin_partition(g)) == 69
+        assert steiner_wiener_reduced(twin_partition(g), 2) == 69
 
     def test_equals_other_routes(self, rng):
         for _ in range(15):
-            g = random_connected_graph(rng, rng.randint(1, 9), 0.5)
-            d = twin_partition(g)
-            w = wiener_reduced(d)
-            assert w == wiener_index(g)
-            if g.n >= 2:
-                assert w == steiner_wiener_reduced(d, 2)
+            g = random_connected_graph(rng, rng.randint(2, 9), 0.5)
+            assert steiner_wiener_reduced(twin_partition(g), 2) == wiener_index(g)
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraph):
-            wiener_reduced(twin_partition(new_graph(2, [])))
+            steiner_wiener_reduced(twin_partition(new_graph(2, [])), 2)
 
 
 class TestMultipartiteClosedForm:

@@ -26,9 +26,8 @@ from twindex.generators import (
     cycle_graph,
     path_graph,
     power_graph,
-    power_graph_zn,
 )
-from twindex.algebra import dihedral_group
+from twindex.algebra import cyclic_group, dihedral_group
 from twindex import steiner
 from twindex.steiner import (
     CHUNK_BYTES,
@@ -122,7 +121,7 @@ class TestSteinerDistance:
         assert steiner_distance(path_graph(4), {0, 3}) == 3
 
     def test_z6_power_graph_triple(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         assert steiner_distance(g, {2, 3, 4}) == 3
 
     def test_single_terminal(self):
@@ -357,7 +356,7 @@ class TestDistanceProperties:
 
 class TestNaiveIndex:
     def test_z6_power_graph(self):
-        assert steiner_wiener_naive(power_graph_zn(6), 3) == 41
+        assert steiner_wiener_naive(power_graph(cyclic_group(6)), 3) == 41
 
     @pytest.mark.parametrize("n,m", [(4, 2), (5, 3), (6, 4), (7, 2)])
     def test_complete_graph_closed_form(self, n, m):

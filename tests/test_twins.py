@@ -22,9 +22,8 @@ from twindex.generators import (
     empty_graph,
     path_graph,
     power_graph,
-    power_graph_zn,
 )
-from twindex.algebra import dihedral_group
+from twindex.algebra import cyclic_group, dihedral_group
 
 from conftest import all_graphs, permuted, random_graph, with_labels
 
@@ -86,18 +85,18 @@ def assert_partition_sound(g, d):
 
 class TestAreTwins:
     def test_universal_vertices_of_z6_power_graph(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         assert are_twins(g, 0, 1)
 
     def test_non_twins_in_z6_power_graph(self):
         # N(2) = {0,1,4,5} while N(3) = {0,1,5}
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         assert g.neighbors(2) == {0, 1, 4, 5}
         assert g.neighbors(3) == {0, 1, 5}
         assert not are_twins(g, 2, 3)
 
     def test_reflexive(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         assert all(are_twins(g, v, v) for v in range(g.n))
 
     @given(graphs())
@@ -119,12 +118,12 @@ class TestAreTwins:
     def test_out_of_range(self):
         for u, v in [(0, 6), (6, 0), (-1, 0)]:
             with pytest.raises(VertexOutOfRange):
-                are_twins(power_graph_zn(6), u, v)
+                are_twins(power_graph(cyclic_group(6)), u, v)
 
 
 class TestTwinPartition:
     def test_z6_power_graph_classes(self):
-        d = twin_partition(power_graph_zn(6))
+        d = twin_partition(power_graph(cyclic_group(6)))
         assert d.classes == ((0, 1, 5), (2, 4), (3,))
         assert d.kinds == (ClassKind.COMPLETE, ClassKind.COMPLETE, ClassKind.SINGLETON)
         assert d.representatives == (0, 2, 3)
@@ -149,7 +148,7 @@ class TestTwinPartition:
         assert d.kinds == (ClassKind.COMPLETE,)
 
     def test_reduced_is_induced_on_representatives(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         d = twin_partition(g)
         assert d.reduced.n == 3
         assert set(d.reduced.edges()) == {(0, 1), (0, 2)}
@@ -258,7 +257,7 @@ class TestClassOf:
             assert all(d.class_of(v) == i for v in cls)
 
     def test_out_of_range(self):
-        d = twin_partition(power_graph_zn(6))
+        d = twin_partition(power_graph(cyclic_group(6)))
         for v in (-1, 6, 100):
             with pytest.raises(VertexOutOfRange):
                 d.class_of(v)
@@ -268,7 +267,7 @@ class TestClassOf:
 
 class TestRecompose:
     def test_z6_power_graph(self):
-        g = power_graph_zn(6)
+        g = power_graph(cyclic_group(6))
         assert recompose(twin_partition(g)) == g
 
     def test_complete_bipartite(self):
