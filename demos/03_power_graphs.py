@@ -5,13 +5,12 @@ Run with: python demos/03_power_graphs.py
 
 from twindex import steiner_wiener_naive, steiner_wiener_reduced, twin_partition, wiener_index
 from twindex.algebra import cyclic_group, dihedral_group, quaternion_group
-from twindex.generators import power_graph, power_graph_zn_classes
+from twindex.generators import power_graph
 
 # --- Z_6 ------------------------------------------------------------------
 g = power_graph(cyclic_group(6))
 print("power graph of Z_6:", g.n, "vertices,", g.edge_count(), "edges")
 
-print("divisor-predicted classes:", power_graph_zn_classes(6))
 d = twin_partition(g)
 for cls, kind in zip(d.classes, d.kinds):
     print(f"  twin class {[g.labels[v] for v in cls]} ({kind.value})")

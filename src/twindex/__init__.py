@@ -83,7 +83,6 @@ from .generators import (
     ideal_zero_divisor_graph,
     path_graph,
     power_graph,
-    power_graph_zn_classes,
     star_graph,
     wheel_graph,
     zero_divisor_graph,

@@ -3,9 +3,10 @@
 Everything is small enough (paper-style families, at most a few hundred
 elements) that dense ``n x n`` numpy tables are the simplest uniform
 representation: one code path covers ``Z_n``, dihedral and quaternion
-groups, direct products, and polynomial quotient rings. Ideal machinery
-(generation, sums, enumeration, Jacobson radical) operates on plain element
-sets; ``I`` and ``J`` are comaximal iff ``r.one in ideal_sum(I, J)``.
+groups, direct products, and polynomial quotient rings. The ideal lattice
+is one boolean membership matrix, a row per ideal sorted by (size, elements):
+the maximal ideals, the Jacobson radical and the comaximal ideal graph are
+read off its rows, and an :class:`Ideal` is one row's members.
 
 Every table proves its axioms at construction, whether the package built it
 or the caller supplied it, and groups and rings go through one validation
@@ -74,7 +75,7 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial, reduce
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -265,16 +266,6 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
     return cls(*tables, *identities, labels, name=name)
 
 
-def _mixed_radix_digits(total: int, sizes: Sequence[int]) -> np.ndarray:
-    """Row-major digit matrix: ``digits[i, j]`` is index ``i``'s j-th coordinate."""
-    digits = np.zeros((total, len(sizes)), dtype=np.int64)
-    idx = np.arange(total)
-    for j in range(len(sizes) - 1, -1, -1):
-        digits[:, j] = idx % sizes[j]
-        idx //= sizes[j]
-    return digits
-
-
 # --- groups -------------------------------------------------------------------
 
 
@@ -307,13 +298,6 @@ class FiniteGroup:
 
     def inverse(self, a: int) -> int:
         return int(np.nonzero(self._table[a] == self.identity)[0][0])
-
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != self.identity:
-            x = self.op(x, a)
-            k += 1
-        return k
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -511,8 +495,8 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
 
     # digits[a, i]: the coefficient of x^i in element a, whose index is
     # sum_i digits[a, i] * p^i.
-    digits = _mixed_radix_digits(size, [p] * deg)[:, ::-1]
     place = p ** np.arange(deg, dtype=np.int64)
+    digits = np.arange(size)[:, None] // place % p
     add = np.zeros((size, size), dtype=np.int64)
     for i in range(deg):
         add += (digits[:, i, None] + digits[:, i]) % p * place[i]
@@ -571,26 +555,22 @@ class Ideal:
     def is_proper(self) -> bool:
         return len(self.elements) < self.ring.size
 
-    def contains_ideal(self, other: "Ideal") -> bool:
-        return other.members <= self.members
-
     def label(self) -> str:
         return "{" + ",".join(self.ring.element_labels[x] for x in self.elements) + "}"
 
 
 def ideal_generated(r: FiniteRing, gens: Iterable[int] = ()) -> Ideal:
-    """Smallest ideal containing ``gens``: fixed-point closure of ``R*gens``."""
-    current = {r.zero}
+    """Smallest ideal containing ``gens``: the sum of the principal ideals ``R g``.
+
+    A generator already in the ideal is skipped, so every sum at least
+    doubles the ideal and at most ``log2 |R|`` sums are taken.
+    """
+    ideal = Ideal(r, (r.zero,))
     for g in gens:
         g = _element_index(g, r.size, "generator")
-        current.update(r._mul[:, g].tolist())
-    while True:
-        arr = np.fromiter(current, count=len(current), dtype=np.int64)
-        sums = set(r._add[np.ix_(arr, arr)].ravel().tolist())
-        if sums <= current:
-            break
-        current |= sums
-    return Ideal(r, tuple(current))
+        if g not in ideal:
+            ideal = ideal_sum(ideal, Ideal(r, tuple(r._mul[:, g].tolist())))
+    return ideal
 
 
 def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
@@ -602,8 +582,9 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(r, tuple(set(table.ravel().tolist())))
 
 
-def all_ideals(r: FiniteRing) -> list[Ideal]:
-    """Every ideal of ``r``, sorted by (size, element list).
+def _ideal_masks(r: FiniteRing) -> np.ndarray:
+    """Every ideal of ``r`` as a row of one boolean membership matrix, sorted
+    by (size, element list); the last row is the whole ring.
 
     The principal ideals ``R x`` are the distinct rows of one boolean mask
     matrix (with a one, ``R x`` is already closed under addition); every other
@@ -674,35 +655,35 @@ def all_ideals(r: FiniteRing) -> list[Ideal]:
         start = stop
         if sums:
             found = np.vstack([found, sums])
-    ideals = [Ideal(r, tuple(np.flatnonzero(mask).tolist())) for mask in found]
-    ideals.sort(key=lambda i: (len(i.elements), i.elements))
-    return ideals
+    # Of two equal-sized ideals the one holding the least element of their
+    # difference sorts first: its row has the first True where the rows differ.
+    return found[np.lexsort(np.vstack([~found.T[::-1], found.sum(axis=1)]))]
 
 
-def maximal_among(ideals: Iterable[Ideal]) -> list[Ideal]:
-    """The proper ideals of ``ideals`` that no other proper one contains."""
-    proper = [i for i in ideals if i.is_proper()]
-    return [
-        i
-        for i in proper
-        if not any(o is not i and o.contains_ideal(i) for o in proper)
-    ]
+def _maximal_rows(masks: np.ndarray) -> np.ndarray:
+    """Indices of the rows of :func:`_ideal_masks` that are maximal ideals:
+    the proper rows that no other proper row contains."""
+    proper = masks[:-1]  # the last row is the whole ring
+    contained = ~(proper @ ~proper.T)  # [I, K]: no member of I lies outside K
+    return np.flatnonzero(contained.sum(axis=1) == 1)
 
 
-def ideal_intersection(r: FiniteRing, ideals: Iterable[Ideal]) -> Ideal:
-    """Intersection of ``ideals``; the whole ring when there are none."""
-    common = reduce(lambda a, b: a & b, (i.members for i in ideals), frozenset(range(r.size)))
-    return Ideal(r, tuple(common))
+def all_ideals(r: FiniteRing) -> list[Ideal]:
+    """Every ideal of ``r``, sorted by (size, element list)."""
+    return [Ideal(r, tuple(np.flatnonzero(row).tolist())) for row in _ideal_masks(r)]
 
 
 def maximal_ideals(r: FiniteRing) -> list[Ideal]:
     """Proper ideals maximal under inclusion."""
-    return maximal_among(all_ideals(r))
+    masks = _ideal_masks(r)
+    return [Ideal(r, tuple(np.flatnonzero(row).tolist())) for row in masks[_maximal_rows(masks)]]
 
 
 def jacobson_radical(r: FiniteRing) -> Ideal:
-    """Intersection of all maximal ideals."""
-    return ideal_intersection(r, maximal_ideals(r))
+    """Intersection of all maximal ideals; the whole ring when there are none."""
+    masks = _ideal_masks(r)
+    radical = masks[_maximal_rows(masks)].all(axis=0)
+    return Ideal(r, tuple(np.flatnonzero(radical).tolist()))
 
 
 # --- compact spec strings -------------------------------------------------------

@@ -20,9 +20,8 @@ from .algebra import (
     FiniteGroup,
     FiniteRing,
     Ideal,
-    all_ideals,
-    ideal_intersection,
-    maximal_among,
+    _ideal_masks,
+    _maximal_rows,
 )
 from .graph import Graph, generalized_composition, new_graph
 
@@ -77,23 +76,6 @@ def power_graph(g: FiniteGroup) -> Graph:
     return graph_from_matrix(is_power | is_power.T, g.element_labels)
 
 
-def power_graph_zn_classes(n: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Predicted twin classes of the power graph of ``Z_n``, keyed by divisor.
-
-    For each divisor ``d < n`` the class collects the elements with
-    ``gcd(x, n) = d``; zero joins the ``d = 1`` class. This divisor partition
-    refines (and usually equals) the graph-derived twin partition, which
-    remains the authority for index computations.
-    """
-    if n < 2:
-        raise BadParameter(f"need n >= 2, got {n}")
-    classes: dict[int, list[int]] = {}
-    for x in range(n):
-        d = 1 if x == 0 else gcd(x, n)
-        classes.setdefault(d, []).append(x)
-    return [(d, tuple(sorted(classes[d]))) for d in sorted(classes)]
-
-
 def zero_divisor_graph(r: FiniteRing) -> Graph:
     """Zero-divisor graph: nonzero zero divisors, adjacent iff product is zero.
 
@@ -142,20 +124,19 @@ def comaximal_ideal_graph(r: FiniteRing) -> Graph:
     Local rings are rejected (:class:`LocalRingUnsupported`): with a single
     maximal ideal every candidate vertex sits inside the radical.
     """
-    ideals = all_ideals(r)
-    maxima = maximal_among(ideals)
+    masks = _ideal_masks(r)
+    maxima = _maximal_rows(masks)
     if len(maxima) < 2:
         raise LocalRingUnsupported(
             f"{r!r} is local; its comaximal ideal graph has no vertices"
         )
-    radical = ideal_intersection(r, maxima)
-    vertices = [i for i in ideals if i.is_proper() and not radical.contains_ideal(i)]
-    masks = np.zeros((len(vertices), r.size), dtype=np.int64)
-    for row, ideal in zip(masks, vertices):
-        row[list(ideal.elements)] = 1
+    radical = masks[maxima].all(axis=0)
+    proper = masks[:-1]  # the last row is the whole ring
+    vertices = proper[(proper & ~radical).any(axis=1)]
     # I + J holds one iff some a in I has one - a in J.
     one_minus = np.argmax(r._add == r.one, axis=1)
-    return graph_from_matrix(masks @ masks[:, one_minus].T > 0, [i.label() for i in vertices])
+    labels = [Ideal(r, tuple(np.flatnonzero(row).tolist())).label() for row in vertices]
+    return graph_from_matrix(vertices @ vertices[:, one_minus].T, labels)
 
 
 # --- standard parametric families ------------------------------------------------

@@ -51,11 +51,6 @@ class TwinDecomposition:
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.classes)
 
-    def class_of(self, v: int) -> int:
-        """Index of the twin class containing vertex ``v``."""
-        self.source._check_vertex(v)
-        return self.class_index[v]
-
 
 def are_twins(g: Graph, u: int, v: int) -> bool:
     """True iff ``N(u) \\ {v} == N(v) \\ {u}`` (every vertex twins itself)."""

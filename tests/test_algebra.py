@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from twindex import algebra
 from twindex import (
     BadParameter,
+    LocalRingUnsupported,
     OrderTooLarge,
     RingMismatch,
     RingTooLarge,
@@ -30,7 +31,6 @@ from twindex.algebra import (
     _check_distributive,
     _check_order,
     _generating_set,
-    _mixed_radix_digits,
     _split_top_level,
     all_ideals,
     cyclic_group,
@@ -49,7 +49,7 @@ from twindex.algebra import (
     ring_product,
     zmod,
 )
-from twindex.generators import family_graph, power_graph
+from twindex.generators import comaximal_ideal_graph, family_graph, power_graph
 from twindex.graph import parse_graph, render_graph
 
 from conftest import GROUP_SWEEP, LARGE_GROUPS, RING_SWEEP, cyclic_subgroup
@@ -83,7 +83,7 @@ class TestGroups:
 
     def test_quaternion_unique_involution(self):
         g = quaternion_group()
-        involutions = [a for a in range(8) if a != g.identity and g.element_order(a) == 2]
+        involutions = [a for a in range(8) if a != g.identity and g.op(a, a) == g.identity]
         assert involutions == [g.element_labels.index("a2")]
 
     def test_quaternion_subgroup_of_b(self):
@@ -96,7 +96,7 @@ class TestGroups:
         g = elementary_abelian_2(3)
         assert g.order == 8
         assert g.element_labels[0] == "000"
-        assert all(g.element_order(a) == 2 for a in range(1, 8))
+        assert all(g.op(a, a) == g.identity for a in range(1, 8))
 
     def test_product_order(self):
         g = group_product(cyclic_group(2), cyclic_group(3))
@@ -604,8 +604,7 @@ class TestIdeals:
         i = ideal_generated(r, [8])
         assert i.members == frozenset(i.elements)
         assert 16 in i and 4 not in i
-        assert ideal_generated(r, [4]).contains_ideal(i)
-        assert not i.contains_ideal(ideal_generated(r, [4]))
+        assert i.members < ideal_generated(r, [4]).members
 
     def test_enumeration_cap(self):
         assert IDEAL_ENUM_CAP == 256
@@ -662,6 +661,50 @@ class TestIdeals:
         r, s = zmod(6), zmod(6)
         with pytest.raises(RingMismatch):
             ideal_sum(ideal_generated(r, [2]), ideal_generated(s, [3]))
+
+
+class TestLattice:
+    """Maximal ideals, the radical and generated ideals against their definitions."""
+
+    def test_maximal_ideals_and_radical_match_definitions(self):
+        specs = RING_SWEEP + ["Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2"]
+        for r in [ring_from_spec(s) for s in specs] + [_f2xy()]:
+            proper = [i.members for i in all_ideals(r) if i.is_proper()]
+            maxima = [m for m in proper if not any(m < o for o in proper)]
+            radical = frozenset(range(r.size)).intersection(*maxima)
+            got = maximal_ideals(r)
+            assert [m.members for m in got] == maxima, r.name
+            assert jacobson_radical(r).members == radical, r.name
+            assert all(type(x) is int for m in got for x in m.elements), r.name
+            assert all(type(x) is int for x in jacobson_radical(r).elements), r.name
+
+    def test_zero_ring(self):
+        r = FiniteRing([[0]], [[0]], 0, 0)
+        assert maximal_ideals(r) == []
+        assert jacobson_radical(r).elements == (0,)
+        with pytest.raises(LocalRingUnsupported):
+            comaximal_ideal_graph(r)
+
+    def test_generated_matches_closure(self, rng):
+        for spec in RING_SWEEP:
+            r = ring_from_spec(spec)
+            lists = [[], np.array([rng.randrange(r.size) for _ in range(3)])]
+            lists += [[rng.randrange(r.size) for _ in range(rng.randrange(1, 6))] for _ in range(8)]
+            for gens in lists:
+                expected = reference_ideal_generated(r, gens)
+                assert ideal_generated(r, gens).elements == expected, (spec, gens)
+
+    def test_generated_sums_at_most_log2_times(self, monkeypatch):
+        calls = []
+
+        def counting_sum(i, j):
+            calls.append(1)
+            return ideal_sum(i, j)
+
+        monkeypatch.setattr(algebra, "ideal_sum", counting_sum)
+        r = zmod(2048)
+        assert len(ideal_generated(r, range(1, 2048, 2))) == 2048
+        assert len(calls) <= 11
 
 
 class TestSpecStrings:
@@ -739,7 +782,7 @@ def reference_product(cls, factors, pairs):
     """Reference: the mixed-radix product, one 2-D digit gather per factor table."""
     sizes = [len(f.element_labels) for f in factors]
     total = math.prod(sizes)
-    digits = _mixed_radix_digits(total, sizes)
+    digits = np.stack(np.unravel_index(np.arange(total), sizes), axis=1)
     tables, identities = [], []
     for parts in zip(*map(pairs, factors)):
         table = np.zeros((total, total), dtype=np.int64)
@@ -808,6 +851,19 @@ def reference_all_ideals(r: FiniteRing) -> list[Ideal]:
                 worklist.append(s)
     ideals.sort(key=lambda i: (len(i.elements), i.elements))
     return ideals
+
+
+def reference_ideal_generated(r: FiniteRing, gens) -> tuple[int, ...]:
+    """Reference: ``R * gens`` closed under addition until nothing new appears."""
+    current = {r.zero}
+    for g in gens:
+        current.update(r._mul[:, int(g)].tolist())
+    while True:
+        arr = np.fromiter(current, count=len(current), dtype=np.int64)
+        sums = set(r._add[np.ix_(arr, arr)].ravel().tolist())
+        if sums <= current:
+            return tuple(sorted(current))
+        current |= sums
 
 
 def reference_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarray]:
@@ -992,6 +1048,11 @@ class TestIdealsAtTheCap:
             members = np.array(ideal.elements)
             assert set(r._add[np.ix_(members, members)].ravel().tolist()) == ideal.members
             assert set(r._mul[:, members].ravel().tolist()) == ideal.members
+
+    def test_maximal_ideals_and_radical(self):
+        r = ring_from_spec(self.SPEC)
+        assert len(maximal_ideals(r)) == 8
+        assert jacobson_radical(r).elements == (0,)
 
     def test_peak_memory(self):
         # The n x n membership mask is 64 KiB; a temporary with one entry per

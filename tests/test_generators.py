@@ -1,6 +1,7 @@
 """Algebraic graph families and standard parametric graphs."""
 
 import warnings
+from math import gcd
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from twindex.generators import (
     ideal_zero_divisor_graph,
     path_graph,
     power_graph,
-    power_graph_zn_classes,
     star_graph,
     wheel_graph,
     zero_divisor_graph,
@@ -66,27 +66,17 @@ class TestPowerGraph:
 
 
 class TestDivisorClasses:
-    def test_z6(self):
-        assert power_graph_zn_classes(6) == [(1, (0, 1, 5)), (2, (2, 4)), (3, (3,))]
-
-    def test_z4(self):
-        assert power_graph_zn_classes(4) == [(1, (0, 1, 3)), (2, (2,))]
-
-    @pytest.mark.parametrize("p", [2, 3, 5, 11])
-    def test_prime_single_class(self, p):
-        classes = power_graph_zn_classes(p)
-        assert classes == [(1, tuple(range(p)))]
-
     def test_refines_twin_partition(self):
+        # Elements of Z_n with one gcd(x, n) (0 with the units) are twins in
+        # the power graph.
         for n in range(2, 37):
             g = power_graph(cyclic_group(n))
             twin_classes = [set(c) for c in twin_partition(g).classes]
-            for _, members in power_graph_zn_classes(n):
-                assert any(set(members) <= cls for cls in twin_classes), n
-
-    def test_bad_parameter(self):
-        with pytest.raises(BadParameter):
-            power_graph_zn_classes(1)
+            divisor_classes = {}
+            for x in range(n):
+                divisor_classes.setdefault(1 if x == 0 else gcd(x, n), set()).add(x)
+            for members in divisor_classes.values():
+                assert any(members <= cls for cls in twin_classes), n
 
 
 class TestZeroDivisorGraph:

@@ -303,7 +303,7 @@ def class_distance(d, terminals) -> int:
     the support in H plus one edge for each further terminal.
     """
     m = len(terminals)
-    support = sorted({d.class_of(t) for t in terminals})
+    support = sorted({d.class_index[t] for t in terminals})
     if m == 1:
         return 0
     if len(support) == 1:
