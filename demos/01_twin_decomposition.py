@@ -33,8 +33,8 @@ for u, v in [(0, 4), (0, 7), (1, 6), (0, 1), (5, 7)]:
 
 d = twin_partition(g)
 print(f"\n{d.k} twin classes:")
-for cls, rep, kind in zip(d.classes, d.representatives, d.kinds):
-    print(f"  {cls} -> representative {rep}, {kind.value}")
+for cls, kind in zip(d.classes, d.kinds):
+    print(f"  {cls} -> representative {cls[0]}, {kind.value}")
 
 print("\nreduced graph (one vertex per class):")
 print(render_graph(d.reduced), end="")

@@ -338,20 +338,16 @@ def dihedral_group(n: int) -> FiniteGroup:
 
 
 def quaternion_group() -> FiniteGroup:
-    """The quaternion group of order 8 on ``1, a, a2, a3, b, ab, a2b, a3b``."""
+    """The quaternion group of order 8 on ``1, a, a2, a3, b, ab, a2b, a3b``.
+
+    Element ``4j + i`` stands for ``a^i b^j``; the product rule
+    ``(a^i b^j)(a^k b^l) = a^(i + (-1)^j k + 2jl) b^(j xor l)`` fills the table.
+    """
+    idx = np.arange(8)
+    j, i = idx // 4, idx % 4
+    j_, i_ = j[:, None], i[:, None]
+    table = (j_ ^ j) * 4 + (i_ + (1 - 2 * j_) * i + 2 * (j_ & j)) % 4
     labels = ["1", "a", "a2", "a3", "b", "ab", "a2b", "a3b"]
-    table = np.zeros((8, 8), dtype=np.int64)
-    for i in range(4):
-        for j in range(2):
-            for k in range(4):
-                for l in range(2):
-                    if j == 0:
-                        exp, refl = (i + k) % 4, l
-                    elif l == 0:
-                        exp, refl = (i - k) % 4, 1
-                    else:
-                        exp, refl = (i - k + 2) % 4, 0
-                    table[j * 4 + i, l * 4 + k] = refl * 4 + exp
     return FiniteGroup(_frozen(table), 0, labels, name="Q8")
 
 

@@ -95,7 +95,7 @@ def _input_graph(args, build: bool = True) -> tuple[Graph | None, str]:
         return None, family or infile
     if family:
         return family_graph(family), family
-    text = sys.stdin.read() if infile == "-" else Path(infile).read_text(encoding="utf-8")
+    text = sys.stdin.read() if infile == "-" else Path(infile).read_bytes()
     return parse_graph(text, args.format), infile
 
 
@@ -130,10 +130,10 @@ def cmd_twins(args, argv_echo: str) -> int:
             "classes": [
                 {
                     "kind": kind.value,
-                    "representative": g.labels[rep],
+                    "representative": g.labels[cls[0]],
                     "members": [g.labels[v] for v in cls],
                 }
-                for cls, rep, kind in zip(d.classes, d.representatives, d.kinds)
+                for cls, kind in zip(d.classes, d.kinds)
             ],
         }
         sys.stdout.write(json.dumps(record) + "\n")

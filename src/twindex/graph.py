@@ -62,11 +62,6 @@ class Graph:
         self._check_vertex(v)
         return frozenset(_bits(self.masks[v]))
 
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        return bool(self.masks[u] >> v & 1)
-
     def edges(self) -> tuple[tuple[int, int], ...]:
         """All edges as ``(u, v)`` with ``u < v``, sorted lexicographically."""
         return tuple(
@@ -141,11 +136,11 @@ def is_connected(g: Graph) -> bool:
     return induces_connected(g, (1 << g.n) - 1)
 
 
-def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+def induced_subgraph(g: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by ``vertices``, re-indexed ``0..k-1`` in sorted order.
 
-    Returns the subgraph together with the mapping ``new index -> old index``.
-    Labels are inherited from ``g``.
+    New vertex ``i`` is the ``i``-th least of ``vertices``; labels are
+    inherited from ``g``.
     """
     keep = sorted(set(vertices))
     for v in keep:
@@ -156,7 +151,7 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
         sum(1 << index_of[w] for w in _bits(g.masks[u] & inside)) for u in keep
     )
     labels = tuple(g.labels[v] for v in keep)
-    return Graph(masks, labels), tuple(keep)
+    return Graph(masks, labels)
 
 
 def generalized_composition(base: Graph, factors: Sequence[Graph]) -> Graph:
@@ -191,9 +186,15 @@ def generalized_composition(base: Graph, factors: Sequence[Graph]) -> Graph:
 
 
 def parse_graph(text: str | bytes, fmt: str = "edgelist") -> Graph:
-    """Parse a graph from its textual form. Formats: ``edgelist``, ``json``."""
+    """Parse a graph from its textual form. Formats: ``edgelist``, ``json``.
+
+    Bytes must be UTF-8; any other input is a :class:`ParseError`.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"input is not UTF-8: {exc.reason} at byte {exc.start}") from None
     if fmt == "edgelist":
         return _parse_edgelist(text)
     if fmt == "json":

@@ -25,7 +25,8 @@ transform of ``u(S) = d_H(S) - |S|``, over the class sets with ``n_T = t``.
 taken in exact Python integers.
 
 Two engines fill ``h``; :func:`_transform_chosen` picks one per query from
-``(k, m)``:
+``(k, m)``. Each reads only the class sizes and H, as the reduction theorem
+does, and returns ``h`` with the number of supports it weighed:
 
 * The connected-set transform answers all ``2^k`` class sets at once in
   ``O(k * 2^k)``: a connectivity indicator over the class sets, a
@@ -80,7 +81,7 @@ class ReducedIndexStats:
     """Diagnostics from one reduced-formula evaluation.
 
     ``num_profiles`` counts the supports of two to ``m`` classes that hold at
-    least ``m`` vertices (``N_S > 0``); both engines report the same count.
+    least ``m`` vertices (``N_S > 0``); both engines return the same count.
     ``dh_cache_hits`` is always 0, because each support is answered once.
     The two names are kept for the readers of ``index --json``.
     """
@@ -140,37 +141,37 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
         np.add.at(hist, n_t.ravel(), signed[(s - low - step) & 1])
 
 
-def _kernel_histogram(
-    d: TwinDecomposition, dist: np.ndarray, m: int, stats: ReducedIndexStats
-) -> np.ndarray:
-    """The weight histogram ``h`` from the kernel's supports.
+def _kernel_histogram(sizes: np.ndarray, dist: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """The weight histogram ``h`` and the support count, from the kernel's supports.
 
-    Every support S of at most ``m`` classes that holds at least ``m``
-    vertices is one ``d_H`` from :func:`twindex.steiner.steiner_levels`.
-    One that holds exactly ``m`` adds ``u(S)`` at ``m``; a larger one adds
+    ``sizes`` holds the class sizes and ``dist`` H's distance matrix. Every
+    support S of at most ``m`` classes that holds at least ``m`` vertices is
+    one ``d_H`` from :func:`twindex.steiner.steiner_levels`. One that holds
+    exactly ``m`` adds ``u(S)`` at ``m``; a larger one adds
     ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
     (:func:`_add_support_weights`); the other supports have ``N_S = 0``.
     """
-    sizes = np.array(d.class_sizes(), dtype=np.int64)
-    hist = np.zeros(d.source.n + 1, dtype=np.int64)
+    k = len(sizes)
+    hist = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    supports = 0
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    levels = steiner_levels(dist, range(d.k), min(m, d.k))
+    levels = steiner_levels(dist, range(k), min(m, k))
     for s, level in enumerate(levels, 1):
         if largest[s - 1] < m:
             continue
-        for supports, dh in level:
-            n_s = sizes[supports].sum(axis=1)
+        for held, dh in level:
+            n_s = sizes[held].sum(axis=1)
             exact = n_s == m
             more = n_s > m
-            stats.num_profiles += int(exact.sum() + more.sum()) if s > 1 else 0
+            supports += int(exact.sum() + more.sum()) if s > 1 else 0
             # N_S = 1 where S holds exactly m vertices: every proper subset
             # holds fewer, so only hist[m] gains its weight.
             hist[m] += int(dh[exact].sum()) - s * int(exact.sum())
             if more.any():
-                _add_support_weights(hist, sizes[supports[more]], dh[more] - s)
-    return hist
+                _add_support_weights(hist, sizes[held[more]], dh[more] - s)
+    return hist, supports
 
 
 def _connected_sets(masks: list[int]) -> np.ndarray:
@@ -200,24 +201,26 @@ def _connected_sets(masks: list[int]) -> np.ndarray:
 
 
 def _transform_histogram(
-    d: TwinDecomposition, connected: np.ndarray, m: int, stats: ReducedIndexStats
-) -> np.ndarray:
-    """``h[t]``, the sum of ``û(T)`` over the class sets with ``n_T = t``, from every class set at once.
+    sizes: np.ndarray, connected: np.ndarray, m: int
+) -> tuple[np.ndarray, int]:
+    """``h`` and the support count from every class set at once.
 
-    ``d_H(S)`` is the least ``|W| - 1`` over the connected ``W ⊇ S``: a
-    superset-min over ``|W| - 1`` on the connected sets. ``û`` is the
-    superset Möbius transform of ``u(S) = d_H(S) - |S|``. Distances are
-    int8 (``d_H < k``) and ``û`` int32 (``|û(T)| <= k * 2^k``); the
-    histogram is int64.
+    ``h[t]`` sums ``û(T)`` over the class sets with ``n_T = t``, where
+    ``sizes`` holds the class sizes and ``connected`` is
+    :func:`_connected_sets` of H. ``d_H(S)`` is the least ``|W| - 1`` over
+    the connected ``W ⊇ S``: a superset-min over ``|W| - 1`` on the
+    connected sets. ``û`` is the superset Möbius transform of
+    ``u(S) = d_H(S) - |S|``. Distances are int8 (``d_H < k``) and ``û``
+    int32 (``|û(T)| <= k * 2^k``); the histogram is int64.
     """
-    k = d.k
+    k = len(sizes)
     size = np.zeros(1 << k, dtype=np.int8)
     n_t = np.zeros(1 << k, dtype=np.int32)
-    for i, n_i in enumerate(d.class_sizes()):
+    for i, n_i in enumerate(sizes.tolist()):
         low = 1 << i
         np.add(size[:low], 1, out=size[low : 2 * low])
         np.add(n_t[:low], n_i, out=n_t[low : 2 * low])
-    stats.num_profiles = int(np.count_nonzero((size >= 2) & (size <= m) & (n_t >= m)))
+    supports = int(np.count_nonzero((size >= 2) & (size <= m) & (n_t >= m)))
     dh = np.where(connected, size - 1, k).astype(np.int8)
     for i in range(k):
         pair = dh.reshape(-1, 2, 1 << i)
@@ -226,16 +229,15 @@ def _transform_histogram(
     for i in range(k):
         pair = u.reshape(-1, 2, 1 << i)
         pair[:, 0] -= pair[:, 1]
-    hist = np.zeros(d.source.n + 1, dtype=np.int64)
+    hist = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
     np.add.at(hist, n_t, u.astype(np.int64))
-    return hist
+    return hist, supports
 
 
 def steiner_wiener_reduced_with_stats(
     d: TwinDecomposition, m: int
 ) -> tuple[int, ReducedIndexStats]:
     """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
-    stats = ReducedIndexStats(num_classes=d.k)
     n = d.source.n
     if not 1 <= m <= n:
         raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
@@ -244,15 +246,16 @@ def steiner_wiener_reduced_with_stats(
     if not is_connected(d.reduced) or d.kinds == (ClassKind.EMPTY,):
         raise DisconnectedGraph("index computation requires a connected graph")
     if m == 1:
-        return 0, stats
+        return 0, ReducedIndexStats(num_classes=d.k)
+    sizes = np.array(d.class_sizes(), dtype=np.int64)
     if _transform_chosen(d.k, m):
-        hist = _transform_histogram(d, _connected_sets(d.reduced.masks), m, stats)
+        hist, supports = _transform_histogram(sizes, _connected_sets(d.reduced.masks), m)
     else:
-        hist = _kernel_histogram(d, distance_matrix(d.reduced), m, stats)
-    edgeless = [size for size, kind in zip(d.class_sizes(), d.kinds) if kind is ClassKind.EMPTY]
+        hist, supports = _kernel_histogram(sizes, distance_matrix(d.reduced), m)
+    edgeless = [size for size, kind in zip(sizes.tolist(), d.kinds) if kind is ClassKind.EMPTY]
     total = m * comb(n, m) + sum(comb(size, m) for size in edgeless)
     total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())
-    return total, stats
+    return total, ReducedIndexStats(num_classes=d.k, num_profiles=supports)
 
 
 def steiner_wiener_reduced(d: TwinDecomposition, m: int) -> int:

@@ -6,8 +6,9 @@ equivalence, and no vertex has twins of both sorts, so each class is one
 neighborhood bucket: an edgeless class of false twins or a clique of true
 twins. :func:`twin_partition` reads the classes and their kinds off the two
 bucketings in one pass, and the whole graph is recovered as a generalized
-composition of the class subgraphs over the reduced graph of class
-representatives. The pairwise test :func:`are_twins` compares two neighbour
+composition of the class subgraphs over the reduced graph H, induced by
+each class's least member. The index formulas read only the class sizes and
+kinds and H. The pairwise test :func:`are_twins` compares two neighbour
 masks, each with the other vertex's bit cleared.
 """
 
@@ -31,15 +32,14 @@ class TwinDecomposition:
     """Partition of a graph into twin classes plus the reduced graph.
 
     ``classes`` are sorted tuples of vertex indices, ordered by their minimum
-    member; ``representatives[i] == min(classes[i])``. ``reduced`` is the
-    subgraph induced by the representatives, re-indexed ``0..k-1`` so class
-    ``i`` corresponds to reduced vertex ``i``. ``class_index[v]`` is the
-    index of the class holding vertex ``v``.
+    member. ``reduced`` is the subgraph induced by the class minima
+    ``classes[i][0]``, re-indexed ``0..k-1`` so class ``i`` corresponds to
+    reduced vertex ``i``. ``class_index[v]`` is the index of the class
+    holding vertex ``v``.
     """
 
     source: Graph
     classes: tuple[tuple[int, ...], ...]
-    representatives: tuple[int, ...]
     kinds: tuple[ClassKind, ...]
     reduced: Graph
     class_index: tuple[int, ...]
@@ -101,11 +101,8 @@ def twin_partition(g: Graph) -> TwinDecomposition:
             class_index[u] = len(classes)
         classes.append(tuple(cls))
     del open_buckets, closed_buckets
-    representatives = tuple(c[0] for c in classes)
-    reduced = g if len(classes) == g.n else induced_subgraph(g, representatives)[0]
-    return TwinDecomposition(
-        g, tuple(classes), representatives, tuple(kinds), reduced, tuple(class_index)
-    )
+    reduced = g if len(classes) == g.n else induced_subgraph(g, (c[0] for c in classes))
+    return TwinDecomposition(g, tuple(classes), tuple(kinds), reduced, tuple(class_index))
 
 
 def recompose(d: TwinDecomposition) -> Graph:
@@ -115,10 +112,7 @@ def recompose(d: TwinDecomposition) -> Graph:
     back to the source indexing and must equal ``d.source`` exactly. A
     mismatch raises :class:`ReconstructionMismatch` and signals a bug.
     """
-    factors = []
-    for cls in d.classes:
-        sub, _ = induced_subgraph(d.source, cls)
-        factors.append(sub)
+    factors = [induced_subgraph(d.source, cls) for cls in d.classes]
     composed = generalized_composition(d.reduced, factors)
     perm = [0] * d.source.n
     pos = 0

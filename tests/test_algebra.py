@@ -833,6 +833,23 @@ def reference_dihedral_table(n: int) -> np.ndarray:
     return table
 
 
+def reference_quaternion_table() -> np.ndarray:
+    """Reference: ``Q8`` on ``a^i b^j`` (element ``4j + i``) by four nested loops."""
+    table = np.zeros((8, 8), dtype=np.int64)
+    for i in range(4):
+        for j in range(2):
+            for k in range(4):
+                for l in range(2):
+                    if j == 0:
+                        exp, refl = (i + k) % 4, l
+                    elif l == 0:
+                        exp, refl = (i - k) % 4, 1
+                    else:
+                        exp, refl = (i - k + 2) % 4, 0
+                    table[j * 4 + i, l * 4 + k] = refl * 4 + exp
+    return table
+
+
 def reference_all_ideals(r: FiniteRing) -> list[Ideal]:
     """Reference: close the principal ideals under sums with them, by :func:`ideal_sum`."""
     principal = [Ideal(r, tuple(col)) for col in {frozenset(c) for c in r._mul.T.tolist()}]
@@ -995,6 +1012,9 @@ class TestMatchesReference:
         for order in orders:
             table = dihedral_group(order // 2)._table
             assert _same_array(table, reference_dihedral_table(order // 2)), order
+
+    def test_quaternion_table(self):
+        assert _same_array(quaternion_group()._table, reference_quaternion_table())
 
     @pytest.mark.parametrize(
         "p,coeffs",

@@ -224,6 +224,15 @@ class TestIndex:
         code, _, err = run(capsys, "index", "--in", "/no/such/file", "--m", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("fmt", ["edgelist", "json"])
+    def test_file_not_utf8_is_usage_error(self, capsys, tmp_path, fmt):
+        source = tmp_path / "g.txt"
+        source.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, "index", "--in", str(source), "--format", fmt, "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("twindex: ") and "UTF-8" in err
+
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("3\n0 1\n1 2\n"))
         code, out, _ = run(capsys, "index", "--in", "-", "--m", "2", "--method", "naive")

@@ -175,7 +175,7 @@ class TestStandardFamilies:
     def test_star(self):
         g = star_graph(7)
         assert g.edge_count() == 6
-        assert all(g.has_edge(0, v) for v in range(1, 7))
+        assert all(v in g.neighbors(0) for v in range(1, 7))
 
     def test_path_cycle_complete_empty(self):
         assert path_graph(6).edge_count() == 5

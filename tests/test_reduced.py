@@ -18,12 +18,12 @@ from hypothesis import strategies as st
 
 from twindex import (
     BadSubsetSize,
+    ClassKind,
     DisconnectedGraph,
     NeedTwoParts,
     TerminalCapExceeded,
     TwinDecomposition,
     generalized_composition,
-    induced_subgraph,
     is_connected,
     new_graph,
     steiner_distance,
@@ -408,9 +408,12 @@ class TestReducedIndex:
         for _ in range(10):
             g = random_connected_graph(rng, rng.randint(2, 8), 0.5)
             d = twin_partition(g)
-            alt_reps = tuple(rng.choice(cls) for cls in d.classes)
-            alt_reduced, _ = induced_subgraph(g, alt_reps)
-            alt = TwinDecomposition(g, d.classes, alt_reps, d.kinds, alt_reduced, d.class_index)
+            # H on any one member of each class, not the least, in class order.
+            reps = [rng.choice(cls) for cls in d.classes]
+            edges = [
+                (i, j) for i, u in enumerate(reps) for j, v in enumerate(reps) if v in g.neighbors(u)
+            ]
+            alt = TwinDecomposition(g, d.classes, d.kinds, new_graph(d.k, edges), d.class_index)
             for m in range(1, g.n + 1):
                 assert steiner_wiener_reduced(alt, m) == steiner_wiener_reduced(d, m)
 
@@ -526,6 +529,45 @@ class TestEngines:
                 d = twin_partition(g)
                 for m in range(1, n + 1):
                     assert engines_agree(d, m) == steiner_wiener_naive(g, m)
+
+    def test_trivial_partition(self):
+        # Every vertex its own class and H = G: the reduced route with no
+        # twin reduction at all.
+        graphs = [g for g in graphs_up_to_isomorphism(6) if is_connected(g)]
+        assert len(graphs) == 112
+        for g in graphs:
+            d = TwinDecomposition(
+                g, tuple((v,) for v in range(g.n)), (ClassKind.SINGLETON,) * g.n, g,
+                tuple(range(g.n)),
+            )
+            for m in range(1, g.n + 1):
+                assert engines_agree(d, m) == steiner_wiener_naive(g, m), (g, m)
+
+    def test_direct_engine_calls(self, rng):
+        # The engines read only the class sizes and H; no decomposition is
+        # built. Their histograms differ where the kernel leaves out supports
+        # of more than m classes (N_S = 0), but not in the weighted sum the
+        # formula reads.
+        for _ in range(40):
+            k = rng.randint(1, 8)
+            sizes = np.array([rng.randint(1, 4) for _ in range(k)], dtype=np.int64)
+            h = random_connected_graph(rng, k, 0.4)
+            for m in range(2, int(sizes.sum()) + 1):
+                results = [
+                    reduced._kernel_histogram(sizes, distance_matrix(h), m),
+                    reduced._transform_histogram(sizes, reduced._connected_sets(h.masks), m),
+                ]
+                (hist, supports), (other, other_supports) = results
+                assert len(hist) == len(other) == sizes.sum() + 1
+                weighted = [
+                    sum(comb(t, m) * int(x[t]) for t in range(m, len(x))) for x, _ in results
+                ]
+                assert weighted[0] == weighted[1], (sizes, h, m)
+                assert supports == other_supports, (sizes, h, m)
+                if len(hist) <= 10:
+                    # Complete classes: SW_m = m * binom(n, m) + the weighted sum.
+                    g = generalized_composition(h, [complete_graph(int(s)) for s in sizes])
+                    assert m * comb(g.n, m) + weighted[0] == steiner_wiener_naive(g, m)
 
     def test_reference_checks(self):
         for check in REFERENCE_CHECKS:
