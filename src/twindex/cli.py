@@ -95,7 +95,7 @@ def _input_graph(args, build: bool = True) -> tuple[Graph | None, str]:
         return None, family or infile
     if family:
         return family_graph(family), family
-    text = sys.stdin.read() if infile == "-" else Path(infile).read_bytes()
+    text = sys.stdin.buffer.read() if infile == "-" else Path(infile).read_bytes()
     return parse_graph(text, args.format), infile
 
 

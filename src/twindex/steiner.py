@@ -111,20 +111,38 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
 
 
 def _stream_bytes(s: int) -> int:
-    """Peak working bytes of one streamed ``s``-subset: a lookup row, or one output of the top.
+    """Peak working bytes of one streamed lookup row of ``s`` members.
 
     While the next chunk is built, a row holds ``3s + 4`` int64 and two
     distances: its positions and the previous chunk's, which the reader
     still holds; ``_subsets``' rank and member; its last member and the
     previous chunk's rank; and its ``s - 1`` gathered binomials and their
-    sum. A top-level output holds less: its gathered positions with their
-    index, and the repeat temporaries.
+    sum.
     """
     return 8 * (3 * s + 4) + 2 * _DIST.itemsize
 
 
-def _row_bytes(n: int, s: int, outputs: int = 0, relax: bool = False) -> int:
-    """Peak working bytes of one merged row on ``n`` anchors, with ``outputs`` streamed rows.
+def _top_bytes(n: int, size: int, s: int) -> tuple[int, np.ndarray]:
+    """Working bytes of a top-level chunk: its fixed part, and each row's by largest member.
+
+    A row is an ``(s - 1)``-subset R of ``range(size - 1)``. With largest
+    member ``b`` it merges once (:func:`_row_bytes`) and yields the
+    ``size - 1 - b`` subsets ``R | {c}``. Each of those holds ``s``
+    positions and a distance, the same again for the previous chunk, which
+    the reader still holds, and its entry of the repeated last members. The
+    fixed part holds, per member c, ``s + 1`` binomials and c's entries of
+    ``extended``, ``cost`` and ``spent`` (int64), c's vertex in a Python
+    list (40 bytes), and c's entries in a chunk's lists of vertices and
+    prefixes. The view of a growing prefix, at most one per row, takes the
+    place of the anchor rows that ``_merge`` has freed by then.
+    """
+    outputs = size - 1 - np.arange(size - 1)
+    fixed = size * (8 * (s + 1) + 3 * 8 + 40 + 2 * 8)
+    return fixed, _row_bytes(n, s) + outputs * (2 * (8 * s + _DIST.itemsize) + 8)
+
+
+def _row_bytes(n: int, s: int, relax: bool = False) -> int:
+    """Peak working bytes of one merged row on ``n`` anchors, before any output.
 
     Every row keeps ``2s + 4`` int64: its positions and the previous chunk's,
     which the loop still holds, ``_subsets``' rank and member, and a last
@@ -133,8 +151,8 @@ def _row_bytes(n: int, s: int, outputs: int = 0, relax: bool = False) -> int:
     ``(n, n)`` sum beside the merged row and their minimum. A top-level row
     is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
     gather temporaries or ``_merge``'s three anchor rows, then its merged row
-    and its row of the sum buffer, beside the ``outputs`` subsets
-    ``R | {c}`` it yields (:func:`_stream_bytes` each).
+    and its row of the sum buffer. The subsets ``R | {c}`` it yields are
+    charged apart (:func:`_top_bytes`).
     """
     if relax:
         ranks = 8 << s
@@ -142,7 +160,6 @@ def _row_bytes(n: int, s: int, outputs: int = 0, relax: bool = False) -> int:
     else:
         ranks = 4 << s
         work = max(ranks, _DIST.itemsize * 3 * n) + _DIST.itemsize * 2 * n
-        work += outputs * _stream_bytes(s)
     return 8 * (2 * s + 4) + ranks + work
 
 
@@ -213,7 +230,11 @@ def steiner_levels(
     over anchors after adding ``c``'s distance row, in a sum buffer kept
     across chunks; three members give ``min_v sum_i d(t_i, v)``. Each chunk
     of the top level holds every ``R | {c}`` of one colex chunk of R, so the
-    top level streams R-chunk-major, not in colex order.
+    top level streams R-chunk-major, not in colex order. A row R with
+    largest member ``b`` yields ``size - 1 - b`` subsets, a count that
+    never grows along colex order, so every R-chunk takes as many rows as
+    the level's first rows fit in ``CHUNK_BYTES``, each charged its merge
+    and its outputs (:func:`_top_bytes`), and at least one.
     Raises :class:`TerminalCapExceeded`, before allocating, when the table
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
@@ -221,8 +242,12 @@ def steiner_levels(
     size, n = len(universe), dist.shape[0]
     top = min(top, size)
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
-    top_row = _row_bytes(n, top, size)
-    row = max(top_row, _row_bytes(n, top - 2, relax=True) if top > 3 else 0)
+    row = _row_bytes(n, top - 2, relax=True) if top > 3 else 0
+    if top > 2:
+        # A top-level chunk fits CHUNK_BYTES or is one row, and the level's
+        # first row, with the smallest largest member, top - 2, is the heaviest.
+        fixed, cost = _top_bytes(n, size, top)
+        row = max(row, fixed + int(cost[top - 2]))
     need = _DIST.itemsize * n * entries + max(CHUNK_BYTES, _BUFFER_BYTES + row)
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
@@ -253,25 +278,40 @@ def steiner_levels(
             yield pos, out
 
     def merged_top() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        rows = _chunk_rows(top_row)
         total = comb(size - 1, top - 1)
-        work = np.empty((min(rows, total), n), dtype=_DIST)
+        # The C(b, top - 2) rows whose largest member is b each merge once and
+        # yield size - 1 - b subsets. Colex order never raises that count, so
+        # the first rows are the heaviest window: as many as fit, at least one.
+        spent = (binom[:-1, top - 2] * cost).cumsum()
+        budget = CHUNK_BYTES - _BUFFER_BYTES - fixed
+        # Every row below b fits, C(b, top - 1) of them, and some of b's.
+        b = min(int(spent.searchsorted(budget, side="right")), size - 2)
+        left = budget - spent[b] + binom[b, top - 2] * cost[b]
+        rows = max(1, min(total, int(binom[b, top - 1] + left // cost[b])))
+        work = np.empty((rows, n), dtype=_DIST)
         extended = np.arange(size)
         vertices = universe.tolist()
         for rpos in _subsets(size - 1, top - 1, rows, binom):
             merged = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
             # Colex order sorts the rows by their largest member, so the rows
-            # that c extends, those whose largest member is below c, are a prefix.
-            counts = rpos[:, -1].searchsorted(extended)
-            ends = counts.cumsum()
-            pos = np.empty((ends[-1], top), dtype=np.intp)
-            pos[:, -1] = np.repeat(extended, counts)
-            pos[:, :-1] = rpos[np.arange(len(pos)) - np.repeat(ends - counts, counts)]
+            # that c extends, those whose largest member is below c, are a
+            # prefix: a growing one up to c = last, and every row from there.
+            first, last = rpos[0, -1] + 1, rpos[-1, -1] + 1
+            ramp = rpos[:, -1].searchsorted(extended[first:last]).tolist()
+            head = sum(ramp)
+            pos = np.empty((head + len(rpos) * (size - last), top), dtype=np.intp)
+            if ramp:
+                np.concatenate([rpos[:p] for p in ramp], out=pos[:head, :-1])
+            pos[:head, -1] = np.repeat(extended[first:last], ramp)
+            tail = pos[head:].reshape(size - last, len(rpos), top)
+            tail[:, :, :-1] = rpos
+            tail[:, :, -1] = extended[last:, None]
             out = np.empty(len(pos), dtype=_DIST)
-            first = rpos[0, -1] + 1
-            for v, p, end in zip(vertices[first:], counts[first:].tolist(), ends[first:].tolist()):
+            end = 0
+            for v, p in zip(vertices[first:], ramp + [len(rpos)] * (size - last)):
                 np.add(merged[:p], dist[v], out=work[:p])
-                work[:p].min(axis=1, out=out[end - p : end])
+                work[:p].min(axis=1, out=out[end : end + p])
+                end += p
             yield pos, out
 
     streams = [lookups(s) for s in range(1, top)]

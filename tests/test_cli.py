@@ -234,10 +234,18 @@ class TestIndex:
         assert err.startswith("twindex: ") and "UTF-8" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", io.StringIO("3\n0 1\n1 2\n"))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"3\n0 1\n1 2\n")))
         code, out, _ = run(capsys, "index", "--in", "-", "--m", "2", "--method", "naive")
         assert code == 0
         assert out == "4\n"
+
+    def test_stdin_not_utf8_is_usage_error(self, capsys, monkeypatch):
+        # Stdin goes through the same UTF-8 decoder as a file.
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe")))
+        code, out, err = run(capsys, "index", "--in", "-", "--m", "2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("twindex: ") and "UTF-8" in err
 
     def test_gen_output_feeds_index_input(self, capsys, tmp_path):
         target = tmp_path / "z6.json"

@@ -651,6 +651,15 @@ class TestEngines:
         monkeypatch.setattr(reduced, "_add_support_weights", lambda hist, held, w: None)
         assert weighed <= peak() + CHUNK_BYTES // 64
 
+    def test_twin_free_top_level_in_one_chunk(self, rng):
+        # Each 2-subset R yields only the subsets R | {c} above its largest
+        # member, so at m = 3 the whole top level of k <= 34 classes fits in
+        # one chunk.
+        for k in range(20, 35):
+            dist = distance_matrix(twin_free_graph(rng, k, 0.3))
+            chunks = list(steiner_levels(dist, range(k), 3)[-1])
+            assert len(chunks) == 1 and len(chunks[0][0]) == comb(k, 3)
+
     @pytest.mark.parametrize("k,m", [(34, 3), (24, 5), (24, 4), (30, 4)])
     def test_kernel_chunk_within_chunk_bytes(self, rng, k, m):
         # Beside its table, every level of the kernel works in one chunk,

@@ -34,8 +34,8 @@ from twindex.steiner import (
     DP_BYTE_BUDGET,
     _BUFFER_BYTES,
     _chunk_rows,
-    _row_bytes,
     _stream_bytes,
+    _top_bytes,
     distance_matrix,
     steiner_levels,
 )
@@ -103,6 +103,27 @@ def beside_far_component(rng, first, b):
     return new_graph(a + b, edges), labels[:a]
 
 
+def colex_last(size, top):
+    """Largest member of each ``(top - 1)``-subset of ``range(size - 1)``, in colex order."""
+    for b in range(top - 2, size - 1):
+        yield from [b] * comb(b, top - 2)
+
+
+def top_rows(n, size, top):
+    """Rows per top-level chunk: the most first rows whose bytes fit the chunk, at least one."""
+    fixed, cost = _top_bytes(n, size, top)
+    budget = steiner.CHUNK_BYTES - _BUFFER_BYTES - fixed
+    spent = itertools.accumulate(int(cost[b]) for b in colex_last(size, top))
+    return max(1, sum(1 for _ in itertools.takewhile(lambda x: x <= budget, spent)))
+
+
+def rows_chunk_bytes(n, size, top, rows):
+    """The ``CHUNK_BYTES`` that holds exactly the first ``rows`` top-level rows."""
+    fixed, cost = _top_bytes(n, size, top)
+    first = itertools.islice(colex_last(size, top), rows)
+    return _BUFFER_BYTES + fixed + sum(int(cost[b]) for b in first)
+
+
 def expected_chunks(n, size, top):
     """Chunks of every level of ``steiner_levels`` over ``size`` of ``n`` vertices up to ``top``.
 
@@ -112,7 +133,7 @@ def expected_chunks(n, size, top):
     """
     counts = [-(-comb(size, s) // _chunk_rows(_stream_bytes(s))) for s in range(1, top)]
     if top > 2:
-        return counts + [-(-comb(size - 1, top - 1) // _chunk_rows(_row_bytes(n, top, size)))]
+        return counts + [-(-comb(size - 1, top - 1) // top_rows(n, size, top))]
     return counts + [-(-comb(size, top) // _chunk_rows(_stream_bytes(top)))]
 
 
@@ -203,9 +224,8 @@ class TestKernel:
             rng.shuffle(universe)
             size = len(universe)
             for top in range(3, size + 1):
-                top_row = _row_bytes(g.n, top, size)
-                monkeypatch.setattr(steiner, "CHUNK_BYTES", _BUFFER_BYTES + rows * top_row)
-                assert _chunk_rows(top_row) == rows
+                monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(g.n, size, top, rows))
+                assert top_rows(g.n, size, top) == min(rows, comb(size - 1, top - 1))
                 chunks = check_levels(g, universe, top, oracle)
                 assert chunks == expected_chunks(g.n, size, top)
                 assert chunks[-1] == -(-comb(size - 1, top - 1) // rows)
@@ -242,6 +262,46 @@ class TestKernel:
             assert n < 6 or whole_chunks < few_chunks < single_chunks
             for row, value in whole:
                 assert steiner_distance_bruteforce(g, row) == value
+
+    def test_row_over_chunk_streams_one_row_per_chunk(self, monkeypatch):
+        # A chunk one byte short of the first top-level row still takes one
+        # row and streams every row in turn (a chunk of 1 byte is in
+        # test_batches_match_single_rows_and_bruteforce).
+        n, m = 12, 4
+        monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, m, 1) - 1)
+        assert top_rows(n, n, m) == 1
+        levels = steiner_levels(distance_matrix(cycle_graph(n)), range(n), m)
+        chunks = [len(subsets) for subsets, _ in levels[-1]]
+        assert len(chunks) == comb(n - 1, m - 1)
+        assert sum(chunks) == comb(n, m)
+
+    def test_naive_path_in_chunks_of_few_rows(self, monkeypatch):
+        # Three vertices of a path are spanned by the path between the outer
+        # two. The C(n, 3) subsets, summed in chunks of four 2-subsets R, each
+        # extended by up to 58 later vertices, equal the closed form.
+        n, rows = 60, 4
+        monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, 3, rows))
+        calls = []
+        value = steiner_wiener_naive(path_graph(n), 3, progress=lambda *call: calls.append(call))
+        assert value == sum((n - d) * d * (d - 1) for d in range(2, n))
+        assert len(calls) == -(-comb(n - 1, 2) // rows)
+
+    def test_top_chunk_within_chunk_bytes_on_long_path(self):
+        # Each of the first top-level rows on 240 vertices yields over 200
+        # subsets; the level still works in one chunk, read as a caller
+        # reads it (the previous chunk alive while the next is built). The
+        # first chunks are the heaviest, so they are the ones read here.
+        n = 240
+        dist = distance_matrix(path_graph(n))
+        tracemalloc.start()
+        try:
+            for subsets, distances in itertools.islice(steiner_levels(dist, range(n), 3)[-1], 4):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert expected_chunks(n, n, 3)[-1] > 4
+        assert peak <= CHUNK_BYTES
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
@@ -395,7 +455,7 @@ class TestNaiveIndex:
             cycle_graph(n), m, progress=lambda done, total: calls.append((done, total))
         )
         # One call per chunk of the (m - 1)-subsets that the top level merges.
-        rows = _chunk_rows(_row_bytes(n, m, n))
+        rows = top_rows(n, n, m)
         assert len(calls) == expected_chunks(n, n, m)[-1] == -(-comb(n - 1, m - 1) // rows) > 1
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
         assert {t for _, t in calls} == {total}
