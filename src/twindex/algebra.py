@@ -57,9 +57,12 @@ is; any other table, such as a caller's writeable array, is copied once, so
 the caller's array stays writeable and later writes to it cannot change a
 proven table.
 
-No table is allocated beyond :data:`TABLE_BYTE_BUDGET` bytes (one int64
-table of order at most 2048): every built-in constructor, direct product
-and spec parser checks the order first and raises
+Every table is stored as :data:`_TABLE` (int16), whose entries hold every
+index below the order cap, and every built-in constructor builds its table
+in that dtype, with no ``n x n`` int64 temporary. No table is allocated
+beyond :data:`TABLE_BYTE_BUDGET` bytes (one int16 table of order at most
+2048): every built-in constructor, direct product, spec parser and the
+table check itself checks the order first and raises
 :class:`~twindex.errors.OrderTooLarge`.
 
 Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
@@ -83,19 +86,21 @@ import numpy as np
 from .errors import BadParameter, OrderTooLarge, RingMismatch, RingTooLarge
 
 IDEAL_ENUM_CAP = 256
-# Bytes of one int64 operation table, checked before any table is allocated.
-TABLE_BYTE_BUDGET = 1 << 25
-MAX_TABLE_ORDER = math.isqrt(TABLE_BYTE_BUDGET // 8)  # 2048
+# The dtype of every operation table: it holds every index below the order cap.
+_TABLE = np.dtype(np.int16)
+# Bytes of one operation table, checked before any table is allocated.
+TABLE_BYTE_BUDGET = 1 << 23
+MAX_TABLE_ORDER = math.isqrt(TABLE_BYTE_BUDGET // _TABLE.itemsize)  # 2048
 
 
 # --- checked tables and direct products ------------------------------------------
 
 
 def _check_order(n: int, what: str) -> None:
-    """Raise :class:`OrderTooLarge` unless one ``n x n`` int64 table fits the budget."""
+    """Raise :class:`OrderTooLarge` unless one ``n x n`` :data:`_TABLE` table fits the budget."""
     if n > MAX_TABLE_ORDER:
         raise OrderTooLarge(
-            f"{what} has order above {MAX_TABLE_ORDER}: one int64 operation table "
+            f"{what} has order above {MAX_TABLE_ORDER}: one {_TABLE} operation table "
             f"would exceed the {TABLE_BYTE_BUDGET}-byte table budget"
         )
 
@@ -120,23 +125,29 @@ def _frozen(table: np.ndarray) -> np.ndarray:
 
 
 def _checked_table(table, n: int, identity: int, what: str) -> np.ndarray:
-    """``table`` as a read-only ``n x n`` int64 array with a two-sided identity.
+    """``table`` as a read-only ``n x n`` :data:`_TABLE` array with a two-sided identity.
 
-    A read-only int64 array that owns its memory (see :func:`_frozen`) is kept
-    as it is; anything else is copied once, so a caller's writeable array is
-    neither frozen nor kept, and writing to it later cannot change a proven
-    table. Checks the shape and the range of the entries, and that
-    ``identity`` is an integer in ``[0, n)`` and a two-sided identity.
-    Associativity is left to the caller, which knows the generating set that
-    proves it.
+    An order above :data:`MAX_TABLE_ORDER` raises :class:`OrderTooLarge`
+    before anything is copied. A read-only :data:`_TABLE` array that owns its
+    memory (see :func:`_frozen`) is kept as it is. Anything else is copied
+    as int64, range-checked, and narrowed once, so an entry outside
+    ``[0, n)`` raises rather than wrapping to a valid index; a caller's
+    writeable array is neither frozen nor kept, and writing to it later
+    cannot change a proven table. Checks the shape and the range of the
+    entries, and that ``identity`` is an integer in ``[0, n)`` and a
+    two-sided identity. Associativity is left to the caller, which knows the
+    generating set that proves it.
     """
-    frozen = isinstance(table, np.ndarray) and table.dtype == np.int64
-    frozen = frozen and not table.flags.writeable and table.base is None
-    arr = table if frozen else np.array(table, dtype=np.int64)
+    _check_order(n, what)
+    kept = isinstance(table, np.ndarray) and table.dtype == _TABLE
+    kept = kept and not table.flags.writeable and table.base is None
+    arr = table if kept else np.array(table, dtype=np.int64)
     if arr.shape != (n, n):
         raise BadParameter(f"{what} table must be {n}x{n}, got shape {arr.shape}")
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise BadParameter(f"{what} table entries must lie in [0, {n})")
+    if not kept:
+        arr = arr.astype(_TABLE)
     identity = _element_index(identity, n, f"{what} identity index")
     idx = np.arange(n)
     if not (np.array_equal(arr[identity], idx) and np.array_equal(arr[:, identity], idx)):
@@ -254,7 +265,7 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
     strides = [math.prod(sizes[j + 1 :]) for j in range(k)]
     tables, identities = [], []
     for parts in zip(*map(pairs, factors)):
-        table = np.zeros((total, total), dtype=np.int64)
+        table = np.zeros((total, total), dtype=_TABLE)
         axes = table.reshape(sizes + sizes)
         for j, (factor_table, _) in enumerate(parts):
             shape = [1] * (2 * k)
@@ -314,7 +325,7 @@ def cyclic_group(n: int) -> FiniteGroup:
 def _sum_mod(n: int) -> np.ndarray:
     """The read-only table of ``a + b mod n``: row ``a`` is the window
     ``a .. a + n - 1`` of ``0 .. n-1`` written twice, copied once."""
-    idx = np.arange(n, dtype=np.int64)
+    idx = np.arange(n, dtype=_TABLE)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((idx, idx)), n)
     return _frozen(windows[:n].copy())
 
@@ -329,7 +340,7 @@ def dihedral_group(n: int) -> FiniteGroup:
         raise BadParameter(f"dihedral group needs n >= 3, got {n}")
     order = 2 * n
     _check_order(order, f"D{order}")
-    idx = np.arange(order)
+    idx = np.arange(order, dtype=_TABLE)
     a, i = idx // n, idx % n
     table = (a[:, None] + a) % 2 * n + (i + (1 - 2 * a) * i[:, None]) % n
     labels = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
@@ -343,7 +354,7 @@ def quaternion_group() -> FiniteGroup:
     Element ``4j + i`` stands for ``a^i b^j``; the product rule
     ``(a^i b^j)(a^k b^l) = a^(i + (-1)^j k + 2jl) b^(j xor l)`` fills the table.
     """
-    idx = np.arange(8)
+    idx = np.arange(8, dtype=_TABLE)
     j, i = idx // 4, idx % 4
     j_, i_ = j[:, None], i[:, None]
     table = (j_ ^ j) * 4 + (i_ + (1 - 2 * j_) * i + 2 * (j_ & j)) % 4
@@ -357,7 +368,7 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
         raise BadParameter(f"elementary abelian 2-group needs k >= 1, got {k}")
     n = 1 << k
     _check_order(n, f"E2^{k}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=_TABLE)
     table = idx[:, None] ^ idx[None, :]
     labels = [format(i, f"0{k}b") for i in range(n)]
     return FiniteGroup(_frozen(table), 0, labels, name=f"E2^{k}")
@@ -434,10 +445,11 @@ def zmod(n: int) -> FiniteRing:
     if n < 2:
         raise BadParameter(f"Z_n needs n >= 2, got {n}")
     _check_order(n, f"Z{n}")
-    idx = np.arange(n)
+    idx = np.arange(n, dtype=np.int32)  # a * b overflows int16 before the remainder
+    mul = np.remainder(idx[:, None] * idx, n, out=np.empty((n, n), dtype=_TABLE))
     return FiniteRing(
         _sum_mod(n),
-        _frozen((idx[:, None] * idx[None, :]) % n),
+        _frozen(mul),
         0,
         1,
         [str(i) for i in range(n)],
@@ -491,19 +503,20 @@ def poly_quotient_ring(p: int, coeffs: Sequence[int]) -> FiniteRing:
 
     # digits[a, i]: the coefficient of x^i in element a, whose index is
     # sum_i digits[a, i] * p^i.
-    place = p ** np.arange(deg, dtype=np.int64)
-    digits = np.arange(size)[:, None] // place % p
-    add = np.zeros((size, size), dtype=np.int64)
+    place = p ** np.arange(deg, dtype=_TABLE)
+    digits = np.arange(size, dtype=_TABLE)[:, None] // place % p
+    add = np.zeros((size, size), dtype=_TABLE)
     for i in range(deg):
         add += (digits[:, i, None] + digits[:, i]) % p * place[i]
-    scaled = (np.arange(p)[:, None, None] * digits) % p @ place  # scaled[c, a] = c * a
+    # scaled[c, a] = c * a; c times a digit overflows int16 before the remainder.
+    scaled = (np.arange(p, dtype=np.int32)[:, None, None] * digits % p @ place).astype(_TABLE)
     # x * a: the digits move up one place and the lead coefficient folds back
     # through x^deg = -(coeffs[0] + ... + coeffs[deg-1] x^(deg-1)).
     shifted = np.zeros_like(digits)
     shifted[:, 1:] = digits[:, :-1]
     times_x = (shifted - digits[:, -1:] * np.array(coeffs[:deg])) % p @ place
     # a * b = sum_i digits[a, i] * (x^i b), summed through the addition table.
-    mul = np.zeros((size, size), dtype=np.int64)
+    mul = np.zeros((size, size), dtype=_TABLE)
     power = np.arange(size)  # x^i b for every b
     for i in range(deg):
         mul = add[mul, scaled[digits[:, i][:, None], power]]

@@ -85,7 +85,7 @@ class RingTooLarge(TwindexError, ValueError):
 
 
 class OrderTooLarge(TwindexError, ValueError):
-    """A group or ring order whose int64 operation table would exceed the byte budget."""
+    """A group or ring order whose int16 operation table would exceed the byte budget."""
 
 
 class RingMismatch(TwindexError, ValueError):

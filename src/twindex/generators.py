@@ -111,7 +111,9 @@ def _product_in_graph(r: FiniteRing, inside: np.ndarray) -> Graph:
     itself included, lies inside.
     """
     outside = np.flatnonzero(~inside)
-    hits = inside[r._mul[np.ix_(outside, outside)]]
+    # np.take, not inside[...]: indexing by the int16 products casts them in
+    # small buffers, about three times slower.
+    hits = np.take(inside, r._mul[np.ix_(outside, outside)])
     keep = hits.any(axis=1)
     vertices = outside[keep]
     return graph_from_matrix(hits[np.ix_(keep, keep)], [r.element_labels[x] for x in vertices])

@@ -24,6 +24,7 @@ from twindex.algebra import (
     IDEAL_ENUM_CAP,
     MAX_TABLE_ORDER,
     TABLE_BYTE_BUDGET,
+    _TABLE,
     FiniteGroup,
     FiniteRing,
     Ideal,
@@ -167,6 +168,15 @@ class TestGroups:
         t[0, 0] = 1
         assert g._table[0, 0] == 0 and g.op(0, 0) == 0
 
+    @pytest.mark.parametrize("wrap", [list, np.array], ids=["list", "array"])
+    def test_entries_checked_before_narrowing(self, wrap):
+        # 65537 narrowed to int16 first would wrap to 1, and the table would
+        # pass as Z2.
+        with pytest.raises(BadParameter, match="entries must lie in"):
+            FiniteGroup(wrap([[0, 65537], [1, 0]]), 0)
+        with pytest.raises(BadParameter, match="entries must lie in"):
+            FiniteRing([[0, 1], [1, 0]], wrap([[0, 0], [0, 65537]]), 0, 1)
+
     def test_non_associative_at_the_order_cap(self):
         # Identity 0 and every other product 0: inverses exist, but nothing
         # but 0 is a product, so the greedy takes all 2047 other elements.
@@ -301,16 +311,19 @@ def test_built_tables_kept_without_a_copy(monkeypatch, build):
     # Every built-in constructor and product hands over a frozen table that
     # it no longer writes, so the checked table is that array itself.
     checked = algebra._checked_table
-    kept = []
+    kept, tables = [], []
 
     def spy(table, *args):
         arr = checked(table, *args)
         kept.append(arr is table)
+        tables.append(arr)
         return arr
 
     monkeypatch.setattr(algebra, "_checked_table", spy)
     build()
     assert kept and all(kept)
+    for table in tables:
+        assert table.dtype == _TABLE and not table.flags.writeable
 
 
 def _associative(t) -> bool:
@@ -823,7 +836,7 @@ def _product_specs():
 def reference_dihedral_table(n: int) -> np.ndarray:
     """Reference: ``(s^a r^i)(s^b r^j) = s^(a+b) r^(j + (-1)^b i)`` by four nested loops."""
     order = 2 * n
-    table = np.zeros((order, order), dtype=np.int64)
+    table = np.zeros((order, order), dtype=_TABLE)
     for a in range(2):
         for i in range(n):
             for b in range(2):
@@ -835,7 +848,7 @@ def reference_dihedral_table(n: int) -> np.ndarray:
 
 def reference_quaternion_table() -> np.ndarray:
     """Reference: ``Q8`` on ``a^i b^j`` (element ``4j + i``) by four nested loops."""
-    table = np.zeros((8, 8), dtype=np.int64)
+    table = np.zeros((8, 8), dtype=_TABLE)
     for i in range(4):
         for j in range(2):
             for k in range(4):
@@ -913,8 +926,8 @@ def reference_poly_quotient_tables(p: int, coeffs) -> tuple[np.ndarray, np.ndarr
                     cs[k - deg + i] = (cs[k - deg + i] - lead * coeffs[i]) % p
         return cs[:deg] + [0] * max(0, deg - len(cs))
 
-    add = np.zeros((size, size), dtype=np.int64)
-    mul = np.zeros((size, size), dtype=np.int64)
+    add = np.zeros((size, size), dtype=_TABLE)
+    mul = np.zeros((size, size), dtype=_TABLE)
     polys = [decode(i) for i in range(size)]
     for i, a in enumerate(polys):
         for j, b in enumerate(polys):
@@ -1000,7 +1013,7 @@ class TestMatchesReference:
     def test_sums_mod_n(self):
         for n in [*range(1, 65), 480, 2048]:
             idx = np.arange(n)
-            expected = (idx[:, None] + idx) % n
+            expected = ((idx[:, None] + idx) % n).astype(_TABLE)
             assert _same_array(cyclic_group(n)._table, expected), n
             if n >= 2:
                 assert _same_array(zmod(n)._add, expected), n
@@ -1103,7 +1116,7 @@ def _peak_bytes_raising(build) -> int:
 
 class TestOrderBudget:
     def test_budget_and_bound(self):
-        assert TABLE_BYTE_BUDGET == 1 << 25
+        assert TABLE_BYTE_BUDGET == 1 << 23 == 2048 * 2048 * _TABLE.itemsize
         assert MAX_TABLE_ORDER == 2048
         _check_order(MAX_TABLE_ORDER, "largest")
         with pytest.raises(OrderTooLarge, match="above 2048"):
@@ -1145,9 +1158,25 @@ class TestOrderBudget:
         assert _peak_bytes_raising(lambda: group_product(*groups)) < 1 << 20
         assert _peak_bytes_raising(lambda: ring_product(*rings)) < 1 << 20
 
+    def test_caller_tables_raise_before_copying(self):
+        table = np.zeros((MAX_TABLE_ORDER + 1,) * 2, dtype=np.int64)
+        assert _peak_bytes_raising(lambda: FiniteGroup(table, 0)) < 1 << 20
+        assert _peak_bytes_raising(lambda: FiniteRing(table, table, 0, 1)) < 1 << 20
+
     def test_paper_scale_specs_still_build(self):
         assert group_from_spec("Z480").order == 480
         assert ring_from_spec("Z2xZ3xZ5xZ7").size == 210
+
+    def test_paper_scale_group_peak(self):
+        # Z480's table is 450 KiB; Light's test gathers two copies of it per
+        # generator (5.5 MiB in all with int64 tables).
+        tracemalloc.start()
+        try:
+            group_from_spec("Z480")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
 
     def test_bad_factor_is_still_a_bad_parameter(self):
         with pytest.raises(BadParameter):
