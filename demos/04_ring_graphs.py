@@ -4,7 +4,7 @@ Run with: python demos/04_ring_graphs.py
 """
 
 from twindex import steiner_wiener_reduced, twin_partition
-from twindex.algebra import all_ideals, ideal_from_spec, jacobson_radical, ring_from_spec, zmod
+from twindex.algebra import Ideal, all_ideals, ideal_from_spec, maximal_ideals, ring_from_spec, zmod
 from twindex.generators import comaximal_ideal_graph, ideal_zero_divisor_graph, zero_divisor_graph
 
 # --- zero-divisor graph of Z_6 ---------------------------------------------
@@ -25,8 +25,10 @@ print("SW_8 =", steiner_wiener_reduced(di, 8))
 
 # --- comaximal ideal graph of Z_2 x Z_2 x Z_4 -------------------------------
 rr = ring_from_spec("Z2xZ2xZ4")
-print(f"\n{rr!r}: {len(all_ideals(rr))} ideals,",
-      "Jacobson radical", jacobson_radical(rr).label())
+# The Jacobson radical is the intersection of the maximal ideals.
+maxima = [m.members for m in maximal_ideals(rr)]
+radical = Ideal(rr, tuple(sorted(set(range(rr.size)).intersection(*maxima))))
+print(f"\n{rr!r}: {len(all_ideals(rr))} ideals,", "Jacobson radical", radical.label())
 gc = comaximal_ideal_graph(rr)
 dc = twin_partition(gc)
 print("comaximal graph:", gc.n, "vertices, class sizes", dc.class_sizes())

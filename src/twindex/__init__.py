@@ -66,7 +66,6 @@ from .algebra import (
     group_product,
     ideal_from_spec,
     ideal_generated,
-    jacobson_radical,
     maximal_ideals,
     poly_quotient_ring,
     quaternion_group,

@@ -688,13 +688,6 @@ def maximal_ideals(r: FiniteRing) -> list[Ideal]:
     return [Ideal(r, tuple(np.flatnonzero(row).tolist())) for row in masks[_maximal_rows(masks)]]
 
 
-def jacobson_radical(r: FiniteRing) -> Ideal:
-    """Intersection of all maximal ideals; the whole ring when there are none."""
-    masks = _ideal_masks(r)
-    radical = masks[_maximal_rows(masks)].all(axis=0)
-    return Ideal(r, tuple(np.flatnonzero(radical).tolist()))
-
-
 # --- compact spec strings -------------------------------------------------------
 
 

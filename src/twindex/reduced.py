@@ -40,8 +40,12 @@ does, and returns ``h`` with the number of supports it weighed:
   left out, which leaves the sum unchanged. A support that holds exactly
   ``m`` vertices has ``N_S = 1``: every proper subset T holds fewer, so
   ``binom(n_T, m) = 0``, and its weight goes to ``h[m]`` alone. On a
-  twin-free graph every support kept is such a one. The kernel wins at
-  large k and small m, as on twin-free graphs.
+  twin-free graph every support kept is such a one. The kernel's top level
+  comes in factored chunks, merged rows R and how many of them each
+  member c extends, so ``n_S`` is one class-size sum per R plus c's size,
+  and class sizes are gathered per support only where ``n_S > m``. The
+  kernel wins at large k and small m, as on twin-free graphs, and reports
+  progress after each top-level chunk.
 
 Neither engine runs until :func:`twindex.graph.is_connected` has found H
 connected. Either way distances are needed only in the (usually much
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -141,36 +145,83 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
         np.add.at(hist, n_t.ravel(), signed[(s - low - step) & 1])
 
 
-def _kernel_histogram(sizes: np.ndarray, dist: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> int:
+    """Add one kernel chunk's supports into ``hist``; return how many have ``N_S > 0``.
+
+    ``chunk`` is a level's ``(subsets, d_H)``, or a factored top-level chunk
+    ``(rows, counts, d_H)``, where member c extends the first ``counts[c]``
+    merged rows R in turn: there ``n_S`` is one class-size sum per R plus
+    c's size. A support that holds exactly ``m`` vertices has ``N_S = 1``:
+    every proper subset holds fewer, so only ``hist[m]`` gains ``u(S)``. A
+    chunk of m-class supports whose largest holds ``m`` vertices, as on a
+    twin-free graph, holds only such supports and is weighed by one sum of
+    its ``d_H``. A larger support adds ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
+    (:func:`_add_support_weights`), and only these supports' class sizes are
+    gathered. The others have ``N_S = 0``.
+    """
+    dh = chunk[-1]
+    if len(chunk) == 3:
+        rows, counts, _ = chunk
+        s = rows.shape[1] + 1
+        # One gather per column: numpy's sum along a short last axis is slow.
+        row_sizes = sum(sizes[rows.T])
+        if s == m and row_sizes.max() + sizes[counts > 0].max() == m:
+            # A support of m classes holds at least m vertices, and the
+            # largest here holds m, so every one does.
+            hist[m] += int(dh.sum()) - s * len(dh)
+            return len(dh)
+        at = np.arange(len(dh)) - np.repeat(counts.cumsum() - counts, counts)
+        n_s = row_sizes[at] + np.repeat(sizes, counts)
+    else:
+        subsets = chunk[0]
+        s = subsets.shape[1]
+        n_s = sum(sizes[subsets.T])
+    exact = n_s == m
+    more = n_s > m
+    n_exact, n_more = int(np.count_nonzero(exact)), int(np.count_nonzero(more))
+    hist[m] += int(dh.sum(where=exact)) - s * n_exact
+    if n_more:
+        if len(chunk) == 3:
+            members = np.repeat(np.arange(len(counts)), counts)[more]
+            held = sizes[np.column_stack([rows[at[more]], members])]
+        else:
+            held = sizes[subsets[more]]
+        _add_support_weights(hist, held, dh[more] - s)
+    return n_exact + n_more
+
+
+def _kernel_histogram(
+    sizes: np.ndarray,
+    dist: np.ndarray,
+    m: int,
+    progress: Callable[[int, int], None] | None = None,
+) -> tuple[np.ndarray, int]:
     """The weight histogram ``h`` and the support count, from the kernel's supports.
 
     ``sizes`` holds the class sizes and ``dist`` H's distance matrix. Every
     support S of at most ``m`` classes that holds at least ``m`` vertices is
-    one ``d_H`` from :func:`twindex.steiner.steiner_levels`. One that holds
-    exactly ``m`` adds ``u(S)`` at ``m``; a larger one adds
-    ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
-    (:func:`_add_support_weights`); the other supports have ``N_S = 0``.
+    one ``d_H`` from :func:`twindex.steiner.steiner_levels`, weighed by
+    :func:`_weigh_chunk`. ``progress(done, total)`` is called after each
+    top-level chunk, counting the top level's supports.
     """
     k = len(sizes)
+    top = min(m, k)
     hist = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
-    supports = 0
+    supports = done = 0
+    total = comb(k, top)
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    levels = steiner_levels(dist, range(k), min(m, k))
+    levels = steiner_levels(dist, range(k), top)
     for s, level in enumerate(levels, 1):
         if largest[s - 1] < m:
             continue
-        for held, dh in level:
-            n_s = sizes[held].sum(axis=1)
-            exact = n_s == m
-            more = n_s > m
-            supports += int(exact.sum() + more.sum()) if s > 1 else 0
-            # N_S = 1 where S holds exactly m vertices: every proper subset
-            # holds fewer, so only hist[m] gains its weight.
-            hist[m] += int(dh[exact].sum()) - s * int(exact.sum())
-            if more.any():
-                _add_support_weights(hist, sizes[held[more]], dh[more] - s)
+        for chunk in level:
+            weighed = _weigh_chunk(hist, sizes, m, chunk)
+            supports += weighed if s > 1 else 0
+            if s == top and progress is not None:
+                done += len(chunk[-1])
+                progress(done, total)
     return hist, supports
 
 
@@ -235,9 +286,14 @@ def _transform_histogram(
 
 
 def steiner_wiener_reduced_with_stats(
-    d: TwinDecomposition, m: int
+    d: TwinDecomposition, m: int, *, progress: Callable[[int, int], None] | None = None
 ) -> tuple[int, ReducedIndexStats]:
-    """Like :func:`steiner_wiener_reduced` but also returns diagnostics."""
+    """Like :func:`steiner_wiener_reduced` but also returns diagnostics.
+
+    When the kernel answers, ``progress(done, total)`` is called after each
+    chunk of its top level, counting the ``C(k, min(m, k))`` supports there;
+    the transform answers at once and reports nothing.
+    """
     n = d.source.n
     if not 1 <= m <= n:
         raise BadSubsetSize(f"subset size {m} not in [1, {n}]")
@@ -251,7 +307,7 @@ def steiner_wiener_reduced_with_stats(
     if _transform_chosen(d.k, m):
         hist, supports = _transform_histogram(sizes, _connected_sets(d.reduced.masks), m)
     else:
-        hist, supports = _kernel_histogram(sizes, distance_matrix(d.reduced), m)
+        hist, supports = _kernel_histogram(sizes, distance_matrix(d.reduced), m, progress)
     edgeless = [size for size, kind in zip(sizes.tolist(), d.kinds) if kind is ClassKind.EMPTY]
     total = m * comb(n, m) + sum(comb(size, m) for size in edgeless)
     total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())

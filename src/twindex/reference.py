@@ -130,7 +130,7 @@ def run_route(
             raise BadParameter(f"the wiener route computes SW_2 only, not m={m}")
         value = wiener_index(g)
     elif method == "reduced":
-        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m)
+        value, stats = steiner_wiener_reduced_with_stats(twin_partition(g), m, progress=progress)
         extras = asdict(stats)
     else:
         raise BadParameter(f"unknown route {method!r}")

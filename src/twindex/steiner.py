@@ -8,9 +8,14 @@ every subset of a terminal universe up to a given size, under a byte budget
 checked before allocation. Its top level merges the splits of each subset R of
 one member fewer once, and extends R by every later member c (Dreyfus and
 Wagner, "The Steiner problem in graphs", *Networks* 1, 1971, share the merge of
-R across every ``R | {c}``). ``steiner_distance`` reads its top level over the
-terminals, ``steiner_wiener_naive`` level m over all vertices, and the
-twin-class reduction every level over the reduced graph.
+R across every ``R | {c}``). A top-level chunk comes factored: its merged rows,
+how many leading rows each member extends, and the distances, with no
+position array per subset. Its merged rows and sum buffer are stored
+anchor-major when the chunk has at least as many rows as anchors, and
+row-major otherwise, so each member's minimum over the anchors runs along the
+longer axis. ``steiner_distance`` reads its top level over the terminals,
+``steiner_wiener_naive`` sums the distances of level m over all vertices, and
+the twin-class reduction reads every level over the reduced graph.
 ``steiner_distance_bruteforce`` is the independent oracle the kernel and the
 twin-class reduction formula are validated against: the least ``|W| - 1``
 over the vertex sets ``W`` that hold the terminals and induce a connected
@@ -127,13 +132,15 @@ def _top_bytes(n: int, size: int, s: int) -> tuple[int, np.ndarray]:
 
     A row is an ``(s - 1)``-subset R of ``range(size - 1)``. With largest
     member ``b`` it merges once (:func:`_row_bytes`) and yields the
-    ``size - 1 - b`` subsets ``R | {c}``. Each of those holds ``s``
-    positions and a distance, the same again for the previous chunk, which
-    the reader still holds, and its entry of the repeated last members. The
-    fixed part holds, per member c, ``s + 1`` binomials and c's entries of
+    ``size - 1 - b`` subsets ``R | {c}``. Each of those is charged ``s``
+    positions and a distance, the same again for the previous chunk, and 8
+    bytes more. The factored chunk keeps only the distance; the rest bounds
+    what a reader builds per subset beside the previous chunk, such as the
+    row and ``n_S`` arrays of ``reduced._weigh_chunk``. The fixed
+    part holds, per member c, ``s + 1`` binomials and c's entries of
     ``extended``, ``cost`` and ``spent`` (int64), c's vertex in a Python
     list (40 bytes), and c's entries in a chunk's lists of vertices and
-    prefixes. The view of a growing prefix, at most one per row, takes the
+    counts. The view of a growing prefix, at most one per row, takes the
     place of the anchor rows that ``_merge`` has freed by then.
     """
     outputs = size - 1 - np.arange(size - 1)
@@ -191,6 +198,19 @@ def _submask_rows(
     return ranks
 
 
+def _anchor_view(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
+    """A ``(rows, n)`` view of the first ``rows * n`` entries of ``flat``.
+
+    With at least as many rows as anchors it is stored anchor-major,
+    ``(n, rows)``, and transposed: a minimum over the anchors of a prefix of
+    rows is then ``n`` elementwise steps over long runs of rows. With fewer
+    rows it is row-major, so that minimum runs along each row's anchors.
+    """
+    if rows >= n:
+        return flat[: rows * n].reshape(n, rows).T
+    return flat[: rows * n].reshape(rows, n)
+
+
 def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0).
 
@@ -211,12 +231,18 @@ def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def steiner_levels(
     dist: np.ndarray, universe: Iterable[int], top: int
-) -> list[Iterator[tuple[np.ndarray, np.ndarray]]]:
+) -> list[Iterator[tuple[np.ndarray, ...]]]:
     """Steiner distance of every subset of ``universe`` with at most ``top`` members.
 
-    Returns one lazy stream per level ``s`` of ``(subsets, distances)`` chunks:
-    ``(B, s)`` ascending positions into ``universe`` and their int32 Steiner
-    distances. ``universe`` lies in one component of ``dist``.
+    Returns one lazy stream per level ``s``. A chunk below the top, or at a
+    top of at most two members, is ``(subsets, distances)``: ``(B, s)``
+    ascending positions into ``universe`` and their int32 Steiner
+    distances. From three members on, a top-level chunk is factored as
+    ``(rows, counts, distances)``: its merged rows R, ascending positions
+    of shape ``(len(rows), top - 1)``; for every position c, ``counts[c]``,
+    the number of leading rows whose largest member is below c; and the
+    distances of ``R | {c}`` for each c in turn over its ``counts[c]`` rows
+    in order. ``universe`` lies in one component of ``dist``.
 
     The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
     subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
@@ -228,9 +254,14 @@ def steiner_levels(
     splits of each ``(top - 1)``-subset R of ``universe[:-1]`` are merged
     once, and ``d(R | {c})`` for every later member ``c`` is the minimum
     over anchors after adding ``c``'s distance row, in a sum buffer kept
-    across chunks; three members give ``min_v sum_i d(t_i, v)``. Each chunk
-    of the top level holds every ``R | {c}`` of one colex chunk of R, so the
-    top level streams R-chunk-major, not in colex order. A row R with
+    across chunks; three members give ``min_v sum_i d(t_i, v)``. A chunk
+    of at least as many rows as anchors stores its merged rows and sum
+    buffer anchor-major, ``(n, B)``, so that minimum is ``n`` elementwise
+    steps over runs of rows; a chunk of fewer rows, as on long paths,
+    stores them row-major, so it runs along each row. Both are read as one
+    ``(B, n)`` view (:func:`_anchor_view`). Each chunk of the top level
+    holds every ``R | {c}`` of one colex chunk of R, so the top level
+    streams R-chunk-major, not in colex order. A row R with
     largest member ``b`` yields ``size - 1 - b`` subsets, a count that
     never grows along colex order, so every R-chunk takes as many rows as
     the level's first rows fit in ``CHUNK_BYTES``, each charged its merge
@@ -277,7 +308,7 @@ def steiner_levels(
                 out = table[offsets[s - 1] + rank, last]
             yield pos, out
 
-    def merged_top() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    def merged_top() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         total = comb(size - 1, top - 1)
         # The C(b, top - 2) rows whose largest member is b each merge once and
         # yield size - 1 - b subsets. Colex order never raises that count, so
@@ -288,31 +319,26 @@ def steiner_levels(
         b = min(int(spent.searchsorted(budget, side="right")), size - 2)
         left = budget - spent[b] + binom[b, top - 2] * cost[b]
         rows = max(1, min(total, int(binom[b, top - 1] + left // cost[b])))
-        work = np.empty((rows, n), dtype=_DIST)
+        # The merged rows and the sum buffer, kept across chunks.
+        buffers = np.empty((2, rows * n), dtype=_DIST)
         extended = np.arange(size)
         vertices = universe.tolist()
         for rpos in _subsets(size - 1, top - 1, rows, binom):
-            merged = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
+            merged, work = (_anchor_view(flat, len(rpos), n) for flat in buffers)
+            # Merged row-major, then copied: the splits gather row-major.
+            merged[...] = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
-            # prefix: a growing one up to c = last, and every row from there.
-            first, last = rpos[0, -1] + 1, rpos[-1, -1] + 1
-            ramp = rpos[:, -1].searchsorted(extended[first:last]).tolist()
-            head = sum(ramp)
-            pos = np.empty((head + len(rpos) * (size - last), top), dtype=np.intp)
-            if ramp:
-                np.concatenate([rpos[:p] for p in ramp], out=pos[:head, :-1])
-            pos[:head, -1] = np.repeat(extended[first:last], ramp)
-            tail = pos[head:].reshape(size - last, len(rpos), top)
-            tail[:, :, :-1] = rpos
-            tail[:, :, -1] = extended[last:, None]
-            out = np.empty(len(pos), dtype=_DIST)
+            # prefix: empty up to the first row's largest member, then growing.
+            counts = rpos[:, -1].searchsorted(extended)
+            first = rpos[0, -1] + 1
+            out = np.empty(int(counts.sum()), dtype=_DIST)
             end = 0
-            for v, p in zip(vertices[first:], ramp + [len(rpos)] * (size - last)):
+            for v, p in zip(vertices[first:], counts[first:].tolist()):
                 np.add(merged[:p], dist[v], out=work[:p])
-                work[:p].min(axis=1, out=out[end : end + p])
+                np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
                 end += p
-            yield pos, out
+            yield rpos, counts, out
 
     streams = [lookups(s) for s in range(1, top)]
     return streams + [merged_top() if top > 2 else lookups(top)]
@@ -341,7 +367,7 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     far = [t for t in ts if dist[ts[0], t] >= _INF]
     if far:
         raise DisconnectedTerminals(f"terminals {ts[0]} and {far[0]} lie in different components")
-    _, value = next(steiner_levels(dist, ts, len(ts))[-1])
+    *_, value = next(steiner_levels(dist, ts, len(ts))[-1])
     return int(value[0])
 
 
@@ -397,9 +423,9 @@ def steiner_wiener_naive(
     dist = distance_matrix(g)
     total = comb(g.n, m)
     value = done = 0
-    for subsets, distances in steiner_levels(dist, range(g.n), m)[-1]:
+    for *_, distances in steiner_levels(dist, range(g.n), m)[-1]:
         value += int(distances.sum())
-        done += len(subsets)
+        done += len(distances)
         if progress is not None:
             progress(done, total)
     return value

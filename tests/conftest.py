@@ -114,6 +114,21 @@ def connected_by_dfs(g: Graph) -> bool:
     return len(seen) == g.n
 
 
+def expanded(chunk):
+    """``(subsets, distances)`` of one chunk of ``steiner_levels``.
+
+    A lookup chunk is already that pair. A factored top-level chunk
+    ``(rows, counts, distances)`` lists, for each member c in turn, the
+    subsets ``R | {c}`` of the first ``counts[c]`` merged rows R, in row
+    order; they are rebuilt here one by one.
+    """
+    if len(chunk) == 2:
+        return chunk
+    rows, counts, distances = chunk
+    subsets = [r + [c] for c, p in enumerate(counts.tolist()) for r in rows[:p].tolist()]
+    return np.array(subsets, dtype=np.intp).reshape(len(subsets), rows.shape[1] + 1), distances
+
+
 # Group and ring specs that the table-driven code is checked on exhaustively.
 GROUP_SWEEP = (
     [f"Z{n}" for n in range(1, 65)]

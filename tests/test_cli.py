@@ -26,8 +26,8 @@ def run(capsys, *argv):
 def reduced_off_by_one(monkeypatch):
     """The reduced route, patched at the one name the route runner calls, adds 1."""
 
-    def off_by_one(d, m):
-        value, stats = steiner_wiener_reduced_with_stats(d, m)
+    def off_by_one(d, m, **options):
+        value, stats = steiner_wiener_reduced_with_stats(d, m, **options)
         return value + 1, stats
 
     monkeypatch.setattr("twindex.reference.steiner_wiener_reduced_with_stats", off_by_one)

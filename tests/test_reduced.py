@@ -56,6 +56,7 @@ from conftest import (
     all_graphs,
     connected_by_dfs,
     connectivity_sweep,
+    expanded,
     graphs_up_to_isomorphism,
     random_connected_graph,
 )
@@ -435,6 +436,29 @@ class TestReducedIndex:
             assert stats.num_profiles == comb(n, 4)
         assert support_count((1, 1), 4) == support_count((1, 1, 1), 4) == 0
 
+    def test_kernel_progress(self, rng, monkeypatch):
+        # Classes of 1 to 3 vertices over 14 classes, the top level cut into
+        # many chunks: after each, progress counts the top level's supports,
+        # C(k, m) of them, not the C(n, m) subsets of G.
+        k, m = 14, 4
+        factors = [rng.choice([complete_graph, empty_graph])(rng.randint(1, 3)) for _ in range(k)]
+        g = generalized_composition(twin_free_graph(rng, k, 0.3), factors)
+        d = twin_partition(g)
+        assert d.k == k < g.n
+        monkeypatch.setattr(steiner, "CHUNK_BYTES", steiner._BUFFER_BYTES + 40_000)
+        calls = []
+        with forced("kernel"):
+            value, stats = steiner_wiener_reduced_with_stats(
+                d, m, progress=lambda *call: calls.append(call)
+            )
+        assert value == steiner_wiener_naive(g, m)
+        # index --json writes the stats, so the count is a Python int.
+        assert type(stats.num_profiles) is int
+        done = [done for done, _ in calls]
+        assert len(calls) > 1 and done == sorted(set(done))
+        assert {total for _, total in calls} == {comb(k, m)}
+        assert calls[-1] == (comb(k, m), comb(k, m))
+
     def test_z480_shared_table_budget(self, monkeypatch):
         # H has k = 23 vertices. Supports of up to m classes share one table
         # of 4 * 23 * sum_{r=2}^{m-2} C(22, r) bytes: at m = 11 that is over
@@ -658,24 +682,57 @@ class TestEngines:
         for k in range(20, 35):
             dist = distance_matrix(twin_free_graph(rng, k, 0.3))
             chunks = list(steiner_levels(dist, range(k), 3)[-1])
-            assert len(chunks) == 1 and len(chunks[0][0]) == comb(k, 3)
+            assert len(chunks) == 1 and len(expanded(chunks[0])[0]) == comb(k, 3)
+
+    def test_top_chunks_hold_both_kinds_of_support(self, rng, monkeypatch):
+        # Classes of 1 to 3 vertices over a twin-free base on 24 vertices,
+        # with the top level cut into at least ten chunks: within one
+        # factored chunk, some supports hold exactly m vertices (folded into
+        # h[m]) and others hold more (scattered).
+        k = 24
+        factors = [rng.choice([complete_graph, empty_graph])(rng.randint(1, 3)) for _ in range(k)]
+        g = generalized_composition(twin_free_graph(rng, k, 0.3), factors)
+        d = twin_partition(g)
+        assert d.k == k
+        naive = {m: steiner_wiener_naive(g, m) for m in (3, 4)}
+        monkeypatch.setattr(steiner, "CHUNK_BYTES", steiner._BUFFER_BYTES + 40_000)
+        real = reduced._weigh_chunk
+        for m, value in naive.items():
+            kinds = []
+
+            def spy(hist, sizes, m, chunk):
+                if len(chunk) == 3:
+                    n_s = sizes[expanded(chunk)[0]].sum(axis=1)
+                    kinds.append((bool((n_s == m).any()), bool((n_s > m).any())))
+                return real(hist, sizes, m, chunk)
+
+            monkeypatch.setattr(reduced, "_weigh_chunk", spy)
+            with forced("kernel"):
+                assert steiner_wiener_reduced(d, m) == value
+            assert len(kinds) >= 10, (m, len(kinds))
+            assert (True, True) in kinds, m
 
     @pytest.mark.parametrize("k,m", [(34, 3), (24, 5), (24, 4), (30, 4)])
     def test_kernel_chunk_within_chunk_bytes(self, rng, k, m):
         # Beside its table, every level of the kernel works in one chunk,
-        # read as the reduced route reads it: a chunk's subsets and distances
-        # stay alive while the next chunk is built.
+        # read as the reduced route reads it: each chunk weighed by
+        # _weigh_chunk, with one vertex a class and with two (every
+        # top-level support then holds over m), and kept alive while the
+        # next chunk is built.
         dist = distance_matrix(twin_free_graph(rng, k, 0.3))
         table = 4 * k * sum(comb(k - 1, r) for r in range(2, m - 1))
-        tracemalloc.start()
-        try:
-            for level in steiner_levels(dist, range(k), m):
-                for subsets, distances in level:
-                    pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - table <= CHUNK_BYTES
+        for size in (1, 2):
+            sizes = np.full(k, size, dtype=np.int64)
+            hist = np.zeros(size * k + 1, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                for level in steiner_levels(dist, range(k), m):
+                    for chunk in level:
+                        reduced._weigh_chunk(hist, sizes, m, chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak - table <= CHUNK_BYTES, size
 
 
 class TestWienerReduced:

@@ -42,8 +42,8 @@ class TestCrossCheck:
         assert "naive" not in cross_check("power:Z6", 3)
 
     def test_disagreement_carries_every_route(self, monkeypatch):
-        def off_by_one(d, m):
-            value, stats = steiner_wiener_reduced_with_stats(d, m)
+        def off_by_one(d, m, **options):
+            value, stats = steiner_wiener_reduced_with_stats(d, m, **options)
             return value + 1, stats
 
         monkeypatch.setattr(reference, "steiner_wiener_reduced_with_stats", off_by_one)
@@ -65,6 +65,19 @@ class TestRunRoute:
             record = run_route(method, 2, g, "multipartite:2,2", source="K", command="t")
             assert (record.method, record.value, record.input) == (method, "8", "K")
             assert (record.num_classes is None) == (method != "reduced")
+
+    def test_progress_from_both_engine_routes(self):
+        # power:Z120 has 15 twin classes, so the reduced route runs the
+        # kernel and reports its C(15, 3) top-level supports; the naive
+        # route reports the C(120, 3) subsets.
+        g = family_graph("power:Z120")
+        for method, total in (("reduced", comb(15, 3)), ("naive", comb(120, 3))):
+            calls = []
+            record = run_route(
+                method, 3, g, None, source="x", command="t", progress=lambda *c: calls.append(c)
+            )
+            assert record.value == "623599"
+            assert calls and calls[-1] == (total, total)
 
     def test_wiener_route_is_m2_only(self):
         # W is SW_2; the route must not answer another m with it.

@@ -28,7 +28,7 @@ from twindex.generators import (
     power_graph,
 )
 from twindex.algebra import cyclic_group, dihedral_group
-from twindex import steiner
+from twindex import reduced, steiner
 from twindex.steiner import (
     CHUNK_BYTES,
     DP_BYTE_BUDGET,
@@ -44,6 +44,7 @@ from conftest import (
     all_graphs,
     connected_by_dfs,
     connectivity_sweep,
+    expanded,
     permuted,
     random_connected_graph,
 )
@@ -65,14 +66,16 @@ def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
     The levels are read top first, so no level relies on an earlier one
-    having been read. Returns the number of chunks of each level.
+    having been read; a factored top-level chunk is expanded into its
+    subsets. Returns the number of chunks of each level.
     """
     levels = steiner_levels(distance_matrix(g), universe, top)
     assert len(levels) == top
     chunks = [0] * top
     for s in range(top, 0, -1):
         seen = set()
-        for subsets, distances in levels[s - 1]:
+        for chunk in levels[s - 1]:
+            subsets, distances = expanded(chunk)
             chunks[s - 1] += 1
             assert subsets.shape == (len(distances), s)
             assert distances.dtype == np.int32 and distances.ndim == 1
@@ -240,7 +243,7 @@ class TestKernel:
             chunks = [
                 (s.tolist(), d.tolist())
                 for level in steiner_levels(dist, range(n), min(n, 7))
-                for s, d in level
+                for s, d in map(expanded, level)
             ]
             pairs = [(tuple(r), v) for rows, values in chunks for r, v in zip(rows, values)]
             assert len(set(r for r, _ in pairs)) == len(pairs)
@@ -271,7 +274,7 @@ class TestKernel:
         monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, m, 1) - 1)
         assert top_rows(n, n, m) == 1
         levels = steiner_levels(distance_matrix(cycle_graph(n)), range(n), m)
-        chunks = [len(subsets) for subsets, _ in levels[-1]]
+        chunks = [len(expanded(chunk)[0]) for chunk in levels[-1]]
         assert len(chunks) == comb(n - 1, m - 1)
         assert sum(chunks) == comb(n, m)
 
@@ -288,20 +291,26 @@ class TestKernel:
 
     def test_top_chunk_within_chunk_bytes_on_long_path(self):
         # Each of the first top-level rows on 240 vertices yields over 200
-        # subsets; the level still works in one chunk, read as a caller
-        # reads it (the previous chunk alive while the next is built). The
-        # first chunks are the heaviest, so they are the ones read here.
+        # subsets; the level still works in one chunk, read as the reduced
+        # route reads it: each chunk weighed by _weigh_chunk, with the
+        # previous chunk alive while the next is built. With one vertex a
+        # class every support holds m; with two, every one holds more and
+        # its class sizes are gathered. The first chunks are the heaviest,
+        # so they are the ones read here.
         n = 240
         dist = distance_matrix(path_graph(n))
-        tracemalloc.start()
-        try:
-            for subsets, distances in itertools.islice(steiner_levels(dist, range(n), 3)[-1], 4):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
         assert expected_chunks(n, n, 3)[-1] > 4
-        assert peak <= CHUNK_BYTES
+        for size in (1, 2):
+            sizes = np.full(n, size, dtype=np.int64)
+            hist = np.zeros(size * n + 1, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                for chunk in itertools.islice(steiner_levels(dist, range(n), 3)[-1], 4):
+                    reduced._weigh_chunk(hist, sizes, 3, chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= CHUNK_BYTES, size
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
