@@ -107,12 +107,17 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
-def _progress(done: int, total: int) -> None:
-    if total >= PROGRESS_THRESHOLD:
-        end = "\n" if done == total else ""
-        sys.stderr.write(f"\r{done}/{total} subsets")
-        sys.stderr.write(end)
-        sys.stderr.flush()
+def _progress(unit: str):
+    """A callback that reports ``done/total unit`` on stderr for long runs."""
+
+    def report(done: int, total: int) -> None:
+        if total >= PROGRESS_THRESHOLD:
+            end = "\n" if done == total else ""
+            sys.stderr.write(f"\r{done}/{total} {unit}")
+            sys.stderr.write(end)
+            sys.stderr.flush()
+
+    return report
 
 
 def cmd_gen(args, argv_echo: str) -> int:
@@ -149,7 +154,9 @@ def cmd_twins(args, argv_echo: str) -> int:
 
 def cmd_index(args, argv_echo: str) -> int:
     g, source = _input_graph(args, build=args.method != "closed_form")
-    progress = None if args.json else _progress
+    # The naive route counts m-subsets of G; the reduced one, class supports of H.
+    unit = "class supports" if args.method == "reduced" else "subsets"
+    progress = None if args.json else _progress(unit)
     record = run_route(
         args.method, args.m, g, args.family, source=source, command=argv_echo, progress=progress
     )

@@ -153,11 +153,9 @@ def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> i
     merged rows R in turn: there ``n_S`` is one class-size sum per R plus
     c's size. A support that holds exactly ``m`` vertices has ``N_S = 1``:
     every proper subset holds fewer, so only ``hist[m]`` gains ``u(S)``. A
-    chunk of m-class supports whose largest holds ``m`` vertices, as on a
-    twin-free graph, holds only such supports and is weighed by one sum of
-    its ``d_H``. A larger support adds ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every T ⊆ S
-    (:func:`_add_support_weights`), and only these supports' class sizes are
-    gathered. The others have ``N_S = 0``.
+    larger support adds ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every
+    T ⊆ S (:func:`_add_support_weights`), and only these supports' class
+    sizes are gathered. The others have ``N_S = 0``.
     """
     dh = chunk[-1]
     if len(chunk) == 3:
@@ -165,11 +163,6 @@ def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> i
         s = rows.shape[1] + 1
         # One gather per column: numpy's sum along a short last axis is slow.
         row_sizes = sum(sizes[rows.T])
-        if s == m and row_sizes.max() + sizes[counts > 0].max() == m:
-            # A support of m classes holds at least m vertices, and the
-            # largest here holds m, so every one does.
-            hist[m] += int(dh.sum()) - s * len(dh)
-            return len(dh)
         at = np.arange(len(dh)) - np.repeat(counts.cumsum() - counts, counts)
         n_s = row_sizes[at] + np.repeat(sizes, counts)
     else:

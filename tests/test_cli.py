@@ -138,6 +138,22 @@ class TestIndex:
         assert record["num_profiles"] == 4
         assert record["dh_cache_hits"] == 0
 
+    def test_reduced_progress_counts_class_supports(self, capsys):
+        # H has 23 classes, so the count is C(23, 4), not G's C(480, 4) subsets.
+        code, out, err = run(capsys, "index", "--family", "power:Z480", "--m", "4")
+        assert code == 0 and out == "6903970678\n"
+        assert err.endswith("\r8855/8855 class supports\n")
+        assert "subsets" not in err
+        # path:40 is twin-free: the kernel weighs all C(40, 3) supports of H = G.
+        code, out, err = run(capsys, "index", "--family", "path:40", "--m", "3")
+        assert code == 0 and out == "202540\n"
+        assert err.endswith("\r9880/9880 class supports\n")
+
+    def test_naive_progress_counts_subsets(self, capsys):
+        code, out, err = run(capsys, "index", "--family", "path:30", "--m", "3", "--method", "naive")
+        assert code == 0 and out == "62930\n"
+        assert err.endswith("\r4060/4060 subsets\n")
+
     def test_closed_form_multipartite(self, capsys):
         code, out, _ = run(
             capsys, "index", "--family", "multipartite:3,3,3", "--m", "5", "--method", "closed_form"
