@@ -40,8 +40,8 @@ does, and returns ``h`` with the number of supports it weighed:
   left out, which leaves the sum unchanged. A support that holds exactly
   ``m`` vertices has ``N_S = 1``: every proper subset T holds fewer, so
   ``binom(n_T, m) = 0``, and its weight goes to ``h[m]`` alone. On a
-  twin-free graph every support kept is such a one. The kernel's top level
-  comes in factored chunks, merged rows R and how many of them each
+  twin-free graph every support kept is such a one. Every level of the
+  kernel comes in factored chunks, rows R and how many of them each
   member c extends, so ``n_S`` is one class-size sum per R plus c's size,
   and class sizes are gathered per support only where ``n_S > m``. The
   kernel wins at large k and small m, as on twin-free graphs, and reports
@@ -148,38 +148,34 @@ def _add_support_weights(hist: np.ndarray, held: np.ndarray, w: np.ndarray) -> N
 def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> int:
     """Add one kernel chunk's supports into ``hist``; return how many have ``N_S > 0``.
 
-    ``chunk`` is a level's ``(subsets, d_H)``, or a factored top-level chunk
-    ``(rows, counts, d_H)``, where member c extends the first ``counts[c]``
-    merged rows R in turn: there ``n_S`` is one class-size sum per R plus
+    ``chunk`` is a factored ``(rows, counts, d_H)`` of
+    :func:`twindex.steiner.steiner_levels`: member c extends the first
+    ``counts[c]`` rows R in turn, so ``n_S`` is one class-size sum per R plus
     c's size. A support that holds exactly ``m`` vertices has ``N_S = 1``:
     every proper subset holds fewer, so only ``hist[m]`` gains ``u(S)``. A
     larger support adds ``(-1)^{|S - T|} * u(S)`` at ``n_T`` for every
     T ⊆ S (:func:`_add_support_weights`), and only these supports' class
     sizes are gathered. The others have ``N_S = 0``.
     """
-    dh = chunk[-1]
-    if len(chunk) == 3:
-        rows, counts, _ = chunk
-        s = rows.shape[1] + 1
-        # One gather per column: numpy's sum along a short last axis is slow.
-        row_sizes = sum(sizes[rows.T])
-        at = np.arange(len(dh)) - np.repeat(counts.cumsum() - counts, counts)
-        n_s = row_sizes[at] + np.repeat(sizes, counts)
-    else:
-        subsets = chunk[0]
-        s = subsets.shape[1]
-        n_s = sum(sizes[subsets.T])
+    rows, counts, dh = chunk
+    s = rows.shape[1] + 1
+    # Support i is rows[at[i]] plus one member, in the order d_H lists them.
+    at = np.arange(len(dh)) - np.repeat(counts.cumsum() - counts, counts)
+    # One gather per column, summed from zero for level 1's empty row: numpy's
+    # sum along a short last axis is slow.
+    columns = sizes[rows.T]
+    n_s = sum(columns, np.zeros(len(rows), dtype=sizes.dtype))[at] + np.repeat(sizes, counts)
     exact = n_s == m
     more = n_s > m
     n_exact, n_more = int(np.count_nonzero(exact)), int(np.count_nonzero(more))
     hist[m] += int(dh.sum(where=exact)) - s * n_exact
     if n_more:
-        if len(chunk) == 3:
-            members = np.repeat(np.arange(len(counts)), counts)[more]
-            held = sizes[np.column_stack([rows[at[more]], members])]
-        else:
-            held = sizes[subsets[more]]
-        _add_support_weights(hist, held, dh[more] - s)
+        # By column too, into a column-major (n_more, s): numpy gathers one
+        # column faster than whole rows.
+        held = np.empty((s, n_more), dtype=sizes.dtype)
+        np.take(columns, at[more], axis=1, out=held[:-1])
+        held[-1] = np.repeat(sizes, counts)[more]
+        _add_support_weights(hist, held.T, dh[more] - s)
     return n_exact + n_more
 
 

@@ -5,17 +5,16 @@ every vertex into an int32 matrix, ``_INF`` where no path exists.
 
 ``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
 every subset of a terminal universe up to a given size, under a byte budget
-checked before allocation. Its top level merges the splits of each subset R of
-one member fewer once, and extends R by every later member c (Dreyfus and
-Wagner, "The Steiner problem in graphs", *Networks* 1, 1971, share the merge of
-R across every ``R | {c}``). A top-level chunk comes factored: its merged rows,
-how many leading rows each member extends, and the distances, with no
-position array per subset. Its merged rows and sum buffer are stored
-anchor-major when the chunk has at least as many rows as anchors, and
-row-major otherwise, so each member's minimum over the anchors runs along the
-longer axis. ``steiner_distance`` reads its top level over the terminals,
-``steiner_wiener_naive`` sums the distances of level m over all vertices, and
-the twin-class reduction reads every level over the reduced graph.
+checked before allocation. Every level comes in one chunk format, factored:
+its rows R of one member fewer, how many leading rows each member c extends,
+and the distances of ``R | {c}``, with no position array per subset. The top
+level merges the splits of each R once and extends R by every later member c
+(Dreyfus and Wagner, "The Steiner problem in graphs", *Networks* 1, 1971,
+share the merge of R across every ``R | {c}``); a level below reads R's row of
+the distance matrix or of the table at c. ``steiner_distance`` reads its top
+level over the terminals, ``steiner_wiener_naive`` sums the distances of level
+m over all vertices, and the twin-class reduction reads every level over the
+reduced graph.
 ``steiner_distance_bruteforce`` is the independent oracle the kernel and the
 twin-class reduction formula are validated against: the least ``|W| - 1``
 over the vertex sets ``W`` that hold the terminals and induce a connected
@@ -115,37 +114,43 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
         yield pos
 
 
-def _stream_bytes(s: int) -> int:
-    """Peak working bytes of one streamed lookup row of ``s`` members.
-
-    While the next chunk is built, a row holds ``3s + 4`` int64 and two
-    distances: its positions and the previous chunk's, which the reader
-    still holds; ``_subsets``' rank and member; its last member and the
-    previous chunk's rank; and its ``s - 1`` gathered binomials and their
-    sum.
-    """
-    return 8 * (3 * s + 4) + 2 * _DIST.itemsize
-
-
-def _top_bytes(n: int, size: int, s: int) -> tuple[int, np.ndarray]:
-    """Working bytes of a top-level chunk: its fixed part, and each row's by largest member.
+def _level_bytes(n: int, size: int, s: int) -> tuple[int, int, int]:
+    """Working bytes of a chunk of level ``s``: its fixed part, each row's, and each output's.
 
     A row is an ``(s - 1)``-subset R of ``range(size - 1)``. With largest
-    member ``b`` it merges once (:func:`_row_bytes`) and yields the
-    ``size - 1 - b`` subsets ``R | {c}``. Each of those is charged ``s``
-    positions and a distance, the same again for the previous chunk, and 8
-    bytes more. The factored chunk keeps only the distance; the rest bounds
-    what a reader builds per subset beside the previous chunk, such as the
-    row and ``n_S`` arrays of ``reduced._weigh_chunk``. The fixed
+    member ``b`` it merges once or reads its stored row (:func:`_row_bytes`)
+    and yields the ``size - 1 - b`` subsets ``R | {c}``. Each of those is
+    charged ``s`` positions and a distance, the same again for the previous
+    chunk, and 8 bytes more. The factored chunk keeps only the distance; the
+    rest bounds what a reader builds per subset beside the previous chunk,
+    such as the row and ``n_S`` arrays of ``reduced._weigh_chunk``. The fixed
     part holds, per member c, ``s + 1`` binomials and c's entries of
-    ``extended``, ``cost`` and ``spent`` (int64), c's vertex in a Python
-    list (40 bytes), and c's entries in a chunk's lists of vertices and
-    counts. The view of a growing prefix, at most one per row, takes the
+    ``extended`` and ``counts`` (int64) with 8 bytes to spare, c's vertex in
+    a Python list (40 bytes), and c's entries in a chunk's lists of vertices
+    and counts. The view of a growing prefix, at most one per row, takes the
     place of the anchor rows that ``_merge`` has freed by then.
     """
-    outputs = size - 1 - np.arange(size - 1)
     fixed = size * (8 * (s + 1) + 3 * 8 + 40 + 2 * 8)
-    return fixed, _row_bytes(n, s) + outputs * (2 * (8 * s + _DIST.itemsize) + 8)
+    return fixed, _row_bytes(n, s), 2 * (8 * s + _DIST.itemsize) + 8
+
+
+def _level_rows(n: int, size: int, s: int) -> int:
+    """Rows per chunk of level ``s``: as many of its first rows as fit in ``CHUNK_BYTES``, at least one.
+
+    The ``C(b, s - 2)`` rows whose largest member is ``b`` each yield
+    ``size - 1 - b`` subsets. Colex order never raises that count, so the
+    first rows are the level's heaviest run, and every chunk takes as many.
+    """
+    fixed, row, out = _level_bytes(n, size, s)
+    budget = CHUNK_BYTES - _BUFFER_BYTES - fixed
+    rows = 0
+    for b in range(s - 2, size - 1):
+        group, each = comb(b, s - 2), row + out * (size - 1 - b)
+        if group * each > budget:
+            return max(1, rows + budget // each)
+        rows += group
+        budget -= group * each
+    return rows
 
 
 def _row_bytes(n: int, s: int, relax: bool = False) -> int:
@@ -158,8 +163,10 @@ def _row_bytes(n: int, s: int, relax: bool = False) -> int:
     ``(n, n)`` sum beside the merged row and their minimum. A top-level row
     is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
     gather temporaries or ``_merge``'s three anchor rows, then its merged row
-    and its row of the sum buffer. The subsets ``R | {c}`` it yields are
-    charged apart (:func:`_top_bytes`).
+    and its row of the sum buffer. Below the top, R's stored row read at
+    every later member and the mask of the rows each member extends take
+    the place of those two rows. The subsets ``R | {c}`` it yields are
+    charged apart (:func:`_level_bytes`).
     """
     if relax:
         ranks = 8 << s
@@ -231,41 +238,37 @@ def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def steiner_levels(
     dist: np.ndarray, universe: Iterable[int], top: int
-) -> list[Iterator[tuple[np.ndarray, ...]]]:
+) -> list[Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Steiner distance of every subset of ``universe`` with at most ``top`` members.
 
-    Returns one lazy stream per level ``s``. A chunk below the top, or at a
-    top of at most two members, is ``(subsets, distances)``: ``(B, s)``
-    ascending positions into ``universe`` and their int32 Steiner
-    distances. From three members on, a top-level chunk is factored as
-    ``(rows, counts, distances)``: its merged rows R, ascending positions
-    of shape ``(len(rows), top - 1)``; for every position c, ``counts[c]``,
-    the number of leading rows whose largest member is below c; and the
-    distances of ``R | {c}`` for each c in turn over its ``counts[c]`` rows
-    in order. ``universe`` lies in one component of ``dist``.
+    Returns one lazy stream per level ``s`` of factored chunks
+    ``(rows, counts, distances)``. ``rows`` are ``(s - 1)``-subsets R of
+    ``universe[:-1]`` in a colex chunk, ascending positions of shape
+    ``(len(rows), s - 1)``; level 1 is one chunk whose only row is the empty
+    set. For every position c, ``counts[c]`` is the number of leading rows
+    whose largest member is below c, and ``distances`` holds the int32
+    Steiner distances of ``R | {c}`` for each c in turn over its
+    ``counts[c]`` rows in order. So each level streams R-chunk-major, not in
+    colex order of its subsets. ``universe`` lies in one component of
+    ``dist``.
 
     The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
     subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
     offset plus colex rank: the cheapest split of ``R`` at each anchor,
     relaxed once through ``dist`` (hop counts obey the triangle inequality).
     A single member needs no entry: its row of ``dist`` is read in place.
-    Below ``top``, ``d(S)`` is the entry of ``S`` minus its last member at
-    that member, and the subsets come in colex order. At ``top > 2`` the
-    splits of each ``(top - 1)``-subset R of ``universe[:-1]`` are merged
-    once, and ``d(R | {c})`` for every later member ``c`` is the minimum
-    over anchors after adding ``c``'s distance row, in a sum buffer kept
-    across chunks; three members give ``min_v sum_i d(t_i, v)``. A chunk
-    of at least as many rows as anchors stores its merged rows and sum
-    buffer anchor-major, ``(n, B)``, so that minimum is ``n`` elementwise
-    steps over runs of rows; a chunk of fewer rows, as on long paths,
-    stores them row-major, so it runs along each row. Both are read as one
-    ``(B, n)`` view (:func:`_anchor_view`). Each chunk of the top level
-    holds every ``R | {c}`` of one colex chunk of R, so the top level
-    streams R-chunk-major, not in colex order. A row R with
-    largest member ``b`` yields ``size - 1 - b`` subsets, a count that
-    never grows along colex order, so every R-chunk takes as many rows as
-    the level's first rows fit in ``CHUNK_BYTES``, each charged its merge
-    and its outputs (:func:`_top_bytes`), and at least one.
+    Below ``top``, and at a top of two members, ``d(R | {c})`` is R's row
+    of ``dist`` or of the table at c's vertex, one gather per chunk. At
+    ``top > 2`` the splits of each R are merged once, and ``d(R | {c})``
+    for every later member ``c`` is the minimum over anchors after adding
+    ``c``'s distance row, in a sum buffer kept across chunks; three members
+    give ``min_v sum_i d(t_i, v)``. A chunk of at least as many rows as
+    anchors stores its merged rows and sum buffer anchor-major, ``(n, B)``,
+    so that minimum is ``n`` elementwise steps over runs of rows; a chunk of
+    fewer rows, as on long paths, stores them row-major, so it runs along
+    each row. Both are read as one ``(B, n)`` view (:func:`_anchor_view`).
+    Every chunk of a level takes as many rows as the level's first rows fit
+    in ``CHUNK_BYTES``, and at least one (:func:`_level_rows`).
     Raises :class:`TerminalCapExceeded`, before allocating, when the table
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
@@ -275,10 +278,11 @@ def steiner_levels(
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
     row = _row_bytes(n, top - 2, relax=True) if top > 3 else 0
     if top > 2:
-        # A top-level chunk fits CHUNK_BYTES or is one row, and the level's
-        # first row, with the smallest largest member, top - 2, is the heaviest.
-        fixed, cost = _top_bytes(n, size, top)
-        row = max(row, fixed + int(cost[top - 2]))
+        # A chunk fits CHUNK_BYTES or is one row. A level's first row, with
+        # largest member s - 2, is its heaviest, and its bytes never fall as
+        # the level s grows, so the top level's bounds every level's.
+        fixed, merge, out = _level_bytes(n, size, top)
+        row = max(row, fixed + merge + out * (size + 1 - top))
     need = _DIST.itemsize * n * entries + max(CHUNK_BYTES, _BUFFER_BYTES + row)
     if top > 2 and need > DP_BYTE_BUDGET:
         raise TerminalCapExceeded(
@@ -297,51 +301,48 @@ def steiner_levels(
         for pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
             idx = _submask_rows(pos, binom, offsets, universe)
             table[idx[:, -1]] = (_merge(table, dist, idx)[:, :, None] + dist).min(axis=1)
+    extended = np.arange(size)
 
-    def lookups(s: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for pos in _subsets(size, s, _chunk_rows(_stream_bytes(s)), binom):
-            last = universe[pos[:, -1]]
-            if s <= 2:
-                out = dist[universe[pos[:, 0]], last]
-            else:
-                rank = binom[pos[:, :-1], np.arange(1, s)].sum(axis=1)
-                out = table[offsets[s - 1] + rank, last]
-            yield pos, out
-
-    def merged_top() -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        total = comb(size - 1, top - 1)
-        # The C(b, top - 2) rows whose largest member is b each merge once and
-        # yield size - 1 - b subsets. Colex order never raises that count, so
-        # the first rows are the heaviest window: as many as fit, at least one.
-        spent = (binom[:-1, top - 2] * cost).cumsum()
-        budget = CHUNK_BYTES - _BUFFER_BYTES - fixed
-        # Every row below b fits, C(b, top - 1) of them, and some of b's.
-        b = min(int(spent.searchsorted(budget, side="right")), size - 2)
-        left = budget - spent[b] + binom[b, top - 2] * cost[b]
-        rows = max(1, min(total, int(binom[b, top - 1] + left // cost[b])))
-        # The merged rows and the sum buffer, kept across chunks.
-        buffers = np.empty((2, rows * n), dtype=_DIST)
-        extended = np.arange(size)
-        vertices = universe.tolist()
-        for rpos in _subsets(size - 1, top - 1, rows, binom):
-            merged, work = (_anchor_view(flat, len(rpos), n) for flat in buffers)
-            # Merged row-major, then copied: the splits gather row-major.
-            merged[...] = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
+    def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        if s == 1:
+            # One row, the empty set, which every member extends.
+            empty = np.empty((1, 0), dtype=np.intp)
+            yield empty, np.ones(size, dtype=np.intp), np.zeros(size, dtype=_DIST)
+            return
+        rows = _level_rows(n, size, s)
+        merging = s == top > 2
+        if merging:
+            # The merged rows and the sum buffer, kept across chunks.
+            buffers = np.empty((2, rows * n), dtype=_DIST)
+            vertices = universe.tolist()
+        for rpos in _subsets(size - 1, s - 1, rows, binom):
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
             # prefix: empty up to the first row's largest member, then growing.
             counts = rpos[:, -1].searchsorted(extended)
             first = rpos[0, -1] + 1
-            out = np.empty(int(counts.sum()), dtype=_DIST)
-            end = 0
-            for v, p in zip(vertices[first:], counts[first:].tolist()):
-                np.add(merged[:p], dist[v], out=work[:p])
-                np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
-                end += p
+            if merging:
+                merged, work = (_anchor_view(flat, len(rpos), n) for flat in buffers)
+                # Merged row-major, then copied: the splits gather row-major.
+                merged[...] = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
+                out = np.empty(int(counts.sum()), dtype=_DIST)
+                end = 0
+                for v, p in zip(vertices[first:], counts[first:].tolist()):
+                    np.add(merged[:p], dist[v], out=work[:p])
+                    np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
+                    end += p
+            else:
+                if s == 2:
+                    stored, at = dist, universe[rpos[:, 0]]
+                else:
+                    stored = table
+                    at = offsets[s - 1] + sum(binom[rpos[:, j], j + 1] for j in range(s - 1))
+                # R's stored row at each later member's vertex, member-major.
+                extends = np.arange(len(rpos)) < counts[first:, None]
+                out = stored[at, universe[first:, None]][extends]
             yield rpos, counts, out
 
-    streams = [lookups(s) for s in range(1, top)]
-    return streams + [merged_top() if top > 2 else lookups(top)]
+    return [level(s) for s in range(1, top + 1)]
 
 
 def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:

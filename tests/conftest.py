@@ -115,15 +115,12 @@ def connected_by_dfs(g: Graph) -> bool:
 
 
 def expanded(chunk):
-    """``(subsets, distances)`` of one chunk of ``steiner_levels``.
+    """``(subsets, distances)`` of one chunk ``(rows, counts, distances)`` of ``steiner_levels``.
 
-    A lookup chunk is already that pair. A factored top-level chunk
-    ``(rows, counts, distances)`` lists, for each member c in turn, the
-    subsets ``R | {c}`` of the first ``counts[c]`` merged rows R, in row
-    order; they are rebuilt here one by one.
+    For each member c in turn, the chunk lists the subsets ``R | {c}`` of
+    the first ``counts[c]`` rows R, in row order; they are rebuilt here one
+    by one.
     """
-    if len(chunk) == 2:
-        return chunk
     rows, counts, distances = chunk
     subsets = [r + [c] for c, p in enumerate(counts.tolist()) for r in rows[:p].tolist()]
     return np.array(subsets, dtype=np.intp).reshape(len(subsets), rows.shape[1] + 1), distances

@@ -181,11 +181,13 @@ class TestSupportHistogram:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_single_class(self, n):
-        # k = 1: one complete class, one support of one class.
-        d = twin_partition(complete_graph(n))
+        # k = 1: one complete class, one support of one class; the kernel
+        # reads level 1 alone, one chunk of the empty row.
+        g = complete_graph(n)
+        d = twin_partition(g)
         assert d.k == 1
         for m in range(1, n + 1):
-            assert engines_agree(d, m) == (m - 1) * comb(n, m)
+            assert engines_agree(d, m) == steiner_wiener_naive(g, m) == (m - 1) * comb(n, m)
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_single_edgeless_class_rejected(self, n):
@@ -688,7 +690,8 @@ class TestEngines:
         # Classes of 1 to 3 vertices over a twin-free base on 24 vertices,
         # with the top level cut into at least ten chunks: within one
         # factored chunk, some supports hold exactly m vertices (folded into
-        # h[m]) and others hold more (scattered).
+        # h[m]) and others hold more (scattered). Supports of a lower level
+        # that hold more than m vertices are scattered too.
         k = 24
         factors = [rng.choice([complete_graph, empty_graph])(rng.randint(1, 3)) for _ in range(k)]
         g = generalized_composition(twin_free_graph(rng, k, 0.3), factors)
@@ -701,16 +704,17 @@ class TestEngines:
             kinds = []
 
             def spy(hist, sizes, m, chunk):
-                if len(chunk) == 3:
-                    n_s = sizes[expanded(chunk)[0]].sum(axis=1)
-                    kinds.append((bool((n_s == m).any()), bool((n_s > m).any())))
+                n_s = sizes[expanded(chunk)[0]].sum(axis=1)
+                kinds.append((chunk[0].shape[1] + 1, bool((n_s == m).any()), bool((n_s > m).any())))
                 return real(hist, sizes, m, chunk)
 
             monkeypatch.setattr(reduced, "_weigh_chunk", spy)
             with forced("kernel"):
                 assert steiner_wiener_reduced(d, m) == value
-            assert len(kinds) >= 10, (m, len(kinds))
-            assert (True, True) in kinds, m
+            top = [kind[1:] for kind in kinds if kind[0] == m]
+            assert len(top) >= 10, (m, len(top))
+            assert (True, True) in top, m
+            assert any(more for s, _, more in kinds if 1 < s < m), m
 
     @pytest.mark.parametrize("k,m", [(34, 3), (24, 5), (24, 4), (30, 4)])
     def test_kernel_chunk_within_chunk_bytes(self, rng, k, m):

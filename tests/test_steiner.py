@@ -33,9 +33,7 @@ from twindex.steiner import (
     CHUNK_BYTES,
     DP_BYTE_BUDGET,
     _BUFFER_BYTES,
-    _chunk_rows,
-    _stream_bytes,
-    _top_bytes,
+    _level_bytes,
     distance_matrix,
     steiner_levels,
 )
@@ -66,8 +64,8 @@ def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
     The levels are read top first, so no level relies on an earlier one
-    having been read; a factored top-level chunk is expanded into its
-    subsets. Returns the number of chunks of each level.
+    having been read; each chunk is expanded into its subsets. Returns the
+    number of chunks of each level.
     """
     levels = steiner_levels(distance_matrix(g), universe, top)
     assert len(levels) == top
@@ -106,38 +104,35 @@ def beside_far_component(rng, first, b):
     return new_graph(a + b, edges), labels[:a]
 
 
-def colex_last(size, top):
-    """Largest member of each ``(top - 1)``-subset of ``range(size - 1)``, in colex order."""
-    for b in range(top - 2, size - 1):
-        yield from [b] * comb(b, top - 2)
+def colex_last(size, s):
+    """Largest member of each ``(s - 1)``-subset of ``range(size - 1)``, in colex order."""
+    for b in range(s - 2, size - 1):
+        yield from [b] * comb(b, s - 2)
 
 
-def top_rows(n, size, top):
-    """Rows per top-level chunk: the most first rows whose bytes fit the chunk, at least one."""
-    fixed, cost = _top_bytes(n, size, top)
+def level_rows(n, size, s):
+    """Rows per chunk of level ``s``: the most first rows whose bytes fit the chunk, at least one."""
+    fixed, row, out = _level_bytes(n, size, s)
     budget = steiner.CHUNK_BYTES - _BUFFER_BYTES - fixed
-    spent = itertools.accumulate(int(cost[b]) for b in colex_last(size, top))
+    spent = itertools.accumulate(row + out * (size - 1 - b) for b in colex_last(size, s))
     return max(1, sum(1 for _ in itertools.takewhile(lambda x: x <= budget, spent)))
 
 
-def rows_chunk_bytes(n, size, top, rows):
-    """The ``CHUNK_BYTES`` that holds exactly the first ``rows`` top-level rows."""
-    fixed, cost = _top_bytes(n, size, top)
-    first = itertools.islice(colex_last(size, top), rows)
-    return _BUFFER_BYTES + fixed + sum(int(cost[b]) for b in first)
+def rows_chunk_bytes(n, size, s, rows):
+    """The ``CHUNK_BYTES`` that holds exactly the first ``rows`` rows of level ``s``."""
+    fixed, row, out = _level_bytes(n, size, s)
+    first = itertools.islice(colex_last(size, s), rows)
+    return _BUFFER_BYTES + fixed + sum(row + out * (size - 1 - b) for b in first)
 
 
 def expected_chunks(n, size, top):
     """Chunks of every level of ``steiner_levels`` over ``size`` of ``n`` vertices up to ``top``.
 
-    A level below the top streams its subsets as lookups; the top level
-    (from three members on) streams one chunk per chunk of the
-    ``(top - 1)``-subsets of all but the last member.
+    Level 1 is one chunk, of the empty row. Every level s from 2 on streams
+    one chunk per chunk of the ``(s - 1)``-subsets of all but the last
+    member.
     """
-    counts = [-(-comb(size, s) // _chunk_rows(_stream_bytes(s))) for s in range(1, top)]
-    if top > 2:
-        return counts + [-(-comb(size - 1, top - 1) // top_rows(n, size, top))]
-    return counts + [-(-comb(size, top) // _chunk_rows(_stream_bytes(top)))]
+    return [1] + [-(-comb(size - 1, s - 1) // level_rows(n, size, s)) for s in range(2, top + 1)]
 
 
 class TestSteinerDistance:
@@ -212,6 +207,21 @@ class TestKernel:
             for top in range(1, len(universe) + 1):
                 check_levels(g, universe, top, oracle)
 
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_small_universes(self, rng, size):
+        # Every ordered universe of 1, 2 or 3 vertices beside a far
+        # component, at every top: level 1 is one chunk whose only row is the
+        # empty set, and every other level, such as a top of two members over
+        # two vertices, is one chunk.
+        g, labels = beside_far_component(rng, random_connected_graph(rng, 5, 0.4), 3)
+        oracle = functools.cache(lambda s: steiner_distance_bruteforce(g, s))
+        for universe in itertools.permutations(labels, size):
+            for top in range(1, size + 1):
+                chunks = check_levels(g, list(universe), top, oracle)
+                assert chunks == expected_chunks(g.n, size, top) == [1] * top
+                rows, counts, _ = next(steiner_levels(distance_matrix(g), universe, top)[0])
+                assert rows.shape == (1, 0) and counts.tolist() == [1] * size
+
     @pytest.mark.parametrize("rows", [1, 3])
     def test_shared_top_across_chunk_boundaries(self, rng, monkeypatch, rows):
         # The top level merges each (top - 1)-subset R once, in R-chunks of
@@ -228,7 +238,7 @@ class TestKernel:
             size = len(universe)
             for top in range(3, size + 1):
                 monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(g.n, size, top, rows))
-                assert top_rows(g.n, size, top) == min(rows, comb(size - 1, top - 1))
+                assert level_rows(g.n, size, top) == min(rows, comb(size - 1, top - 1))
                 chunks = check_levels(g, universe, top, oracle)
                 assert chunks == expected_chunks(g.n, size, top)
                 assert chunks[-1] == -(-comb(size - 1, top - 1) // rows)
@@ -236,8 +246,10 @@ class TestKernel:
     def test_batches_match_single_rows_and_bruteforce(self, rng, monkeypatch):
         # Whole levels, chunks of a few rows and chunks of one row yield the
         # same subsets, each once and equal to the oracle, in exactly the
-        # chunks the byte accounting gives. The top level streams its chunks
-        # R-major, not in colex order, so the pairs are compared sorted.
+        # chunks the byte accounting gives. A few rows are two of the top
+        # level, whose rows are the heaviest, so the lower levels take at
+        # least two. Every level streams R-major, not in colex order, so the
+        # pairs are compared sorted.
         def stream(dist, n, chunk_bytes):
             monkeypatch.setattr(steiner, "CHUNK_BYTES", chunk_bytes)
             chunks = [
@@ -255,12 +267,11 @@ class TestKernel:
             g = random_connected_graph(rng, n, rng.choice([0.25, 0.5]))
             dist = distance_matrix(g)
             whole_chunks, whole = stream(dist, n, CHUNK_BYTES)
-            few_chunks, few = stream(dist, n, _BUFFER_BYTES + 4 * (3 * n + 128) * 3)
+            few_chunks, few = stream(dist, n, rows_chunk_bytes(n, n, top, 2) if n > 1 else 1)
             single_chunks, single = stream(dist, n, 1)
             assert whole == few == single
             assert len(whole) == sum(comb(n, s) for s in range(1, top + 1))
-            merged = comb(n - 1, top - 1) if top > 2 else comb(n, top)
-            assert single_chunks == sum(comb(n, s) for s in range(1, top)) + merged
+            assert single_chunks == 1 + sum(comb(n - 1, s - 1) for s in range(2, top + 1))
             assert whole_chunks == top
             assert n < 6 or whole_chunks < few_chunks < single_chunks
             for row, value in whole:
@@ -272,7 +283,7 @@ class TestKernel:
         # test_batches_match_single_rows_and_bruteforce).
         n, m = 12, 4
         monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, m, 1) - 1)
-        assert top_rows(n, n, m) == 1
+        assert level_rows(n, n, m) == 1
         levels = steiner_levels(distance_matrix(cycle_graph(n)), range(n), m)
         chunks = [len(expanded(chunk)[0]) for chunk in levels[-1]]
         assert len(chunks) == comb(n - 1, m - 1)
@@ -311,6 +322,29 @@ class TestKernel:
             finally:
                 tracemalloc.stop()
             assert peak <= CHUNK_BYTES, size
+
+    def test_lower_levels_within_chunk_bytes_on_long_path(self):
+        # Levels 2 and 3 of the path on 240 vertices at m = 4 read each row
+        # R of dist or of the table at every later vertex, one gather per
+        # chunk, and are read as the reduced route reads them: each chunk
+        # weighed by _weigh_chunk, once with one vertex a class and once with
+        # two (level 3's supports then hold over m). The table is built
+        # before tracing starts.
+        n, m = 240, 4
+        dist = distance_matrix(path_graph(n))
+        assert all(chunks > 4 for chunks in expected_chunks(n, n, m)[1:3])
+        reads = [(np.full(n, size, dtype=np.int64), np.zeros(size * n + 1, dtype=np.int64)) for size in (1, 2)]
+        levels = steiner_levels(dist, range(n), m)
+        tracemalloc.start()
+        try:
+            for level in levels[1:3]:
+                for chunk in level:
+                    for sizes, hist in reads:
+                        reduced._weigh_chunk(hist, sizes, m, chunk)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= CHUNK_BYTES
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
@@ -464,7 +498,7 @@ class TestNaiveIndex:
             cycle_graph(n), m, progress=lambda done, total: calls.append((done, total))
         )
         # One call per chunk of the (m - 1)-subsets that the top level merges.
-        rows = top_rows(n, n, m)
+        rows = level_rows(n, n, m)
         assert len(calls) == expected_chunks(n, n, m)[-1] == -(-comb(n - 1, m - 1) // rows) > 1
         assert [done for done, _ in calls] == sorted(done for done, _ in calls)
         assert {t for _, t in calls} == {total}
