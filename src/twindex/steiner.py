@@ -1,7 +1,11 @@
 """Exact Steiner distances and brute-force index computation.
 
-``distance_matrix`` is the package's one all-pairs routine: a bitset BFS from
-every vertex into an int32 matrix, ``_INF`` where no path exists.
+``distance_matrix`` is the package's one all-pairs routine: Seidel's
+algorithm, which squares the boolean matrix of closed neighbourhoods until
+every component is a clique and then recovers each distance bit by bit with
+one matrix product a level. The products run in BLAS on float copies of
+boolean levels, exact because no entry reaches ``n^2``; the levels are kept
+as bool. The result is an int32 matrix, ``_INF`` where no path exists.
 
 ``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
 every subset of a terminal universe up to a given size, under a byte budget
@@ -69,31 +73,50 @@ _INF = 1 << 29
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop counts as an int32 array with ``_INF`` for unreachable.
 
-    A breadth-first search from every vertex over Python-int bitsets: each
-    level ORs the neighbour masks of its frontier, keeps the vertices not yet
-    seen as the next frontier, and writes the level into the source's row.
+    Seidel's algorithm ("On the all-pairs-shortest-path problem in unweighted
+    undirected graphs", *JCSS* 51, 1995) over closed neighbourhoods. Level i
+    is the boolean matrix ``R_i`` of pairs at most ``2^i`` apart:
+    ``R_0 = A | I`` and ``R_{i+1} = R_i @ R_i > 0``, squared until no pair is
+    added; every component then closes to a clique. From ``T = R_L - I``
+    each level down doubles T and takes one off the pairs ``(u, v)`` that
+    are an odd number of ``R_i`` steps apart: those where ``(R_i @ T)[u, v]``,
+    the sum of T over u's closed neighbourhood in ``R_i``, falls below
+    ``T[u, v] * |N[u]|``. The test never holds on the diagonal, where T is
+    0, nor between components. Pairs outside ``R_L`` are ``_INF``.
+
+    Exact: every product entry is a sum of at most n integers each at most
+    n, so below ``n^2``, and the products run in float32 while ``n^2 < 2^24``
+    and in float64 (exact below ``2^53``) past that. The level stack is kept
+    as bool, one byte an entry; only the level in flight is a float copy.
     """
-    n, masks = g.n, g.masks
-    everyone = (1 << n) - 1
-    rows = []
-    for source in range(n):
-        row = [_INF] * n
-        frontier = 1 << source
-        unseen = everyone ^ frontier
-        level = 0
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                v = low.bit_length() - 1
-                row[v] = level
-                reach |= masks[v]
-                frontier ^= low
-            frontier = reach & unseen
-            unseen ^= frontier
-            level += 1
-        rows.append(row)
-    return np.array(rows, dtype=_DIST).reshape(n, n)
+    n = g.n
+    ftype = np.float32 if n * n < 1 << 24 else np.float64
+    width = (n + 7) // 8
+    packed = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in g.masks), np.uint8)
+    reach = np.unpackbits(packed.reshape(n, width), axis=1, count=n, bitorder="little").view(bool)
+    reach.flat[:: n + 1] = True
+    levels = [reach]
+    count = np.count_nonzero(reach)
+    while count < n * n:
+        square = reach.astype(ftype)
+        reach = square @ square > 0
+        grown = np.count_nonzero(reach)
+        if grown == count:
+            break
+        levels.append(reach)
+        count = grown
+    closure = levels.pop()
+    dist = closure.astype(ftype)
+    dist.flat[:: n + 1] = 0
+    while levels:
+        level = levels.pop()
+        degree = level.sum(axis=1, dtype=ftype)
+        odd = level.astype(ftype) @ dist < dist * degree[:, None]
+        dist *= 2
+        dist -= odd
+    out = dist.astype(_DIST)
+    out[~closure] = _INF
+    return out
 
 
 def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.ndarray]:

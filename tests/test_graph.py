@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -190,10 +191,32 @@ class TestDistances:
                 g = random_graph(rng, n, p)
                 assert distance_matrix(g).tolist() == reference_matrix(g), (n, p)
 
-    @pytest.mark.parametrize("spec", ["path:200", "power:Z480"])
+    # An odd cycle makes the parity correction decide the distance at every level.
+    @pytest.mark.parametrize("spec", ["path:200", "cycle:301", "power:Z480"])
     def test_matches_reference_on_long_and_dense_graphs(self, spec):
         g = family_graph(spec)
         assert distance_matrix(g).tolist() == reference_matrix(g)
+
+    def test_matches_reference_across_components_of_different_depth(self):
+        # A 129-vertex path, K_5 and an isolated vertex: the squaring must go
+        # on after the short components have closed.
+        k5 = [(u, v) for u in range(129, 134) for v in range(u + 1, 134)]
+        g = new_graph(135, [(v, v + 1) for v in range(128)] + k5)
+        d = distance_matrix(g)
+        assert d.tolist() == reference_matrix(g)
+        assert d[0, 128] == 128
+        assert d[0, 129] == d[129, 134] == d[134, 0] == _INF
+
+    def test_path_peak_memory(self):
+        # The level stack is bool; a float stack would peak near 59 MiB here.
+        g = path_graph(1000)
+        tracemalloc.start()
+        try:
+            distance_matrix(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 << 20
 
 
 class TestInducedSubgraph:
