@@ -238,14 +238,16 @@ def _check_distributive(add: np.ndarray, mul: np.ndarray, add_gens: np.ndarray) 
     """``a (b + g) == a b + a g`` for all ``a, b`` and additive generators ``g``.
 
     Exact once addition is known to be associative: the ``g`` for which it
-    holds are closed under addition. Both tables must already be proven
-    commutative, which lets each side be gathered by whole rows: the left as
-    ``(b + g) a`` transposed, the right as ``a g + a b`` read along each row
-    (``np.take_along_axis``'s gather, with its row index built once).
+    holds are closed under addition. Both sides are laid out ``[a, b]`` and
+    gathered by whole rows. The left, ``a (b + g)``, is the columns
+    ``b + g`` of the multiplication table and needs no commutativity. The
+    right reads ``a g + a b`` along each row (``np.take_along_axis``'s
+    gather, with its row index built once), so it needs addition to be
+    commutative, which ``FiniteRing`` proves first.
     """
     rows = np.arange(len(add))[:, None]
     for g in add_gens:
-        left = mul[add[:, g]].T
+        left = np.take(mul, add[:, g], axis=1)
         right = add[mul[:, g]][rows, mul]
         if not np.array_equal(left, right):
             raise BadParameter(f"distributivity fails at element {g}")

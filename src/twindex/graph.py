@@ -18,8 +18,9 @@ its graph.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ArityMismatch, ParseError, SelfLoopRejected, VertexOutOfRange
@@ -202,37 +203,47 @@ def parse_graph(text: str | bytes, fmt: str = "edgelist") -> Graph:
     raise ParseError(f"unknown parse format {fmt!r} (expected 'edgelist' or 'json')")
 
 
+def _field_error(message: str, lineno: int, raw: str, i: int) -> ParseError:
+    """A :class:`ParseError` at the 1-based column of field ``i`` of the raw line."""
+    field = next(islice(re.finditer(r"\S+", raw), i, None))
+    return ParseError(message, lineno, field.start() + 1)
+
+
+def _field_int(fields: list[str], i: int, what: str, lineno: int, raw: str) -> int:
+    """Field ``i`` as an integer; a :class:`ParseError` at its column if it is none."""
+    try:
+        return int(fields[i])
+    except ValueError:
+        raise _field_error(f"bad {what} {fields[i]!r}", lineno, raw, i) from None
+
+
 def _parse_edgelist(text: str) -> Graph:
+    """Parse the edge-list format; an error names its field's 1-based column in the raw line."""
     n = None
     edges: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        # Cutting the comment off leaves every field where it was in ``raw``.
+        fields = raw.split("#", 1)[0].split()
+        if not fields:
             continue
-        fields = line.split()
         if n is None:
             if len(fields) != 1:
-                raise ParseError("expected a single vertex count", lineno, 1)
-            try:
-                n = int(fields[0])
-            except ValueError:
-                raise ParseError(f"bad vertex count {fields[0]!r}", lineno, 1) from None
+                raise _field_error("expected a single vertex count", lineno, raw, 1)
+            n = _field_int(fields, 0, "vertex count", lineno, raw)
             if n < 0:
-                raise ParseError("vertex count must be non-negative", lineno, 1)
+                raise _field_error("vertex count must be non-negative", lineno, raw, 0)
             continue
         if len(fields) != 2:
-            raise ParseError("expected two vertex indices", lineno, 1)
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"bad vertex index in {line!r}", lineno, 1) from None
+            # At the first extra field, or at the lone one.
+            raise _field_error("expected two vertex indices", lineno, raw, min(2, len(fields) - 1))
+        u = _field_int(fields, 0, "vertex index", lineno, raw)
+        v = _field_int(fields, 1, "vertex index", lineno, raw)
         if not 0 <= u < n:
-            raise ParseError(f"vertex {u} out of range [0, {n})", lineno, 1)
+            raise _field_error(f"vertex {u} out of range [0, {n})", lineno, raw, 0)
         if not 0 <= v < n:
-            col = 1 + len(fields[0]) + 1
-            raise ParseError(f"vertex {v} out of range [0, {n})", lineno, col)
+            raise _field_error(f"vertex {v} out of range [0, {n})", lineno, raw, 1)
         if u == v:
-            raise ParseError(f"self-loop at vertex {u}", lineno, 1)
+            raise _field_error(f"self-loop at vertex {u}", lineno, raw, 1)
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: missing vertex count line")

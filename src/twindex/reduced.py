@@ -201,7 +201,7 @@ def _kernel_histogram(
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    levels = steiner_levels(dist, range(k), top)
+    levels = steiner_levels(dist, k, top)
     for s, level in enumerate(levels, 1):
         if largest[s - 1] < m:
             continue

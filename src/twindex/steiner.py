@@ -7,18 +7,21 @@ one matrix product a level. The products run in BLAS on float copies of
 boolean levels, exact because no entry reaches ``n^2``; the levels are kept
 as bool. The result is an int32 matrix, ``_INF`` where no path exists.
 
-``steiner_levels`` is the one Steiner kernel: a Dreyfus-Wagner table shared by
-every subset of a terminal universe up to a given size, under a byte budget
-checked before allocation. Every level comes in one chunk format, factored:
-its rows R of one member fewer, how many leading rows each member c extends,
-and the distances of ``R | {c}``, with no position array per subset. The top
-level merges the splits of each R once and extends R by every later member c
-(Dreyfus and Wagner, "The Steiner problem in graphs", *Networks* 1, 1971,
-share the merge of R across every ``R | {c}``); a level below reads R's row of
-the distance matrix or of the table at c. ``steiner_distance`` reads its top
-level over the terminals, ``steiner_wiener_naive`` sums the distances of level
-m over all vertices, and the twin-class reduction reads every level over the
-reduced graph.
+``steiner_levels`` is the one Steiner kernel: Dreyfus-Wagner tables shared
+by every subset of the first ``size`` vertices up to a given size, under a
+byte budget checked before allocation. It indexes only by position and colex
+rank: level j of the DP is one array read at the colex rank of a j-subset,
+and level 1 is the distance matrix itself. Every level comes in one chunk
+format, factored: its rows R of one member fewer, how many leading rows each
+member c extends, and the distances of ``R | {c}``, with no position array
+per subset. The top level merges the splits of each R once and extends R by
+every later member c (Dreyfus and Wagner, "The Steiner problem in graphs",
+*Networks* 1, 1971, share the merge of R across every ``R | {c}``); a level
+below reads a chunk of R's rows of the level under it as one slice.
+``steiner_distance`` reorders the distance matrix so that the terminals come
+first and reads its top level over them, ``steiner_wiener_naive`` sums the
+distances of level m over all vertices, and the twin-class reduction reads
+every level over the reduced graph.
 ``steiner_distance_bruteforce`` is the independent oracle the kernel and the
 twin-class reduction formula are validated against: the least ``|W| - 1``
 over the vertex sets ``W`` that hold the terminals and induce a connected
@@ -119,11 +122,13 @@ def distance_matrix(g: Graph) -> np.ndarray:
     return out
 
 
-def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.ndarray]:
-    """Every ``s``-subset of ``range(size)`` in colex order, as ``(rows, s)`` arrays.
+def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
+    """Every ``s``-subset of ``range(size)`` in colex order, as ``(lo, pos)`` chunks.
 
-    Unranked: member ``j`` is the largest ``c`` with ``C(c, j + 1)`` at most
-    what remains of the rank, and the first member is the remainder.
+    ``pos`` is a ``(rows, s)`` array of ascending members whose colex ranks
+    run from ``lo``. Unranked: member ``j`` is the largest ``c`` with
+    ``C(c, j + 1)`` at most what remains of the rank, and the first member
+    is the remainder.
     """
     total = comb(size, s)
     for lo in range(0, total, rows):
@@ -134,7 +139,7 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[np.nda
             pos[:, j - 1] = member = column.searchsorted(rank, side="right") - 1
             rank -= column[member]
         pos[:, 0] = rank
-        yield pos
+        yield lo, pos
 
 
 def _level_bytes(n: int, size: int, s: int) -> tuple[int, int, int]:
@@ -147,13 +152,13 @@ def _level_bytes(n: int, size: int, s: int) -> tuple[int, int, int]:
     chunk, and 8 bytes more. The factored chunk keeps only the distance; the
     rest bounds what a reader builds per subset beside the previous chunk,
     such as the row and ``n_S`` arrays of ``reduced._weigh_chunk``. The fixed
-    part holds, per member c, ``s + 1`` binomials and c's entries of
-    ``extended`` and ``counts`` (int64) with 8 bytes to spare, c's vertex in
-    a Python list (40 bytes), and c's entries in a chunk's lists of vertices
-    and counts. The view of a growing prefix, at most one per row, takes the
-    place of the anchor rows that ``_merge`` has freed by then.
+    part holds, per member c, ``s + 1`` binomials, c's entries of
+    ``extended`` and ``counts`` (int64), c's count in a chunk's Python list
+    (a slot and an int, 40 bytes), and 16 bytes to spare. The view of a
+    growing prefix, at most one per row, takes the place of the anchor rows
+    that ``_merge`` has freed by then.
     """
-    fixed = size * (8 * (s + 1) + 3 * 8 + 40 + 2 * 8)
+    fixed = size * (8 * (s + 1) + 2 * 8 + 40 + 16)
     return fixed, _row_bytes(n, s), 2 * (8 * s + _DIST.itemsize) + 8
 
 
@@ -186,10 +191,10 @@ def _row_bytes(n: int, s: int, relax: bool = False) -> int:
     ``(n, n)`` sum beside the merged row and their minimum. A top-level row
     is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
     gather temporaries or ``_merge``'s three anchor rows, then its merged row
-    and its row of the sum buffer. Below the top, R's stored row read at
-    every later member and the mask of the rows each member extends take
-    the place of those two rows. The subsets ``R | {c}`` it yields are
-    charged apart (:func:`_level_bytes`).
+    and its row of the sum buffer. Below the top, where R's stored row is a
+    slice, the mask of the rows each member extends takes the place of
+    those two rows. The subsets ``R | {c}`` it yields are charged apart
+    (:func:`_level_bytes`).
     """
     if relax:
         ranks = 8 << s
@@ -205,16 +210,13 @@ def _chunk_rows(row_bytes: int) -> int:
     return max(1, (CHUNK_BYTES - _BUFFER_BYTES) // row_bytes)
 
 
-def _submask_rows(
-    pos: np.ndarray, binom: np.ndarray, offsets: np.ndarray, universe: np.ndarray
-) -> np.ndarray:
-    """Row of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
+def _submask_rows(pos: np.ndarray, binom: np.ndarray) -> np.ndarray:
+    """Colex rank of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
 
-    A single member's row is its vertex, a row of ``dist``. A larger
-    submask's is a table row: the level offset plus the colex rank,
-    ``sum_j C(p_j, j + 1)`` over its ascending members. Bit ``i`` joins every
-    submask of the lower bits as their largest member, so ``r`` steps fill
-    all columns.
+    The rank of a submask is ``sum_j C(p_j, j + 1)`` over its ascending
+    members ``p_j``, so a single member's is the member itself. Bit ``i``
+    joins every submask of the lower bits as their largest member, so ``r``
+    steps fill all columns.
     """
     rows, r = pos.shape
     ranks = np.zeros((rows, 1 << r), dtype=np.int64)
@@ -223,8 +225,6 @@ def _submask_rows(
         low = 1 << i
         ranks[:, low : 2 * low] = ranks[:, :low] + binom[:, members[:low] + 1][pos[:, i]]
         members[low : 2 * low] = members[:low] + 1
-    ranks += offsets[members]
-    ranks[:, 1 << np.arange(r)] = universe[pos]
     return ranks
 
 
@@ -241,14 +241,14 @@ def _anchor_view(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
     return flat[: rows * n].reshape(rows, n)
 
 
-def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
+def _merge(tables: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0).
 
-    A part with one member is read from ``dist``, a larger one from ``table``.
+    A part of ``j`` members is read from ``tables[j]`` at its colex rank.
     """
     full = idx.shape[1] - 1
     def row(q: int) -> np.ndarray:
-        return (dist if q & (q - 1) == 0 else table)[idx[:, q]]
+        return tables[q.bit_count()][idx[:, q]]
 
     best = row(1)
     best += row(full ^ 1)
@@ -260,43 +260,44 @@ def _merge(table: np.ndarray, dist: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 
 def steiner_levels(
-    dist: np.ndarray, universe: Iterable[int], top: int
+    dist: np.ndarray, size: int, top: int
 ) -> list[Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
-    """Steiner distance of every subset of ``universe`` with at most ``top`` members.
+    """Steiner distance of every subset of the first ``size`` vertices with at most ``top`` members.
 
-    Returns one lazy stream per level ``s`` of factored chunks
+    The universe ``range(size)`` lies in one component of ``dist``. Returns
+    one lazy stream per level ``s`` of factored chunks
     ``(rows, counts, distances)``. ``rows`` are ``(s - 1)``-subsets R of
-    ``universe[:-1]`` in a colex chunk, ascending positions of shape
+    ``range(size - 1)`` in a colex chunk, ascending members of shape
     ``(len(rows), s - 1)``; level 1 is one chunk whose only row is the empty
-    set. For every position c, ``counts[c]`` is the number of leading rows
+    set. For every member c, ``counts[c]`` is the number of leading rows
     whose largest member is below c, and ``distances`` holds the int32
     Steiner distances of ``R | {c}`` for each c in turn over its
     ``counts[c]`` rows in order. So each level streams R-chunk-major, not in
-    colex order of its subsets. ``universe`` lies in one component of
-    ``dist``.
+    colex order of its subsets.
 
-    The shared table holds ``Steiner(R | {v})`` for every anchor ``v`` and
-    subset ``R`` of ``universe[:-1]`` of size 2 to ``top - 2``, at level
-    offset plus colex rank: the cheapest split of ``R`` at each anchor,
-    relaxed once through ``dist`` (hop counts obey the triangle inequality).
-    A single member needs no entry: its row of ``dist`` is read in place.
-    Below ``top``, and at a top of two members, ``d(R | {c})`` is R's row
-    of ``dist`` or of the table at c's vertex, one gather per chunk. At
-    ``top > 2`` the splits of each R are merged once, and ``d(R | {c})``
-    for every later member ``c`` is the minimum over anchors after adding
-    ``c``'s distance row, in a sum buffer kept across chunks; three members
-    give ``min_v sum_i d(t_i, v)``. A chunk of at least as many rows as
-    anchors stores its merged rows and sum buffer anchor-major, ``(n, B)``,
-    so that minimum is ``n`` elementwise steps over runs of rows; a chunk of
-    fewer rows, as on long paths, stores them row-major, so it runs along
-    each row. Both are read as one ``(B, n)`` view (:func:`_anchor_view`).
-    Every chunk of a level takes as many rows as the level's first rows fit
-    in ``CHUNK_BYTES``, and at least one (:func:`_level_rows`).
-    Raises :class:`TerminalCapExceeded`, before allocating, when the table
+    Level ``j`` of the DP is one array ``tables[j]`` whose row at the colex
+    rank of a ``j``-subset R of ``range(size - 1)`` holds ``Steiner(R | {v})``
+    for every anchor ``v``. ``tables[1]`` is ``dist`` itself, since the rank
+    of ``{p}`` is ``p``. Levels 2 to ``top - 2`` are built in chunks of
+    consecutive ranks, each written as one slice: the cheapest split of R at
+    each anchor, relaxed once through ``dist`` (hop counts obey the triangle
+    inequality). Below ``top``, and at a top of two members, ``d(R | {c})``
+    is R's row of ``tables[s - 1]`` at c, so a chunk of rows reads one slice
+    of it. At ``top > 2`` the splits of each R are merged once, and
+    ``d(R | {c})`` for every later member ``c`` is the minimum over anchors
+    after adding ``c``'s distance row, in a sum buffer kept across chunks;
+    three members give ``min_v sum_i d(t_i, v)``. A chunk of at least as
+    many rows as anchors stores its merged rows and sum buffer anchor-major,
+    ``(n, B)``, so that minimum is ``n`` elementwise steps over runs of rows;
+    a chunk of fewer rows, as on long paths, stores them row-major, so it
+    runs along each row. Both are read as one ``(B, n)`` view
+    (:func:`_anchor_view`). Every chunk of a level takes as many rows as the
+    level's first rows fit in ``CHUNK_BYTES``, and at least one
+    (:func:`_level_rows`).
+    Raises :class:`TerminalCapExceeded`, before allocating, when the tables
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
-    universe = np.asarray(universe, dtype=np.intp)
-    size, n = len(universe), dist.shape[0]
+    n = dist.shape[0]
     top = min(top, size)
     entries = sum(comb(size - 1, r) for r in range(2, top - 1))
     row = _row_bytes(n, top - 2, relax=True) if top > 3 else 0
@@ -316,14 +317,13 @@ def steiner_levels(
     binom[:, 0] = 1
     for j in range(1, top + 1):
         binom[1:, j] = binom[:-1, j - 1].cumsum()
-    # First table row of each level from 2 on; single members live in dist.
-    offsets = np.zeros(top + 1, dtype=np.int64)
-    offsets[3:top] = binom[-1, 2 : top - 1].cumsum()
-    table = np.empty((entries, n), dtype=_DIST)
+    # Level 0, the empty set, is never read.
+    tables = [None, dist]
     for r in range(2, top - 1):
-        for pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
-            idx = _submask_rows(pos, binom, offsets, universe)
-            table[idx[:, -1]] = (_merge(table, dist, idx)[:, :, None] + dist).min(axis=1)
+        tables.append(table := np.empty((comb(size - 1, r), n), dtype=_DIST))
+        for lo, pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
+            idx = _submask_rows(pos, binom)
+            table[lo : lo + len(pos)] = (_merge(tables, idx)[:, :, None] + dist).min(axis=1)
     extended = np.arange(size)
 
     def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -337,32 +337,26 @@ def steiner_levels(
         if merging:
             # The merged rows and the sum buffer, kept across chunks.
             buffers = np.empty((2, rows * n), dtype=_DIST)
-            vertices = universe.tolist()
-        for rpos in _subsets(size - 1, s - 1, rows, binom):
+        for lo, rpos in _subsets(size - 1, s - 1, rows, binom):
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
             # prefix: empty up to the first row's largest member, then growing.
             counts = rpos[:, -1].searchsorted(extended)
-            first = rpos[0, -1] + 1
+            first = int(rpos[0, -1]) + 1
             if merging:
                 merged, work = (_anchor_view(flat, len(rpos), n) for flat in buffers)
                 # Merged row-major, then copied: the splits gather row-major.
-                merged[...] = _merge(table, dist, _submask_rows(rpos, binom, offsets, universe))
+                merged[...] = _merge(tables, _submask_rows(rpos, binom))
                 out = np.empty(int(counts.sum()), dtype=_DIST)
                 end = 0
-                for v, p in zip(vertices[first:], counts[first:].tolist()):
-                    np.add(merged[:p], dist[v], out=work[:p])
+                for c, p in enumerate(counts[first:].tolist(), first):
+                    np.add(merged[:p], dist[c], out=work[:p])
                     np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
                     end += p
             else:
-                if s == 2:
-                    stored, at = dist, universe[rpos[:, 0]]
-                else:
-                    stored = table
-                    at = offsets[s - 1] + sum(binom[rpos[:, j], j + 1] for j in range(s - 1))
-                # R's stored row at each later member's vertex, member-major.
+                # R's stored row at each later member, member-major.
                 extends = np.arange(len(rpos)) < counts[first:, None]
-                out = stored[at, universe[first:, None]][extends]
+                out = tables[s - 1][lo : lo + len(rpos), first:size].T[extends]
             yield rpos, counts, out
 
     return [level(s) for s in range(1, top + 1)]
@@ -380,8 +374,9 @@ def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:
 def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     """Exact Steiner distance of a terminal set (edges of the smallest subtree).
 
-    The top level of :func:`steiner_levels` over the ``s`` terminals, whose
-    table holds ``(2^(s-1) - s - 1) * n`` entries; one terminal costs 0, two
+    The top level of :func:`steiner_levels` over the ``s`` terminals, moved
+    to the front of the distance matrix; its tables beside the matrix hold
+    ``(2^(s-1) - s - 1) * n`` entries. One terminal costs 0, two
     their shortest-path distance. Raises :class:`DisconnectedTerminals` when the
     terminals span several components, and :class:`TerminalCapExceeded` when
     the DP would need more than ``DP_BYTE_BUDGET`` bytes.
@@ -391,7 +386,10 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
     far = [t for t in ts if dist[ts[0], t] >= _INF]
     if far:
         raise DisconnectedTerminals(f"terminals {ts[0]} and {far[0]} lie in different components")
-    *_, value = next(steiner_levels(dist, ts, len(ts))[-1])
+    # The terminals first, so that they are the kernel's universe.
+    order = np.concatenate((ts, np.setdiff1d(np.arange(g.n), ts)))
+    dist = dist.take(order, 0).take(order, 1)
+    *_, value = next(steiner_levels(dist, len(ts), len(ts))[-1])
     return int(value[0])
 
 
@@ -447,7 +445,7 @@ def steiner_wiener_naive(
     dist = distance_matrix(g)
     total = comb(g.n, m)
     value = done = 0
-    for *_, distances in steiner_levels(dist, range(g.n), m)[-1]:
+    for *_, distances in steiner_levels(dist, g.n, m)[-1]:
         value += int(distances.sum())
         done += len(distances)
         if progress is not None:

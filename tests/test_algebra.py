@@ -3,6 +3,7 @@
 import importlib.util
 import itertools
 import math
+import re
 import sys
 import tracemalloc
 from pathlib import Path
@@ -138,6 +139,21 @@ class TestGroups:
         with pytest.raises(BadParameter, match="unique"):
             FiniteGroup(cyclic_group(6)._table, 0, ["0", "1", "2", "1", "4", "5"])
 
+    @pytest.mark.parametrize("labels", [["a", "b"], ["a", "b", "c", "d"]])
+    def test_label_count_checked(self, labels):
+        with pytest.raises(BadParameter, match="expected 3 labels"):
+            FiniteGroup(cyclic_group(3)._table, 0, labels)
+
+    @pytest.mark.parametrize("table", [[[0, 1], [1, 0], [0, 1]], [[0, 1, 2], [1, 2, 0]]])
+    def test_table_shape_checked(self, table):
+        with pytest.raises(BadParameter, match="table must be"):
+            FiniteGroup(table, 0)
+
+    @pytest.mark.parametrize("product", [group_product, ring_product])
+    def test_empty_product_rejected(self, product):
+        with pytest.raises(BadParameter, match="at least one factor"):
+            product()
+
     def test_labels_are_strings(self):
         # Graph labels must be strings for the JSON format to read them back.
         g = power_graph(FiniteGroup(cyclic_group(3)._table, 0, [0, 1, 2]))
@@ -155,6 +171,9 @@ class TestGroups:
         # left shift table: no identity element
         with pytest.raises(BadParameter):
             FiniteGroup([[1, 0], [1, 0]], 0)
+        # the monoid {1, 0} under multiplication: 0 has no inverse
+        with pytest.raises(BadParameter, match="no inverse"):
+            FiniteGroup([[0, 1], [1, 1]], 0)
         # not associative
         table = [[0, 1, 2], [1, 2, 0], [2, 1, 0]]
         with pytest.raises(BadParameter):
@@ -288,6 +307,19 @@ class TestRings:
         bad_mul = np.zeros((n, n), dtype=int)  # no multiplicative identity
         with pytest.raises(BadParameter):
             FiniteRing(add, bad_mul, 0, 1)
+
+    def test_non_commutative_addition_rejected(self):
+        # S3 is a group but not abelian; Z6's multiplication has identity 1.
+        with pytest.raises(BadParameter, match="addition is not commutative"):
+            FiniteRing(dihedral_group(3)._table, zmod(6)._mul, 0, 1)
+
+    def test_non_commutative_multiplication_rejected(self):
+        # S3 relabelled so that its identity is element 1, over Z6's addition.
+        swap = np.array([1, 0, 2, 3, 4, 5])
+        mul = np.empty((6, 6), dtype=np.int64)
+        mul[np.ix_(swap, swap)] = swap[dihedral_group(3)._table]
+        with pytest.raises(BadParameter, match="multiplication is not commutative"):
+            FiniteRing(zmod(6)._add, mul, 0, 1)
 
     def test_caller_tables_stay_writeable_and_apart(self):
         idx = np.arange(3)
@@ -476,6 +508,22 @@ class TestLightsTest:
         add, mul = tables
         raised = _raises_bad_parameter(lambda: _check_distributive(add, mul, _generating_set(add)))
         assert raised == (not _left_distributive(add.tolist(), mul.tolist()))
+
+    def test_distributivity_without_commutative_multiplication(self):
+        # The upper triangular 2 x 2 matrices over F2, [[a, b], [0, d]], are
+        # a ring whose multiplication is not commutative. The left side
+        # a (b + g) is read as it stands, so the check passes; a (b + g)
+        # read as (b + g) a would not.
+        coords = [(i & 1, i >> 1 & 1, i >> 2 & 1) for i in range(8)]
+
+        def index(a, b, d):
+            return (a % 2) | (b % 2) << 1 | (d % 2) << 2
+
+        add = np.array([[i ^ j for j in range(8)] for i in range(8)])
+        mul = np.array([[index(a * p, a * q + b * t, d * t) for p, q, t in coords] for a, b, d in coords])
+        assert not np.array_equal(mul, mul.T)
+        assert _left_distributive(add.tolist(), mul.tolist())
+        _check_distributive(add, mul, _generating_set(add))
 
     @pytest.mark.parametrize("table", VALID_GROUP_TABLES)
     def test_generating_set_generates(self, table):
@@ -755,7 +803,7 @@ class TestSpecStrings:
 
     @pytest.mark.parametrize(
         "spec",
-        ["", "Zx", "D7", "E2^", "W12", "Z2[x]/(x^3", "Z2[y]/(y^2)"],
+        ["", "Zx", "D7", "E2^", "E2^0", "W12", "Z2[x]/(x^3", "Z6)xZ2(", "Z2[y]/(y^2)"],
     )
     def test_bad_group_or_ring_specs(self, spec):
         with pytest.raises(BadParameter):
@@ -763,11 +811,28 @@ class TestSpecStrings:
         with pytest.raises(BadParameter):
             ring_from_spec(spec)
 
-    @pytest.mark.parametrize("spec", ["Z0[x]/(x^2)", "Z2[x]/(x^-1+x^2)", "Z3[x]/(x^2)xZ0[x]/(x)"])
-    def test_bad_quotient_specs(self, spec):
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            pytest.param(spec, message, id=spec)
+            for spec, message in [
+                ("Z0[x]/(x^2)", "not prime"),
+                ("Z2[x]/(x^-1+x^2)", "negative exponent"),
+                ("Z3[x]/(x^2)xZ0[x]/(x)", "not prime"),
+                ("Z2[x]/(1)", "degree >= 1"),
+                ("Z3[x]/(3x+1)", "degree >= 1"),
+                ("Z2[x]/(x^2++1)", "empty term"),
+                ("Z2[x]/(x^2+a)", "bad constant term 'a'"),
+                ("Z2[x]/(x^y)", "bad polynomial term 'x^y'"),
+                ("Z2[x]/(2zx)", "bad polynomial term '2zx'"),
+            ]
+        ],
+    )
+    def test_bad_quotient_specs(self, spec, message):
         # The modulus is checked before the polynomial is reduced by it, and
-        # a negative exponent is no polynomial term.
-        with pytest.raises(BadParameter):
+        # a negative exponent is no polynomial term. A modulus whose leading
+        # coefficient vanishes mod p (3x + 1 over Z3 is 1) has degree 0.
+        with pytest.raises(BadParameter, match=re.escape(message)):
             ring_from_spec(spec)
 
     def test_ideal_specs(self):

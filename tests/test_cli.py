@@ -330,6 +330,12 @@ class TestBench:
         assert (code, out) == (1, "")
         assert "method disagreement on power:Z6 m=3: naive=41 reduced=42" in err
 
+    @pytest.mark.parametrize("m", ["2,x", "three", "2,,3"])
+    def test_bad_m_list_is_usage_error(self, capsys, m):
+        code, out, err = run(capsys, "bench", "--family", "power:Z6", "--m", m, "--reps", "1")
+        assert (code, out) == (2, "")
+        assert f"bad --m list {m!r}" in err
+
     @pytest.mark.parametrize("reps", ["0", "-5"])
     def test_reps_below_one_is_usage_error(self, capsys, reps):
         code, out, err = run(capsys, "bench", "--family", "power:Z6", "--m", "3", "--reps", reps)

@@ -184,7 +184,14 @@ class TestStandardFamilies:
         assert empty_graph(4).edge_count() == 0
 
     @pytest.mark.parametrize(
-        "build", [lambda: wheel_graph(2), lambda: cycle_graph(2), lambda: path_graph(0)]
+        "build",
+        [
+            lambda: wheel_graph(2),
+            lambda: cycle_graph(2),
+            lambda: path_graph(0),
+            lambda: complete_multipartite_graph([0, 2]),
+            lambda: complete_multipartite_graph([]),
+        ],
     )
     def test_bad_parameters(self, build):
         with pytest.raises(BadParameter):
@@ -309,7 +316,18 @@ class TestFamilySpecs:
         assert family_graph(spec).n == n
 
     @pytest.mark.parametrize(
-        "spec", ["power", "nosuch:3", "izdg:Z24", "izdg:Z24:J=(8)", "multipartite:a,b"]
+        "spec",
+        [
+            "power",
+            "nosuch:3",
+            "izdg:Z24",
+            "izdg:Z24:J=(8)",
+            "multipartite:a,b",
+            "complete:-1",
+            "empty:-1",
+            "star:0",
+            "path:x",
+        ],
     )
     def test_bad_family_specs(self, spec):
         with pytest.raises(BadParameter):

@@ -81,6 +81,20 @@ class TestConstruction:
         with pytest.raises(VertexOutOfRange):
             new_graph(2, [(0, 5)])
 
+    @pytest.mark.parametrize("edges", [[(5, 0)], [(0, 1), (-1, 0)]])
+    def test_first_endpoint_out_of_range(self, edges):
+        with pytest.raises(VertexOutOfRange, match="edge endpoint"):
+            new_graph(2, edges)
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(VertexOutOfRange, match="non-negative"):
+            new_graph(-1, [])
+
+    @pytest.mark.parametrize("labels", [["a"], ["a", "b", "c"]])
+    def test_label_count_checked(self, labels):
+        with pytest.raises(VertexOutOfRange, match="expected 2 labels"):
+            new_graph(2, [(0, 1)], labels)
+
     def test_self_loop_rejected(self):
         with pytest.raises(SelfLoopRejected):
             new_graph(3, [(1, 1)])
@@ -305,6 +319,41 @@ class TestSerialization:
         assert err.value.line == 2
         assert "out of range" in str(err.value)
 
+    @pytest.mark.parametrize(
+        "text,line,column,message",
+        [
+            ("3\n  0   7\n", 2, 7, "vertex 7 out of range"),
+            ("3\n 5 1\n", 2, 2, "vertex 5 out of range"),
+            ("3\n\t0\t\t4\n", 2, 5, "vertex 4 out of range"),
+            ("# head\n\t 2\n0 1  # an edge\n 9 1\n", 4, 2, "vertex 9 out of range"),
+            ("3\n0\tx\n", 2, 3, "bad vertex index 'x'"),
+            ("3\n   y 1\n", 2, 4, "bad vertex index 'y'"),
+            ("3\n\t1  1\n", 2, 5, "self-loop at vertex 1"),
+            ("  three\n", 1, 3, "bad vertex count 'three'"),
+            ("3  4\n", 1, 4, "expected a single vertex count"),
+            ("\t-2\n", 1, 2, "vertex count must be non-negative"),
+            ("3\n0 1   2\n", 2, 7, "expected two vertex indices"),
+            ("3\n  1\n", 2, 3, "expected two vertex indices"),
+        ],
+        ids=[
+            "spaces-v", "space-u", "tabs-v", "comments-u", "tab-bad-v", "spaces-bad-u",
+            "self-loop", "bad-count", "two-counts", "negative-count", "three-fields", "one-field",
+        ],
+    )
+    def test_parse_edgelist_error_columns(self, text, line, column, message):
+        # The column is that of the offending field in the raw line, leading
+        # spaces, tabs and runs of spaces included.
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_graph(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value).startswith(f"line {line}, column {column}: ")
+
+    def test_unknown_formats(self):
+        with pytest.raises(ParseError, match="unknown parse format 'dot'"):
+            parse_graph("2\n0 1\n", "dot")
+        with pytest.raises(ParseError, match="unknown render format 'svg'"):
+            render_graph(path_graph(2), "svg")
+
     def test_parse_garbage(self):
         with pytest.raises(ParseError):
             parse_graph("three\n")
@@ -352,6 +401,20 @@ class TestSerialization:
             parse_graph('{"n": true}', "json")
         with pytest.raises(ParseError, match="edge #0"):
             parse_graph('{"n": 2, "edges": [[true, false]]}', "json")
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("[2, [[0, 1]]]", "top-level JSON value must be an object"),
+            ('{"n": 2, "edges": {"0": 1}}', '"edges" must be an array of pairs'),
+            ('{"n": 2, "labels": ["a", 1]}', '"labels" must be an array of strings'),
+            ('{"n": 2, "labels": "ab"}', '"labels" must be an array of strings'),
+            ('{"n": 2, "labels": ["a"]}', '"labels" has 1 entries, expected 2'),
+        ],
+    )
+    def test_parse_json_shape_errors(self, text, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse_graph(text, "json")
 
     @given(graphs())
     @settings(max_examples=60)

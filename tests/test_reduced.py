@@ -472,7 +472,7 @@ class TestReducedIndex:
         with pytest.raises(TerminalCapExceeded):
             steiner_wiener_reduced(d, 11)
         monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
-        assert len(steiner_levels(distance_matrix(d.reduced), range(23), 10)) == 10
+        assert len(steiner_levels(distance_matrix(d.reduced), 23, 10)) == 10
 
 
 class TestConnectivityFirst:
@@ -683,7 +683,7 @@ class TestEngines:
         # one chunk.
         for k in range(20, 35):
             dist = distance_matrix(twin_free_graph(rng, k, 0.3))
-            chunks = list(steiner_levels(dist, range(k), 3)[-1])
+            chunks = list(steiner_levels(dist, k, 3)[-1])
             assert len(chunks) == 1 and len(expanded(chunks[0])[0]) == comb(k, 3)
 
     def test_top_chunks_hold_both_kinds_of_support(self, rng, monkeypatch):
@@ -730,7 +730,7 @@ class TestEngines:
             hist = np.zeros(size * k + 1, dtype=np.int64)
             tracemalloc.start()
             try:
-                for level in steiner_levels(dist, range(k), m):
+                for level in steiner_levels(dist, k, m):
                     for chunk in level:
                         reduced._weigh_chunk(hist, sizes, m, chunk)
                 peak = tracemalloc.get_traced_memory()[1]
@@ -803,6 +803,11 @@ class TestCompletelyJoinedBound:
             bound = sw_completely_joined_bound(n, m)
             actual = steiner_wiener_naive(complete_graph(n), m)
             assert bound - actual == comb(n, m)
+
+    @pytest.mark.parametrize("n,m", [(5, 0), (5, 6), (0, 1)])
+    def test_bad_subset_size(self, n, m):
+        with pytest.raises(BadSubsetSize):
+            sw_completely_joined_bound(n, m)
 
     def test_k333_within_bound(self):
         assert sw_complete_multipartite((3, 3, 3), 5) == 504 <= sw_completely_joined_bound(9, 5)

@@ -60,14 +60,22 @@ def components(g):
     return out
 
 
+def universe_first(g, universe):
+    """``g``'s distance matrix with the vertices reordered so that ``universe`` comes first."""
+    order = list(universe) + [v for v in range(g.n) if v not in universe]
+    return distance_matrix(g)[np.ix_(order, order)]
+
+
 def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
-    The levels are read top first, so no level relies on an earlier one
-    having been read; each chunk is expanded into its subsets. Returns the
-    number of chunks of each level.
+    The kernel runs on the distance matrix reordered so that ``universe``
+    comes first, and member ``i`` of a subset is ``universe[i]``. The levels
+    are read top first, so no level relies on an earlier one having been
+    read; each chunk is expanded into its subsets. Returns the number of
+    chunks of each level.
     """
-    levels = steiner_levels(distance_matrix(g), universe, top)
+    levels = steiner_levels(universe_first(g, universe), len(universe), top)
     assert len(levels) == top
     chunks = [0] * top
     for s in range(top, 0, -1):
@@ -219,7 +227,7 @@ class TestKernel:
             for top in range(1, size + 1):
                 chunks = check_levels(g, list(universe), top, oracle)
                 assert chunks == expected_chunks(g.n, size, top) == [1] * top
-                rows, counts, _ = next(steiner_levels(distance_matrix(g), universe, top)[0])
+                rows, counts, _ = next(steiner_levels(universe_first(g, universe), size, top)[0])
                 assert rows.shape == (1, 0) and counts.tolist() == [1] * size
 
     @pytest.mark.parametrize("rows", [1, 3])
@@ -254,7 +262,7 @@ class TestKernel:
             monkeypatch.setattr(steiner, "CHUNK_BYTES", chunk_bytes)
             chunks = [
                 (s.tolist(), d.tolist())
-                for level in steiner_levels(dist, range(n), min(n, 7))
+                for level in steiner_levels(dist, n, min(n, 7))
                 for s, d in map(expanded, level)
             ]
             pairs = [(tuple(r), v) for rows, values in chunks for r, v in zip(rows, values)]
@@ -284,7 +292,7 @@ class TestKernel:
         n, m = 12, 4
         monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, m, 1) - 1)
         assert level_rows(n, n, m) == 1
-        levels = steiner_levels(distance_matrix(cycle_graph(n)), range(n), m)
+        levels = steiner_levels(distance_matrix(cycle_graph(n)), n, m)
         chunks = [len(expanded(chunk)[0]) for chunk in levels[-1]]
         assert len(chunks) == comb(n - 1, m - 1)
         assert sum(chunks) == comb(n, m)
@@ -316,7 +324,7 @@ class TestKernel:
             hist = np.zeros(size * n + 1, dtype=np.int64)
             tracemalloc.start()
             try:
-                for chunk in itertools.islice(steiner_levels(dist, range(n), 3)[-1], 4):
+                for chunk in itertools.islice(steiner_levels(dist, n, 3)[-1], 4):
                     reduced._weigh_chunk(hist, sizes, 3, chunk)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
@@ -334,7 +342,7 @@ class TestKernel:
         dist = distance_matrix(path_graph(n))
         assert all(chunks > 4 for chunks in expected_chunks(n, n, m)[1:3])
         reads = [(np.full(n, size, dtype=np.int64), np.zeros(size * n + 1, dtype=np.int64)) for size in (1, 2)]
-        levels = steiner_levels(dist, range(n), m)
+        levels = steiner_levels(dist, n, m)
         tracemalloc.start()
         try:
             for level in levels[1:3]:

@@ -1,5 +1,6 @@
 """Twin relation, partition, classification, and reconstruction."""
 
+import dataclasses
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from twindex import (
     ClassKind,
+    ReconstructionMismatch,
     VertexOutOfRange,
     are_twins,
     generalized_composition,
@@ -274,3 +276,11 @@ class TestRecompose:
     @settings(max_examples=80)
     def test_identity_everywhere(self, g):
         assert recompose(twin_partition(g)) == g
+
+    def test_inconsistent_decomposition_is_a_mismatch(self):
+        # P_4 is twin-free, so each vertex is a class of its own. Built by
+        # hand with K_4 as the reduced graph, the classes are right but the
+        # composition has the edges 0 ~ 2, 0 ~ 3 and 1 ~ 3.
+        d = dataclasses.replace(twin_partition(path_graph(4)), reduced=complete_graph(4))
+        with pytest.raises(ReconstructionMismatch):
+            recompose(d)
