@@ -16,8 +16,11 @@ format, factored: its rows R of one member fewer, how many leading rows each
 member c extends, and the distances of ``R | {c}``, with no position array
 per subset. The top level merges the splits of each R once and extends R by
 every later member c (Dreyfus and Wagner, "The Steiner problem in graphs",
-*Networks* 1, 1971, share the merge of R across every ``R | {c}``); a level
-below reads a chunk of R's rows of the level under it as one slice.
+*Networks* 1, 1971, share the merge of R across every ``R | {c}``), several
+members to one numpy step while their rows fit the chunk's sum buffer; a
+level below reads a chunk of R's rows of the level under it as one slice.
+Every gather reads contiguous rows: the binomials are stored one row per
+level, and the colex ranks of a chunk's submasks one row per submask.
 ``steiner_distance`` reorders the distance matrix so that the terminals come
 first and reads its top level over them, ``steiner_wiener_naive`` sums the
 distances of level m over all vertices, and the twin-class reduction reads
@@ -39,7 +42,7 @@ terms, two split parts and one distance row, so it stays below
 
 from __future__ import annotations
 
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -127,7 +130,9 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[tuple[
 
     ``pos`` is a ``(rows, s)`` array of ascending members whose colex ranks
     run from ``lo``. Unranked: member ``j`` is the largest ``c`` with
-    ``C(c, j + 1)`` at most what remains of the rank, and the first member
+    ``C(c, j + 1)`` at most what remains of the rank, found by one
+    ``searchsorted`` on the contiguous row ``binom[j + 1]`` of the
+    level-major binomials (``binom[j, c] = C(c, j)``), and the first member
     is the remainder.
     """
     total = comb(size, s)
@@ -135,9 +140,8 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[tuple[
         rank = np.arange(lo, min(lo + rows, total), dtype=np.int64)
         pos = np.empty((len(rank), s), dtype=np.intp)
         for j in range(s, 1, -1):
-            column = binom[:, j]
-            pos[:, j - 1] = member = column.searchsorted(rank, side="right") - 1
-            rank -= column[member]
+            pos[:, j - 1] = member = binom[j].searchsorted(rank, side="right") - 1
+            rank -= binom[j, member]
         pos[:, 0] = rank
         yield lo, pos
 
@@ -191,10 +195,12 @@ def _row_bytes(n: int, s: int, relax: bool = False) -> int:
     ``(n, n)`` sum beside the merged row and their minimum. A top-level row
     is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
     gather temporaries or ``_merge``'s three anchor rows, then its merged row
-    and its row of the sum buffer. Below the top, where R's stored row is a
-    slice, the mask of the rows each member extends takes the place of
-    those two rows. The subsets ``R | {c}`` it yields are charged apart
-    (:func:`_level_bytes`).
+    and its row of the sum buffer. A block of members then holds, per row
+    of the sum buffer it fills, a minimum, a mask entry and a kept value
+    (9 bytes), in the place of the ranks freed by then. Below the top, where
+    R's stored row is a slice, the mask of the rows each member extends
+    takes the place of those two rows. The subsets ``R | {c}`` it yields are
+    charged apart (:func:`_level_bytes`).
     """
     if relax:
         ranks = 8 << s
@@ -211,44 +217,52 @@ def _chunk_rows(row_bytes: int) -> int:
 
 
 def _submask_rows(pos: np.ndarray, binom: np.ndarray) -> np.ndarray:
-    """Colex rank of submask ``q`` of each ascending row of ``pos``, shape ``(B, 2^r)``.
+    """Colex rank of submask ``q`` of each ascending row of ``pos``, submask-major, ``(2^r, B)``.
 
     The rank of a submask is ``sum_j C(p_j, j + 1)`` over its ascending
     members ``p_j``, so a single member's is the member itself. Bit ``i``
-    joins every submask of the lower bits as their largest member, so ``r``
-    steps fill all columns.
+    joins every submask of the lower bits as their largest member, so step
+    ``i`` fills rows ``[2^i, 2^(i+1))``: it gathers ``C(p_i, j + 1)`` for the
+    ``i + 1`` member counts j of the lower submasks, each from a contiguous
+    binomial row, and copies one of those rows per submask. Row ``q`` is
+    contiguous, so :func:`_merge` reads each split part's ranks in one run.
     """
     rows, r = pos.shape
-    ranks = np.zeros((rows, 1 << r), dtype=np.int64)
-    members = np.zeros(1 << r, dtype=np.intp)
+    ranks = np.zeros((1 << r, rows), dtype=np.int64)
+    # Members of each submask, by doubling.
+    count = np.zeros(1 << r, dtype=np.intp)
     for i in range(r):
         low = 1 << i
-        ranks[:, low : 2 * low] = ranks[:, :low] + binom[:, members[:low] + 1][pos[:, i]]
-        members[low : 2 * low] = members[:low] + 1
+        joined = binom[1 : i + 2].take(pos[:, i], axis=1)
+        np.add(ranks[:low], joined.take(count[:low], axis=0), out=ranks[low : 2 * low])
+        count[low : 2 * low] = count[:low] + 1
     return ranks
 
 
-def _anchor_view(flat: np.ndarray, rows: int, n: int) -> np.ndarray:
-    """A ``(rows, n)`` view of the first ``rows * n`` entries of ``flat``.
+def _anchor_view(flat: np.ndarray, shape: tuple[int, ...], major: bool) -> np.ndarray:
+    """A view of ``shape``, anchors last, of the first entries of ``flat``.
 
-    With at least as many rows as anchors it is stored anchor-major,
-    ``(n, rows)``, and transposed: a minimum over the anchors of a prefix of
-    rows is then ``n`` elementwise steps over long runs of rows. With fewer
-    rows it is row-major, so that minimum runs along each row's anchors.
+    Anchor-major (``major``, chosen when a chunk has at least as many rows
+    as anchors) it is stored with the anchor axis first, so a minimum over
+    the anchors is ``n`` elementwise steps over long runs of rows. Otherwise
+    it is stored row-major, so that minimum runs along each row's anchors.
     """
-    if rows >= n:
-        return flat[: rows * n].reshape(n, rows).T
-    return flat[: rows * n].reshape(rows, n)
+    stored = flat[: prod(shape)]
+    if major:
+        return stored.reshape(shape[-1], *shape[:-1]).transpose(*range(1, len(shape)), 0)
+    return stored.reshape(shape)
 
 
 def _merge(tables: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0).
 
-    A part of ``j`` members is read from ``tables[j]`` at its colex rank.
+    ``idx`` holds the submask-major ranks of :func:`_submask_rows`. A part
+    ``q`` of ``j`` members is read from ``tables[j]`` at the ranks in the
+    contiguous row ``idx[q]``, one table row per merged row.
     """
-    full = idx.shape[1] - 1
+    full = idx.shape[0] - 1
     def row(q: int) -> np.ndarray:
-        return tables[q.bit_count()][idx[:, q]]
+        return tables[q.bit_count()].take(idx[q], axis=0)
 
     best = row(1)
     best += row(full ^ 1)
@@ -281,19 +295,29 @@ def steiner_levels(
     of ``{p}`` is ``p``. Levels 2 to ``top - 2`` are built in chunks of
     consecutive ranks, each written as one slice: the cheapest split of R at
     each anchor, relaxed once through ``dist`` (hop counts obey the triangle
-    inequality). Below ``top``, and at a top of two members, ``d(R | {c})``
-    is R's row of ``tables[s - 1]`` at c, so a chunk of rows reads one slice
-    of it. At ``top > 2`` the splits of each R are merged once, and
-    ``d(R | {c})`` for every later member ``c`` is the minimum over anchors
-    after adding ``c``'s distance row, in a sum buffer kept across chunks;
-    three members give ``min_v sum_i d(t_i, v)``. A chunk of at least as
+    inequality). Every chunk unranks its rows by the level-major binomials,
+    ``binom[j, c] = C(c, j)``, and reads each split part at the contiguous
+    row of its submask-major ranks (:func:`_submask_rows`). Below ``top``,
+    and at a top of two members, ``d(R | {c})`` is R's row of
+    ``tables[s - 1]`` at c, so a chunk of rows reads one slice of it. At
+    ``top > 2`` the splits of each R are merged once, and ``d(R | {c})`` for
+    every later member ``c`` is the minimum over anchors after adding
+    ``c``'s distance row, in a sum buffer kept across chunks; three members
+    give ``min_v sum_i d(t_i, v)``. A chunk of at least as
     many rows as anchors stores its merged rows and sum buffer anchor-major,
     ``(n, B)``, so that minimum is ``n`` elementwise steps over runs of rows;
     a chunk of fewer rows, as on long paths, stores them row-major, so it
     runs along each row. Both are read as one ``(B, n)`` view
-    (:func:`_anchor_view`). Every chunk of a level takes as many rows as the
-    level's first rows fit in ``CHUNK_BYTES``, and at least one
-    (:func:`_level_rows`).
+    (:func:`_anchor_view`). Consecutive members ``c0 .. c1 - 1`` form one
+    block while ``(c1 - c0) * counts[c1 - 1] <= B``, so that a block fits the
+    sum buffer: one broadcast add of their distance rows to the leading
+    merged rows, one minimum over the anchors, and one boolean compress of
+    the rows each member extends, member-major. A block of one member is one
+    add and one minimum into slices. Early members, which extend few rows,
+    share blocks; on a long path a chunk's rows are few and every later
+    member extends all of them, so each block holds one member. Every chunk
+    of a level takes as many rows as the level's first rows fit in
+    ``CHUNK_BYTES``, and at least one (:func:`_level_rows`).
     Raises :class:`TerminalCapExceeded`, before allocating, when the tables
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
@@ -313,10 +337,10 @@ def steiner_levels(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
             f"{need} bytes of DP state, over the budget of {DP_BYTE_BUDGET}"
         )
-    binom = np.zeros((size, top + 1), dtype=np.int64)
-    binom[:, 0] = 1
+    binom = np.zeros((top + 1, size), dtype=np.int64)
+    binom[0] = 1
     for j in range(1, top + 1):
-        binom[1:, j] = binom[:-1, j - 1].cumsum()
+        binom[j, 1:] = binom[j - 1, :-1].cumsum()
     # Level 0, the empty set, is never read.
     tables = [None, dist]
     for r in range(2, top - 1):
@@ -344,15 +368,40 @@ def steiner_levels(
             counts = rpos[:, -1].searchsorted(extended)
             first = int(rpos[0, -1]) + 1
             if merging:
-                merged, work = (_anchor_view(flat, len(rpos), n) for flat in buffers)
+                b = len(rpos)
+                major = b >= n
+                merged, work = (_anchor_view(flat, (b, n), major) for flat in buffers)
                 # Merged row-major, then copied: the splits gather row-major.
                 merged[...] = _merge(tables, _submask_rows(rpos, binom))
-                out = np.empty(int(counts.sum()), dtype=_DIST)
-                end = 0
-                for c, p in enumerate(counts[first:].tolist(), first):
-                    np.add(merged[:p], dist[c], out=work[:p])
-                    np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
+                per = counts.tolist()
+                out = np.empty(sum(per), dtype=_DIST)
+                # Members from ``full`` on extend all b rows, so each is a
+                # block of its own.
+                full = int(rpos[-1, -1]) + 1
+                c0, end = first, 0
+                while c0 < full:
+                    # Members c0 .. c1 - 1 share one step while all their
+                    # rows, each the last one's count, fit the sum buffer.
+                    c1 = c0 + 1
+                    while (c1 + 1 - c0) * per[c1] <= b:
+                        c1 += 1
+                    p = per[c1 - 1]
+                    if c1 - c0 == 1:
+                        np.add(merged[:p], dist[c0], out=work[:p])
+                        np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
+                    else:
+                        block = _anchor_view(buffers[1], (c1 - c0, p, n), major)
+                        np.add(merged[:p], dist[c0:c1, None], out=block)
+                        # Row r extends member c when its largest member is below c.
+                        keep = np.greater.outer(extended[c0:c1], rpos[:p, -1])
+                        p = sum(per[c0:c1])
+                        out[end : end + p] = np.minimum.reduce(block, axis=2)[keep]
                     end += p
+                    c0 = c1
+                for c in range(full, size):
+                    np.add(merged, dist[c], out=work)
+                    np.minimum.reduce(work, axis=1, out=out[end : end + b])
+                    end += b
             else:
                 # R's stored row at each later member, member-major.
                 extends = np.arange(len(rpos)) < counts[first:, None]

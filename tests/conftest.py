@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from twindex import BadParameter, Graph, VertexOutOfRange, is_connected, new_graph
+from twindex import BadParameter, Graph, VertexOutOfRange, is_connected, new_graph, twin_partition
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5):
@@ -23,6 +23,15 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.5):
         if is_connected(g):
             return g
     raise AssertionError(f"could not sample a connected graph on {n} vertices")
+
+
+def twin_free_graph(rng, n, p=0.4):
+    """A random connected graph on ``n`` vertices without twins: its own reduced graph."""
+    return next(
+        g
+        for g in (random_connected_graph(rng, n, p) for _ in range(200))
+        if twin_partition(g).k == n
+    )
 
 
 def with_labels(g: Graph, labels):

@@ -59,6 +59,7 @@ from conftest import (
     expanded,
     graphs_up_to_isomorphism,
     random_connected_graph,
+    twin_free_graph,
 )
 
 ENGINES = ("transform", "kernel")
@@ -87,15 +88,6 @@ def engines_agree(d, m) -> int:
     assert value == other, (m, value, other)
     assert stats == other_stats, (m, stats, other_stats)
     return value
-
-
-def twin_free_graph(rng, n, p=0.4):
-    """A random connected graph on ``n`` vertices without twins: its own reduced graph."""
-    return next(
-        g
-        for g in (random_connected_graph(rng, n, p) for _ in range(200))
-        if twin_partition(g).k == n
-    )
 
 
 def support_count(sizes, m):

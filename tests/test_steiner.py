@@ -45,6 +45,7 @@ from conftest import (
     expanded,
     permuted,
     random_connected_graph,
+    twin_free_graph,
 )
 
 
@@ -141,6 +142,34 @@ def expected_chunks(n, size, top):
     member.
     """
     return [1] + [-(-comb(size - 1, s - 1) // level_rows(n, size, s)) for s in range(2, top + 1)]
+
+
+def top_by_member(dist, rows):
+    """Counts and distances of a top-level chunk of 3 or 4 members over ``rows``, one member at a time.
+
+    Three terminals meet at one vertex v. Four pair off, one pair at u and
+    the other at v: ``min_v P(p, q, v) + d(r, v) + d(s, v)`` with
+    ``P(p, q, v) = min_u d(p, u) + d(q, u) + d(u, v)``, over the three
+    pairings (Steiner points may coincide with each other or a terminal).
+    """
+    size = dist.shape[0]
+    d = dist.astype(np.int64)
+    if rows.shape[1] == 3:
+        pair = (d[:, None, :, None] + d[None, :, :, None] + d[None, None]).min(axis=2)
+    counts, out = [], []
+    for c in range(size):
+        held = rows[rows[:, -1] < c]
+        counts.append(len(held))
+        t = [held[:, i] for i in range(rows.shape[1])] + [np.full(len(held), c)]
+        if len(t) == 3:
+            value = (d[t[0]] + d[t[1]] + d[t[2]]).min(axis=1)
+        else:
+            value = np.minimum.reduce([
+                (pair[t[a], t[b]] + d[t[x]] + d[t[y]]).min(axis=1)
+                for a, b, x, y in ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2))
+            ])
+        out.extend(value.tolist())
+    return counts, out
 
 
 class TestSteinerDistance:
@@ -284,6 +313,72 @@ class TestKernel:
             assert n < 6 or whole_chunks < few_chunks < single_chunks
             for row, value in whole:
                 assert steiner_distance_bruteforce(g, row) == value
+
+    @pytest.mark.parametrize("r", range(1, 8))
+    def test_submask_ranks(self, rng, r):
+        # Row q of the submask-major ranks holds, for each row of positions,
+        # the colex rank sum_j C(p_j, j + 1) over q's members p_j, computed
+        # here in plain Python. The rows include the first and last colex
+        # rows; a single row is checked on its own.
+        size = 12
+        binom = np.array([[comb(c, j) for c in range(size)] for j in range(r + 1)], dtype=np.int64)
+        colex = sorted(itertools.combinations(range(size), r), key=lambda t: t[::-1])
+        middle = rng.sample(colex[1:-1], min(20, len(colex) - 2))
+        for rows in ([colex[0], *middle, colex[-1]], [rng.choice(colex)]):
+            ranks = steiner._submask_rows(np.array(rows, dtype=np.intp), binom)
+            assert ranks.shape == (1 << r, len(rows))
+            for q in range(1 << r):
+                for b, row in enumerate(rows):
+                    members = [p for i, p in enumerate(row) if q >> i & 1]
+                    expected = sum(comb(p, j + 1) for j, p in enumerate(members))
+                    assert ranks[q, b] == expected, (q, row)
+
+    @pytest.mark.parametrize(
+        "kind,n,top,rows",
+        [
+            # A twin-free graph, whose chunks hold at least as many rows as
+            # anchors (anchor-major): the whole level, or k + 3 rows a chunk.
+            *[
+                ("twin-free", k, top, rows)
+                for k, top in [(20, 3), (27, 3), (34, 3), (20, 4), (24, 4)]
+                for rows in (None, k + 3)
+            ],
+            # A long path, whose chunks hold fewer rows than anchors (row-major).
+            ("path", 240, 3, None),
+            ("path", 240, 3, 40),
+        ],
+    )
+    def test_member_blocks_match_one_member_at_a_time(self, rng, monkeypatch, kind, n, top, rows):
+        # Each top-level chunk's counts and distances equal a reference that
+        # extends its rows by one member at a time, in the same member-major
+        # order. Blocks of one member and of several both occur: the kernel's
+        # block views are recorded, each (members, rows, anchors) with its
+        # rows for every member within the chunk's sum buffer.
+        g = twin_free_graph(rng, n, 0.3) if kind == "twin-free" else path_graph(n)
+        dist = distance_matrix(g)
+        if rows is not None:
+            monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, top, rows))
+        assert (level_rows(n, n, top) >= n) == (kind == "twin-free")
+        views = []
+        view = steiner._anchor_view
+        def recorded(flat, shape, major):
+            views.append(shape)
+            return view(flat, shape, major)
+
+        monkeypatch.setattr(steiner, "_anchor_view", recorded)
+        singles = several = 0
+        # On the path, the first chunks hold the blocks of several members.
+        chunks = steiner_levels(dist, n, top)[-1]
+        for held, counts, distances in itertools.islice(chunks, 6 if kind == "path" else None):
+            expected_counts, expected = top_by_member(dist, held)
+            assert counts.tolist() == expected_counts
+            assert distances.dtype == np.int32 and distances.tolist() == expected
+            blocks = [shape for shape in views if len(shape) == 3]
+            views.clear()
+            assert all(members >= 2 and members * p <= len(held) for members, p, _ in blocks)
+            singles += n - (int(held[0, -1]) + 1) - sum(members for members, _, _ in blocks)
+            several += len(blocks)
+        assert singles > 0 and several > 0
 
     def test_row_over_chunk_streams_one_row_per_chunk(self, monkeypatch):
         # A chunk one byte short of the first top-level row still takes one
