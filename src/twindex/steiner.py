@@ -379,11 +379,11 @@ def steiner_levels(
                 # block of its own.
                 full = int(rpos[-1, -1]) + 1
                 c0, end = first, 0
-                while c0 < full:
+                while c0 < size:
                     # Members c0 .. c1 - 1 share one step while all their
                     # rows, each the last one's count, fit the sum buffer.
                     c1 = c0 + 1
-                    while (c1 + 1 - c0) * per[c1] <= b:
+                    while c1 < full and (c1 + 1 - c0) * per[c1] <= b:
                         c1 += 1
                     p = per[c1 - 1]
                     if c1 - c0 == 1:
@@ -398,10 +398,6 @@ def steiner_levels(
                         out[end : end + p] = np.minimum.reduce(block, axis=2)[keep]
                     end += p
                     c0 = c1
-                for c in range(full, size):
-                    np.add(merged, dist[c], out=work)
-                    np.minimum.reduce(work, axis=1, out=out[end : end + b])
-                    end += b
             else:
                 # R's stored row at each later member, member-major.
                 extends = np.arange(len(rpos)) < counts[first:, None]
