@@ -8,8 +8,10 @@ CSV row is the fastest of ``--reps`` records and the routes' values must pass
 no route itself; ``--method closed_form`` builds no graph.
 
 Exit codes: 0 success, 1 computation error (disconnected input, caps
-exceeded, unsupported ring, routes that disagree), 2 usage error (bad flags
-or malformed specs), 3 reference-value verification failure.
+exceeded, unsupported ring, routes that disagree, or memory that runs out
+past the caps), 2 usage error (bad flags or malformed specs), 3
+reference-value verification failure, 130 interrupted (Ctrl-C). Each error
+is one ``twindex: ...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -258,6 +260,13 @@ def main(argv: list[str] | None = None) -> int:
     except TwindexError as exc:
         sys.stderr.write(f"twindex: {exc}\n")
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        sys.stderr.write(f"twindex: out of memory{detail}\n")
+        return 1
+    except KeyboardInterrupt:
+        sys.stderr.write("twindex: interrupted\n")
+        return 130
 
 
 if __name__ == "__main__":

@@ -14,13 +14,15 @@ rank: level j of the DP is one array read at the colex rank of a j-subset,
 and level 1 is the distance matrix itself. Every level comes in one chunk
 format, factored: its rows R of one member fewer, how many leading rows each
 member c extends, and the distances of ``R | {c}``, with no position array
-per subset. The top level merges the splits of each R once and extends R by
-every later member c (Dreyfus and Wagner, "The Steiner problem in graphs",
-*Networks* 1, 1971, share the merge of R across every ``R | {c}``), several
-members to one numpy step while their rows fit the chunk's sum buffer; a
-level below reads a chunk of R's rows of the level under it as one slice.
-Every gather reads contiguous rows: the binomials are stored one row per
-level, and the colex ranks of a chunk's submasks one row per submask.
+per subset. The DP step is one function, ``_extend``: the minimum over
+anchors v of a merged row at v plus ``d(c, v)``, for a block of members c
+at once. A table level extends by every anchor; the top level merges each R
+once and extends it by every later member (Dreyfus and Wagner, "The Steiner
+problem in graphs", *Networks* 1, 1971). Every level from 2 on yields one
+member-major array, from ``_extend`` or sliced from the table under it,
+masked to the rows each member extends. Every gather reads contiguous rows:
+binomials are stored one row per level, a chunk's submask ranks one row per
+submask.
 ``steiner_distance`` reorders the distance matrix so that the terminals come
 first and reads its top level over them, ``steiner_wiener_naive`` sums the
 distances of level m over all vertices, and the twin-class reduction reads
@@ -42,7 +44,7 @@ terms, two split parts and one distance row, so it stays below
 
 from __future__ import annotations
 
-from math import comb, prod
+from math import comb
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -158,9 +160,11 @@ def _level_bytes(n: int, size: int, s: int) -> tuple[int, int, int]:
     such as the row and ``n_S`` arrays of ``reduced._weigh_chunk``. The fixed
     part holds, per member c, ``s + 1`` binomials, c's entries of
     ``extended`` and ``counts`` (int64), c's count in a chunk's Python list
-    (a slot and an int, 40 bytes), and 16 bytes to spare. The view of a
-    growing prefix, at most one per row, takes the place of the anchor rows
-    that ``_merge`` has freed by then.
+    (a slot and an int, 40 bytes), and 16 bytes to spare. The member-major
+    array a chunk's distances are read from, at most one int32 per member a
+    row, and its boolean mask take the place of the anchor rows that
+    :func:`_extend` has freed by then; below the top the array is a view of
+    the table.
     """
     fixed = size * (8 * (s + 1) + 2 * 8 + 40 + 16)
     return fixed, _row_bytes(n, s), 2 * (8 * s + _DIST.itemsize) + 8
@@ -190,16 +194,18 @@ def _row_bytes(n: int, s: int, relax: bool = False) -> int:
 
     Every row keeps ``2s + 4`` int64: its positions and the previous chunk's,
     which the loop still holds, ``_subsets``' rank and member, and a last
-    member. A relaxed row of ``s`` members adds ``2^s`` ranks and at most
-    the previous chunk's ranks plus the gather temporaries, or its
-    ``(n, n)`` sum beside the merged row and their minimum. A top-level row
-    is an ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
-    gather temporaries or ``_merge``'s three anchor rows, then its merged row
-    and its row of the sum buffer. A block of members then holds, per row
-    of the sum buffer it fills, a minimum, a mask entry and a kept value
-    (9 bytes), in the place of the ranks freed by then. Below the top, where
-    R's stored row is a slice, the mask of the rows each member extends
-    takes the place of those two rows. The subsets ``R | {c}`` it yields are
+    member. A table row of ``s`` members (``relax``) adds ``2^s`` ranks,
+    then twice their bytes or, if more, what :func:`_extend` holds for it in
+    its one block: its ``(n, n)`` share of the sum, the merged row or its
+    anchor-major copy, and its ``n`` minima. A top-level row is an
+    ``(s - 1)``-subset R: it adds ``2^(s-1)`` ranks and at most as many
+    gather temporaries or ``_merge``'s three anchor rows, then two anchor
+    rows more. In the place of those five, ``_extend`` holds the merged row
+    or its copy, the row's share of a block's sum (at most ``B * n``
+    entries) and its column of the member-major output: one row to spare.
+    Where a call's arguments live until it returns (Python 3.10), the merged
+    row stays beside its copy: in that spare row at the top, one anchor row
+    over the charge in a table row. The subsets ``R | {c}`` a row yields are
     charged apart (:func:`_level_bytes`).
     """
     if relax:
@@ -239,20 +245,6 @@ def _submask_rows(pos: np.ndarray, binom: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _anchor_view(flat: np.ndarray, shape: tuple[int, ...], major: bool) -> np.ndarray:
-    """A view of ``shape``, anchors last, of the first entries of ``flat``.
-
-    Anchor-major (``major``, chosen when a chunk has at least as many rows
-    as anchors) it is stored with the anchor axis first, so a minimum over
-    the anchors is ``n`` elementwise steps over long runs of rows. Otherwise
-    it is stored row-major, so that minimum runs along each row's anchors.
-    """
-    stored = flat[: prod(shape)]
-    if major:
-        return stored.reshape(shape[-1], *shape[:-1]).transpose(*range(1, len(shape)), 0)
-    return stored.reshape(shape)
-
-
 def _merge(tables: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     """Cheapest split of each row's full mask at every anchor, each split once (holding bit 0).
 
@@ -273,6 +265,42 @@ def _merge(tables: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return best
 
 
+def _extend(merged: np.ndarray, dist: np.ndarray, counts: np.ndarray, first: int, cap: int) -> np.ndarray:
+    """The Dreyfus-Wagner step: ``min_v merged[r, v] + dist[c, v]``, member-major.
+
+    ``merged`` holds B rows over the ``n`` anchors, and member c extends its
+    first ``counts[c]`` rows, a count that never falls as c grows. Returns
+    a ``(len(counts) - first, B)`` array whose entry ``[c - first, r]`` is
+    set for every ``r < counts[c]``; the others are left unset. Members
+    ``c0 .. c1 - 1`` form one block while ``(c1 + 1 - c0) * counts[c1]``
+    is at most ``cap``, and a block is one sum over the ``counts[c1 - 1]``
+    rows it needs and one minimum over the anchors. With at least as many
+    rows as anchors the sum is anchor-major, over a copy of ``merged.T``,
+    so that minimum is ``n`` elementwise steps over runs of rows; with
+    fewer, as on long paths, it is row-major and runs along each row.
+    """
+    rows, n = merged.shape
+    major = rows >= n
+    if major:
+        merged = merged.T.copy()
+    per = counts.tolist()
+    size = len(per)
+    out = np.empty((size - first, rows), dtype=_DIST)
+    c0 = first
+    while c0 < size:
+        c1 = c0 + 1
+        while c1 < size and (c1 + 1 - c0) * per[c1] <= cap:
+            c1 += 1
+        p = per[c1 - 1]
+        block = out[c0 - first : c1 - first, :p]
+        if major:
+            np.minimum.reduce(merged[:, None, :p] + dist[c0:c1].T[:, :, None], axis=0, out=block)
+        else:
+            np.minimum.reduce(merged[None, :p] + dist[c0:c1, None], axis=2, out=block)
+        c0 = c1
+    return out
+
+
 def steiner_levels(
     dist: np.ndarray, size: int, top: int
 ) -> list[Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
@@ -291,33 +319,21 @@ def steiner_levels(
 
     Level ``j`` of the DP is one array ``tables[j]`` whose row at the colex
     rank of a ``j``-subset R of ``range(size - 1)`` holds ``Steiner(R | {v})``
-    for every anchor ``v``. ``tables[1]`` is ``dist`` itself, since the rank
-    of ``{p}`` is ``p``. Levels 2 to ``top - 2`` are built in chunks of
-    consecutive ranks, each written as one slice: the cheapest split of R at
-    each anchor, relaxed once through ``dist`` (hop counts obey the triangle
-    inequality). Every chunk unranks its rows by the level-major binomials,
-    ``binom[j, c] = C(c, j)``, and reads each split part at the contiguous
-    row of its submask-major ranks (:func:`_submask_rows`). Below ``top``,
-    and at a top of two members, ``d(R | {c})`` is R's row of
-    ``tables[s - 1]`` at c, so a chunk of rows reads one slice of it. At
-    ``top > 2`` the splits of each R are merged once, and ``d(R | {c})`` for
-    every later member ``c`` is the minimum over anchors after adding
-    ``c``'s distance row, in a sum buffer kept across chunks; three members
-    give ``min_v sum_i d(t_i, v)``. A chunk of at least as
-    many rows as anchors stores its merged rows and sum buffer anchor-major,
-    ``(n, B)``, so that minimum is ``n`` elementwise steps over runs of rows;
-    a chunk of fewer rows, as on long paths, stores them row-major, so it
-    runs along each row. Both are read as one ``(B, n)`` view
-    (:func:`_anchor_view`). Consecutive members ``c0 .. c1 - 1`` form one
-    block while ``(c1 - c0) * counts[c1 - 1] <= B``, so that a block fits the
-    sum buffer: one broadcast add of their distance rows to the leading
-    merged rows, one minimum over the anchors, and one boolean compress of
-    the rows each member extends, member-major. A block of one member is one
-    add and one minimum into slices. Early members, which extend few rows,
-    share blocks; on a long path a chunk's rows are few and every later
-    member extends all of them, so each block holds one member. Every chunk
-    of a level takes as many rows as the level's first rows fit in
-    ``CHUNK_BYTES``, and at least one (:func:`_level_rows`).
+    for every anchor ``v``; ``tables[1]`` is ``dist`` itself, since the rank
+    of ``{p}`` is ``p``. A chunk of rows unranks them by the level-major
+    binomials, ``binom[j, c] = C(c, j)``, and merges the cheapest split of
+    each at every anchor (:func:`_merge`). The one DP step, :func:`_extend`,
+    extends merged rows by members. Levels 2 to ``top - 2`` are tables, each
+    chunk extended by every anchor in one block, which relaxes it through
+    ``dist`` (hop counts obey the triangle inequality). At ``top > 2`` the
+    top level merges each R once and extends it by every later member c, in
+    blocks within the chunk's ``B * n`` sum; three members give
+    ``min_v sum_i d(t_i, v)``. Below ``top``, and at a top of two members,
+    ``d(R | {c})`` is R's row of ``tables[s - 1]`` at c. Either way a chunk's
+    distances are one ``(members, rows)`` array, read through the mask of
+    the rows each member extends. Every chunk of a level takes as many rows
+    as the level's first rows fit in ``CHUNK_BYTES``, and at least one
+    (:func:`_level_rows`).
     Raises :class:`TerminalCapExceeded`, before allocating, when the tables
     and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
     """
@@ -346,8 +362,11 @@ def steiner_levels(
     for r in range(2, top - 1):
         tables.append(table := np.empty((comb(size - 1, r), n), dtype=_DIST))
         for lo, pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
-            idx = _submask_rows(pos, binom)
-            table[lo : lo + len(pos)] = (_merge(tables, idx)[:, :, None] + dist).min(axis=1)
+            # Every anchor is a member that extends every row, all in one block.
+            b = len(pos)
+            table[lo : lo + b] = _extend(
+                _merge(tables, _submask_rows(pos, binom)), dist, np.full(n, b), 0, b * n
+            ).T
     extended = np.arange(size)
 
     def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -356,52 +375,21 @@ def steiner_levels(
             empty = np.empty((1, 0), dtype=np.intp)
             yield empty, np.ones(size, dtype=np.intp), np.zeros(size, dtype=_DIST)
             return
-        rows = _level_rows(n, size, s)
-        merging = s == top > 2
-        if merging:
-            # The merged rows and the sum buffer, kept across chunks.
-            buffers = np.empty((2, rows * n), dtype=_DIST)
-        for lo, rpos in _subsets(size - 1, s - 1, rows, binom):
+        for lo, rpos in _subsets(size - 1, s - 1, _level_rows(n, size, s), binom):
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
             # prefix: empty up to the first row's largest member, then growing.
             counts = rpos[:, -1].searchsorted(extended)
             first = int(rpos[0, -1]) + 1
-            if merging:
-                b = len(rpos)
-                major = b >= n
-                merged, work = (_anchor_view(flat, (b, n), major) for flat in buffers)
-                # Merged row-major, then copied: the splits gather row-major.
-                merged[...] = _merge(tables, _submask_rows(rpos, binom))
-                per = counts.tolist()
-                out = np.empty(sum(per), dtype=_DIST)
-                # Members from ``full`` on extend all b rows, so each is a
-                # block of its own.
-                full = int(rpos[-1, -1]) + 1
-                c0, end = first, 0
-                while c0 < size:
-                    # Members c0 .. c1 - 1 share one step while all their
-                    # rows, each the last one's count, fit the sum buffer.
-                    c1 = c0 + 1
-                    while c1 < full and (c1 + 1 - c0) * per[c1] <= b:
-                        c1 += 1
-                    p = per[c1 - 1]
-                    if c1 - c0 == 1:
-                        np.add(merged[:p], dist[c0], out=work[:p])
-                        np.minimum.reduce(work[:p], axis=1, out=out[end : end + p])
-                    else:
-                        block = _anchor_view(buffers[1], (c1 - c0, p, n), major)
-                        np.add(merged[:p], dist[c0:c1, None], out=block)
-                        # Row r extends member c when its largest member is below c.
-                        keep = np.greater.outer(extended[c0:c1], rpos[:p, -1])
-                        p = sum(per[c0:c1])
-                        out[end : end + p] = np.minimum.reduce(block, axis=2)[keep]
-                    end += p
-                    c0 = c1
+            b = len(rpos)
+            if s == top > 2:
+                members = _extend(_merge(tables, _submask_rows(rpos, binom)), dist, counts, first, b)
             else:
-                # R's stored row at each later member, member-major.
-                extends = np.arange(len(rpos)) < counts[first:, None]
-                out = tables[s - 1][lo : lo + len(rpos), first:size].T[extends]
+                # R's stored row at each later member.
+                members = tables[s - 1][lo : lo + b, first:size].T
+            out = members[np.arange(b) < counts[first:, None]]
+            # Freed before the next chunk is built.
+            del members
             yield rpos, counts, out
 
     return [level(s) for s in range(1, top + 1)]

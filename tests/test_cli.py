@@ -179,6 +179,25 @@ class TestIndex:
         assert (code, out) == (0, "504\n")
 
     @pytest.mark.parametrize(
+        "error,code,message",
+        [
+            (KeyboardInterrupt(), 130, "twindex: interrupted\n"),
+            (MemoryError(), 1, "twindex: out of memory\n"),
+            (
+                MemoryError("Unable to allocate 1.6 GiB for an array"),
+                1,
+                "twindex: out of memory: Unable to allocate 1.6 GiB for an array\n",
+            ),
+        ],
+    )
+    def test_interrupt_and_memory_are_one_line(self, capsys, monkeypatch, error, code, message):
+        def raising(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("twindex.cli.run_route", raising)
+        assert run(capsys, "index", "--family", "power:Z6", "--m", "3") == (code, "", message)
+
+    @pytest.mark.parametrize(
         "family", ["multipartite:a,3", "multipartite:0,3", "power:Z6", "power:Z20000"]
     )
     def test_closed_form_bad_family_is_usage_error(self, capsys, family):

@@ -351,34 +351,63 @@ class TestKernel:
     def test_member_blocks_match_one_member_at_a_time(self, rng, monkeypatch, kind, n, top, rows):
         # Each top-level chunk's counts and distances equal a reference that
         # extends its rows by one member at a time, in the same member-major
-        # order. Blocks of one member and of several both occur: the kernel's
-        # block views are recorded, each (members, rows, anchors) with its
-        # rows for every member within the chunk's sum buffer.
+        # order. Early members, which extend few rows, share blocks; on the
+        # path the first chunks hold those, and later every block is one
+        # member.
         g = twin_free_graph(rng, n, 0.3) if kind == "twin-free" else path_graph(n)
         dist = distance_matrix(g)
         if rows is not None:
             monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, top, rows))
         assert (level_rows(n, n, top) >= n) == (kind == "twin-free")
-        views = []
-        view = steiner._anchor_view
-        def recorded(flat, shape, major):
-            views.append(shape)
-            return view(flat, shape, major)
-
-        monkeypatch.setattr(steiner, "_anchor_view", recorded)
-        singles = several = 0
-        # On the path, the first chunks hold the blocks of several members.
         chunks = steiner_levels(dist, n, top)[-1]
         for held, counts, distances in itertools.islice(chunks, 6 if kind == "path" else None):
             expected_counts, expected = top_by_member(dist, held)
             assert counts.tolist() == expected_counts
             assert distances.dtype == np.int32 and distances.tolist() == expected
-            blocks = [shape for shape in views if len(shape) == 3]
-            views.clear()
-            assert all(members >= 2 and members * p <= len(held) for members, p, _ in blocks)
-            singles += n - (int(held[0, -1]) + 1) - sum(members for members, _, _ in blocks)
-            several += len(blocks)
-        assert singles > 0 and several > 0
+
+    @pytest.mark.parametrize("rows,n", [(12, 5), (5, 12)])
+    def test_extend_is_the_minimum_over_anchors(self, rng, rows, n):
+        # Anchor-major (rows >= n) and row-major, with members in blocks of
+        # one, of several and all in one: every entry a member extends is
+        # its minimum over the anchors (the others are left unset).
+        gen = np.random.default_rng(rng.randrange(1 << 30))
+        merged = gen.integers(0, 50, (rows, n), dtype=np.int32)
+        dist = gen.integers(0, 50, (n, n), dtype=np.int32)
+        first = 2
+        counts = np.zeros(n, dtype=np.intp)
+        counts[first:] = np.sort(gen.integers(1, rows + 1, n - first))
+        for cap in (1, rows, rows * n):
+            out = steiner._extend(merged, dist, counts, first, cap)
+            assert out.shape == (n - first, rows) and out.dtype == np.int32
+            for c in range(first, n):
+                p = counts[c]
+                assert out[c - first, :p].tolist() == (merged[:p] + dist[c]).min(axis=1).tolist()
+
+    @pytest.mark.parametrize("rows", [None, 210])
+    def test_member_major_array_within_chunk_bytes(self, rng, monkeypatch, rows):
+        # The top level's (members, rows) array is widest where a chunk spans
+        # many largest members: at m = 3 on a twin-free graph of 34 vertices,
+        # the whole level in one chunk (32 members by 528 rows), or a chunk
+        # of the first 210 rows, whose largest members run from 1 to 20. Each
+        # chunk is read as the reduced route reads it: weighed by
+        # _weigh_chunk, with one vertex a class and with two, and kept alive
+        # while the next chunk is built.
+        k = 34
+        dist = distance_matrix(twin_free_graph(rng, k, 0.3))
+        if rows is not None:
+            monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(k, k, 3, rows))
+        assert level_rows(k, k, 3) == (comb(k - 1, 2) if rows is None else rows)
+        for size in (1, 2):
+            sizes = np.full(k, size, dtype=np.int64)
+            hist = np.zeros(size * k + 1, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                for chunk in steiner_levels(dist, k, 3)[-1]:
+                    reduced._weigh_chunk(hist, sizes, 3, chunk)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= steiner.CHUNK_BYTES, size
 
     def test_row_over_chunk_streams_one_row_per_chunk(self, monkeypatch):
         # A chunk one byte short of the first top-level row still takes one
