@@ -11,7 +11,8 @@ Exit codes: 0 success, 1 computation error (disconnected input, caps
 exceeded, unsupported ring, routes that disagree, or memory that runs out
 past the caps), 2 usage error (bad flags or malformed specs), 3
 reference-value verification failure, 130 interrupted (Ctrl-C). Each error
-is one ``twindex: ...`` line on stderr, never a traceback.
+is one ``twindex: ...`` line on stderr, never a traceback, and it starts a
+line of its own after an unfinished progress line.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import io
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import BadParameter, ParseError, RouteDisagreement, TwindexError
@@ -109,17 +111,28 @@ def _write(path: str, text: str) -> None:
             fh.write(text)
 
 
+@contextmanager
 def _progress(unit: str):
-    """A callback that reports ``done/total unit`` on stderr for long runs."""
+    """Yield a callback that reports ``done/total unit`` on stderr for long runs.
+
+    A line left unfinished, by a run that raised, is ended on exit, so that
+    the error line starts a line of its own.
+    """
+    line_open = False
 
     def report(done: int, total: int) -> None:
+        nonlocal line_open
         if total >= PROGRESS_THRESHOLD:
-            end = "\n" if done == total else ""
+            line_open = done != total
             sys.stderr.write(f"\r{done}/{total} {unit}")
-            sys.stderr.write(end)
+            sys.stderr.write("" if line_open else "\n")
             sys.stderr.flush()
 
-    return report
+    try:
+        yield report
+    finally:
+        if line_open:
+            sys.stderr.write("\n")
 
 
 def cmd_gen(args, argv_echo: str) -> int:
@@ -158,10 +171,11 @@ def cmd_index(args, argv_echo: str) -> int:
     g, source = _input_graph(args, build=args.method != "closed_form")
     # The naive route counts m-subsets of G; the reduced one, class supports of H.
     unit = "class supports" if args.method == "reduced" else "subsets"
-    progress = None if args.json else _progress(unit)
-    record = run_route(
-        args.method, args.m, g, args.family, source=source, command=argv_echo, progress=progress
-    )
+    with _progress(unit) as progress:
+        record = run_route(
+            args.method, args.m, g, args.family, source=source, command=argv_echo,
+            progress=None if args.json else progress,
+        )
     sys.stdout.write((record.to_json() if args.json else record.value) + "\n")
     return 0
 

@@ -35,8 +35,9 @@ does, and returns ``h`` with the number of supports it weighed:
   Möbius: fast subset convolution", STOC 2007). It never builds H's
   distance matrix. It wins at small k and large m.
 * The level-shared kernel :func:`twindex.steiner.steiner_levels` answers
-  the supports of at most ``m`` classes from H's distance matrix, and each
-  support's signed subset sums go into ``h``; supports with ``N_S = 0`` are
+  the supports of two to ``m`` classes from H's distance matrix, and each
+  support's signed subset sums go into ``h``; a one-class support,
+  ``d_H = 0``, is added in closed form; supports with ``N_S = 0`` are
   left out, which leaves the sum unchanged. A support that holds exactly
   ``m`` vertices has ``N_S = 1``: every proper subset T holds fewer, so
   ``binom(n_T, m) = 0``, and its weight goes to ``h[m]`` alone. On a
@@ -161,10 +162,10 @@ def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> i
     s = rows.shape[1] + 1
     # Support i is rows[at[i]] plus one member, in the order d_H lists them.
     at = np.arange(len(dh)) - np.repeat(counts.cumsum() - counts, counts)
-    # One gather per column, summed from zero for level 1's empty row: numpy's
-    # sum along a short last axis is slow.
+    # One gather per column, the columns summed in Python: numpy's sum along
+    # a short last axis is slow.
     columns = sizes[rows.T]
-    n_s = sum(columns, np.zeros(len(rows), dtype=sizes.dtype))[at] + np.repeat(sizes, counts)
+    n_s = sum(columns)[at] + np.repeat(sizes, counts)
     exact = n_s == m
     more = n_s > m
     n_exact, n_more = int(np.count_nonzero(exact)), int(np.count_nonzero(more))
@@ -187,27 +188,30 @@ def _kernel_histogram(
 ) -> tuple[np.ndarray, int]:
     """The weight histogram ``h`` and the support count, from the kernel's supports.
 
-    ``sizes`` holds the class sizes and ``dist`` H's distance matrix. Every
-    support S of at most ``m`` classes that holds at least ``m`` vertices is
-    one ``d_H`` from :func:`twindex.steiner.steiner_levels`, weighed by
-    :func:`_weigh_chunk`. ``progress(done, total)`` is called after each
-    top-level chunk, counting the top level's supports.
+    ``sizes`` holds the class sizes and ``dist`` H's distance matrix. A
+    support ``{i}`` of one class has ``d_H = 0``, so ``u = -1`` at
+    ``n_T = n_i``; its ``T = ∅`` term lands at ``t = 0``, which the sum
+    never reads, as it reads no ``t < m``. So every one-class support is one
+    scatter into ``h``, in closed form. Every support S of two to ``m`` classes that
+    holds at least ``m`` vertices is one ``d_H`` from
+    :func:`twindex.steiner.steiner_levels`, weighed by :func:`_weigh_chunk`.
+    ``progress(done, total)`` is called after each top-level chunk, counting
+    the top level's supports.
     """
     k = len(sizes)
     top = min(m, k)
     hist = np.zeros(int(sizes.sum()) + 1, dtype=np.int64)
+    np.subtract.at(hist, sizes, 1)
     supports = done = 0
     total = comb(k, top)
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    levels = steiner_levels(dist, k, top)
-    for s, level in enumerate(levels, 1):
+    for s, level in enumerate(steiner_levels(dist, k, top), 2):
         if largest[s - 1] < m:
             continue
         for chunk in level:
-            weighed = _weigh_chunk(hist, sizes, m, chunk)
-            supports += weighed if s > 1 else 0
+            supports += _weigh_chunk(hist, sizes, m, chunk)
             if s == top and progress is not None:
                 done += len(chunk[-1])
                 progress(done, total)

@@ -11,16 +11,18 @@ as bool. The result is an int32 matrix, ``_INF`` where no path exists.
 by every subset of the first ``size`` vertices up to a given size, under a
 byte budget checked before allocation. It indexes only by position and colex
 rank: level j of the DP is one array read at the colex rank of a j-subset,
-and level 1 is the distance matrix itself. Every level comes in one chunk
-format, factored: its rows R of one member fewer, how many leading rows each
-member c extends, and the distances of ``R | {c}``, with no position array
-per subset. The DP step is one function, ``_extend``: the minimum over
-anchors v of a merged row at v plus ``d(c, v)``, for a block of members c
-at once. A table level extends by every anchor; the top level merges each R
-once and extends it by every later member (Dreyfus and Wagner, "The Steiner
-problem in graphs", *Networks* 1, 1971). Every level from 2 on yields one
-member-major array, from ``_extend`` or sliced from the table under it,
-masked to the rows each member extends. Every gather reads contiguous rows:
+and level 1 is the distance matrix itself. It streams the sets of two or
+more members, level by level; a one-member set costs 0, which each caller
+answers itself. Every level comes in one chunk format, factored: its rows R
+of one member fewer, how many leading rows each member c extends, and the
+distances of ``R | {c}``, with no position array per subset. The DP step is
+one function, ``_extend``: the minimum over anchors v of a merged row at v
+plus ``d(c, v)``, for a block of members c at once. A table level extends
+by every anchor; the top level merges each R once and extends it by every
+later member (Dreyfus and Wagner, "The Steiner problem in graphs",
+*Networks* 1, 1971). Every level yields one member-major array, from
+``_extend`` or sliced from the table under it, masked to the rows each
+member extends. Every gather reads contiguous rows:
 binomials are stored one row per level, a chunk's submask ranks one row per
 submask.
 ``steiner_distance`` reorders the distance matrix so that the terminals come
@@ -307,13 +309,13 @@ def steiner_levels(
     """Steiner distance of every subset of the first ``size`` vertices with at most ``top`` members.
 
     The universe ``range(size)`` lies in one component of ``dist``. Returns
-    one lazy stream per level ``s`` of factored chunks
+    one lazy stream per level ``s`` from 2 to ``top``, none when ``top < 2``
+    (a one-member set costs 0), of factored chunks
     ``(rows, counts, distances)``. ``rows`` are ``(s - 1)``-subsets R of
     ``range(size - 1)`` in a colex chunk, ascending members of shape
-    ``(len(rows), s - 1)``; level 1 is one chunk whose only row is the empty
-    set. For every member c, ``counts[c]`` is the number of leading rows
-    whose largest member is below c, and ``distances`` holds the int32
-    Steiner distances of ``R | {c}`` for each c in turn over its
+    ``(len(rows), s - 1)``. For every member c, ``counts[c]`` is the number
+    of leading rows whose largest member is below c, and ``distances`` holds
+    the int32 Steiner distances of ``R | {c}`` for each c in turn over its
     ``counts[c]`` rows in order. So each level streams R-chunk-major, not in
     colex order of its subsets.
 
@@ -370,11 +372,6 @@ def steiner_levels(
     extended = np.arange(size)
 
     def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        if s == 1:
-            # One row, the empty set, which every member extends.
-            empty = np.empty((1, 0), dtype=np.intp)
-            yield empty, np.ones(size, dtype=np.intp), np.zeros(size, dtype=_DIST)
-            return
         for lo, rpos in _subsets(size - 1, s - 1, _level_rows(n, size, s), binom):
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
@@ -392,7 +389,7 @@ def steiner_levels(
             del members
             yield rpos, counts, out
 
-    return [level(s) for s in range(1, top + 1)]
+    return [level(s) for s in range(2, top + 1)]
 
 
 def _validated_terminals(g: Graph, terminals: Iterable[int]) -> tuple[int, ...]:
@@ -409,12 +406,15 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
 
     The top level of :func:`steiner_levels` over the ``s`` terminals, moved
     to the front of the distance matrix; its tables beside the matrix hold
-    ``(2^(s-1) - s - 1) * n`` entries. One terminal costs 0, two
-    their shortest-path distance. Raises :class:`DisconnectedTerminals` when the
-    terminals span several components, and :class:`TerminalCapExceeded` when
-    the DP would need more than ``DP_BYTE_BUDGET`` bytes.
+    ``(2^(s-1) - s - 1) * n`` entries. One terminal costs 0 and builds no
+    distance matrix; two cost their shortest-path distance. Raises
+    :class:`DisconnectedTerminals` when the terminals span several
+    components, and :class:`TerminalCapExceeded` when the DP would need more
+    than ``DP_BYTE_BUDGET`` bytes.
     """
     ts = _validated_terminals(g, terminals)
+    if len(ts) == 1:
+        return 0
     dist = distance_matrix(g)
     far = [t for t in ts if dist[ts[0], t] >= _INF]
     if far:
@@ -467,14 +467,17 @@ def steiner_wiener_naive(
 
     This is the definition, evaluated literally: every m-subset is one
     Steiner query, answered by the top level of :func:`steiner_levels` over
-    all vertices. The subsets stream in chunks, so memory stays flat however
-    many there are. ``progress(done, total)`` is invoked after every chunk of
-    m-subsets when given.
+    all vertices; at m = 1 every subset costs 0. The subsets stream in
+    chunks, so memory stays flat however many there are.
+    ``progress(done, total)`` is invoked after every chunk of m-subsets when
+    given.
     """
     if not 1 <= m <= g.n:
         raise BadSubsetSize(f"subset size {m} not in [1, {g.n}]")
     if not is_connected(g):
         raise DisconnectedGraph("index computation requires a connected graph")
+    if m == 1:
+        return 0
     dist = distance_matrix(g)
     total = comb(g.n, m)
     value = done = 0

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import twindex
-from twindex.cli import main
+from twindex.cli import PROGRESS_THRESHOLD, main
 from twindex.reduced import steiner_wiener_reduced_with_stats
 from twindex.reference import cross_check
 
@@ -196,6 +196,25 @@ class TestIndex:
 
         monkeypatch.setattr("twindex.cli.run_route", raising)
         assert run(capsys, "index", "--family", "power:Z6", "--m", "3") == (code, "", message)
+
+    @pytest.mark.parametrize(
+        "error,code,message",
+        [
+            (KeyboardInterrupt(), 130, "twindex: interrupted"),
+            (MemoryError(), 1, "twindex: out of memory"),
+            (twindex.DisconnectedGraph("not connected"), 1, "twindex: not connected"),
+        ],
+    )
+    def test_error_after_progress_starts_its_own_line(self, capsys, monkeypatch, error, code, message):
+        # A run cut short leaves its progress line without a newline; the
+        # error line still starts a line of its own.
+        def reporting(*args, progress, **kwargs):
+            progress(1, PROGRESS_THRESHOLD)
+            raise error
+
+        monkeypatch.setattr("twindex.cli.run_route", reporting)
+        err = f"\r1/{PROGRESS_THRESHOLD} class supports\n{message}\n"
+        assert run(capsys, "index", "--family", "power:Z6", "--m", "3") == (code, "", err)
 
     @pytest.mark.parametrize(
         "family", ["multipartite:a,3", "multipartite:0,3", "power:Z6", "power:Z20000"]

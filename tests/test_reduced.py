@@ -174,7 +174,7 @@ class TestSupportHistogram:
     @pytest.mark.parametrize("n", [1, 2, 5, 7])
     def test_single_class(self, n):
         # k = 1: one complete class, one support of one class; the kernel
-        # reads level 1 alone, one chunk of the empty row.
+        # streams no level, and the support is added in closed form.
         g = complete_graph(n)
         d = twin_partition(g)
         assert d.k == 1
@@ -464,7 +464,7 @@ class TestReducedIndex:
         with pytest.raises(TerminalCapExceeded):
             steiner_wiener_reduced(d, 11)
         monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
-        assert len(steiner_levels(distance_matrix(d.reduced), 23, 10)) == 10
+        assert len(steiner_levels(distance_matrix(d.reduced), 23, 10)) == 9
 
 
 class TestConnectivityFirst:
@@ -496,6 +496,19 @@ class TestConnectivityFirst:
         for engine in ENGINES:
             with forced(engine):
                 assert steiner_wiener_reduced(d, 1) == 0
+        assert steiner_wiener_naive(path_graph(5), 1) == 0
+
+    def test_m1_disconnected_refused(self, nothing_built):
+        # m = 1 costs 0 on a connected graph only: both routes refuse a
+        # disconnected one first, and a bad size before that.
+        g = new_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(DisconnectedGraph):
+            steiner_wiener_naive(g, 1)
+        for engine in ENGINES:
+            with forced(engine), pytest.raises(DisconnectedGraph):
+                steiner_wiener_reduced(twin_partition(g), 1)
+        with pytest.raises(BadSubsetSize):
+            steiner_wiener_naive(g, 0)
 
 
 @st.composite

@@ -15,6 +15,7 @@ from twindex import (
     EmptyTerminalSet,
     GraphTooLargeForBruteForce,
     TerminalCapExceeded,
+    VertexOutOfRange,
     new_graph,
     steiner_distance,
     steiner_distance_bruteforce,
@@ -71,19 +72,20 @@ def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
     The kernel runs on the distance matrix reordered so that ``universe``
-    comes first, and member ``i`` of a subset is ``universe[i]``. The levels
+    comes first, and member ``i`` of a subset is ``universe[i]``. It yields
+    levels 2 to ``top``, every subset of two or more members. The levels
     are read top first, so no level relies on an earlier one having been
     read; each chunk is expanded into its subsets. Returns the number of
-    chunks of each level.
+    chunks of each level from 2 to ``top``.
     """
     levels = steiner_levels(universe_first(g, universe), len(universe), top)
-    assert len(levels) == top
-    chunks = [0] * top
-    for s in range(top, 0, -1):
+    assert len(levels) == max(0, top - 1)
+    chunks = [0] * len(levels)
+    for s in range(top, 1, -1):
         seen = set()
-        for chunk in levels[s - 1]:
+        for chunk in levels[s - 2]:
             subsets, distances = expanded(chunk)
-            chunks[s - 1] += 1
+            chunks[s - 2] += 1
             assert subsets.shape == (len(distances), s)
             assert distances.dtype == np.int32 and distances.ndim == 1
             for row, value in zip(subsets.tolist(), distances.tolist()):
@@ -135,13 +137,12 @@ def rows_chunk_bytes(n, size, s, rows):
 
 
 def expected_chunks(n, size, top):
-    """Chunks of every level of ``steiner_levels`` over ``size`` of ``n`` vertices up to ``top``.
+    """Chunks of every level of ``steiner_levels``, 2 to ``top``, over ``size`` of ``n`` vertices.
 
-    Level 1 is one chunk, of the empty row. Every level s from 2 on streams
-    one chunk per chunk of the ``(s - 1)``-subsets of all but the last
-    member.
+    Every level s streams one chunk per chunk of the ``(s - 1)``-subsets of
+    all but the last member.
     """
-    return [1] + [-(-comb(size - 1, s - 1) // level_rows(n, size, s)) for s in range(2, top + 1)]
+    return [-(-comb(size - 1, s - 1) // level_rows(n, size, s)) for s in range(2, top + 1)]
 
 
 def top_by_member(dist, rows):
@@ -182,6 +183,21 @@ class TestSteinerDistance:
 
     def test_single_terminal(self):
         assert steiner_distance(path_graph(5), {2}) == 0
+
+    def test_single_terminal_builds_no_matrix(self, monkeypatch):
+        # One terminal costs 0 without a distance matrix; the terminals are
+        # still validated first.
+        def built(g):
+            raise AssertionError("distance matrix built for one terminal")
+
+        monkeypatch.setattr(steiner, "distance_matrix", built)
+        g = new_graph(4, [(0, 1)])
+        for v in range(g.n):
+            assert steiner_distance(g, [v, v]) == 0
+        with pytest.raises(VertexOutOfRange):
+            steiner_distance(g, {4})
+        with pytest.raises(EmptyTerminalSet):
+            steiner_distance(g, set())
 
     def test_two_terminals_is_shortest_path(self, rng):
         for _ in range(10):
@@ -247,17 +263,29 @@ class TestKernel:
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_small_universes(self, rng, size):
         # Every ordered universe of 1, 2 or 3 vertices beside a far
-        # component, at every top: level 1 is one chunk whose only row is the
-        # empty set, and every other level, such as a top of two members over
-        # two vertices, is one chunk.
+        # component, at every top: no level below two members is streamed,
+        # and every level, such as a top of two members over two vertices,
+        # is one chunk. Level 2's rows are the single members but the last.
         g, labels = beside_far_component(rng, random_connected_graph(rng, 5, 0.4), 3)
         oracle = functools.cache(lambda s: steiner_distance_bruteforce(g, s))
         for universe in itertools.permutations(labels, size):
             for top in range(1, size + 1):
                 chunks = check_levels(g, list(universe), top, oracle)
-                assert chunks == expected_chunks(g.n, size, top) == [1] * top
-                rows, counts, _ = next(steiner_levels(universe_first(g, universe), size, top)[0])
-                assert rows.shape == (1, 0) and counts.tolist() == [1] * size
+                assert chunks == expected_chunks(g.n, size, top) == [1] * (top - 1)
+                if top > 1:
+                    level = steiner_levels(universe_first(g, universe), size, top)[0]
+                    rows, counts, _ = next(level)
+                    assert rows.tolist() == [[p] for p in range(size - 1)]
+                    assert counts.tolist() == list(range(size))
+
+    def test_no_level_below_two_members(self, rng):
+        # A one-member set costs 0, which every caller answers itself: a top
+        # below two streams nothing, over any universe.
+        g = random_connected_graph(rng, 6, 0.4)
+        dist = distance_matrix(g)
+        for size in range(1, g.n + 1):
+            assert steiner_levels(dist, size, 1) == []
+            assert len(steiner_levels(dist, size, size)) == size - 1
 
     @pytest.mark.parametrize("rows", [1, 3])
     def test_shared_top_across_chunk_boundaries(self, rng, monkeypatch, rows):
@@ -307,9 +335,9 @@ class TestKernel:
             few_chunks, few = stream(dist, n, rows_chunk_bytes(n, n, top, 2) if n > 1 else 1)
             single_chunks, single = stream(dist, n, 1)
             assert whole == few == single
-            assert len(whole) == sum(comb(n, s) for s in range(1, top + 1))
-            assert single_chunks == 1 + sum(comb(n - 1, s - 1) for s in range(2, top + 1))
-            assert whole_chunks == top
+            assert len(whole) == sum(comb(n, s) for s in range(2, top + 1))
+            assert single_chunks == sum(comb(n - 1, s - 1) for s in range(2, top + 1))
+            assert whole_chunks == top - 1
             assert n < 6 or whole_chunks < few_chunks < single_chunks
             for row, value in whole:
                 assert steiner_distance_bruteforce(g, row) == value
@@ -464,12 +492,12 @@ class TestKernel:
         # before tracing starts.
         n, m = 240, 4
         dist = distance_matrix(path_graph(n))
-        assert all(chunks > 4 for chunks in expected_chunks(n, n, m)[1:3])
+        assert all(chunks > 4 for chunks in expected_chunks(n, n, m)[:2])
         reads = [(np.full(n, size, dtype=np.int64), np.zeros(size * n + 1, dtype=np.int64)) for size in (1, 2)]
         levels = steiner_levels(dist, n, m)
         tracemalloc.start()
         try:
-            for level in levels[1:3]:
+            for level in levels[:2]:
                 for chunk in level:
                     for sizes, hist in reads:
                         reduced._weigh_chunk(hist, sizes, m, chunk)
