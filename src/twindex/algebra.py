@@ -69,7 +69,11 @@ Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 ``"D12"``, ``"Q8"`` and ``"E2^3"`` are parsed by :func:`group_from_spec` /
 :func:`ring_from_spec` for the command-line surface; both go through one
 reader, which checks the order of the whole product before it builds any
-factor.
+factor. :func:`zmod_moduli` reads a ring spec through the same reader and,
+for a product of ``Z_n``, returns its moduli without building a table: the
+ring graphs of such a product are built from residue arithmetic
+(:mod:`twindex.generators`), so these tables are only built for groups,
+polynomial quotients and the rings a caller builds.
 """
 
 from __future__ import annotations
@@ -599,6 +603,12 @@ def ideal_sum(i: Ideal, j: Ideal) -> Ideal:
     return Ideal(r, tuple(set(table.ravel().tolist())))
 
 
+def _check_ideal_cap(size: int) -> None:
+    """Raise :class:`RingTooLarge` for a ring above :data:`IDEAL_ENUM_CAP` elements."""
+    if size > IDEAL_ENUM_CAP:
+        raise RingTooLarge(f"ring size {size} exceeds the enumeration cap {IDEAL_ENUM_CAP}")
+
+
 def _ideal_masks(r: FiniteRing) -> np.ndarray:
     """Every ideal of ``r`` as a row of one boolean membership matrix, sorted
     by (size, element list); the last row is the whole ring.
@@ -621,10 +631,7 @@ def _ideal_masks(r: FiniteRing) -> np.ndarray:
     time, so besides the n x n mask every temporary holds O(f * n) entries
     for f found ideals, never one per (found, found, principal) triple.
     """
-    if r.size > IDEAL_ENUM_CAP:
-        raise RingTooLarge(
-            f"ring size {r.size} exceeds the enumeration cap {IDEAL_ENUM_CAP}"
-        )
+    _check_ideal_cap(r.size)
     n = r.size
     # One scatter of the multiplication table; a flat index would be an n x n
     # intp temporary, the largest allocation of the whole enumeration.
@@ -753,7 +760,28 @@ def ring_from_spec(spec: str) -> FiniteRing:
 
 
 def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
-    """The group or ring (``kind``) that ``spec`` names: ``x``-joined factors.
+    """The group or ring (``kind``) that ``spec`` names: ``x``-joined factors."""
+    product = group_product if kind == "group" else ring_product
+    return product(*(build() for _, build in _spec_factors(spec, kind)))
+
+
+def zmod_moduli(spec: str) -> tuple[int, ...] | None:
+    """The moduli ``(n_1, ..., n_k)`` of a ring spec ``Z<n_1>x...xZ<n_k>`` with
+    every ``n_i >= 2``; ``None`` for any other ring spec.
+
+    It reads the spec as :func:`ring_from_spec` does and raises what that
+    raises before building anything: :class:`BadParameter` for a malformed
+    spec, :class:`OrderTooLarge` above the order cap. A factor below 2 gives
+    ``None``, so :func:`zmod` still rejects it.
+    """
+    factors = _spec_factors(spec, "ring")
+    if all(isinstance(b, partial) and b.func is zmod and k >= 2 for k, b in factors):
+        return tuple(k for k, _ in factors)
+    return None
+
+
+def _spec_factors(spec: str, kind: str) -> list[tuple[int, Callable]]:
+    """The ``(order, builder)`` of every ``x``-joined factor of ``spec``.
 
     Every factor's order is read off the text first, so an over-budget
     product allocates nothing. A factor of order below 1 is left for its
@@ -766,8 +794,7 @@ def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
     orders = [order for order, _ in factors]
     if min(orders) >= 1:
         _check_order(math.prod(orders), spec)
-    product = group_product if kind == "group" else ring_product
-    return product(*(build() for _, build in factors))
+    return factors
 
 
 def _spec_factor(atom: str, kind: str) -> tuple[int, Callable]:
@@ -801,15 +828,18 @@ def _spec_factor(atom: str, kind: str) -> tuple[int, Callable]:
 
 def ideal_from_spec(r: FiniteRing, spec: str) -> Ideal:
     """Parse an ideal given by generator labels, e.g. ``(8)`` or ``((0,1))``."""
+    gens = []
+    for label in ideal_spec_labels(spec):
+        if label not in r.label_index:
+            raise BadParameter(f"unknown element label {label!r} in {r!r}")
+        gens.append(r.label_index[label])
+    return ideal_generated(r, gens)
+
+
+def ideal_spec_labels(spec: str) -> list[str]:
+    """The generator labels of an ideal spec such as ``(8)``, ``((0,1))`` or ``()``."""
     spec = spec.strip()
     if not (spec.startswith("(") and spec.endswith(")")):
         raise BadParameter(f"ideal spec must be parenthesized, got {spec!r}")
     inner = spec[1:-1].strip()
-    gens = []
-    if inner:
-        for part in _split_top_level(inner, ","):
-            label = part.strip()
-            if label not in r.label_index:
-                raise BadParameter(f"unknown element label {label!r} in {r!r}")
-            gens.append(r.label_index[label])
-    return ideal_generated(r, gens)
+    return [part.strip() for part in _split_top_level(inner, ",")] if inner else []

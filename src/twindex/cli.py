@@ -12,7 +12,9 @@ exceeded, unsupported ring, routes that disagree, or memory that runs out
 past the caps), 2 usage error (bad flags or malformed specs), 3
 reference-value verification failure, 130 interrupted (Ctrl-C). Each error
 is one ``twindex: ...`` line on stderr, never a traceback, and it starts a
-line of its own after an unfinished progress line.
+line of its own after an unfinished progress line. A library warning, such
+as the empty zero-divisor graph of a field, is one ``twindex: warning: ...``
+line and leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import io
 import json
 import sys
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -261,13 +264,20 @@ _COMMANDS = {
 }
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one ``twindex: warning: ...`` line, with no source location."""
+    sys.stderr.write(f"twindex: warning: {message}\n")
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
     argv_echo = "twindex " + " ".join(argv)
     try:
-        return _COMMANDS[args.command](args, argv_echo)
+        with warnings.catch_warnings():
+            warnings.showwarning = _warning_line
+            return _COMMANDS[args.command](args, argv_echo)
     except (BadParameter, ParseError, OSError) as exc:
         sys.stderr.write(f"twindex: {exc}\n")
         return 2

@@ -267,6 +267,20 @@ class TestIndex:
         assert out == ""
         assert "Z20000 has order above 2048" in err
 
+    def test_warning_is_one_line(self, capsys):
+        # A field has no zero divisors: the empty graph comes with a warning,
+        # and m = 2 then exceeds its zero vertices.
+        code, out, err = run(capsys, "index", "--family", "zdg:Z7", "--m", "2")
+        assert code == 1
+        assert out == ""
+        assert err == (
+            "twindex: warning: Z7 has no nonzero zero divisors; returning the empty graph\n"
+            "twindex: subset size 2 not in [1, 0]\n"
+        )
+        code, out, err = run(capsys, "gen", "--family", "zdg:Z7")
+        assert (code, out) == (0, "0\n")
+        assert err == "twindex: warning: Z7 has no nonzero zero divisors; returning the empty graph\n"
+
     def test_disconnected_is_computation_error(self, capsys, tmp_path):
         source = tmp_path / "g.txt"
         source.write_text("4\n0 1\n")
@@ -464,6 +478,11 @@ class TestModuleEntryPoint:
         proc = python_m_twindex("index", "--family", "nosuch:3", "--m", "2")
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith("twindex: ")
+
+    def test_warning_is_one_line(self):
+        proc = python_m_twindex("gen", "--family", "zdg:Z7")
+        assert (proc.returncode, proc.stdout) == (0, "0\n")
+        assert proc.stderr == "twindex: warning: Z7 has no nonzero zero divisors; returning the empty graph\n"
 
 
 class TestUsage:

@@ -1,5 +1,6 @@
 """Algebraic graph families and standard parametric graphs."""
 
+import tracemalloc
 import warnings
 from math import gcd
 
@@ -11,6 +12,9 @@ from twindex import (
     ClassKind,
     ImproperIdeal,
     LocalRingUnsupported,
+    OrderTooLarge,
+    RingTooLarge,
+    TwindexError,
     is_connected,
     twin_partition,
     wiener_index,
@@ -20,13 +24,18 @@ from twindex.algebra import (
     cyclic_group,
     group_from_spec,
     elementary_abelian_2,
+    ideal_from_spec,
     ideal_generated,
     quaternion_group,
     ring_from_spec,
     ring_product,
     zmod,
+    zmod_moduli,
 )
+import twindex.algebra
 import twindex.generators
+from twindex.cli import main
+from twindex.reference import REFERENCE_CHECKS
 from twindex.generators import (
     comaximal_ideal_graph,
     complete_graph,
@@ -464,3 +473,185 @@ class TestPowerGraphMatchesReference:
     def test_large_groups(self, spec):
         g = group_from_spec(spec)
         assert power_graph(g) == reference_power_graph(g)
+
+
+# --- products of Z_n: the residue path against the table path ---------------------
+
+# Ring families of the CI console-script step, besides the benchmark pool.
+CI_RING_SPECS = [
+    "zdg:Z2[x]/(x^11)",
+    "comax:Z2xZ3xZ5xZ7",
+    "comax:Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ2",
+    "comax:Z8",
+    "comax:Z257",
+    "zdg:Z2049",
+    "zdg:Z180",
+    "izdg:Z180:I=(12)",
+    "comax:Z4xZ9xZ5",
+]
+
+
+def table_graph(spec):
+    """The graph of a ring family spec through the ring's operation tables."""
+    kind, _, rest = spec.partition(":")
+    if kind == "izdg":
+        ring_spec, _, ideal_spec = rest.partition(":")
+        r = ring_from_spec(ring_spec)
+        return ideal_zero_divisor_graph(r, ideal_from_spec(r, ideal_spec[2:]))
+    r = ring_from_spec(rest)
+    return zero_divisor_graph(r) if kind == "zdg" else comaximal_ideal_graph(r)
+
+
+def ideal_spec(r, ideal):
+    """An ``I=(...)`` spec generated by every element of ``ideal``."""
+    return "I=(" + ",".join(r.element_labels[x] for x in ideal.elements) + ")"
+
+
+@pytest.fixture
+def no_tables(monkeypatch):
+    """``family_graph`` with every ring and ideal built from a spec refused."""
+
+    def refused(*args):
+        raise AssertionError(f"a table was built for {args}")
+
+    monkeypatch.setattr(twindex.algebra, "ring_from_spec", refused)
+    monkeypatch.setattr(twindex.algebra, "ideal_from_spec", refused)
+    return family_graph
+
+
+def assert_same_outcome(spec, build, expected):
+    """``build(spec)`` gives the graph ``expected`` gives, or raises its error type."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            want = expected(spec)
+        except TwindexError as exc:
+            with pytest.raises(type(exc)):
+                build(spec)
+            return
+        assert build(spec) == want, spec
+
+
+def ring_sweep_specs():
+    """zdg and comax of every ``Z_n`` up to the enumeration cap and of every
+    ``Z_a x Z_b`` with ``ab <= 128``, and of the products of ``RING_SWEEP``."""
+    rings = [f"Z{n}" for n in range(2, 257)]
+    rings += [f"Z{a}xZ{b}" for a in range(2, 65) for b in range(a, 65) if a * b <= 128]
+    rings += [s for s in RING_SWEEP if zmod_moduli(s) is not None and s not in rings]
+    return [f"{kind}:{ring}" for ring in rings for kind in ("zdg", "comax")]
+
+
+class TestResiduePath:
+    """``family_graph`` builds the ring families of a product of ``Z_n`` with no
+    table, and gives the graph and the errors of the table path."""
+
+    def test_zmod_moduli(self):
+        assert zmod_moduli("Z180") == (180,)
+        assert zmod_moduli(" Z4xZ9xZ5 ") == (4, 9, 5)
+        for spec in ["Z2[x]/(x^3)", "Z3[x]/(x^2)xZ2", "Z1", "Z0", "Z2xZ1"]:
+            assert zmod_moduli(spec) is None, spec
+        with pytest.raises(BadParameter):
+            zmod_moduli("Zx")
+        with pytest.raises(OrderTooLarge, match="Z2xZ1025 has order above 2048"):
+            zmod_moduli("Z2xZ1025")
+
+    def test_benchmark_reference_and_ci_specs(self, no_tables):
+        specs = [s for s in PAPER_POOL_SPECS if not s.startswith("power:")]
+        rings = ("zdg", "izdg", "comax")
+        specs += [c.family for c in REFERENCE_CHECKS if c.family.split(":")[0] in rings]
+        residue = [s for s in specs + CI_RING_SPECS if "[x]" not in s]
+        assert len(residue) == len(specs + CI_RING_SPECS) - 2  # the polynomial quotients
+        for spec in residue:
+            assert_same_outcome(spec, no_tables, table_graph)
+
+    def test_polynomial_quotients_keep_the_tables(self, monkeypatch):
+        built = []
+        def recording(spec):
+            built.append(spec)
+            return ring_from_spec(spec)
+
+        monkeypatch.setattr(twindex.algebra, "ring_from_spec", recording)
+        assert family_graph("zdg:Z2[x]/(x^3)") == table_graph("zdg:Z2[x]/(x^3)")
+        assert built == ["Z2[x]/(x^3)"]
+
+    def test_every_small_product_of_two(self, no_tables):
+        specs = ring_sweep_specs()
+        assert len(specs) == 2 * (255 + 200 + 1)  # Z_n, Z_a x Z_b, Z2xZ2xZ4
+        for spec in specs:
+            assert_same_outcome(spec, no_tables, table_graph)
+
+    def test_every_proper_ideal_of_the_ring_sweep(self, no_tables):
+        checked = 0
+        for ring_spec in RING_SWEEP:
+            if zmod_moduli(ring_spec) is None:
+                continue
+            r = ring_from_spec(ring_spec)
+            for ideal in all_ideals(r):
+                if ideal.is_proper():
+                    spec = f"izdg:{ring_spec}:{ideal_spec(r, ideal)}"
+                    got = no_tables(spec)
+                    assert got == ideal_zero_divisor_graph(r, ideal), spec
+                    assert _shape(got) == _literal_ideal_zero_divisor_graph(r, ideal), spec
+                    checked += 1
+        assert checked == 235
+
+    def test_matches_definitions(self, no_tables):
+        for ring_spec in RING_SWEEP:
+            if zmod_moduli(ring_spec) is None:
+                continue
+            r = ring_from_spec(ring_spec)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert _shape(no_tables(f"zdg:{ring_spec}")) == _literal_zero_divisor_graph(r)
+            expected = _literal_comaximal_ideal_graph(r)
+            if expected is None:
+                with pytest.raises(LocalRingUnsupported):
+                    no_tables(f"comax:{ring_spec}")
+            else:
+                assert _shape(no_tables(f"comax:{ring_spec}")) == expected, ring_spec
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "zdg:Z0",
+            "zdg:Z1",
+            "zdg:Z2xZ1",
+            "zdg:Z2049",
+            "zdg:Z2xZ1025",
+            "comax:Z257",
+            "comax:Z8",
+            "zdg:Z7",
+            "izdg:Z6:I=(7)",
+            "izdg:Z6:I=(1)",
+            "izdg:Z6:I=()",
+            "izdg:Z6",
+            "izdg:Z6xZ2:I=(0,1)",
+            "izdg:Z6xZ2:I=(( 0,1))",
+        ],
+    )
+    def test_error_parity(self, spec, monkeypatch, capsys):
+        def outcome():
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    result = family_graph(spec).n
+                except TwindexError as exc:
+                    result = type(exc)
+            code = main(["index", "--family", spec, "--m", "2"])
+            lines = capsys.readouterr().err.splitlines()
+            return result, [w.category for w in caught], code, len(lines)
+
+        residue = outcome()
+        monkeypatch.setattr(twindex.algebra, "zmod_moduli", lambda s: None)
+        assert outcome() == residue
+
+    def test_caps_raise_before_allocating(self):
+        for spec, error in [("zdg:Z2049", OrderTooLarge), ("comax:Z257", RingTooLarge)]:
+            tracemalloc.start()
+            try:
+                with pytest.raises(error):
+                    family_graph(spec)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 16, spec
