@@ -73,7 +73,12 @@ factor. :func:`zmod_moduli` reads a ring spec through the same reader and,
 for a product of ``Z_n``, returns its moduli without building a table: the
 ring graphs of such a product are built from residue arithmetic
 (:mod:`twindex.generators`), so these tables are only built for groups,
-polynomial quotients and the rings a caller builds.
+polynomial quotients and the rings a caller builds. That path keeps the
+order cap, with a message that names no table. It also shares this
+module's rules that do not depend on tables: the element and set label
+formats (:func:`_product_labels`, :func:`_set_label`), the row order of the
+ideal lattice (:func:`_sorted_ideals`) and the lookup of an ideal's
+generators by label (:func:`ideal_spec_generators`).
 """
 
 from __future__ import annotations
@@ -100,13 +105,21 @@ MAX_TABLE_ORDER = math.isqrt(TABLE_BYTE_BUDGET // _TABLE.itemsize)  # 2048
 # --- checked tables and direct products ------------------------------------------
 
 
-def _check_order(n: int, what: str) -> None:
-    """Raise :class:`OrderTooLarge` unless one ``n x n`` :data:`_TABLE` table fits the budget."""
+def _check_order(n: int, what: str, table: bool = True) -> None:
+    """Raise :class:`OrderTooLarge` above :data:`MAX_TABLE_ORDER`, the order of
+    the largest :data:`_TABLE` table that fits the budget.
+
+    With ``table`` false nothing would be built as a table (a product of
+    ``Z_n`` whose ring graphs come from residue arithmetic), so the message
+    names the cap, not the table budget.
+    """
     if n > MAX_TABLE_ORDER:
-        raise OrderTooLarge(
-            f"{what} has order above {MAX_TABLE_ORDER}: one {_TABLE} operation table "
-            f"would exceed the {TABLE_BYTE_BUDGET}-byte table budget"
+        reason = (
+            f"one {_TABLE} operation table would exceed the {TABLE_BYTE_BUDGET}-byte table budget"
+            if table
+            else "the order cap of every ring spec, also where no table would be built"
         )
+        raise OrderTooLarge(f"{what} has order above {MAX_TABLE_ORDER}: {reason}")
 
 
 def _element_index(x, n: int, what: str) -> int:
@@ -285,8 +298,20 @@ def _product(cls, factors: Sequence, pairs: Callable) -> FiniteGroup | FiniteRin
             axes += (factor_table * strides[j]).reshape(shape)
         tables.append(_frozen(table))
         identities.append(sum(e * stride for (_, e), stride in zip(parts, strides)))
-    labels = ["(" + ",".join(t) + ")" for t in itertools.product(*(f.element_labels for f in factors))]
-    return cls(*tables, *identities, labels, name=name)
+    return cls(*tables, *identities, _product_labels([f.element_labels for f in factors]), name=name)
+
+
+def _product_labels(factor_labels: Sequence[Sequence[str]]) -> list[str]:
+    """The element labels of a direct product in row-major order, ``(a,b,...)``
+    from the factors' labels; one factor keeps its own."""
+    if len(factor_labels) == 1:
+        return list(factor_labels[0])
+    return ["(" + ",".join(t) + ")" for t in itertools.product(*factor_labels)]
+
+
+def _set_label(labels: Iterable[str]) -> str:
+    """The label of a set of elements, such as an ideal: ``{a,b,...}``."""
+    return "{" + ",".join(labels) + "}"
 
 
 # --- groups -------------------------------------------------------------------
@@ -577,7 +602,7 @@ class Ideal:
         return len(self.elements) < self.ring.size
 
     def label(self) -> str:
-        return "{" + ",".join(self.ring.element_labels[x] for x in self.elements) + "}"
+        return _set_label(self.ring.element_labels[x] for x in self.elements)
 
 
 def ideal_generated(r: FiniteRing, gens: Iterable[int] = ()) -> Ideal:
@@ -679,9 +704,14 @@ def _ideal_masks(r: FiniteRing) -> np.ndarray:
         start = stop
         if sums:
             found = np.vstack([found, sums])
+    return _sorted_ideals(found)
+
+
+def _sorted_ideals(masks: np.ndarray) -> np.ndarray:
+    """The membership rows ``masks`` sorted by (size, element list)."""
     # Of two equal-sized ideals the one holding the least element of their
     # difference sorts first: its row has the first True where the rows differ.
-    return found[np.lexsort(np.vstack([~found.T[::-1], found.sum(axis=1)]))]
+    return masks[np.lexsort(np.vstack([~masks.T[::-1], masks.sum(axis=1)]))]
 
 
 def _maximal_rows(masks: np.ndarray) -> np.ndarray:
@@ -762,7 +792,9 @@ def ring_from_spec(spec: str) -> FiniteRing:
 def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
     """The group or ring (``kind``) that ``spec`` names: ``x``-joined factors."""
     product = group_product if kind == "group" else ring_product
-    return product(*(build() for _, build in _spec_factors(spec, kind)))
+    factors = _spec_factors(spec, kind)
+    _check_spec_order(spec, factors)
+    return product(*(build() for _, build in factors))
 
 
 def zmod_moduli(spec: str) -> tuple[int, ...] | None:
@@ -771,30 +803,32 @@ def zmod_moduli(spec: str) -> tuple[int, ...] | None:
 
     It reads the spec as :func:`ring_from_spec` does and raises what that
     raises before building anything: :class:`BadParameter` for a malformed
-    spec, :class:`OrderTooLarge` above the order cap. A factor below 2 gives
-    ``None``, so :func:`zmod` still rejects it.
+    spec, :class:`OrderTooLarge` above the order cap, whose message names no
+    table for a product of ``Z_n``. A factor below 2 gives ``None``, so
+    :func:`zmod` still rejects it.
     """
     factors = _spec_factors(spec, "ring")
-    if all(isinstance(b, partial) and b.func is zmod and k >= 2 for k, b in factors):
-        return tuple(k for k, _ in factors)
-    return None
+    residue = all(isinstance(b, partial) and b.func is zmod and k >= 2 for k, b in factors)
+    _check_spec_order(spec, factors, table=not residue)
+    return tuple(k for k, _ in factors) if residue else None
 
 
 def _spec_factors(spec: str, kind: str) -> list[tuple[int, Callable]]:
-    """The ``(order, builder)`` of every ``x``-joined factor of ``spec``.
-
-    Every factor's order is read off the text first, so an over-budget
-    product allocates nothing. A factor of order below 1 is left for its
-    constructor to reject.
-    """
+    """The ``(order, builder)`` of every ``x``-joined factor of ``spec``, each
+    order read off the text, so that the product's order is checked before
+    anything is allocated."""
     spec = spec.strip()
     if not spec:
         raise BadParameter(f"empty {kind} spec")
-    factors = [_spec_factor(atom, kind) for atom in _split_top_level(spec, "x")]
+    return [_spec_factor(atom, kind) for atom in _split_top_level(spec, "x")]
+
+
+def _check_spec_order(spec: str, factors: list[tuple[int, Callable]], table: bool = True) -> None:
+    """:func:`_check_order` of the product of ``factors``; a factor of order
+    below 1 is left for its constructor to reject."""
     orders = [order for order, _ in factors]
     if min(orders) >= 1:
-        _check_order(math.prod(orders), spec)
-    return factors
+        _check_order(math.prod(orders), spec, table)
 
 
 def _spec_factor(atom: str, kind: str) -> tuple[int, Callable]:
@@ -828,18 +862,21 @@ def _spec_factor(atom: str, kind: str) -> tuple[int, Callable]:
 
 def ideal_from_spec(r: FiniteRing, spec: str) -> Ideal:
     """Parse an ideal given by generator labels, e.g. ``(8)`` or ``((0,1))``."""
-    gens = []
-    for label in ideal_spec_labels(spec):
-        if label not in r.label_index:
-            raise BadParameter(f"unknown element label {label!r} in {r!r}")
-        gens.append(r.label_index[label])
-    return ideal_generated(r, gens)
+    return ideal_generated(r, ideal_spec_generators(spec, r.element_labels, repr(r)))
 
 
-def ideal_spec_labels(spec: str) -> list[str]:
-    """The generator labels of an ideal spec such as ``(8)``, ``((0,1))`` or ``()``."""
+def ideal_spec_generators(spec: str, labels: Sequence[str], ring: str) -> list[int]:
+    """The indices of the generator labels of an ideal spec such as ``(8)``,
+    ``((0,1))`` or ``()`` among ``labels``, the element labels of the ring
+    ``ring``. A label names an element iff it is in that list; any other
+    raises :class:`BadParameter`.
+    """
     spec = spec.strip()
     if not (spec.startswith("(") and spec.endswith(")")):
         raise BadParameter(f"ideal spec must be parenthesized, got {spec!r}")
     inner = spec[1:-1].strip()
-    return [part.strip() for part in _split_top_level(inner, ",")] if inner else []
+    gens = [part.strip() for part in _split_top_level(inner, ",")] if inner else []
+    for label in gens:
+        if label not in labels:
+            raise BadParameter(f"unknown element label {label!r} in {ring}")
+    return [labels.index(label) for label in gens]

@@ -88,7 +88,8 @@ class OrderTooLarge(TwindexError, ValueError):
     """A group or ring order whose int16 operation table would exceed the byte budget.
 
     The cap also holds where no table is built: a ring family of a product of
-    ``Z_n``, built from residue arithmetic, is refused above the same order.
+    ``Z_n``, built from residue arithmetic, is refused above the same order,
+    with a message that names the cap and no table.
     """
 
 

@@ -11,16 +11,30 @@ off operation tables. :func:`family_graph` builds the ring graphs of a
 product of ``Z_n`` (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from residue
 arithmetic instead, with no table: an element is a tuple of residues, the
 ideals are the products ``prod d_i Z_{n_i}`` over divisors ``d_i | n_i``, and
-``x y`` lies in such an ideal iff ``d_i | x_i y_i`` in every component. That
-path gives the graph the table path gives, with the same labels and vertex
-order, and raises the same errors; polynomial quotients keep the table path.
+``x y`` lies in such an ideal iff ``d_i | x_i y_i`` in every component;
+polynomial quotients keep the table path.
+
+The two representations supply only what depends on how the ring is
+stored, and one function per family does the rest for both.
+:func:`_product_graph` (``zdg``, ``izdg``) takes a class table: each
+element's class, which pairs of classes multiply into the ideal and which
+classes lie in it. On the table path every element is its own class; on the
+residue path an element's class is its tuple of ``gcd(x_i, d_i)``. The
+vertex rule, and the refusal of the whole ring as an ideal, are stated there
+once. :func:`_comax_graph` takes the ideals as membership rows sorted like
+:func:`~twindex.algebra._ideal_masks` and each element's ``1 - a``, and reads
+the maximal ideals, the Jacobson radical, the local-ring refusal and
+comaximality off those rows. Element and ideal labels have one format
+each (:func:`~twindex.algebra._product_labels`,
+:func:`~twindex.algebra._set_label`), and a generator label names an element
+iff it is in the ring's label list, on both paths. So the residue path gives
+the graph the table path gives, with the same labels and vertex order, and
+raises the same errors.
 """
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from functools import reduce
 from math import gcd, prod
 from typing import Sequence
 
@@ -33,9 +47,11 @@ from .algebra import (
     Ideal,
     _check_ideal_cap,
     _ideal_masks,
-    _is_prime,
     _maximal_rows,
-    ideal_spec_labels,
+    _product_labels,
+    _set_label,
+    _sorted_ideals,
+    ideal_spec_generators,
 )
 from .graph import Graph, generalized_composition, new_graph
 
@@ -96,7 +112,7 @@ def zero_divisor_graph(r: FiniteRing) -> Graph:
     Rings without zero divisors yield the empty graph plus a warning, so
     batch pipelines over ring families keep going.
     """
-    return _warn_if_empty(_product_in_graph(r, np.arange(r.size) == r.zero), repr(r))
+    return _warn_if_empty(_table_product_graph(r, np.arange(r.size) == r.zero), repr(r))
 
 
 def _warn_if_empty(g: Graph, ring: str) -> Graph:
@@ -115,26 +131,16 @@ def ideal_zero_divisor_graph(r: FiniteRing, ideal: Ideal) -> Graph:
     """
     if ideal.ring is not r:
         raise ImproperIdeal("ideal does not belong to the given ring")
-    if not ideal.is_proper():
-        raise ImproperIdeal("the whole ring is not a proper ideal")
     inside = np.zeros(r.size, dtype=bool)
     inside[list(ideal.elements)] = True
-    return _product_in_graph(r, inside)
+    return _table_product_graph(r, _proper(inside))
 
 
-def _product_in_graph(r: FiniteRing, inside: np.ndarray) -> Graph:
-    """Graph on the elements outside ``inside``, adjacent iff their product is inside.
-
-    An element is a vertex only if its product with some outside element,
-    itself included, lies inside.
-    """
-    outside = np.flatnonzero(~inside)
+def _table_product_graph(r: FiniteRing, inside: np.ndarray) -> Graph:
+    """:func:`_product_graph` of ``r`` and the ideal ``inside``, every element its own class."""
     # np.take, not inside[...]: indexing by the int16 products casts them in
     # small buffers, about three times slower.
-    hits = np.take(inside, r._mul[np.ix_(outside, outside)])
-    keep = hits.any(axis=1)
-    vertices = outside[keep]
-    return graph_from_matrix(hits[np.ix_(keep, keep)], [r.element_labels[x] for x in vertices])
+    return _product_graph(np.arange(r.size), np.take(inside, r._mul), inside, r.element_labels)
 
 
 def comaximal_ideal_graph(r: FiniteRing) -> Graph:
@@ -144,129 +150,121 @@ def comaximal_ideal_graph(r: FiniteRing) -> Graph:
     Local rings are rejected (:class:`LocalRingUnsupported`): with a single
     maximal ideal every candidate vertex sits inside the radical.
     """
-    masks = _ideal_masks(r)
+    one_minus = np.argmax(r._add == r.one, axis=1)
+    return _comax_graph(_ideal_masks(r), one_minus, r.element_labels, repr(r))
+
+
+# --- the ring families, from an operation table or from residues -----------------
+
+
+def _product_graph(
+    classes: np.ndarray, hits: np.ndarray, inside: np.ndarray, labels: Sequence[str]
+) -> Graph:
+    """Graph on the elements outside an ideal, adjacent iff their product lies in it.
+
+    ``classes[x]`` is element ``x``'s class, ``hits[c, e]`` says that the
+    product of a member of class ``c`` and one of class ``e`` lies in the
+    ideal, and ``inside[c]`` that class ``c`` lies in it; ``labels`` are the
+    elements' labels. An element is a vertex iff its product with some
+    outside element, itself included, lies inside. The adjacency matrix
+    gathers the vertices' classes from ``hits``.
+    """
+    outside = ~inside
+    vertices = np.flatnonzero((outside & (hits & outside).any(axis=1))[classes])
+    of_vertex = classes[vertices]
+    return graph_from_matrix(hits[np.ix_(of_vertex, of_vertex)], [labels[x] for x in vertices])
+
+
+def _proper(inside: np.ndarray) -> np.ndarray:
+    """``inside`` unless every class lies in the ideal (:class:`ImproperIdeal`)."""
+    if inside.all():
+        raise ImproperIdeal("the whole ring is not a proper ideal")
+    return inside
+
+
+def _comax_graph(masks: np.ndarray, one_minus: np.ndarray, labels: Sequence[str], ring: str) -> Graph:
+    """The comaximal ideal graph of the ring ``ring`` whose ideals are the rows
+    of ``masks``, sorted as :func:`~twindex.algebra._ideal_masks` sorts them,
+    and whose element ``a`` has ``1 - a`` at ``one_minus[a]``.
+
+    The vertices are the proper rows outside the Jacobson radical, the meet
+    of the maximal rows; ``I + J`` holds one iff some ``a`` in ``I`` has
+    ``1 - a`` in ``J``. A ring with fewer than two maximal ideals is local
+    and raises :class:`LocalRingUnsupported`.
+    """
     maxima = _maximal_rows(masks)
     if len(maxima) < 2:
-        raise _local_ring(repr(r))
+        raise LocalRingUnsupported(f"{ring} is local; its comaximal ideal graph has no vertices")
     radical = masks[maxima].all(axis=0)
     proper = masks[:-1]  # the last row is the whole ring
     vertices = proper[(proper & ~radical).any(axis=1)]
-    # I + J holds one iff some a in I has one - a in J.
-    one_minus = np.argmax(r._add == r.one, axis=1)
-    labels = [Ideal(r, tuple(np.flatnonzero(row).tolist())).label() for row in vertices]
-    return graph_from_matrix(vertices @ vertices[:, one_minus].T, labels)
+    names = [_set_label(labels[x] for x in np.flatnonzero(row).tolist()) for row in vertices]
+    return graph_from_matrix(vertices @ vertices[:, one_minus].T, names)
 
 
-def _local_ring(ring: str) -> LocalRingUnsupported:
-    """The error for the comaximal ideal graph of a local ring."""
-    return LocalRingUnsupported(f"{ring} is local; its comaximal ideal graph has no vertices")
+def _residue_graph(kind: str, moduli: Sequence[int], ideal_spec: str) -> Graph:
+    """The ``zdg``, ``izdg`` (of the ideal ``ideal_spec``) or ``comax`` graph
+    (``kind``) of ``Z_{n_1} x ... x Z_{n_k}``, from residue arithmetic.
 
-
-# --- products of Z_n from residue arithmetic -------------------------------------
-
-
-def _residue_labels(moduli: Sequence[int], elements: np.ndarray) -> list[str]:
-    """The labels of ``elements`` of ``Z_{n_1} x ... x Z_{n_k}``, by row-major
-    index: ``str(x)`` for one factor, ``"(a,b,...)"`` for more, as the tables
-    label them."""
-    digits = (a.tolist() for a in np.unravel_index(elements, moduli))
-    return [_residue_label(x) for x in zip(*digits)]
-
-
-def _residue_label(x: Sequence[int]) -> str:
-    return str(x[0]) if len(x) == 1 else "(" + ",".join(map(str, x)) + ")"
-
-
-def _residue_ideal(moduli: Sequence[int], ideal_spec: str) -> list[int]:
-    """The ``d_i`` of the ideal ``prod d_i Z_{n_i}`` that the generator labels of
-    ``ideal_spec`` generate: ``d_i`` is the gcd of ``n_i`` and their components.
-
-    A label that names no element raises :class:`BadParameter`, as
-    :func:`~twindex.algebra.ideal_from_spec` does.
+    The ideals are ``prod d_i Z_{n_i}`` over divisors ``d_i | n_i``; the one
+    that ``ideal_spec``'s generators generate has ``d_i`` the gcd of ``n_i``
+    and their components. ``comax`` is refused above the enumeration cap
+    before anything is built.
     """
+    name, size = "x".join(f"Z{n}" for n in moduli), prod(moduli)
+    if kind == "comax":
+        _check_ideal_cap(size)  # before any label or row is built
+    labels = _product_labels([[str(a) for a in range(n)] for n in moduli])
+    digits = np.unravel_index(np.arange(size), moduli)  # digits[i][x]: component i of x
+    if kind == "comax":
+        return _comax_graph(*_residue_ideals(moduli, digits), labels, name)
+    if kind == "zdg":
+        return _warn_if_empty(_product_graph(*_residue_classes(moduli, digits), labels), name)
     d = list(moduli)
-    for label in ideal_spec_labels(ideal_spec):
-        inner = label[1:-1] if len(moduli) > 1 else label
-        try:
-            x = [int(a) for a in inner.split(",")]
-        except ValueError:
-            x = []
-        valid = len(x) == len(moduli) and all(0 <= a < n for a, n in zip(x, moduli))
-        if not (valid and _residue_label(x) == label):
-            raise BadParameter(f"unknown element label {label!r} in {_residue_name(moduli)}")
-        d = [gcd(di, a) for di, a in zip(d, x)]
-    return d
+    for x in ideal_spec_generators(ideal_spec, labels, name):
+        d = [gcd(di, int(a[x])) for di, a in zip(d, digits)]
+    classes, hits, inside = _residue_classes(d, digits)
+    return _product_graph(classes, hits, _proper(inside), labels)
 
 
-def _residue_name(moduli: Sequence[int]) -> str:
-    return "x".join(f"Z{n}" for n in moduli)
-
-
-def _residue_product_graph(moduli: Sequence[int], d: Sequence[int]) -> Graph:
-    """:func:`_product_in_graph` of ``Z_{n_1} x ... x Z_{n_k}`` and the ideal
-    ``prod d_i Z_{n_i}``, from residue arithmetic; ``d = moduli`` is the zero ideal.
+def _residue_classes(d: Sequence[int], digits: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The ``classes``, ``hits`` and ``inside`` of :func:`_product_graph` for
+    the ideal ``prod d_i Z_{n_i}`` of the elements with components ``digits``.
 
     ``x y`` lies in the ideal iff ``d_i | x_i y_i`` in every component, and
     ``d | x y`` iff ``d | gcd(x, d) gcd(y, d)``. So an element's class is its
-    tuple of ``gcd(x_i, d_i)``, one boolean table over the classes says which
-    products lie in the ideal, and the adjacency matrix gathers that table's
-    rows and columns by the vertices' classes: no temporary is larger than the
-    boolean matrix itself.
+    tuple of ``gcd(x_i, d_i)``, and every divisor of ``d_i`` is the class of
+    some ``x_i``. The last class, ``d_i`` everywhere, is the ideal itself.
     """
-    classes = np.zeros(1, dtype=np.intp)  # each element's class, row-major
-    table = np.ones((1, 1), dtype=bool)  # [c, e]: classes c and e multiply into the ideal
-    for n, di in zip(moduli, d):
-        divisors, component = np.unique(np.gcd(np.arange(n), di), return_inverse=True)
-        classes = np.add.outer(classes * len(divisors), component).ravel()
-        part = np.multiply.outer(divisors, divisors) % di == 0
-        table = table[:, None, :, None] & part[None, :, None, :]
-        table = table.reshape(table.shape[0] * table.shape[1], -1)
-    # Every divisor of d_i is some gcd(x_i, d_i), so every class has members;
-    # the last, gcd(x_i, d_i) = d_i everywhere, is the ideal itself.
-    outside = np.arange(len(table)) < len(table) - 1
-    vertex_class = outside & (table & outside).any(axis=1)
-    vertices = np.flatnonzero(vertex_class[classes])
-    of_vertex = classes[vertices]
-    return graph_from_matrix(table[np.ix_(of_vertex, of_vertex)], _residue_labels(moduli, vertices))
+    parts, components = [], []
+    for di, a in zip(d, digits):
+        divisors, component = np.unique(np.gcd(a, di), return_inverse=True)
+        parts.append(np.multiply.outer(divisors, divisors) % di == 0)
+        components.append(component)
+    hits = _outer_and(parts)
+    classes = np.ravel_multi_index(components, [len(part) for part in parts])
+    return classes, hits, np.arange(len(hits)) == len(hits) - 1
 
 
-def _residue_comax_graph(moduli: Sequence[int]) -> Graph:
-    """:func:`comaximal_ideal_graph` of ``Z_{n_1} x ... x Z_{n_k}``, from the
-    divisor tuples of its ideals.
+def _residue_ideals(moduli: Sequence[int], digits: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The membership rows of the ideals ``prod d_i Z_{n_i}`` of ``Z_{n_1} x
+    ... x Z_{n_k}``, sorted like :func:`~twindex.algebra._ideal_masks`, and
+    each element's ``1 - a``, taken in every component of ``digits``."""
+    masks = []
+    for n in moduli:
+        divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+        masks.append(np.arange(n) % divisors[:, None] == 0)  # [d, a]: d | a
+    one_minus = np.ravel_multi_index([(1 - a) % n for a, n in zip(digits, moduli)], moduli)
+    return _sorted_ideals(_outer_and(masks)), one_minus
 
-    The ideals are ``I_d = prod d_i Z_{n_i}`` over ``d_i | n_i``. The maximal
-    ones have one prime ``d_i`` and 1 elsewhere, so the Jacobson radical is
-    ``I_r`` with ``r_i`` the product of the primes dividing ``n_i``, and
-    ``I_d`` lies inside it iff ``r_i | d_i`` everywhere. ``I_d + I_e`` is
-    ``I_gcd(d, e)``, the whole ring iff ``gcd(d_i, e_i) = 1`` in every
-    component. The vertices are sorted like the rows of
-    :func:`~twindex.algebra._ideal_masks`, by (size, element list), and the
-    ring is refused as there: above the enumeration cap, then if local.
-    """
-    size = prod(moduli)
-    _check_ideal_cap(size)
-    primes = [[p for p in range(2, n + 1) if n % p == 0 and _is_prime(p)] for n in moduli]
-    if sum(map(len, primes)) < 2:
-        raise _local_ring(_residue_name(moduli))
-    radical = [prod(ps) for ps in primes]
-    strides = [size // prod(moduli[: j + 1]) for j in range(len(moduli))]
-    divisors = [[c for c in range(1, n + 1) if n % c == 0] for n in moduli]
-    ideals = []
-    for d in itertools.product(*divisors):
-        proper = any(di > 1 for di in d)
-        if proper and not all(di % ri == 0 for di, ri in zip(d, radical)):
-            axes = [np.arange(0, n, di) * s for n, di, s in zip(moduli, d, strides)]
-            members = reduce(np.add.outer, axes).ravel().tolist()
-            ideals.append((len(members), members, d))
-    ideals.sort()
-    labels = _residue_labels(moduli, np.arange(size))
-    tuples = np.array([d for _, _, d in ideals])
-    adj = np.ones((len(ideals), len(ideals)), dtype=bool)
-    for column in tuples.T:
-        adj &= np.gcd.outer(column, column) == 1
-    return graph_from_matrix(
-        adj, ["{" + ",".join(labels[x] for x in members) + "}" for _, members, _ in ideals]
-    )
+
+def _outer_and(parts: Sequence[np.ndarray]) -> np.ndarray:
+    """The boolean Kronecker product of ``parts``: rows and columns are tuples
+    of the factors' rows and columns, in row-major order."""
+    out = np.ones((1, 1), dtype=bool)
+    for part in parts:
+        out = (out[:, None, :, None] & part[None, :, None, :]).reshape(len(out) * len(part), -1)
+    return out
 
 
 # --- standard parametric families ------------------------------------------------
@@ -350,28 +348,17 @@ def family_graph(spec: str) -> Graph:
         raise BadParameter(f"family spec {spec!r} needs a ':<parameters>' part")
     if kind == "power":
         return power_graph(group_from_spec(rest))
-    if kind == "zdg":
-        moduli = zmod_moduli(rest)
-        if moduli is None:
-            return zero_divisor_graph(ring_from_spec(rest))
-        return _warn_if_empty(_residue_product_graph(moduli, moduli), _residue_name(moduli))
-    if kind == "izdg":
-        ring_spec, _, ideal_spec = rest.partition(":")
-        if not ideal_spec.startswith("I="):
+    if kind in ("zdg", "izdg", "comax"):
+        ring_spec, _, ideal_spec = rest.partition(":") if kind == "izdg" else (rest, "", "")
+        if kind == "izdg" and not ideal_spec.startswith("I="):
             raise BadParameter(f"izdg spec needs ':I=(...)', got {spec!r}")
         moduli = zmod_moduli(ring_spec)
-        if moduli is None:
-            ring = ring_from_spec(ring_spec)
-            return ideal_zero_divisor_graph(ring, ideal_from_spec(ring, ideal_spec[2:]))
-        d = _residue_ideal(moduli, ideal_spec[2:])
-        if all(di == 1 for di in d):
-            raise ImproperIdeal("the whole ring is not a proper ideal")
-        return _residue_product_graph(moduli, d)
-    if kind == "comax":
-        moduli = zmod_moduli(rest)
-        if moduli is None:
-            return comaximal_ideal_graph(ring_from_spec(rest))
-        return _residue_comax_graph(moduli)
+        if moduli is not None:
+            return _residue_graph(kind, moduli, ideal_spec[2:])
+        r = ring_from_spec(ring_spec)
+        if kind == "izdg":
+            return ideal_zero_divisor_graph(r, ideal_from_spec(r, ideal_spec[2:]))
+        return zero_divisor_graph(r) if kind == "zdg" else comaximal_ideal_graph(r)
     if kind == "multipartite":
         return complete_multipartite_graph(multipartite_sizes(spec))
     scalar_families = {

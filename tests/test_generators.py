@@ -2,7 +2,7 @@
 
 import tracemalloc
 import warnings
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 import pytest
@@ -20,6 +20,7 @@ from twindex import (
     wiener_index,
 )
 from twindex.algebra import (
+    _ideal_masks,
     all_ideals,
     cyclic_group,
     group_from_spec,
@@ -532,13 +533,17 @@ def assert_same_outcome(spec, build, expected):
         assert build(spec) == want, spec
 
 
-def ring_sweep_specs():
-    """zdg and comax of every ``Z_n`` up to the enumeration cap and of every
-    ``Z_a x Z_b`` with ``ab <= 128``, and of the products of ``RING_SWEEP``."""
+def residue_rings():
+    """Every ``Z_n`` up to the enumeration cap, every ``Z_a x Z_b`` with
+    ``ab <= 128``, and the products of ``Z_n`` in ``RING_SWEEP``."""
     rings = [f"Z{n}" for n in range(2, 257)]
     rings += [f"Z{a}xZ{b}" for a in range(2, 65) for b in range(a, 65) if a * b <= 128]
-    rings += [s for s in RING_SWEEP if zmod_moduli(s) is not None and s not in rings]
-    return [f"{kind}:{ring}" for ring in rings for kind in ("zdg", "comax")]
+    return rings + [s for s in RING_SWEEP if zmod_moduli(s) is not None and s not in rings]
+
+
+def ring_sweep_specs():
+    """zdg and comax of every ring of :func:`residue_rings`."""
+    return [f"{kind}:{ring}" for ring in residue_rings() for kind in ("zdg", "comax")]
 
 
 class TestResiduePath:
@@ -627,6 +632,12 @@ class TestResiduePath:
             "izdg:Z6",
             "izdg:Z6xZ2:I=(0,1)",
             "izdg:Z6xZ2:I=(( 0,1))",
+            "izdg:Z6:I=(01)",
+            "izdg:Z6:I=(+1)",
+            "izdg:Z6:I=((0))",
+            "izdg:Z6xZ2:I=((0, 1))",
+            "izdg:Z6xZ2:I=((6,0))",
+            "comax:Z4xZ9xZ5",
         ],
     )
     def test_error_parity(self, spec, monkeypatch, capsys):
@@ -646,7 +657,12 @@ class TestResiduePath:
         assert outcome() == residue
 
     def test_caps_raise_before_allocating(self):
-        for spec, error in [("zdg:Z2049", OrderTooLarge), ("comax:Z257", RingTooLarge)]:
+        caps = [
+            ("zdg:Z2049", OrderTooLarge),
+            ("comax:Z257", RingTooLarge),
+            ("comax:Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ3", RingTooLarge),
+        ]
+        for spec, error in caps:
             tracemalloc.start()
             try:
                 with pytest.raises(error):
@@ -655,3 +671,37 @@ class TestResiduePath:
             finally:
                 tracemalloc.stop()
             assert peak < 1 << 16, spec
+
+    def test_order_cap_names_a_table_only_where_one_is_built(self, monkeypatch, capsys):
+        no_table = "the order cap of every ring spec, also where no table would be built"
+        table = "one int16 operation table would exceed the 8388608-byte table budget"
+        for spec, reason in [
+            ("zdg:Z2049", no_table),
+            ("comax:Z2xZ1025", no_table),
+            ("zdg:Z2[x]/(x^11)xZ2", table),
+        ]:
+            ring = spec.partition(":")[2]
+            message = f"{ring} has order above 2048: {reason}"
+            with pytest.raises(OrderTooLarge) as caught:
+                family_graph(spec)
+            assert str(caught.value) == message
+            assert main(["index", "--family", spec, "--m", "2"]) == 1
+            assert capsys.readouterr().err == f"twindex: {message}\n"
+        with pytest.raises(OrderTooLarge) as caught:
+            ring_from_spec("Z2049")
+        assert str(caught.value) == f"Z2049 has order above 2048: {table}"
+        monkeypatch.setattr(twindex.algebra, "zmod_moduli", lambda s: None)
+        with pytest.raises(OrderTooLarge) as caught:
+            family_graph("zdg:Z2049")
+        assert str(caught.value) == f"Z2049 has order above 2048: {table}"
+
+    def test_ideal_rows_are_the_table_rows(self):
+        """The residue path's membership rows and ``1 - a`` are the table
+        path's, row for row, radical ideals included."""
+        for ring in residue_rings():
+            moduli = zmod_moduli(ring)
+            digits = np.unravel_index(np.arange(prod(moduli)), moduli)
+            rows, one_minus = twindex.generators._residue_ideals(moduli, digits)
+            r = ring_from_spec(ring)
+            assert np.array_equal(rows, _ideal_masks(r)), ring
+            assert np.array_equal(one_minus, np.argmax(r._add == r.one, axis=1)), ring
