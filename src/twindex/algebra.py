@@ -40,10 +40,11 @@ new member and generator, so a search reads the table about
 ``n (|A| + 1)`` times. A table with few products can make ``|A|`` near
 ``n``: one of order 2048 whose non-identity products are all the identity
 takes 2047 generators and about two million reads before its
-associativity check fails. The power graph
+associativity check fails. The power graph of a table
 (:func:`twindex.generators.power_graph`) walks the powers of one generator
 per distinct cyclic subgroup ``C``, ``sum |C|`` Python steps, and reads
-every element's row from one boolean (subgroups x n) membership matrix.
+whether two subgroups are nested off one boolean (subgroups x n)
+membership matrix.
 
 Direct products of groups and of rings share one builder, which combines
 each factor's ``(table, identity)`` pairs (one pair for a group, two for a
@@ -69,11 +70,13 @@ Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 ``"D12"``, ``"Q8"`` and ``"E2^3"`` are parsed by :func:`group_from_spec` /
 :func:`ring_from_spec` for the command-line surface; both go through one
 reader, which checks the order of the whole product before it builds any
-factor. :func:`zmod_moduli` reads a ring spec through the same reader and,
-for a product of ``Z_n``, returns its moduli without building a table: the
-ring graphs of such a product are built from residue arithmetic
-(:mod:`twindex.generators`), so these tables are only built for groups,
-polynomial quotients and the rings a caller builds. That path keeps the
+factor. :func:`zmod_moduli` reads a ring or group spec through the same
+reader and, for a product of ``Z_n`` (every ``n >= 2``), returns its moduli
+without building a table: the power graph and the ring graphs of such a
+product are built from residue arithmetic (:mod:`twindex.generators`). So
+a table is only built for a group spec with some other factor (``D``,
+``Q8``, ``E2^k`` or ``Z1``), for a ring spec with a polynomial quotient,
+and for the groups and rings a caller builds. The residue path keeps the
 order cap, with a message that names no table. It also shares this
 module's rules that do not depend on tables: the element and set label
 formats (:func:`_product_labels`, :func:`_set_label`), the row order of the
@@ -110,14 +113,14 @@ def _check_order(n: int, what: str, table: bool = True) -> None:
     the largest :data:`_TABLE` table that fits the budget.
 
     With ``table`` false nothing would be built as a table (a product of
-    ``Z_n`` whose ring graphs come from residue arithmetic), so the message
-    names the cap, not the table budget.
+    ``Z_n`` whose graphs come from residue arithmetic), so the message names
+    the cap, not the table budget.
     """
     if n > MAX_TABLE_ORDER:
         reason = (
             f"one {_TABLE} operation table would exceed the {TABLE_BYTE_BUDGET}-byte table budget"
             if table
-            else "the order cap of every ring spec, also where no table would be built"
+            else "the order cap of every group and ring spec"
         )
         raise OrderTooLarge(f"{what} has order above {MAX_TABLE_ORDER}: {reason}")
 
@@ -718,8 +721,11 @@ def _maximal_rows(masks: np.ndarray) -> np.ndarray:
     """Indices of the rows of :func:`_ideal_masks` that are maximal ideals:
     the proper rows that no other proper row contains."""
     proper = masks[:-1]  # the last row is the whole ring
-    contained = ~(proper @ ~proper.T)  # [I, K]: no member of I lies outside K
-    return np.flatnonzero(contained.sum(axis=1) == 1)
+    # [I, K]: no member of I lies outside K. A float32 product runs on BLAS,
+    # where a bool one has no kernel, and counts exactly below 2^24; an
+    # ideal row holds at most 2048 elements.
+    outside = proper.astype(np.float32) @ (~proper.T).astype(np.float32)
+    return np.flatnonzero((outside == 0).sum(axis=1) == 1)
 
 
 def all_ideals(r: FiniteRing) -> list[Ideal]:
@@ -797,18 +803,21 @@ def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
     return product(*(build() for _, build in factors))
 
 
-def zmod_moduli(spec: str) -> tuple[int, ...] | None:
-    """The moduli ``(n_1, ..., n_k)`` of a ring spec ``Z<n_1>x...xZ<n_k>`` with
-    every ``n_i >= 2``; ``None`` for any other ring spec.
+def zmod_moduli(spec: str, kind: str = "ring") -> tuple[int, ...] | None:
+    """The moduli ``(n_1, ..., n_k)`` of a ring spec (or, with ``kind``
+    ``"group"``, a group spec) ``Z<n_1>x...xZ<n_k>`` with every ``n_i >= 2``;
+    ``None`` for any other spec of that kind.
 
-    It reads the spec as :func:`ring_from_spec` does and raises what that
-    raises before building anything: :class:`BadParameter` for a malformed
-    spec, :class:`OrderTooLarge` above the order cap, whose message names no
-    table for a product of ``Z_n``. A factor below 2 gives ``None``, so
-    :func:`zmod` still rejects it.
+    It reads the spec as :func:`ring_from_spec` (:func:`group_from_spec`)
+    does and raises what that raises before building anything:
+    :class:`BadParameter` for a malformed spec, :class:`OrderTooLarge` above
+    the order cap, whose message names no table for a product of ``Z_n``. A
+    factor below 2 gives ``None``, so its constructor still rejects or
+    builds it.
     """
-    factors = _spec_factors(spec, "ring")
-    residue = all(isinstance(b, partial) and b.func is zmod and k >= 2 for k, b in factors)
+    factors = _spec_factors(spec, kind)
+    cyclic = zmod if kind == "ring" else cyclic_group
+    residue = all(isinstance(b, partial) and b.func is cyclic and k >= 2 for k, b in factors)
     _check_spec_order(spec, factors, table=not residue)
     return tuple(k for k, _ in factors) if residue else None
 

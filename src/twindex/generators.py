@@ -6,26 +6,34 @@ one boolean adjacency matrix passed to :func:`graph_from_matrix`. Vertex
 order is always deterministic (element index order, or ideal (size,
 elements) order), so repeated runs are bit-identical.
 
-Power graphs, and the ring graphs of a :class:`FiniteRing`, read adjacency
-off operation tables. :func:`family_graph` builds the ring graphs of a
-product of ``Z_n`` (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from residue
-arithmetic instead, with no table: an element is a tuple of residues, the
-ideals are the products ``prod d_i Z_{n_i}`` over divisors ``d_i | n_i``, and
-``x y`` lies in such an ideal iff ``d_i | x_i y_i`` in every component;
-polynomial quotients keep the table path.
+Power graphs of a :class:`FiniteGroup`, and the ring graphs of a
+:class:`FiniteRing`, read adjacency off operation tables. :func:`family_graph`
+builds the power graph of a product of ``Z_n`` (``power:Z480``,
+``power:Z2xZ30``) and its ring graphs (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from
+residue arithmetic instead, with no table. An element is a tuple of
+residues. The powers of ``y`` are its multiples ``c y``, ``c = 1 ..
+ord(y)``, where ``ord(y) = lcm(n_i / gcd(y_i, n_i))``. The ideals are the
+products ``prod d_i Z_{n_i}`` over divisors ``d_i | n_i``, and ``x y`` lies
+in such an ideal iff ``d_i | x_i y_i`` in every component. Groups with
+another factor and polynomial quotients keep the table path.
 
-The two representations supply only what depends on how the ring is
-stored, and one function per family does the rest for both.
+The two representations supply only what depends on how the group or ring
+is stored, and one function per family does the rest for both.
+:func:`_power_graph` takes each element's powers and the generators of its
+cyclic subgroup among them, a walk through the table or one
+``ravel_multi_index`` of the multiples; it walks once per cyclic subgroup
+and joins two elements iff their cyclic subgroups are nested.
 :func:`_product_graph` (``zdg``, ``izdg``) takes a class table: each
 element's class, which pairs of classes multiply into the ideal and which
 classes lie in it. On the table path every element is its own class; on the
 residue path an element's class is its tuple of ``gcd(x_i, d_i)``. The
 vertex rule, and the refusal of the whole ring as an ideal, are stated there
-once. :func:`_comax_graph` takes the ideals as membership rows sorted like
-:func:`~twindex.algebra._ideal_masks` and each element's ``1 - a``, and reads
-the maximal ideals, the Jacobson radical, the local-ring refusal and
-comaximality off those rows. Element and ideal labels have one format
-each (:func:`~twindex.algebra._product_labels`,
+once. Both build the adjacency matrix by one gather of a class-pair table,
+:func:`_class_graph`. :func:`_comax_graph` takes the ideals as membership
+rows sorted like :func:`~twindex.algebra._ideal_masks` and each element's
+``1 - a``, and reads the maximal ideals, the Jacobson radical, the
+local-ring refusal and comaximality off those rows. Element and ideal
+labels have one format each (:func:`~twindex.algebra._product_labels`,
 :func:`~twindex.algebra._set_label`), and a generator label names an element
 iff it is in the ring's label list, on both paths. So the residue path gives
 the graph the table path gives, with the same labels and vertex order, and
@@ -35,8 +43,8 @@ raises the same errors.
 from __future__ import annotations
 
 import warnings
-from math import gcd, prod
-from typing import Sequence
+from math import gcd, lcm, prod
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,29 +89,74 @@ def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
 def power_graph(g: FiniteGroup) -> Graph:
     """Power graph: distinct elements adjacent iff one is a power of the other.
 
-    ``x`` is a power of ``a`` iff ``x`` lies in the cyclic subgroup ``<a>``, and
-    the generators ``a^k`` (``gcd(k, ord a) = 1``) of ``<a>`` share its row. So
-    the powers are walked once per distinct cyclic subgroup, and each element
-    reads its row from one (subgroups x n) membership matrix.
+    ``x`` is a power of ``a`` iff ``x`` lies in the cyclic subgroup ``<a>``;
+    the powers of ``a`` are walked through the composition table.
     """
-    n, table = g.order, g._table
-    subgroup = np.full(n, -1, dtype=np.int64)  # subgroup[a]: row of <a> in member
-    rows = []
+    table = g._table
+
+    def powers(a: int) -> tuple[list[int], list[int]]:
+        walk, x = [a], table.item(a, a)
+        while x != a:
+            walk.append(x)
+            x = table.item(x, a)
+        order = len(walk)
+        return walk, [p for k, p in enumerate(walk, 1) if gcd(k, order) == 1]
+
+    return _power_graph(g.order, powers, g.element_labels)
+
+
+def _residue_power_graph(moduli: Sequence[int]) -> Graph:
+    """The power graph of ``Z_{n_1} x ... x Z_{n_k}``, from residue arithmetic.
+
+    Elements are residue tuples in row-major order, labeled as
+    :func:`~twindex.algebra.group_product` labels them. The powers of ``y``
+    are its multiples ``c y`` for ``c = 1 .. ord(y)``, with
+    ``ord(y) = lcm(n_i / gcd(y_i, n_i))``, read by one ``ravel_multi_index``.
+    """
+
+    def powers(y: int) -> tuple[np.ndarray, np.ndarray]:
+        digits = [int(a) for a in np.unravel_index(y, moduli)]
+        order = lcm(*(n // gcd(a, n) for a, n in zip(digits, moduli)))
+        c = np.arange(1, order + 1)
+        walk = np.ravel_multi_index([c * a % n for a, n in zip(digits, moduli)], moduli)
+        return walk, walk[np.gcd(c, order) == 1]
+
+    labels = _product_labels([[str(a) for a in range(n)] for n in moduli])
+    return _power_graph(prod(moduli), powers, labels)
+
+
+def _power_graph(n: int, powers: Callable[[int], tuple], labels: Sequence[str]) -> Graph:
+    """The power graph of a group of order ``n`` on ``labels``, where
+    ``powers(a)`` gives ``a``'s powers ``a, a^2, ..., a^ord(a)`` and the
+    generators ``a^k`` (``gcd(k, ord a) = 1``) of ``<a>`` among them.
+
+    The generators of ``<a>`` share its class, so the powers are walked once
+    per distinct cyclic subgroup, from the least element not yet placed.
+    ``x ~ y`` iff ``<x>`` and ``<y>`` are nested, which one (subgroups x n)
+    membership matrix gives at the subgroups' first elements.
+    """
+    subgroup = np.full(n, -1, dtype=np.intp)  # subgroup[a]: the class of <a>
+    walks = []
     for a in range(n):
         if subgroup[a] >= 0:
             continue
-        powers, x = [a], table.item(a, a)
-        while x != a:
-            powers.append(x)
-            x = table.item(x, a)
-        order = len(powers)
-        subgroup[[p for k, p in enumerate(powers, 1) if gcd(k, order) == 1]] = len(rows)
-        rows.append(powers)
-    member = np.zeros((len(rows), n), dtype=bool)
-    for c, powers in enumerate(rows):
-        member[c, powers] = True
-    is_power = member[subgroup]  # is_power[a, x]: x is a power of a
-    return graph_from_matrix(is_power | is_power.T, g.element_labels)
+        walk, generators = powers(a)
+        subgroup[generators] = len(walks)
+        walks.append(walk)
+    member = np.zeros((len(walks), n), dtype=bool)
+    for c, walk in enumerate(walks):
+        member[c, walk] = True
+    contains = member[:, [walk[0] for walk in walks]]  # [c, e]: <e> lies in <c>
+    return _class_graph(contains | contains.T, subgroup, labels)
+
+
+def _class_graph(pairs: np.ndarray, classes: np.ndarray, labels: Sequence[str]) -> Graph:
+    """The graph on ``labels`` whose vertices ``x`` and ``y`` are adjacent iff
+    ``pairs[classes[x], classes[y]]``, for a symmetric boolean ``pairs``."""
+    # Two row gathers give the transpose of the gather, which equals it for a
+    # symmetric ``pairs``. A column take reads one byte at a time: on the
+    # 480 x 24 rows of ``power:Z480`` it took 0.2 ms, the transpose 15 us.
+    return graph_from_matrix(pairs.take(classes, 0).T.take(classes, 0), labels)
 
 
 def zero_divisor_graph(r: FiniteRing) -> Graph:
@@ -166,13 +219,11 @@ def _product_graph(
     product of a member of class ``c`` and one of class ``e`` lies in the
     ideal, and ``inside[c]`` that class ``c`` lies in it; ``labels`` are the
     elements' labels. An element is a vertex iff its product with some
-    outside element, itself included, lies inside. The adjacency matrix
-    gathers the vertices' classes from ``hits``.
+    outside element, itself included, lies inside.
     """
     outside = ~inside
     vertices = np.flatnonzero((outside & (hits & outside).any(axis=1))[classes])
-    of_vertex = classes[vertices]
-    return graph_from_matrix(hits[np.ix_(of_vertex, of_vertex)], [labels[x] for x in vertices])
+    return _class_graph(hits, classes[vertices], [labels[x] for x in vertices])
 
 
 def _proper(inside: np.ndarray) -> np.ndarray:
@@ -199,7 +250,10 @@ def _comax_graph(masks: np.ndarray, one_minus: np.ndarray, labels: Sequence[str]
     proper = masks[:-1]  # the last row is the whole ring
     vertices = proper[(proper & ~radical).any(axis=1)]
     names = [_set_label(labels[x] for x in np.flatnonzero(row).tolist()) for row in vertices]
-    return graph_from_matrix(vertices @ vertices[:, one_minus].T, names)
+    # As in _maximal_rows: a float32 BLAS product, exact for rows of at most
+    # 2048 elements, where a bool product has no BLAS kernel.
+    ones = vertices.astype(np.float32) @ vertices[:, one_minus].T.astype(np.float32)
+    return graph_from_matrix(ones > 0, names)
 
 
 def _residue_graph(kind: str, moduli: Sequence[int], ideal_spec: str) -> Graph:
@@ -347,6 +401,9 @@ def family_graph(spec: str) -> Graph:
     if not rest:
         raise BadParameter(f"family spec {spec!r} needs a ':<parameters>' part")
     if kind == "power":
+        moduli = zmod_moduli(rest, "group")
+        if moduli is not None:
+            return _residue_power_graph(moduli)
         return power_graph(group_from_spec(rest))
     if kind in ("zdg", "izdg", "comax"):
         ring_spec, _, ideal_spec = rest.partition(":") if kind == "izdg" else (rest, "", "")

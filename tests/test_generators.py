@@ -1,5 +1,6 @@
 """Algebraic graph families and standard parametric graphs."""
 
+import itertools
 import tracemalloc
 import warnings
 from math import gcd, prod
@@ -659,6 +660,8 @@ class TestResiduePath:
     def test_caps_raise_before_allocating(self):
         caps = [
             ("zdg:Z2049", OrderTooLarge),
+            ("power:Z2049", OrderTooLarge),
+            ("power:Z2xZ1025", OrderTooLarge),
             ("comax:Z257", RingTooLarge),
             ("comax:Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ3", RingTooLarge),
         ]
@@ -673,12 +676,15 @@ class TestResiduePath:
             assert peak < 1 << 16, spec
 
     def test_order_cap_names_a_table_only_where_one_is_built(self, monkeypatch, capsys):
-        no_table = "the order cap of every ring spec, also where no table would be built"
+        no_table = "the order cap of every group and ring spec"
         table = "one int16 operation table would exceed the 8388608-byte table budget"
         for spec, reason in [
             ("zdg:Z2049", no_table),
             ("comax:Z2xZ1025", no_table),
+            ("power:Z2049", no_table),
+            ("power:Z2xZ1025", no_table),
             ("zdg:Z2[x]/(x^11)xZ2", table),
+            ("power:Q8xZ257", table),
         ]:
             ring = spec.partition(":")[2]
             message = f"{ring} has order above 2048: {reason}"
@@ -705,3 +711,138 @@ class TestResiduePath:
             r = ring_from_spec(ring)
             assert np.array_equal(rows, _ideal_masks(r)), ring
             assert np.array_equal(one_minus, np.argmax(r._add == r.one, axis=1)), ring
+
+
+# --- power graphs of products of Z_n: the residue path against the table path -----
+
+# Power-graph families of the CI console-script step, besides the benchmark pool.
+CI_POWER_SPECS = [
+    "power:Z6",
+    "power:Z480",
+    "power:E2^11",
+    "power:D2048",
+    "power:Z120",
+    "power:Q8xZ15",
+    "power:Z60",
+    "power:Z20000",
+    "power:Z2049",
+    "power:Z2xZ30",
+]
+
+
+def table_power_graph(spec):
+    """The graph of a ``power:`` spec through the group's composition table."""
+    return power_graph(group_from_spec(spec.partition(":")[2]))
+
+
+@pytest.fixture
+def no_group_tables(monkeypatch):
+    """``family_graph`` with every group built from a spec refused."""
+
+    def refused(*args):
+        raise AssertionError(f"a table was built for {args}")
+
+    monkeypatch.setattr(twindex.algebra, "group_from_spec", refused)
+    return family_graph
+
+
+def cyclic_products():
+    """Every ``Z_n`` up to 256, every ``Z_a x Z_b`` with ``ab <= 128`` in both
+    factor orders, and two products of three and four factors."""
+    groups = [f"Z{n}" for n in range(2, 257)]
+    groups += [f"Z{a}xZ{b}" for a in range(2, 65) for b in range(2, 65) if a * b <= 128]
+    return groups + ["Z2xZ2xZ2xZ3", "Z3xZ3xZ3"]
+
+
+def _literal_residue_power_graph(moduli):
+    """Residue tuples in row-major order, ``x ~ y`` iff one is ``c`` times the other."""
+    elements = list(itertools.product(*(range(n) for n in moduli)))
+    multiples = [
+        {tuple(c * a % n for a, n in zip(x, moduli)) for c in range(prod(moduli))} for x in elements
+    ]
+    edges = [
+        (i, j)
+        for i, x in enumerate(elements)
+        for j, y in enumerate(elements)
+        if i < j and (y in multiples[i] or x in multiples[j])
+    ]
+    labels = [",".join(map(str, x)) for x in elements]
+    return [f"({label})" for label in labels] if len(moduli) > 1 else labels, edges
+
+
+class TestResiduePowerGraphs:
+    """``family_graph`` builds the power graph of a product of ``Z_n`` with no
+    table, and gives the graph and the errors of the table path."""
+
+    def test_zmod_moduli_of_group_specs(self):
+        assert zmod_moduli("Z480", "group") == (480,)
+        assert zmod_moduli(" Z2xZ30 ", "group") == (2, 30)
+        for spec in ["D12", "Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1", "Z0"]:
+            assert zmod_moduli(spec, "group") is None, spec
+        for spec in ["Zx", "Z2[x]/(x^3)"]:
+            with pytest.raises(BadParameter):
+                zmod_moduli(spec, "group")
+        with pytest.raises(OrderTooLarge, match="Z2xZ1025 has order above 2048"):
+            zmod_moduli("Z2xZ1025", "group")
+
+    def test_every_small_product(self, no_group_tables):
+        specs = [f"power:{group}" for group in cyclic_products()]
+        assert len(specs) == 255 + 390 + 2  # Z_n, Z_a x Z_b, the two longer products
+        for spec in specs:
+            assert_same_outcome(spec, no_group_tables, table_power_graph)
+
+    def test_benchmark_reference_and_ci_specs(self, no_group_tables):
+        specs = [s for s in PAPER_POOL_SPECS if s.startswith("power:")]
+        specs += [c.family for c in REFERENCE_CHECKS if c.family.startswith("power:")]
+        specs += CI_POWER_SPECS
+        residue = [s for s in specs if all(f.startswith("Z") for f in s[6:].split("x"))]
+        assert len(residue) == 13
+        for spec in residue:
+            assert_same_outcome(spec, no_group_tables, table_power_graph)
+
+    @pytest.mark.parametrize("moduli", [(12,), (2, 4), (4, 2), (2, 2, 2), (3, 6), (4, 6), (2, 3, 4)])
+    def test_matches_the_definition(self, moduli, no_group_tables):
+        spec = "power:" + "x".join(f"Z{n}" for n in moduli)
+        assert _shape(no_group_tables(spec)) == _literal_residue_power_graph(moduli)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "power:Z0",
+            "power:Z1",
+            "power:Z2xZ1",
+            "power:Zx",
+            "power:Z2xZ0",
+            "power:Z2049",
+            "power:Z2xZ1025",
+        ],
+    )
+    def test_error_parity(self, spec):
+        assert_same_outcome(spec, family_graph, table_power_graph)
+
+    def test_other_groups_keep_the_tables(self, monkeypatch):
+        built = []
+
+        def recording(spec):
+            built.append(spec)
+            return group_from_spec(spec)
+
+        monkeypatch.setattr(twindex.algebra, "group_from_spec", recording)
+        specs = ["D12", "Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1"]
+        for spec in specs:
+            assert family_graph(f"power:{spec}") == table_power_graph(f"power:{spec}"), spec
+        assert built == specs
+
+    def test_power_and_product_graphs_share_one_gather(self, monkeypatch):
+        calls = []
+
+        def recording(pairs, classes, labels):
+            calls.append(len(labels))
+            return class_graph(pairs, classes, labels)
+
+        class_graph = twindex.generators._class_graph
+        monkeypatch.setattr(twindex.generators, "_class_graph", recording)
+        specs = ["power:Z60", "power:D12", "zdg:Z180", "izdg:Z24:I=(8)", "zdg:Z2[x]/(x^3)"]
+        for spec in specs:
+            assert family_graph(spec).n == calls[-1], spec
+        assert len(calls) == len(specs)
