@@ -73,11 +73,13 @@ reader, which checks the order of the whole product before it builds any
 factor. :func:`zmod_moduli` reads a ring or group spec through the same
 reader and, for a product of ``Z_n`` (every ``n >= 2``), returns its moduli
 without building a table: the power graph and the ring graphs of such a
-product are built from residue arithmetic (:mod:`twindex.generators`). So
-a table is only built for a group spec with some other factor (``D``,
-``Q8``, ``E2^k`` or ``Z1``), for a ring spec with a polynomial quotient,
-and for the groups and rings a caller builds. The residue path keeps the
-order cap, with a message that names no table. It also shares this
+product are built from residue arithmetic (:mod:`twindex.generators`).
+:func:`divisor_group` reads a group spec of one ``Z<n>`` or ``D<2n>`` the
+same way, whose power graph is built from the divisors of ``n``. So a
+table is only built for a group spec with a ``Q8``, ``E2^k`` or ``Z1``
+factor or a product with a ``D`` factor, for a ring spec with a polynomial
+quotient, and for the groups and rings a caller builds. Those paths keep
+the order cap, with a message that names no table. It also shares this
 module's rules that do not depend on tables: the element and set label
 formats (:func:`_product_labels`, :func:`_set_label`), the row order of the
 ideal lattice (:func:`_sorted_ideals`) and the lookup of an ideal's
@@ -113,8 +115,9 @@ def _check_order(n: int, what: str, table: bool = True) -> None:
     the largest :data:`_TABLE` table that fits the budget.
 
     With ``table`` false nothing would be built as a table (a product of
-    ``Z_n`` whose graphs come from residue arithmetic), so the message names
-    the cap, not the table budget.
+    ``Z_n`` whose graphs come from residue arithmetic, or a dihedral group
+    whose power graph comes from divisors), so the message names the cap,
+    not the table budget.
     """
     if n > MAX_TABLE_ORDER:
         reason = (
@@ -383,9 +386,14 @@ def dihedral_group(n: int) -> FiniteGroup:
     idx = np.arange(order, dtype=_TABLE)
     a, i = idx // n, idx % n
     table = (a[:, None] + a) % 2 * n + (i + (1 - 2 * a) * i[:, None]) % n
+    return FiniteGroup(_frozen(table), 0, _dihedral_labels(n), name=f"D{order}")
+
+
+def _dihedral_labels(n: int) -> list[str]:
+    """The element labels of the dihedral group of order ``2n``: the rotations
+    ``1, r, r2, ...`` then the reflections ``s, sr, sr2, ...``."""
     labels = ["1"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
-    labels += ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
-    return FiniteGroup(_frozen(table), 0, labels, name=f"D{order}")
+    return labels + ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
 
 
 def quaternion_group() -> FiniteGroup:
@@ -820,6 +828,24 @@ def zmod_moduli(spec: str, kind: str = "ring") -> tuple[int, ...] | None:
     residue = all(isinstance(b, partial) and b.func is cyclic and k >= 2 for k, b in factors)
     _check_spec_order(spec, factors, table=not residue)
     return tuple(k for k, _ in factors) if residue else None
+
+
+def divisor_group(spec: str) -> tuple[int, bool] | None:
+    """``(n, False)`` for the group spec ``Z<n>`` with ``n >= 2``, ``(n, True)``
+    for ``D<2n>``: the groups whose power graphs follow from the divisors of
+    ``n``. ``None`` for any other group spec, products included.
+
+    It reads the spec as :func:`group_from_spec` does and raises what that
+    raises before building anything, except that the order cap's message
+    names no table, as :func:`zmod_moduli`'s does.
+    """
+    factors = _spec_factors(spec, "group")
+    build = factors[0][1] if len(factors) == 1 else None
+    kind = getattr(build, "func", None)
+    if kind not in (cyclic_group, dihedral_group) or build.args[0] < 2:
+        return None
+    _check_spec_order(spec, factors, table=False)
+    return build.args[0], kind is dihedral_group
 
 
 def _spec_factors(spec: str, kind: str) -> list[tuple[int, Callable]]:

@@ -1,21 +1,24 @@
 """Graph families: algebraic constructions and standard parametric graphs.
 
 The algebraic generators return a plain :class:`Graph` whose labels name the
-group element, ring element, or ideal each vertex came from. Every graph is
-one boolean adjacency matrix passed to :func:`graph_from_matrix`. Vertex
-order is always deterministic (element index order, or ideal (size,
-elements) order), so repeated runs are bit-identical.
+group element, ring element, or ideal each vertex came from. Vertex order is
+always deterministic (element index order, or ideal (size, elements)
+order), so repeated runs are bit-identical.
 
 Power graphs of a :class:`FiniteGroup`, and the ring graphs of a
 :class:`FiniteRing`, read adjacency off operation tables. :func:`family_graph`
-builds the power graph of a product of ``Z_n`` (``power:Z480``,
-``power:Z2xZ30``) and its ring graphs (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from
-residue arithmetic instead, with no table. An element is a tuple of
-residues. The powers of ``y`` are its multiples ``c y``, ``c = 1 ..
-ord(y)``, where ``ord(y) = lcm(n_i / gcd(y_i, n_i))``. The ideals are the
-products ``prod d_i Z_{n_i}`` over divisors ``d_i | n_i``, and ``x y`` lies
-in such an ideal iff ``d_i | x_i y_i`` in every component. Groups with
-another factor and polynomial quotients keep the table path.
+builds the power graph of a product of ``Z_n`` (``power:Z2xZ30``) and its
+ring graphs (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from residue arithmetic
+instead, with no table. An element is a tuple of residues. The powers of
+``y`` are its multiples ``c y``, ``c = 1 .. ord(y)``, where ``ord(y) =
+lcm(n_i / gcd(y_i, n_i))``. The ideals are the products ``prod d_i Z_{n_i}``
+over divisors ``d_i | n_i``, and ``x y`` lies in such an ideal iff ``d_i |
+x_i y_i`` in every component. The power graph of one ``Z_n`` (``n >= 2``)
+or of one dihedral group (``power:Z480``, ``power:D120``, spec read by
+:func:`~twindex.algebra.divisor_group`) needs no walk:
+:func:`_divisor_power_graph` reads it off the divisors of ``n``. Groups
+with a ``Q8``, ``E2^k`` or ``Z1`` factor, products with a ``D`` factor, and
+polynomial quotients keep the table path.
 
 The two representations supply only what depends on how the group or ring
 is stored, and one function per family does the rest for both.
@@ -28,12 +31,14 @@ element's class, which pairs of classes multiply into the ideal and which
 classes lie in it. On the table path every element is its own class; on the
 residue path an element's class is its tuple of ``gcd(x_i, d_i)``. The
 vertex rule, and the refusal of the whole ring as an ideal, are stated there
-once. Both build the adjacency matrix by one gather of a class-pair table,
-:func:`_class_graph`. :func:`_comax_graph` takes the ideals as membership
-rows sorted like :func:`~twindex.algebra._ideal_masks` and each element's
-``1 - a``, and reads the maximal ideals, the Jacobson radical, the
-local-ring refusal and comaximality off those rows. Element and ideal
-labels have one format each (:func:`~twindex.algebra._product_labels`,
+once. They and :func:`_divisor_power_graph` build the graph from a table
+over pairs of classes, :func:`_class_graph`, which packs one mask per class
+and builds no ``n x n`` matrix. :func:`_comax_graph` takes the ideals as
+membership rows sorted like :func:`~twindex.algebra._ideal_masks` and each
+element's ``1 - a``, reads the maximal ideals, the Jacobson radical, the
+local-ring refusal and comaximality off those rows, and passes the
+adjacency matrix to :func:`graph_from_matrix`. Element and ideal labels
+have one format each (:func:`~twindex.algebra._product_labels`,
 :func:`~twindex.algebra._set_label`), and a generator label names an element
 iff it is in the ring's label list, on both paths. So the residue path gives
 the graph the table path gives, with the same labels and vertex order, and
@@ -54,6 +59,7 @@ from .algebra import (
     FiniteRing,
     Ideal,
     _check_ideal_cap,
+    _dihedral_labels,
     _ideal_masks,
     _maximal_rows,
     _product_labels,
@@ -150,13 +156,55 @@ def _power_graph(n: int, powers: Callable[[int], tuple], labels: Sequence[str]) 
     return _class_graph(contains | contains.T, subgroup, labels)
 
 
+def _divisor_power_graph(n: int, dihedral: bool) -> Graph:
+    """The power graph of ``Z_n``, or with ``dihedral`` of the dihedral group
+    of order ``2n``, from the divisors of ``n``.
+
+    In ``Z_n``, ``<a> = <gcd(a, n)>``, and ``<d>`` lies in ``<e>`` iff ``e | d``;
+    so ``a``'s class is ``gcd(a, n)``, and two classes are joined iff one
+    divides the other. The dihedral group's rotations are ``Z_n``, on the
+    same indices; each of its ``n`` reflections generates only itself and
+    the identity. So the reflections form one more class, edgeless, joined
+    only to the identity's class, the divisor ``n``.
+    """
+    divisors = _divisors(n)
+    classes = np.searchsorted(divisors, np.gcd(np.arange(n), n))
+    pairs = divisors[:, None] % divisors == 0
+    pairs |= pairs.T
+    if not dihedral:
+        return _class_graph(pairs, classes, [str(a) for a in range(n)])
+    k = len(divisors)
+    pairs = np.pad(pairs, (0, 1))
+    pairs[k, k - 1] = pairs[k - 1, k] = True
+    classes = np.concatenate([classes, np.full(n, k)])
+    return _class_graph(pairs, classes, _dihedral_labels(n))
+
+
+def _divisors(n: int) -> np.ndarray:
+    """The divisors of ``n``, ascending."""
+    return np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
+
+
 def _class_graph(pairs: np.ndarray, classes: np.ndarray, labels: Sequence[str]) -> Graph:
     """The graph on ``labels`` whose vertices ``x`` and ``y`` are adjacent iff
-    ``pairs[classes[x], classes[y]]``, for a symmetric boolean ``pairs``."""
-    # Two row gathers give the transpose of the gather, which equals it for a
-    # symmetric ``pairs``. A column take reads one byte at a time: on the
-    # 480 x 24 rows of ``power:Z480`` it took 0.2 ms, the transpose 15 us.
-    return graph_from_matrix(pairs.take(classes, 0).T.take(classes, 0), labels)
+    ``pairs[classes[x], classes[y]]``, for a symmetric boolean ``pairs``.
+
+    Raises :class:`BadParameter`, as :func:`graph_from_matrix` does, for an
+    asymmetric ``pairs``, or unless there is exactly one label per vertex and
+    the labels are unique. Each class's row of ``pairs``, taken at every
+    vertex's class, is packed into one mask, and a vertex's mask is its
+    class's with its own bit cleared.
+    """
+    labels = tuple(labels)
+    if len(labels) != len(classes):
+        raise BadParameter(f"{len(labels)} labels for {len(classes)} vertices")
+    if not np.array_equal(pairs, pairs.T):
+        raise BadParameter("adjacency matrix must be symmetric")
+    if len(set(labels)) != len(labels):
+        raise BadParameter("vertex labels must be unique")
+    rows = np.packbits(pairs.take(classes, axis=1), axis=1, bitorder="little")
+    row_masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
+    return Graph(tuple(row_masks[c] & ~(1 << v) for v, c in enumerate(classes.tolist())), labels)
 
 
 def zero_divisor_graph(r: FiniteRing) -> Graph:
@@ -222,8 +270,13 @@ def _product_graph(
     outside element, itself included, lies inside.
     """
     outside = ~inside
-    vertices = np.flatnonzero((outside & (hits & outside).any(axis=1))[classes])
-    return _class_graph(hits, classes[vertices], [labels[x] for x in vertices])
+    of_vertex = outside & (hits & outside).any(axis=1)  # the vertices' classes
+    vertices = np.flatnonzero(of_vertex[classes])
+    # Only those classes go on: on the table path ``hits`` is n x n, and
+    # _class_graph checks and packs every row it is given.
+    kept = np.flatnonzero(of_vertex)
+    pairs = hits.take(kept, 0).take(kept, 1)
+    return _class_graph(pairs, np.searchsorted(kept, classes[vertices]), [labels[x] for x in vertices])
 
 
 def _proper(inside: np.ndarray) -> np.ndarray:
@@ -304,10 +357,7 @@ def _residue_ideals(moduli: Sequence[int], digits: Sequence[np.ndarray]) -> tupl
     """The membership rows of the ideals ``prod d_i Z_{n_i}`` of ``Z_{n_1} x
     ... x Z_{n_k}``, sorted like :func:`~twindex.algebra._ideal_masks`, and
     each element's ``1 - a``, taken in every component of ``digits``."""
-    masks = []
-    for n in moduli:
-        divisors = np.flatnonzero(n % np.arange(1, n + 1) == 0) + 1
-        masks.append(np.arange(n) % divisors[:, None] == 0)  # [d, a]: d | a
+    masks = [np.arange(n) % _divisors(n)[:, None] == 0 for n in moduli]  # [d, a]: d | a
     one_minus = np.ravel_multi_index([(1 - a) % n for a, n in zip(digits, moduli)], moduli)
     return _sorted_ideals(_outer_and(masks)), one_minus
 
@@ -395,12 +445,21 @@ def family_graph(spec: str) -> Graph:
     ``wheel:<n>``, ``star:<n>``, ``complete:<n>``, ``empty:<n>``,
     ``path:<n>``, ``cycle:<n>``.
     """
-    from .algebra import group_from_spec, ideal_from_spec, ring_from_spec, zmod_moduli
+    from .algebra import (
+        divisor_group,
+        group_from_spec,
+        ideal_from_spec,
+        ring_from_spec,
+        zmod_moduli,
+    )
 
     kind, _, rest = spec.partition(":")
     if not rest:
         raise BadParameter(f"family spec {spec!r} needs a ':<parameters>' part")
     if kind == "power":
+        group = divisor_group(rest)
+        if group is not None:
+            return _divisor_power_graph(*group)
         moduli = zmod_moduli(rest, "group")
         if moduli is not None:
             return _residue_power_graph(moduli)

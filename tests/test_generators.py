@@ -17,6 +17,7 @@ from twindex import (
     RingTooLarge,
     TwindexError,
     is_connected,
+    new_graph,
     twin_partition,
     wiener_index,
 )
@@ -24,6 +25,8 @@ from twindex.algebra import (
     _ideal_masks,
     all_ideals,
     cyclic_group,
+    dihedral_group,
+    divisor_group,
     group_from_spec,
     elementary_abelian_2,
     ideal_from_spec,
@@ -39,6 +42,7 @@ import twindex.generators
 from twindex.cli import main
 from twindex.reference import REFERENCE_CHECKS
 from twindex.generators import (
+    _class_graph,
     comaximal_ideal_graph,
     complete_graph,
     complete_multipartite_graph,
@@ -232,6 +236,46 @@ class TestGraphFromMatrix:
         assert a == b
 
 
+class TestClassGraph:
+    """``_class_graph`` keeps the checks of :func:`graph_from_matrix`, made on
+    the class-pair table."""
+
+    def test_asymmetric_rejected(self):
+        pairs = np.array([[False, True], [False, False]])
+        with pytest.raises(BadParameter, match="symmetric"):
+            _class_graph(pairs, np.array([0, 1, 1]), ("a", "b", "c"))
+
+    def test_labels_unique(self):
+        with pytest.raises(BadParameter, match="unique"):
+            _class_graph(np.ones((1, 1), dtype=bool), np.array([0, 0]), ("a", "a"))
+
+    @pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "c", "d")])
+    def test_label_count_checked(self, labels):
+        with pytest.raises(BadParameter):
+            _class_graph(np.ones((2, 2), dtype=bool), np.array([0, 1, 1]), labels)
+
+    def test_class_joined_to_itself_is_a_clique(self):
+        pairs = np.array([[True, True, False], [True, False, False], [False, False, True]])
+        g = _class_graph(pairs, np.array([0, 1, 0, 1, 0, 2, 2]), "abcdefg")
+        # Class 0 (a, c, e) is a clique joined to class 1 (b, d), which is
+        # edgeless; class 2 (f, g) is an edge on its own.
+        edges = [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (2, 4), (3, 4), (5, 6)]
+        assert g == new_graph(7, edges, labels="abcdefg")
+        assert_masks_valid(g)
+
+    @pytest.mark.parametrize("spec", ["power:Z2048", "power:D2048"])
+    def test_order_cap_peak_memory(self, spec):
+        """Below the 4 MiB of the graph's n x n boolean matrix alone."""
+        family_graph(spec)
+        tracemalloc.start()
+        try:
+            family_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, peak
+
+
 # The family specs of the benchmark's paper-families pool.
 PAPER_POOL_SPECS = [
     "power:Z60",
@@ -291,6 +335,9 @@ class TestMasks:
 
     @pytest.mark.parametrize("spec", PAPER_POOL_SPECS)
     def test_graph_from_matrix_matches_frozenset_construction(self, spec, monkeypatch):
+        """The one builder call, ``graph_from_matrix(adj, ...)`` or
+        ``_class_graph(pairs, classes, ...)``, gives the frozenset construction
+        of its adjacency matrix, ``adj`` or ``pairs[classes][:, classes]``."""
         calls = []
 
         def recording(adj, labels):
@@ -298,7 +345,14 @@ class TestMasks:
             calls.append((reference_neighborhoods(adj, labels), g))
             return g
 
+        def recording_classes(pairs, classes, labels):
+            g = class_graph(pairs, classes, labels)
+            calls.append((reference_neighborhoods(pairs[np.ix_(classes, classes)], labels), g))
+            return g
+
+        class_graph = twindex.generators._class_graph
         monkeypatch.setattr(twindex.generators, "graph_from_matrix", recording)
+        monkeypatch.setattr(twindex.generators, "_class_graph", recording_classes)
         family_graph(spec)
         assert len(calls) == 1
         (neighborhoods, labels), g = calls[0]
@@ -662,6 +716,7 @@ class TestResiduePath:
             ("zdg:Z2049", OrderTooLarge),
             ("power:Z2049", OrderTooLarge),
             ("power:Z2xZ1025", OrderTooLarge),
+            ("power:D2050", OrderTooLarge),
             ("comax:Z257", RingTooLarge),
             ("comax:Z2xZ2xZ2xZ2xZ2xZ2xZ2xZ3", RingTooLarge),
         ]
@@ -683,6 +738,7 @@ class TestResiduePath:
             ("comax:Z2xZ1025", no_table),
             ("power:Z2049", no_table),
             ("power:Z2xZ1025", no_table),
+            ("power:D2050", no_table),
             ("zdg:Z2[x]/(x^11)xZ2", table),
             ("power:Q8xZ257", table),
         ]:
@@ -828,7 +884,8 @@ class TestResiduePowerGraphs:
             return group_from_spec(spec)
 
         monkeypatch.setattr(twindex.algebra, "group_from_spec", recording)
-        specs = ["D12", "Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1"]
+        assert family_graph("power:D12") == table_power_graph("power:D12")
+        specs = ["Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1"]
         for spec in specs:
             assert family_graph(f"power:{spec}") == table_power_graph(f"power:{spec}"), spec
         assert built == specs
@@ -846,3 +903,33 @@ class TestResiduePowerGraphs:
         for spec in specs:
             assert family_graph(spec).n == calls[-1], spec
         assert len(calls) == len(specs)
+
+
+class TestDivisorPowerGraphs:
+    """``family_graph`` builds the power graph of ``Z_n`` and of the dihedral
+    group of order ``2n`` from the divisors of ``n``, with no table, and
+    gives the graph and the errors of the table path. ``Z_n`` is also checked
+    by :class:`TestResiduePowerGraphs`."""
+
+    def test_divisor_group(self):
+        assert divisor_group("Z480") == (480, False)
+        assert divisor_group(" D120 ") == (60, True)
+        for spec in ["Z1", "Z0", "Q8", "E2^3", "Z2xZ30", "D6xZ2", "Q8xZ15"]:
+            assert divisor_group(spec) is None, spec
+        with pytest.raises(BadParameter):
+            divisor_group("D7")
+        with pytest.raises(OrderTooLarge, match="D2050 has order above 2048: the order cap"):
+            divisor_group("D2050")
+
+    def test_every_dihedral_group(self, no_group_tables):
+        specs = [f"power:D{order}" for order in range(6, 513, 2)] + ["power:D2048"]
+        for spec in specs:
+            assert_same_outcome(spec, no_group_tables, table_power_graph)
+
+    @pytest.mark.parametrize("n", [3, 4, 6])
+    def test_dihedral_matches_the_definition(self, n, no_group_tables):
+        assert no_group_tables(f"power:D{2 * n}") == reference_power_graph(dihedral_group(n))
+
+    @pytest.mark.parametrize("spec", ["power:D7", "power:D4", "power:D2050"])
+    def test_dihedral_error_parity(self, spec, no_group_tables):
+        assert_same_outcome(spec, no_group_tables, table_power_graph)
