@@ -70,17 +70,22 @@ Compact spec strings such as ``"Z24"``, ``"Z2xZ2xZ4"``, ``"Z2[x]/(x^3)xZ2"``,
 ``"D12"``, ``"Q8"`` and ``"E2^3"`` are parsed by :func:`group_from_spec` /
 :func:`ring_from_spec` for the command-line surface; both go through one
 reader, which checks the order of the whole product before it builds any
-factor. :func:`zmod_moduli` reads a ring or group spec through the same
-reader and, for a product of ``Z_n`` (every ``n >= 2``), returns its moduli
-without building a table: the power graph and the ring graphs of such a
-product are built from residue arithmetic (:mod:`twindex.generators`).
-:func:`divisor_group` reads a group spec of one ``Z<n>`` or ``D<2n>`` the
-same way, whose power graph is built from the divisors of ``n``. So a
-table is only built for a group spec with a ``Q8``, ``E2^k`` or ``Z1``
-factor or a product with a ``D`` factor, for a ring spec with a polynomial
-quotient, and for the groups and rings a caller builds. Those paths keep
-the order cap, with a message that names no table. It also shares this
-module's rules that do not depend on tables: the element and set label
+factor. :func:`zmod_moduli` reads a ring spec through the same reader
+and, for a product of ``Z_n`` (every ``n >= 2``), returns its moduli
+without building a table: the ring graphs of such a product are built from
+residue arithmetic (:mod:`twindex.generators`). :func:`group_power_rules`
+reads any group spec the same way and returns each factor's power map
+(:class:`PowerRule`), which lives beside the factor's constructor and
+shares its labels: ``x^c`` is ``c a mod n`` in ``Z_n``; a rotation
+``r^i`` of a dihedral group goes to ``r^(c i)`` and a reflection stays
+itself for odd ``c`` and goes to ``1`` for even ``c``; ``Q8`` follows its
+product rule; in ``E2^k``, ``x^c`` is ``x`` for odd ``c`` and ``0`` for
+even ``c``. :func:`twindex.generators.family_graph` builds the power graph
+of every group spec from those maps.
+So a table is only built for a ring spec with a polynomial quotient, and
+for the groups and rings a caller builds. The other spec paths keep the
+order cap, with a message that names no table. Those paths also share
+this module's rules that do not depend on tables: the element and set label
 formats (:func:`_product_labels`, :func:`_set_label`), the row order of the
 ideal lattice (:func:`_sorted_ideals`) and the lookup of an ideal's
 generators by label (:func:`ideal_spec_generators`).
@@ -92,8 +97,8 @@ import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from functools import cache, partial
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,9 +120,9 @@ def _check_order(n: int, what: str, table: bool = True) -> None:
     the largest :data:`_TABLE` table that fits the budget.
 
     With ``table`` false nothing would be built as a table (a product of
-    ``Z_n`` whose graphs come from residue arithmetic, or a dihedral group
-    whose power graph comes from divisors), so the message names the cap,
-    not the table budget.
+    ``Z_n`` whose ring graphs come from residue arithmetic, or a group whose
+    power graph comes from its factors' power maps), so the message names
+    the cap, not the table budget.
     """
     if n > MAX_TABLE_ORDER:
         reason = (
@@ -357,12 +362,30 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+class PowerRule(NamedTuple):
+    """One factor of a group spec as its power map, with no table.
+
+    ``power(x, c)`` is the index of ``x^c`` for every element index in the
+    array ``x`` and every integer ``c >= 1``, where ``c`` may also be an
+    integer array broadcast against ``x``; ``labels`` are the labels its
+    constructor gives, and ``exponent`` is the lcm of the element orders.
+    ``divisors`` is ``(n, dihedral)`` for ``Z_n`` (``n >= 2``) and for the
+    dihedral group of order ``2n``, whose power graphs alone follow from the
+    divisors of ``n``.
+    """
+
+    labels: Sequence[str]
+    exponent: int
+    power: Callable[[np.ndarray, int], np.ndarray]
+    divisors: tuple[int, bool] | None = None
+
+
 def cyclic_group(n: int) -> FiniteGroup:
     """Integers modulo ``n`` under addition, elements labeled ``0..n-1``."""
     if n < 1:
         raise BadParameter(f"cyclic group needs n >= 1, got {n}")
     _check_order(n, f"Z{n}")
-    return FiniteGroup(_sum_mod(n), 0, [str(i) for i in range(n)], name=f"Z{n}")
+    return FiniteGroup(_sum_mod(n), 0, _residue_labels(n), name=f"Z{n}")
 
 
 def _sum_mod(n: int) -> np.ndarray:
@@ -371,6 +394,16 @@ def _sum_mod(n: int) -> np.ndarray:
     idx = np.arange(n, dtype=_TABLE)
     windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((idx, idx)), n)
     return _frozen(windows[:n].copy())
+
+
+def _residue_labels(n: int) -> list[str]:
+    """The element labels of ``Z_n``, as a group or a ring: ``0 .. n-1``."""
+    return [str(a) for a in range(n)]
+
+
+def _cyclic_rule(n: int) -> PowerRule:
+    """``Z_n``'s power map: ``c`` times ``a`` is ``c a mod n``."""
+    return PowerRule(_residue_labels(n), n, lambda x, c: x * c % n, (n, False) if n >= 2 else None)
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -396,6 +429,17 @@ def _dihedral_labels(n: int) -> list[str]:
     return labels + ["s"] + [f"sr{i}" if i > 1 else "sr" for i in range(1, n)]
 
 
+def _dihedral_rule(n: int) -> PowerRule:
+    """The power map of the dihedral group of order ``2n``: ``r^i`` goes to
+    ``r^(c i)``; a reflection has order 2, so it stays itself for odd ``c``
+    and goes to ``1`` for even ``c``."""
+
+    def power(x: np.ndarray, c: int) -> np.ndarray:
+        return np.where(x < n, x * c % n, x * (c % 2))
+
+    return PowerRule(_dihedral_labels(n), math.lcm(n, 2), power, (n, True))
+
+
 def quaternion_group() -> FiniteGroup:
     """The quaternion group of order 8 on ``1, a, a2, a3, b, ab, a2b, a3b``.
 
@@ -403,11 +447,28 @@ def quaternion_group() -> FiniteGroup:
     ``(a^i b^j)(a^k b^l) = a^(i + (-1)^j k + 2jl) b^(j xor l)`` fills the table.
     """
     idx = np.arange(8, dtype=_TABLE)
-    j, i = idx // 4, idx % 4
-    j_, i_ = j[:, None], i[:, None]
-    table = (j_ ^ j) * 4 + (i_ + (1 - 2 * j_) * i + 2 * (j_ & j)) % 4
-    labels = ["1", "a", "a2", "a3", "b", "ab", "a2b", "a3b"]
-    return FiniteGroup(_frozen(table), 0, labels, name="Q8")
+    return FiniteGroup(_frozen(_quaternion_product(idx[:, None], idx)), 0, _QUATERNION_LABELS, name="Q8")
+
+
+_QUATERNION_LABELS = ("1", "a", "a2", "a3", "b", "ab", "a2b", "a3b")
+
+
+def _quaternion_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The indices of the products ``x y`` in the quaternion group, broadcast."""
+    j, i, l, k = x // 4, x % 4, y // 4, y % 4
+    return (j ^ l) * 4 + (i + (1 - 2 * j) * k + 2 * (j & l)) % 4
+
+
+@cache
+def _quaternion_rule() -> PowerRule:
+    """The quaternion group's power map, from its product rule: every element
+    has order dividing 4, so ``x^c`` is read off the table of ``x^0 .. x^3``."""
+    x = np.arange(8)
+    powers = [np.zeros_like(x)]
+    for _ in range(3):
+        powers.append(_quaternion_product(powers[-1], x))
+    table = _frozen(np.array(powers))  # [c, x]: x^c
+    return PowerRule(_QUATERNION_LABELS, 4, lambda y, c: table[c % 4, y])
 
 
 def elementary_abelian_2(k: int) -> FiniteGroup:
@@ -418,8 +479,17 @@ def elementary_abelian_2(k: int) -> FiniteGroup:
     _check_order(n, f"E2^{k}")
     idx = np.arange(n, dtype=_TABLE)
     table = idx[:, None] ^ idx[None, :]
-    labels = [format(i, f"0{k}b") for i in range(n)]
-    return FiniteGroup(_frozen(table), 0, labels, name=f"E2^{k}")
+    return FiniteGroup(_frozen(table), 0, _binary_labels(k), name=f"E2^{k}")
+
+
+def _binary_labels(k: int) -> list[str]:
+    """The element labels of ``(Z_2)^k``: its ``k``-bit binary strings."""
+    return [format(i, f"0{k}b") for i in range(1 << k)]
+
+
+def _elementary_abelian_2_rule(k: int) -> PowerRule:
+    """The power map of ``(Z_2)^k``: ``x`` for odd ``c``, ``0`` for even ``c``."""
+    return PowerRule(_binary_labels(k), 2, lambda x, c: x * (c % 2))
 
 
 def group_product(*groups: FiniteGroup) -> FiniteGroup:
@@ -500,7 +570,7 @@ def zmod(n: int) -> FiniteRing:
         _frozen(mul),
         0,
         1,
-        [str(i) for i in range(n)],
+        _residue_labels(n),
         name=f"Z{n}",
     )
 
@@ -721,8 +791,11 @@ def _ideal_masks(r: FiniteRing) -> np.ndarray:
 def _sorted_ideals(masks: np.ndarray) -> np.ndarray:
     """The membership rows ``masks`` sorted by (size, element list)."""
     # Of two equal-sized ideals the one holding the least element of their
-    # difference sorts first: its row has the first True where the rows differ.
-    return masks[np.lexsort(np.vstack([~masks.T[::-1], masks.sum(axis=1)]))]
+    # difference sorts first: its row has the first True where the rows
+    # differ, so the greater byte where their packed rows (first element in
+    # the high bit) differ. One sort key per byte, not per element.
+    packed = np.packbits(masks, axis=1)
+    return masks[np.lexsort(np.vstack([~packed.T[::-1], masks.sum(axis=1)]))]
 
 
 def _maximal_rows(masks: np.ndarray) -> np.ndarray:
@@ -811,41 +884,47 @@ def _read_spec(spec: str, kind: str) -> FiniteGroup | FiniteRing:
     return product(*(build() for _, build in factors))
 
 
-def zmod_moduli(spec: str, kind: str = "ring") -> tuple[int, ...] | None:
-    """The moduli ``(n_1, ..., n_k)`` of a ring spec (or, with ``kind``
-    ``"group"``, a group spec) ``Z<n_1>x...xZ<n_k>`` with every ``n_i >= 2``;
-    ``None`` for any other spec of that kind.
+def zmod_moduli(spec: str) -> tuple[int, ...] | None:
+    """The moduli ``(n_1, ..., n_k)`` of a ring spec ``Z<n_1>x...xZ<n_k>``
+    with every ``n_i >= 2``; ``None`` for any other ring spec.
 
-    It reads the spec as :func:`ring_from_spec` (:func:`group_from_spec`)
-    does and raises what that raises before building anything:
-    :class:`BadParameter` for a malformed spec, :class:`OrderTooLarge` above
-    the order cap, whose message names no table for a product of ``Z_n``. A
-    factor below 2 gives ``None``, so its constructor still rejects or
-    builds it.
+    It reads the spec as :func:`ring_from_spec` does and raises what that
+    raises before building anything: :class:`BadParameter` for a malformed
+    spec, :class:`OrderTooLarge` above the order cap, whose message names no
+    table for a product of ``Z_n``. A factor below 2 gives ``None``, so its
+    constructor still rejects or builds it.
     """
-    factors = _spec_factors(spec, kind)
-    cyclic = zmod if kind == "ring" else cyclic_group
-    residue = all(isinstance(b, partial) and b.func is cyclic and k >= 2 for k, b in factors)
+    factors = _spec_factors(spec, "ring")
+    residue = all(isinstance(b, partial) and b.func is zmod and k >= 2 for k, b in factors)
     _check_spec_order(spec, factors, table=not residue)
     return tuple(k for k, _ in factors) if residue else None
 
 
-def divisor_group(spec: str) -> tuple[int, bool] | None:
-    """``(n, False)`` for the group spec ``Z<n>`` with ``n >= 2``, ``(n, True)``
-    for ``D<2n>``: the groups whose power graphs follow from the divisors of
-    ``n``. ``None`` for any other group spec, products included.
+def group_power_rules(spec: str) -> list[PowerRule]:
+    """The :class:`PowerRule` of every ``x``-joined factor of the group spec
+    ``spec``, with no table built.
 
     It reads the spec as :func:`group_from_spec` does and raises what that
-    raises before building anything, except that the order cap's message
-    names no table, as :func:`zmod_moduli`'s does.
+    raises, except that the order cap's message names no table. Where some
+    factor's order is below 1 there is no group, and the first factor that
+    its constructor refuses raises, before that allocates anything.
     """
     factors = _spec_factors(spec, "group")
-    build = factors[0][1] if len(factors) == 1 else None
-    kind = getattr(build, "func", None)
-    if kind not in (cyclic_group, dihedral_group) or build.args[0] < 2:
-        return None
+    if min(order for order, _ in factors) < 1:
+        next(build for order, build in factors if not 1 <= order <= MAX_TABLE_ORDER)()
     _check_spec_order(spec, factors, table=False)
-    return build.args[0], kind is dihedral_group
+    return [_power_rule(build) for _, build in factors]
+
+
+def _power_rule(build: Callable) -> PowerRule:
+    """The power rule of the group factor that ``build()`` would construct."""
+    rules = {
+        cyclic_group: _cyclic_rule,
+        dihedral_group: _dihedral_rule,
+        quaternion_group: _quaternion_rule,
+        elementary_abelian_2: _elementary_abelian_2_rule,
+    }
+    return rules[getattr(build, "func", build)](*getattr(build, "args", ()))
 
 
 def _spec_factors(spec: str, kind: str) -> list[tuple[int, Callable]]:

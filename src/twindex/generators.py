@@ -7,32 +7,33 @@ order), so repeated runs are bit-identical.
 
 Power graphs of a :class:`FiniteGroup`, and the ring graphs of a
 :class:`FiniteRing`, read adjacency off operation tables. :func:`family_graph`
-builds the power graph of a product of ``Z_n`` (``power:Z2xZ30``) and its
-ring graphs (``zdg:Z180``, ``comax:Z4xZ9xZ5``) from residue arithmetic
-instead, with no table. An element is a tuple of residues. The powers of
-``y`` are its multiples ``c y``, ``c = 1 .. ord(y)``, where ``ord(y) =
-lcm(n_i / gcd(y_i, n_i))``. The ideals are the products ``prod d_i Z_{n_i}``
-over divisors ``d_i | n_i``, and ``x y`` lies in such an ideal iff ``d_i |
-x_i y_i`` in every component. The power graph of one ``Z_n`` (``n >= 2``)
-or of one dihedral group (``power:Z480``, ``power:D120``, spec read by
-:func:`~twindex.algebra.divisor_group`) needs no walk:
-:func:`_divisor_power_graph` reads it off the divisors of ``n``. Groups
-with a ``Q8``, ``E2^k`` or ``Z1`` factor, products with a ``D`` factor, and
-polynomial quotients keep the table path.
+builds every ``power:`` spec with no table, from the power map of each
+factor of the group (:func:`~twindex.algebra.group_power_rules`, which
+reads the spec once), and the ring graphs of a product of ``Z_n``
+(``zdg:Z180``, ``comax:Z4xZ9xZ5``) from residue arithmetic. The power
+graph of one ``Z_n`` (``n >= 2``) or of one dihedral group
+(``power:Z480``, ``power:D120``) needs no walk: :func:`_divisor_power_graph`
+reads it off the divisors of ``n``. Every other group spec (products,
+``Q8``, ``E2^k``, ``Z1``; ``power:Q8xZ15``, ``power:Z2xZ30``) goes to
+:func:`_factor_power_graph`, which finds the classes of elements that
+generate the same cyclic subgroup as orbits of the units mod the group's
+exponent, in a fixed number of numpy passes. For the rings, an element is
+a tuple of residues, the ideals are the products ``prod d_i Z_{n_i}``
+over divisors ``d_i | n_i``, and ``x y`` lies in such an ideal iff
+``d_i | x_i y_i`` in every component. Polynomial quotients keep the table
+path.
 
-The two representations supply only what depends on how the group or ring
-is stored, and one function per family does the rest for both.
-:func:`_power_graph` takes each element's powers and the generators of its
-cyclic subgroup among them, a walk through the table or one
-``ravel_multi_index`` of the multiples; it walks once per cyclic subgroup
-and joins two elements iff their cyclic subgroups are nested.
-:func:`_product_graph` (``zdg``, ``izdg``) takes a class table: each
+:func:`power_graph` walks the powers through a group's table once per
+cyclic subgroup; the tests take it as the reference for every ``power:``
+spec. For the ring families, the two representations supply only what
+depends on how the ring is stored, and one function per family does the
+rest for both. :func:`_product_graph` (``zdg``, ``izdg``) takes a class table: each
 element's class, which pairs of classes multiply into the ideal and which
 classes lie in it. On the table path every element is its own class; on the
 residue path an element's class is its tuple of ``gcd(x_i, d_i)``. The
 vertex rule, and the refusal of the whole ring as an ideal, are stated there
-once. They and :func:`_divisor_power_graph` build the graph from a table
-over pairs of classes, :func:`_class_graph`, which packs one mask per class
+once. They and every power graph build the graph from a table over pairs
+of classes, :func:`_class_graph`, which packs one mask per class
 and builds no ``n x n`` matrix. :func:`_comax_graph` takes the ideals as
 membership rows sorted like :func:`~twindex.algebra._ideal_masks` and each
 element's ``1 - a``, reads the maximal ideals, the Jacobson radical, the
@@ -48,8 +49,9 @@ raises the same errors.
 from __future__ import annotations
 
 import warnings
+from functools import cache
 from math import gcd, lcm, prod
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,11 +60,12 @@ from .algebra import (
     FiniteGroup,
     FiniteRing,
     Ideal,
+    PowerRule,
     _check_ideal_cap,
-    _dihedral_labels,
     _ideal_masks,
     _maximal_rows,
     _product_labels,
+    _residue_labels,
     _set_label,
     _sorted_ideals,
     ideal_spec_generators,
@@ -95,70 +98,94 @@ def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
 def power_graph(g: FiniteGroup) -> Graph:
     """Power graph: distinct elements adjacent iff one is a power of the other.
 
-    ``x`` is a power of ``a`` iff ``x`` lies in the cyclic subgroup ``<a>``;
-    the powers of ``a`` are walked through the composition table.
+    ``x`` is a power of ``a`` iff ``x`` lies in the cyclic subgroup ``<a>``.
+    The powers ``a, a^2, ..., a^ord(a)`` are walked through the composition
+    table, once per distinct cyclic subgroup, from the least element not yet
+    placed; the generators ``a^k`` (``gcd(k, ord a) = 1``) of ``<a>`` get its
+    class. ``x ~ y`` iff ``<x>`` and ``<y>`` are nested, which one
+    (subgroups x n) membership matrix gives at the subgroups' first elements.
     """
-    table = g._table
-
-    def powers(a: int) -> tuple[list[int], list[int]]:
-        walk, x = [a], table.item(a, a)
-        while x != a:
-            walk.append(x)
-            x = table.item(x, a)
-        order = len(walk)
-        return walk, [p for k, p in enumerate(walk, 1) if gcd(k, order) == 1]
-
-    return _power_graph(g.order, powers, g.element_labels)
-
-
-def _residue_power_graph(moduli: Sequence[int]) -> Graph:
-    """The power graph of ``Z_{n_1} x ... x Z_{n_k}``, from residue arithmetic.
-
-    Elements are residue tuples in row-major order, labeled as
-    :func:`~twindex.algebra.group_product` labels them. The powers of ``y``
-    are its multiples ``c y`` for ``c = 1 .. ord(y)``, with
-    ``ord(y) = lcm(n_i / gcd(y_i, n_i))``, read by one ``ravel_multi_index``.
-    """
-
-    def powers(y: int) -> tuple[np.ndarray, np.ndarray]:
-        digits = [int(a) for a in np.unravel_index(y, moduli)]
-        order = lcm(*(n // gcd(a, n) for a, n in zip(digits, moduli)))
-        c = np.arange(1, order + 1)
-        walk = np.ravel_multi_index([c * a % n for a, n in zip(digits, moduli)], moduli)
-        return walk, walk[np.gcd(c, order) == 1]
-
-    labels = _product_labels([[str(a) for a in range(n)] for n in moduli])
-    return _power_graph(prod(moduli), powers, labels)
-
-
-def _power_graph(n: int, powers: Callable[[int], tuple], labels: Sequence[str]) -> Graph:
-    """The power graph of a group of order ``n`` on ``labels``, where
-    ``powers(a)`` gives ``a``'s powers ``a, a^2, ..., a^ord(a)`` and the
-    generators ``a^k`` (``gcd(k, ord a) = 1``) of ``<a>`` among them.
-
-    The generators of ``<a>`` share its class, so the powers are walked once
-    per distinct cyclic subgroup, from the least element not yet placed.
-    ``x ~ y`` iff ``<x>`` and ``<y>`` are nested, which one (subgroups x n)
-    membership matrix gives at the subgroups' first elements.
-    """
+    table, n = g._table, g.order
     subgroup = np.full(n, -1, dtype=np.intp)  # subgroup[a]: the class of <a>
     walks = []
     for a in range(n):
         if subgroup[a] >= 0:
             continue
-        walk, generators = powers(a)
-        subgroup[generators] = len(walks)
+        walk, x = [a], table.item(a, a)
+        while x != a:
+            walk.append(x)
+            x = table.item(x, a)
+        subgroup[[p for k, p in enumerate(walk, 1) if gcd(k, len(walk)) == 1]] = len(walks)
         walks.append(walk)
     member = np.zeros((len(walks), n), dtype=bool)
     for c, walk in enumerate(walks):
         member[c, walk] = True
     contains = member[:, [walk[0] for walk in walks]]  # [c, e]: <e> lies in <c>
-    return _class_graph(contains | contains.T, subgroup, labels)
+    return _class_graph(contains | contains.T, subgroup, g.element_labels)
 
 
-def _divisor_power_graph(n: int, dihedral: bool) -> Graph:
-    """The power graph of ``Z_n``, or with ``dihedral`` of the dihedral group
-    of order ``2n``, from the divisors of ``n``.
+def _factor_power_graph(rules: Sequence[PowerRule]) -> Graph:
+    """The power graph of the direct product of the groups whose power maps
+    are ``rules``, from those maps, with no table and no walk.
+
+    Elements are tuples in row-major order, labeled as
+    :func:`~twindex.algebra.group_product` labels them, and ``x^c`` is taken
+    componentwise. Let ``E`` be the lcm of the factors' exponents. ``x`` and
+    ``y`` generate the same cyclic subgroup iff ``y = x^c`` for a unit ``c``
+    mod ``E`` (every unit mod ``ord(x)`` lifts to one mod ``E``), so the
+    classes are the orbits of the units. Each orbit's least member is found
+    by pointer jumping over a generating set of the units, and the classes
+    are ordered by it, as :func:`power_graph` orders them. The cyclic
+    subgroups of ``<x>`` are the ``<x^d>`` over the divisors ``d`` of ``E``,
+    which gives which classes contain which.
+    """
+    sizes = [len(rule.labels) for rule in rules]
+    exponent = lcm(*(rule.exponent for rule in rules))
+
+    def power(digits: Sequence[np.ndarray], c) -> np.ndarray:
+        """The indices of ``x^c`` for the elements ``x`` with components
+        ``digits``, and for every ``c`` of an array ``c`` broadcast against them."""
+        return np.ravel_multi_index([rule.power(d, c) for rule, d in zip(rules, digits)], sizes)
+
+    n = prod(sizes)
+    digits = np.unravel_index(np.arange(n), sizes)
+    least = np.arange(n)  # least[x]: the least member of x's orbit found so far
+    for unit, steps in _unit_generators(exponent):
+        jump = power(digits, unit)  # x -> x^(unit^(2^s)) after s steps
+        for _ in range(steps):
+            np.minimum(least, least[jump], out=least)
+            jump = jump[jump]
+    reps = np.flatnonzero(least == np.arange(n))
+    classes = np.searchsorted(reps, least)
+    below = classes[power([d[reps] for d in digits], _divisors(exponent)[:, None])]  # [d, c]
+    pairs = np.zeros((len(reps), len(reps)), dtype=bool)  # [c, e]: <c> and <e> are nested
+    pairs[np.arange(len(reps)), below] = pairs[below, np.arange(len(reps))] = True
+    return _class_graph(pairs, classes, _product_labels([rule.labels for rule in rules]))
+
+
+@cache
+def _unit_generators(e: int) -> tuple[tuple[int, int], ...]:
+    """A greedy generating set of the units mod ``e``, each unit ``g`` with
+    ``ceil(log2 t)``, where ``g^t`` is its least power in the subgroup that
+    the units before it generate: the pointer-jumping steps that cover
+    ``g^0 .. g^(t-1)``."""
+    reached, gens = {1}, []
+    for g in range(2, e):
+        if g in reached or gcd(g, e) != 1:
+            continue
+        cosets, x = [reached], g
+        while x not in reached:
+            cosets.append({r * x % e for r in reached})
+            x = x * g % e
+        reached = set().union(*cosets)
+        gens.append((g, (len(cosets) - 1).bit_length()))
+    return tuple(gens)
+
+
+def _divisor_power_graph(rule: PowerRule) -> Graph:
+    """The power graph of ``Z_n``, or of the dihedral group of order ``2n``,
+    whose :class:`~twindex.algebra.PowerRule` ``rule`` has ``divisors``
+    ``(n, dihedral)``, from the divisors of ``n``, on the rule's labels.
 
     In ``Z_n``, ``<a> = <gcd(a, n)>``, and ``<d>`` lies in ``<e>`` iff ``e | d``;
     so ``a``'s class is ``gcd(a, n)``, and two classes are joined iff one
@@ -167,17 +194,17 @@ def _divisor_power_graph(n: int, dihedral: bool) -> Graph:
     the identity. So the reflections form one more class, edgeless, joined
     only to the identity's class, the divisor ``n``.
     """
+    n, dihedral = rule.divisors
     divisors = _divisors(n)
     classes = np.searchsorted(divisors, np.gcd(np.arange(n), n))
     pairs = divisors[:, None] % divisors == 0
     pairs |= pairs.T
-    if not dihedral:
-        return _class_graph(pairs, classes, [str(a) for a in range(n)])
-    k = len(divisors)
-    pairs = np.pad(pairs, (0, 1))
-    pairs[k, k - 1] = pairs[k - 1, k] = True
-    classes = np.concatenate([classes, np.full(n, k)])
-    return _class_graph(pairs, classes, _dihedral_labels(n))
+    if dihedral:
+        k = len(divisors)
+        pairs = np.pad(pairs, (0, 1))
+        pairs[k, k - 1] = pairs[k - 1, k] = True
+        classes = np.concatenate([classes, np.full(n, k)])
+    return _class_graph(pairs, classes, rule.labels)
 
 
 def _divisors(n: int) -> np.ndarray:
@@ -192,8 +219,9 @@ def _class_graph(pairs: np.ndarray, classes: np.ndarray, labels: Sequence[str]) 
     Raises :class:`BadParameter`, as :func:`graph_from_matrix` does, for an
     asymmetric ``pairs``, or unless there is exactly one label per vertex and
     the labels are unique. Each class's row of ``pairs``, taken at every
-    vertex's class, is packed into one mask, and a vertex's mask is its
-    class's with its own bit cleared.
+    vertex's class, is packed into one mask. A vertex's mask is its class's
+    with its own bit cleared; that bit is set only where the class is joined
+    to itself, so every other vertex shares its class's mask.
     """
     labels = tuple(labels)
     if len(labels) != len(classes):
@@ -204,7 +232,11 @@ def _class_graph(pairs: np.ndarray, classes: np.ndarray, labels: Sequence[str]) 
         raise BadParameter("vertex labels must be unique")
     rows = np.packbits(pairs.take(classes, axis=1), axis=1, bitorder="little")
     row_masks = [int.from_bytes(row.tobytes(), "little") for row in rows]
-    return Graph(tuple(row_masks[c] & ~(1 << v) for v, c in enumerate(classes.tolist())), labels)
+    loops = np.diagonal(pairs).tolist()
+    return Graph(
+        tuple(row_masks[c] ^ (1 << v) if loops[c] else row_masks[c] for v, c in enumerate(classes.tolist())),
+        labels,
+    )
 
 
 def zero_divisor_graph(r: FiniteRing) -> Graph:
@@ -321,7 +353,7 @@ def _residue_graph(kind: str, moduli: Sequence[int], ideal_spec: str) -> Graph:
     name, size = "x".join(f"Z{n}" for n in moduli), prod(moduli)
     if kind == "comax":
         _check_ideal_cap(size)  # before any label or row is built
-    labels = _product_labels([[str(a) for a in range(n)] for n in moduli])
+    labels = _product_labels([_residue_labels(n) for n in moduli])
     digits = np.unravel_index(np.arange(size), moduli)  # digits[i][x]: component i of x
     if kind == "comax":
         return _comax_graph(*_residue_ideals(moduli, digits), labels, name)
@@ -445,25 +477,16 @@ def family_graph(spec: str) -> Graph:
     ``wheel:<n>``, ``star:<n>``, ``complete:<n>``, ``empty:<n>``,
     ``path:<n>``, ``cycle:<n>``.
     """
-    from .algebra import (
-        divisor_group,
-        group_from_spec,
-        ideal_from_spec,
-        ring_from_spec,
-        zmod_moduli,
-    )
+    from .algebra import group_power_rules, ideal_from_spec, ring_from_spec, zmod_moduli
 
     kind, _, rest = spec.partition(":")
     if not rest:
         raise BadParameter(f"family spec {spec!r} needs a ':<parameters>' part")
     if kind == "power":
-        group = divisor_group(rest)
-        if group is not None:
-            return _divisor_power_graph(*group)
-        moduli = zmod_moduli(rest, "group")
-        if moduli is not None:
-            return _residue_power_graph(moduli)
-        return power_graph(group_from_spec(rest))
+        rules = group_power_rules(rest)
+        if len(rules) == 1 and rules[0].divisors:
+            return _divisor_power_graph(rules[0])
+        return _factor_power_graph(rules)
     if kind in ("zdg", "izdg", "comax"):
         ring_spec, _, ideal_spec = rest.partition(":") if kind == "izdg" else (rest, "", "")
         if kind == "izdg" and not ideal_spec.startswith("I="):

@@ -26,8 +26,8 @@ from twindex.algebra import (
     all_ideals,
     cyclic_group,
     dihedral_group,
-    divisor_group,
     group_from_spec,
+    group_power_rules,
     elementary_abelian_2,
     ideal_from_spec,
     ideal_generated,
@@ -739,8 +739,9 @@ class TestResiduePath:
             ("power:Z2049", no_table),
             ("power:Z2xZ1025", no_table),
             ("power:D2050", no_table),
+            ("power:Q8xZ257", no_table),
+            ("power:E2^12", no_table),
             ("zdg:Z2[x]/(x^11)xZ2", table),
-            ("power:Q8xZ257", table),
         ]:
             ring = spec.partition(":")[2]
             message = f"{ring} has order above 2048: {reason}"
@@ -777,12 +778,15 @@ CI_POWER_SPECS = [
     "power:Z480",
     "power:E2^11",
     "power:D2048",
+    "power:D120",
     "power:Z120",
     "power:Q8xZ15",
     "power:Z60",
     "power:Z20000",
     "power:Z2049",
     "power:Z2xZ30",
+    "power:D8xZ3",
+    "power:Q8xZ257",
 ]
 
 
@@ -830,16 +834,30 @@ class TestResiduePowerGraphs:
     """``family_graph`` builds the power graph of a product of ``Z_n`` with no
     table, and gives the graph and the errors of the table path."""
 
-    def test_zmod_moduli_of_group_specs(self):
-        assert zmod_moduli("Z480", "group") == (480,)
-        assert zmod_moduli(" Z2xZ30 ", "group") == (2, 30)
-        for spec in ["D12", "Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1", "Z0"]:
-            assert zmod_moduli(spec, "group") is None, spec
-        for spec in ["Zx", "Z2[x]/(x^3)"]:
+    def test_power_rules_of_group_specs(self):
+        """One reader gives every factor's labels, exponent and power map."""
+        rules = group_power_rules(" Z2xZ30 ")
+        assert [(r.labels, r.exponent, r.divisors) for r in rules] == [
+            (["0", "1"], 2, (2, False)),
+            ([str(a) for a in range(30)], 30, (30, False)),
+        ]
+        for spec, exponent in [("D12", 6), ("D10", 10), ("Q8", 4), ("E2^3", 2), ("Z1", 1)]:
+            (rule,) = group_power_rules(spec)
+            g = group_from_spec(spec)
+            assert tuple(rule.labels) == g.element_labels, spec
+            assert rule.exponent == exponent, spec
+            x = np.arange(g.order)
+            power = x
+            for c in range(1, 2 * exponent + 1):
+                assert np.array_equal(rule.power(x, c), power), (spec, c)
+                assert np.array_equal(rule.power(x, np.array([[c]])), power[None]), (spec, c)
+                power = g._table[power, x]
+        assert [r.divisors for r in group_power_rules("Q8xE2^2xZ1")] == [None] * 3
+        for spec in ["Zx", "Z2[x]/(x^3)", "Q9", "E2^0"]:
             with pytest.raises(BadParameter):
-                zmod_moduli(spec, "group")
-        with pytest.raises(OrderTooLarge, match="Z2xZ1025 has order above 2048"):
-            zmod_moduli("Z2xZ1025", "group")
+                group_power_rules(spec)
+        with pytest.raises(OrderTooLarge, match="Z2xZ1025 has order above 2048: the order cap"):
+            group_power_rules("Z2xZ1025")
 
     def test_every_small_product(self, no_group_tables):
         specs = [f"power:{group}" for group in cyclic_products()]
@@ -851,9 +869,8 @@ class TestResiduePowerGraphs:
         specs = [s for s in PAPER_POOL_SPECS if s.startswith("power:")]
         specs += [c.family for c in REFERENCE_CHECKS if c.family.startswith("power:")]
         specs += CI_POWER_SPECS
-        residue = [s for s in specs if all(f.startswith("Z") for f in s[6:].split("x"))]
-        assert len(residue) == 13
-        for spec in residue:
+        assert len(specs) == 24
+        for spec in specs:
             assert_same_outcome(spec, no_group_tables, table_power_graph)
 
     @pytest.mark.parametrize("moduli", [(12,), (2, 4), (4, 2), (2, 2, 2), (3, 6), (4, 6), (2, 3, 4)])
@@ -876,7 +893,7 @@ class TestResiduePowerGraphs:
     def test_error_parity(self, spec):
         assert_same_outcome(spec, family_graph, table_power_graph)
 
-    def test_other_groups_keep_the_tables(self, monkeypatch):
+    def test_no_power_spec_builds_a_table(self, monkeypatch):
         built = []
 
         def recording(spec):
@@ -884,11 +901,11 @@ class TestResiduePowerGraphs:
             return group_from_spec(spec)
 
         monkeypatch.setattr(twindex.algebra, "group_from_spec", recording)
-        assert family_graph("power:D12") == table_power_graph("power:D12")
-        specs = ["Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1"]
+        specs = ["D12", "Q8", "E2^3", "Q8xZ15", "D6xZ2", "Z1", "Z2xZ1", "Z2xZ30", "Z60"]
+        specs += GROUP_SWEEP + LARGE_GROUPS
         for spec in specs:
             assert family_graph(f"power:{spec}") == table_power_graph(f"power:{spec}"), spec
-        assert built == specs
+        assert built == []
 
     def test_power_and_product_graphs_share_one_gather(self, monkeypatch):
         calls = []
@@ -899,7 +916,7 @@ class TestResiduePowerGraphs:
 
         class_graph = twindex.generators._class_graph
         monkeypatch.setattr(twindex.generators, "_class_graph", recording)
-        specs = ["power:Z60", "power:D12", "zdg:Z180", "izdg:Z24:I=(8)", "zdg:Z2[x]/(x^3)"]
+        specs = ["power:Z60", "power:D12", "power:Q8xZ15", "zdg:Z180", "izdg:Z24:I=(8)", "zdg:Z2[x]/(x^3)"]
         for spec in specs:
             assert family_graph(spec).n == calls[-1], spec
         assert len(calls) == len(specs)
@@ -912,12 +929,19 @@ class TestDivisorPowerGraphs:
     by :class:`TestResiduePowerGraphs`."""
 
     def test_divisor_group(self):
+        """Only a single ``Z<n>`` (``n >= 2``) or ``D<2n>`` takes the divisor path."""
+
+        def divisor_group(spec):
+            rules = group_power_rules(spec)
+            return rules[0].divisors if len(rules) == 1 else None
+
         assert divisor_group("Z480") == (480, False)
         assert divisor_group(" D120 ") == (60, True)
-        for spec in ["Z1", "Z0", "Q8", "E2^3", "Z2xZ30", "D6xZ2", "Q8xZ15"]:
+        for spec in ["Z1", "Q8", "E2^3", "Z2xZ30", "D6xZ2", "Q8xZ15"]:
             assert divisor_group(spec) is None, spec
-        with pytest.raises(BadParameter):
-            divisor_group("D7")
+        for spec in ["D7", "Z0"]:
+            with pytest.raises(BadParameter):
+                divisor_group(spec)
         with pytest.raises(OrderTooLarge, match="D2050 has order above 2048: the order cap"):
             divisor_group("D2050")
 
@@ -933,3 +957,91 @@ class TestDivisorPowerGraphs:
     @pytest.mark.parametrize("spec", ["power:D7", "power:D4", "power:D2050"])
     def test_dihedral_error_parity(self, spec, no_group_tables):
         assert_same_outcome(spec, no_group_tables, table_power_graph)
+
+
+# --- power graphs of every other group spec, from the factors' power maps --------
+
+# The factors of the product sweep, with their orders.
+POWER_SWEEP_FACTORS = {
+    "Z1": 1, "Z2": 2, "Z3": 3, "Z4": 4, "Z6": 6, "Z8": 8, "Z9": 9, "Z12": 12,
+    "D6": 6, "D8": 8, "D12": 12, "Q8": 8, "E2^2": 4, "E2^3": 8,
+}
+
+
+def power_sweep(max_order):
+    """Every product of one to three factors of :data:`POWER_SWEEP_FACTORS`,
+    in every order, of order at most ``max_order``."""
+    return [
+        "x".join(factors)
+        for r in (1, 2, 3)
+        for factors in itertools.product(POWER_SWEEP_FACTORS, repeat=r)
+        if prod(POWER_SWEEP_FACTORS[f] for f in factors) <= max_order
+    ]
+
+
+class TestFactorPowerGraphs:
+    """``family_graph`` builds the power graph of every group spec that is not
+    a single ``Z<n>`` or ``D<2n>`` from the factors' power maps, with no table,
+    and gives the graph and the errors of the table path."""
+
+    def test_every_small_product(self, no_group_tables):
+        specs = power_sweep(256)
+        assert len(specs) == 1903
+        for spec in specs:
+            assert no_group_tables(f"power:{spec}") == table_power_graph(f"power:{spec}"), spec
+
+    @pytest.mark.parametrize("spec", ["Q8", "Q8xZ3", "D6xZ2", "E2^3"])
+    def test_matches_the_definition(self, spec, no_group_tables):
+        assert _shape(no_group_tables(f"power:{spec}")) == _literal_power_graph(group_from_spec(spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "power:Q8xZ0",
+            "power:Z0xQ8",
+            "power:D7xZ2",
+            "power:E2^0",
+            "power:E2^12",
+            "power:Q8xZ257",
+            "power:Z0xZ5000",
+            "power:Z5000xZ0",
+        ],
+    )
+    def test_error_parity(self, spec, no_group_tables):
+        """The table path's error type and message, except that the whole
+        spec's order cap names no table; where a factor's order is below 1,
+        the first factor its constructor refuses raises, as on the table path."""
+        with pytest.raises(TwindexError) as table:
+            table_power_graph(spec)
+        with pytest.raises(type(table.value)) as caught:
+            no_group_tables(spec)
+        expected = str(table.value)
+        if expected.startswith(f"{spec[6:]} has order above"):
+            table_budget = "one int16 operation table would exceed the 8388608-byte table budget"
+            expected = expected.replace(table_budget, "the order cap of every group and ring spec")
+        assert str(caught.value) == expected
+
+    @pytest.mark.parametrize("spec", ["power:E2^11", "power:Q8xZ255", "power:D1024xZ2"])
+    def test_order_cap_peak_memory(self, spec):
+        """Far below the 28 MiB the table path peaked at on each of them."""
+        family_graph(spec)
+        tracemalloc.start()
+        try:
+            family_graph(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << 20, peak
+
+    def test_unit_generators(self):
+        """The greedy units generate every unit mod ``e``, and each one's
+        pointer-jumping steps cover its powers up to the subgroup before it."""
+        for e in list(range(1, 400)) + [1020, 2048]:
+            units = {c % e for c in range(1, e + 1) if gcd(c, e) == 1}
+            reached = {1 % e}
+            for g, steps in twindex.generators._unit_generators(e):
+                assert g in units and g not in reached, (e, g)
+                t = next(t for t in range(1, e + 1) if pow(g, t, e) in reached)
+                assert 2 ** (steps - 1) < t <= 2**steps, (e, g, steps)
+                reached = {r * pow(g, j, e) % e for r in reached for j in range(t)}
+            assert reached == units, e
