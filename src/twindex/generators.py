@@ -73,6 +73,26 @@ from .algebra import (
 from .graph import Graph, generalized_composition, new_graph
 
 
+# Side of the square tiles that :func:`_symmetric` compares: a tile and its
+# mirror, 64 KiB each as bool, stay in cache while one is read transposed.
+_TILE = 256
+
+
+def _symmetric(a: np.ndarray) -> bool:
+    """Whether ``a`` is square and equal to its transpose.
+
+    Compared tile by tile against the mirrored tiles: a transposed read of
+    the whole matrix strides by a full row and misses the cache on every
+    element once the matrix outgrows it, as at the order cap of 2048.
+    """
+    k = len(a)
+    return a.shape == (k, k) and all(
+        np.array_equal(a[i : i + _TILE, j : j + _TILE], a[j : j + _TILE, i : i + _TILE].T)
+        for i in range(0, k, _TILE)
+        for j in range(i, k, _TILE)
+    )
+
+
 def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
     """The graph of a symmetric boolean adjacency matrix; its diagonal is ignored.
 
@@ -83,7 +103,7 @@ def graph_from_matrix(adj: np.ndarray, labels: Sequence[str]) -> Graph:
     labels = tuple(labels)
     if adj.shape != (len(labels), len(labels)):
         raise BadParameter(f"{len(labels)} labels for an adjacency matrix of shape {adj.shape}")
-    if not np.array_equal(adj, adj.T):
+    if not _symmetric(adj):
         raise BadParameter("adjacency matrix must be symmetric")
     if len(set(labels)) != len(labels):
         raise BadParameter("vertex labels must be unique")
@@ -226,7 +246,7 @@ def _class_graph(pairs: np.ndarray, classes: np.ndarray, labels: Sequence[str]) 
     labels = tuple(labels)
     if len(labels) != len(classes):
         raise BadParameter(f"{len(labels)} labels for {len(classes)} vertices")
-    if not np.array_equal(pairs, pairs.T):
+    if not _symmetric(pairs):
         raise BadParameter("adjacency matrix must be symmetric")
     if len(set(labels)) != len(labels):
         raise BadParameter("vertex labels must be unique")

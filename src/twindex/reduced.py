@@ -62,7 +62,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import BadSubsetSize, DisconnectedGraph, NeedTwoParts
-from .graph import is_connected
+from .graph import Graph, is_connected
 from .steiner import DP_BYTE_BUDGET, distance_matrix, steiner_levels
 from .steiner import steiner_distance  # noqa: F401  -- not called; perfbench/tracing.py patches it
 from .twins import ClassKind, TwinDecomposition
@@ -169,7 +169,7 @@ def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> i
     exact = n_s == m
     more = n_s > m
     n_exact, n_more = int(np.count_nonzero(exact)), int(np.count_nonzero(more))
-    hist[m] += int(dh.sum(where=exact)) - s * n_exact
+    hist[m] += int(dh.sum(where=exact, dtype=np.int64)) - s * n_exact
     if n_more:
         # By column too, into a column-major (n_more, s): numpy gathers one
         # column faster than whole rows.
@@ -182,13 +182,15 @@ def _weigh_chunk(hist: np.ndarray, sizes: np.ndarray, m: int, chunk: tuple) -> i
 
 def _kernel_histogram(
     sizes: np.ndarray,
-    dist: np.ndarray,
+    graph: Graph,
     m: int,
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[np.ndarray, int]:
     """The weight histogram ``h`` and the support count, from the kernel's supports.
 
-    ``sizes`` holds the class sizes and ``dist`` H's distance matrix. A
+    ``sizes`` holds the class sizes of ``graph``, the reduced graph H, whose
+    distance matrix goes straight to the kernel, which keeps only its own
+    narrow copy. A
     support ``{i}`` of one class has ``d_H = 0``, so ``u = -1`` at
     ``n_T = n_i``; its ``T = ∅`` term lands at ``t = 0``, which the sum
     never reads, as it reads no ``t < m``. So every one-class support is one
@@ -207,7 +209,7 @@ def _kernel_histogram(
     # A support holding fewer than m vertices has N_S = 0; so has every
     # support of a level whose s largest classes hold fewer.
     largest = np.sort(sizes)[::-1].cumsum()
-    for s, level in enumerate(steiner_levels(dist, k, top), 2):
+    for s, level in enumerate(steiner_levels(distance_matrix(graph), k, top), 2):
         if largest[s - 1] < m:
             continue
         for chunk in level:
@@ -300,7 +302,7 @@ def steiner_wiener_reduced_with_stats(
     if _transform_chosen(d.k, m):
         hist, supports = _transform_histogram(sizes, _connected_sets(d.reduced.masks), m)
     else:
-        hist, supports = _kernel_histogram(sizes, distance_matrix(d.reduced), m, progress)
+        hist, supports = _kernel_histogram(sizes, d.reduced, m, progress)
     edgeless = [size for size, kind in zip(sizes.tolist(), d.kinds) if kind is ClassKind.EMPTY]
     total = m * comb(n, m) + sum(comb(size, m) for size in edgeless)
     total += sum(comb(t, m) * int(hist[t]) for t in (np.flatnonzero(hist[m:]) + m).tolist())

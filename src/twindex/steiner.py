@@ -35,13 +35,21 @@ over the vertex sets ``W`` that hold the terminals and induce a connected
 subgraph. It shares nothing with Dreyfus-Wagner or the twin reduction. All
 index values are exact Python integers.
 
-Distances and DP entries are int32, which halves the bytes the kernel moves
-and the budget charges. No sum overflows: ``_INF = 2^29``, and inside a
-universe that lies in one component every table entry is at most
-``_INF + 2n`` (an anchor outside the component costs ``_INF`` plus the
-Steiner distance of the subset). The largest sum the kernel forms has three
-terms, two split parts and one distance row, so it stays below
-``3 * _INF + 4n < 2^31`` for every ``n < 2^27``.
+The kernel runs in the narrowest integer type its sums fit, chosen once per
+call from a bound it can prove (:func:`_state_dtype`). Inside a universe that
+lies in one component of n vertices, every entry it stores is the Steiner
+distance of at most ``top`` vertices, so at most ``min(n - 1, (top - 1) * D)``
+for the largest hop count D, and every sum it forms has at most three terms,
+two split parts and one distance row. So ``B = 3 * min(n - 1, (top - 1) * D)``
+bounds every value: the state is int8 up to ``B = 127``, int16 up to 32767
+and int32 beyond. A distance matrix that holds an
+``_INF`` entry, beside a far component, keeps int32: ``_INF = 2^29``, every
+table entry is then at most ``_INF + 2n`` (an anchor outside the component
+costs ``_INF`` plus the Steiner distance of the subset), and a sum of three
+stays below ``3 * _INF + 4n < 2^31`` for every ``n < 2^27``. The byte budget
+still charges the 4 bytes of int32 an entry, whatever the dtype: the budget
+is what bounds a query's time until there is a time budget, and charging the
+narrow itemsize would admit naive queries that run for minutes.
 """
 
 from __future__ import annotations
@@ -72,8 +80,9 @@ CHUNK_BYTES = 1 << 20
 # Scratch that numpy's iterators hold while one operation runs: at most two
 # buffers of ``getbufsize()`` int64 (measured with tracemalloc).
 _BUFFER_BYTES = 16 * np.getbufsize()
-# The one dtype of distances and DP state; its itemsize is what the budget
-# charges per entry. Submask ranks stay int64 (8 bytes).
+# The dtype of distances, and of DP state past the narrow bounds; its itemsize
+# is what the budget charges per entry, whatever the kernel runs in. Submask
+# ranks stay int64 (8 bytes).
 _DIST = np.dtype(np.int32)
 # Larger than any hop count; three of it plus a few hop counts stay below
 # 2^31 (see the module docstring).
@@ -267,6 +276,14 @@ def _merge(tables: list[np.ndarray], idx: np.ndarray) -> np.ndarray:
     return best
 
 
+def _state_dtype(bound: int) -> np.dtype:
+    """The narrowest of int8, int16 and int32 that holds every integer in ``[0, bound]``."""
+    for dtype in (np.int8, np.int16):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return _DIST
+
+
 def _extend(merged: np.ndarray, dist: np.ndarray, counts: np.ndarray, first: int, cap: int) -> np.ndarray:
     """The Dreyfus-Wagner step: ``min_v merged[r, v] + dist[c, v]``, member-major.
 
@@ -279,7 +296,9 @@ def _extend(merged: np.ndarray, dist: np.ndarray, counts: np.ndarray, first: int
     rows it needs and one minimum over the anchors. With at least as many
     rows as anchors the sum is anchor-major, over a copy of ``merged.T``,
     so that minimum is ``n`` elementwise steps over runs of rows; with
-    fewer, as on long paths, it is row-major and runs along each row.
+    fewer, as on long paths, it is row-major and runs along each row. The
+    output and every sum take ``dist``'s dtype, the kernel's, which holds
+    every such sum (module docstring).
     """
     rows, n = merged.shape
     major = rows >= n
@@ -287,7 +306,7 @@ def _extend(merged: np.ndarray, dist: np.ndarray, counts: np.ndarray, first: int
         merged = merged.T.copy()
     per = counts.tolist()
     size = len(per)
-    out = np.empty((size - first, rows), dtype=_DIST)
+    out = np.empty((size - first, rows), dtype=dist.dtype)
     c0 = first
     while c0 < size:
         c1 = c0 + 1
@@ -315,7 +334,7 @@ def steiner_levels(
     ``range(size - 1)`` in a colex chunk, ascending members of shape
     ``(len(rows), s - 1)``. For every member c, ``counts[c]`` is the number
     of leading rows whose largest member is below c, and ``distances`` holds
-    the int32 Steiner distances of ``R | {c}`` for each c in turn over its
+    the Steiner distances of ``R | {c}`` for each c in turn over its
     ``counts[c]`` rows in order. So each level streams R-chunk-major, not in
     colex order of its subsets.
 
@@ -336,8 +355,15 @@ def steiner_levels(
     the rows each member extends. Every chunk of a level takes as many rows
     as the level's first rows fit in ``CHUNK_BYTES``, and at least one
     (:func:`_level_rows`).
+
+    ``dist`` is cast once to the state dtype, which the tables, every sum
+    and the yielded distances share: the narrowest of int8, int16 and int32
+    that holds ``B = 3 * min(n - 1, (top - 1) * D)`` for the largest hop
+    count ``D``, and int32 when ``dist`` holds ``_INF`` (module docstring).
+    So a caller passes the int32 matrix on and keeps no reference to it.
     Raises :class:`TerminalCapExceeded`, before allocating, when the tables
-    and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes.
+    and one chunk's working set need more than ``DP_BYTE_BUDGET`` bytes,
+    charging 4 bytes an entry in any dtype.
     """
     n = dist.shape[0]
     top = min(top, size)
@@ -355,6 +381,9 @@ def steiner_levels(
             f"subsets of up to {top} of {size} terminals on {n} vertices need "
             f"{need} bytes of DP state, over the budget of {DP_BYTE_BUDGET}"
         )
+    hops = int(dist.max())
+    bound = 3 * min(n - 1, (top - 1) * hops) if hops < _INF else _INF
+    dist = dist.astype(_state_dtype(bound), copy=False)
     binom = np.zeros((top + 1, size), dtype=np.int64)
     binom[0] = 1
     for j in range(1, top + 1):
@@ -362,7 +391,7 @@ def steiner_levels(
     # Level 0, the empty set, is never read.
     tables = [None, dist]
     for r in range(2, top - 1):
-        tables.append(table := np.empty((comb(size - 1, r), n), dtype=_DIST))
+        tables.append(table := np.empty((comb(size - 1, r), n), dtype=dist.dtype))
         for lo, pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
             # Every anchor is a member that extends every row, all in one block.
             b = len(pos)
@@ -421,8 +450,9 @@ def steiner_distance(g: Graph, terminals: Iterable[int]) -> int:
         raise DisconnectedTerminals(f"terminals {ts[0]} and {far[0]} lie in different components")
     # The terminals first, so that they are the kernel's universe.
     order = np.concatenate((ts, np.setdiff1d(np.arange(g.n), ts)))
-    dist = dist.take(order, 0).take(order, 1)
-    *_, value = next(steiner_levels(dist, len(ts), len(ts))[-1])
+    levels = steiner_levels(dist.take(order, 0).take(order, 1), len(ts), len(ts))
+    del dist
+    *_, value = next(levels[-1])
     return int(value[0])
 
 
@@ -478,11 +508,10 @@ def steiner_wiener_naive(
         raise DisconnectedGraph("index computation requires a connected graph")
     if m == 1:
         return 0
-    dist = distance_matrix(g)
     total = comb(g.n, m)
     value = done = 0
-    for *_, distances in steiner_levels(dist, g.n, m)[-1]:
-        value += int(distances.sum())
+    for *_, distances in steiner_levels(distance_matrix(g), g.n, m)[-1]:
+        value += int(distances.sum(dtype=np.int64))
         done += len(distances)
         if progress is not None:
             progress(done, total)

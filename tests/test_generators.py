@@ -245,6 +245,23 @@ class TestClassGraph:
         with pytest.raises(BadParameter, match="symmetric"):
             _class_graph(pairs, np.array([0, 1, 1]), ("a", "b", "c"))
 
+    @pytest.mark.parametrize("bit", [None, (5, 2000), (2000, 5), (1800, 1850), (2047, 0)])
+    def test_one_asymmetric_bit_at_the_order_cap(self, rng, bit):
+        # k = 2048 classes, one vertex each, compared tile by tile: one bit
+        # without its mirror, in a far tile, a diagonal tile or a corner, is
+        # refused; the symmetric table builds.
+        gen = np.random.default_rng(rng.randrange(1 << 30))
+        upper = np.triu(gen.random((2048, 2048)) < 0.01, 1)
+        pairs = upper | upper.T
+        labels = [str(v) for v in range(2048)]
+        if bit is None:
+            g = _class_graph(pairs, np.arange(2048), labels)
+            assert g.edge_count() == int(upper.sum())
+            return
+        pairs[bit] = not pairs[bit[::-1]]
+        with pytest.raises(BadParameter, match="symmetric"):
+            _class_graph(pairs, np.arange(2048), labels)
+
     def test_labels_unique(self):
         with pytest.raises(BadParameter, match="unique"):
             _class_graph(np.ones((1, 1), dtype=bool), np.array([0, 0]), ("a", "a"))

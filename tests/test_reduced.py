@@ -585,7 +585,7 @@ class TestEngines:
             h = random_connected_graph(rng, k, 0.4)
             for m in range(2, int(sizes.sum()) + 1):
                 results = [
-                    reduced._kernel_histogram(sizes, distance_matrix(h), m),
+                    reduced._kernel_histogram(sizes, h, m),
                     reduced._transform_histogram(sizes, reduced._connected_sets(h.masks), m),
                 ]
                 (hist, supports), (other, other_supports) = results

@@ -68,6 +68,20 @@ def universe_first(g, universe):
     return distance_matrix(g)[np.ix_(order, order)]
 
 
+def kernel_dtype(dist, top):
+    """The dtype ``steiner_levels`` runs in over ``dist`` up to ``top`` members.
+
+    The narrowest of int8, int16 and int32 that holds
+    ``B = 3 * min(n - 1, (top - 1) * D)``, D the largest hop count, and
+    int32 when ``dist`` holds a pair in different components.
+    """
+    hops = int(dist.max())
+    if hops >= steiner._INF:
+        return np.int32
+    bound = 3 * min(len(dist) - 1, (top - 1) * hops)
+    return np.int8 if bound <= 127 else np.int16 if bound <= 32767 else np.int32
+
+
 def check_levels(g, universe, top, oracle):
     """Every subset ``steiner_levels`` yields, once each and none missing, equals ``oracle``.
 
@@ -78,7 +92,8 @@ def check_levels(g, universe, top, oracle):
     read; each chunk is expanded into its subsets. Returns the number of
     chunks of each level from 2 to ``top``.
     """
-    levels = steiner_levels(universe_first(g, universe), len(universe), top)
+    dist = universe_first(g, universe)
+    levels = steiner_levels(dist, len(universe), top)
     assert len(levels) == max(0, top - 1)
     chunks = [0] * len(levels)
     for s in range(top, 1, -1):
@@ -87,7 +102,7 @@ def check_levels(g, universe, top, oracle):
             subsets, distances = expanded(chunk)
             chunks[s - 2] += 1
             assert subsets.shape == (len(distances), s)
-            assert distances.dtype == np.int32 and distances.ndim == 1
+            assert distances.dtype == kernel_dtype(dist, top) and distances.ndim == 1
             for row, value in zip(subsets.tolist(), distances.tolist()):
                 assert row == sorted(set(row)) and 0 <= row[0] and row[-1] < len(universe)
                 members = frozenset(universe[i] for i in row)
@@ -250,7 +265,8 @@ class TestKernel:
         # subsets of the first. In the first case the first is a path on 8
         # vertices, all of them in the universe, beside a far component: at
         # top = 8 the sums at anchors in the far component reach their
-        # largest, 3 * _INF plus a few hop counts, which int32 must hold.
+        # largest, 3 * _INF plus a few hop counts, which int32 must hold: the
+        # kernel keeps int32 there, however small the universe's distances.
         for case in range(12):
             a, b = (8 if case == 0 else rng.randint(1, 8)), rng.randint(1, 6)
             first = path_graph(a) if case == 0 else random_connected_graph(rng, a, 0.4)
@@ -259,6 +275,9 @@ class TestKernel:
             universe = rng.sample(labels, a if case == 0 else rng.randint(1, a))
             for top in range(1, len(universe) + 1):
                 check_levels(g, universe, top, oracle)
+            if len(universe) > 1:
+                *_, distances = next(steiner_levels(universe_first(g, universe), len(universe), 2)[0])
+                assert distances.dtype == np.int32
 
     @pytest.mark.parametrize("size", [1, 2, 3])
     def test_small_universes(self, rng, size):
@@ -391,25 +410,51 @@ class TestKernel:
         for held, counts, distances in itertools.islice(chunks, 6 if kind == "path" else None):
             expected_counts, expected = top_by_member(dist, held)
             assert counts.tolist() == expected_counts
-            assert distances.dtype == np.int32 and distances.tolist() == expected
+            assert distances.dtype == kernel_dtype(dist, top) and distances.tolist() == expected
 
     @pytest.mark.parametrize("rows,n", [(12, 5), (5, 12)])
     def test_extend_is_the_minimum_over_anchors(self, rng, rows, n):
         # Anchor-major (rows >= n) and row-major, with members in blocks of
         # one, of several and all in one: every entry a member extends is
-        # its minimum over the anchors (the others are left unset).
+        # its minimum over the anchors (the others are left unset), in the
+        # distances' dtype, int8 or int32, whose sums of two stay below 127.
         gen = np.random.default_rng(rng.randrange(1 << 30))
-        merged = gen.integers(0, 50, (rows, n), dtype=np.int32)
-        dist = gen.integers(0, 50, (n, n), dtype=np.int32)
         first = 2
         counts = np.zeros(n, dtype=np.intp)
         counts[first:] = np.sort(gen.integers(1, rows + 1, n - first))
-        for cap in (1, rows, rows * n):
-            out = steiner._extend(merged, dist, counts, first, cap)
-            assert out.shape == (n - first, rows) and out.dtype == np.int32
-            for c in range(first, n):
-                p = counts[c]
-                assert out[c - first, :p].tolist() == (merged[:p] + dist[c]).min(axis=1).tolist()
+        for dtype in (np.int8, np.int32):
+            merged = gen.integers(0, 50, (rows, n), dtype=dtype)
+            dist = gen.integers(0, 50, (n, n), dtype=dtype)
+            for cap in (1, rows, rows * n):
+                out = steiner._extend(merged, dist, counts, first, cap)
+                assert out.shape == (n - first, rows) and out.dtype == dtype
+                for c in range(first, n):
+                    p = counts[c]
+                    assert out[c - first, :p].tolist() == (merged[:p] + dist[c]).min(axis=1).tolist()
+
+    @pytest.mark.parametrize(
+        "bound,dtype",
+        [(0, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32),
+         (steiner._INF, np.int32)],
+    )
+    def test_state_dtype_holds_the_bound(self, bound, dtype):
+        assert steiner._state_dtype(bound) == dtype
+
+    @pytest.mark.parametrize(
+        "n,m,dtype,value",
+        [(43, 3, np.int8, 271502), (43, 4, np.int8, 3258024),
+         (44, 3, np.int16, 297990), (44, 4, np.int16, 3665277)],
+    )
+    def test_path_at_the_int8_boundary(self, n, m, dtype, value):
+        # On path:n every bound is B = 3 * (n - 1): 126 at n = 43, the widest
+        # path in int8, and 129 at n = 44. The naive index is the tree's
+        # edge formula: every m-subset's subtree holds an edge iff the edge
+        # splits the subset.
+        dist = distance_matrix(path_graph(n))
+        *_, distances = next(steiner_levels(dist, n, m)[-1])
+        assert distances.dtype == dtype == kernel_dtype(dist, m)
+        assert sum(comb(n, m) - comb(a, m) - comb(n - a, m) for a in range(1, n)) == value
+        assert steiner_wiener_naive(path_graph(n), m) == value
 
     @pytest.mark.parametrize("rows", [None, 210])
     def test_member_major_array_within_chunk_bytes(self, rng, monkeypatch, rows):
@@ -508,9 +553,10 @@ class TestKernel:
 
     @pytest.mark.parametrize("s", [3, 4, 8])
     def test_byte_budget_boundary(self, s, monkeypatch):
-        # s terminals on n vertices keep (2^(s-1) - s - 1) * n int32 entries,
-        # one per subset of 2 to s - 2 of the first s - 1, beside one chunk of
-        # CHUNK_BYTES.
+        # s terminals on n vertices keep (2^(s-1) - s - 1) * n entries, one
+        # per subset of 2 to s - 2 of the first s - 1, beside one chunk of
+        # CHUNK_BYTES; each entry is charged 4 bytes, as int32, although the
+        # kernel holds it in int8 here.
         g = cycle_graph(16)
         terminals = range(0, 2 * s, 2)
         need = 4 * 16 * ((1 << (s - 1)) - s - 1) + CHUNK_BYTES
