@@ -24,7 +24,14 @@ later member (Dreyfus and Wagner, "The Steiner problem in graphs",
 ``_extend`` or sliced from the table under it, masked to the rows each
 member extends. Every gather reads contiguous rows:
 binomials are stored one row per level, a chunk's submask ranks one row per
-submask.
+submask. None of these indices depends on the graph, only on the universe
+size and the level, so a level whose rows fit in one chunk has a plan, built
+once per shape and kept: its rows, ``counts``, the mask of the rows each
+member extends and, at a merged top or a table level, its submask ranks;
+the binomials are kept per ``(top, size)``. The plans live in one
+process-wide LRU whose read-only arrays total at most ``CHUNK_BYTES``,
+memory outside each query's ``DP_BYTE_BUDGET``. A level of several chunks
+streams chunk by chunk through the same builder and is never kept.
 ``steiner_distance`` reorders the distance matrix so that the terminals come
 first and reads its top level over them, ``steiner_wiener_naive`` sums the
 distances of level m over all vertices, and the twin-class reduction reads
@@ -54,6 +61,7 @@ narrow itemsize would admit naive queries that run for minutes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from math import comb
 from typing import Callable, Iterable, Iterator
 
@@ -87,6 +95,10 @@ _DIST = np.dtype(np.int32)
 # Larger than any hop count; three of it plus a few hop counts stay below
 # 2^31 (see the module docstring).
 _INF = 1 << 29
+# Index plans of the levels that fit in one chunk, by shape, least recently
+# used first. Their arrays are read-only and total at most ``CHUNK_BYTES``
+# (:func:`_keep`).
+_PLANS: OrderedDict[tuple, tuple[np.ndarray, ...]] = OrderedDict()
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
@@ -157,6 +169,74 @@ def _subsets(size: int, s: int, rows: int, binom: np.ndarray) -> Iterator[tuple[
             rank -= binom[j, member]
         pos[:, 0] = rank
         yield lo, pos
+
+
+def _keep(key: tuple, plan: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """Make ``plan``'s arrays read-only and keep it under ``key``; return it.
+
+    The least recently used plans go first, until every kept plan's bytes
+    fit in ``CHUNK_BYTES``; a plan larger than that is returned unkept.
+    """
+    for a in plan:
+        a.flags.writeable = False
+    nbytes = sum(a.nbytes for a in plan)
+    if nbytes <= CHUNK_BYTES:
+        held = sum(a.nbytes for kept in _PLANS.values() for a in kept)
+        while held + nbytes > CHUNK_BYTES:
+            held -= sum(a.nbytes for a in _PLANS.popitem(last=False)[1])
+        _PLANS[key] = plan
+    return plan
+
+
+def _kept(key: tuple) -> tuple[np.ndarray, ...] | None:
+    """The plan kept under ``key``, now the most recently used, or None."""
+    plan = _PLANS.get(key)
+    if plan is not None:
+        _PLANS.move_to_end(key)
+    return plan
+
+
+def _binomials(top: int, size: int) -> np.ndarray:
+    """Level-major binomials ``binom[j, c] = C(c, j)`` for ``j <= top`` and ``c < size``, kept per shape."""
+    key = ("binom", top, size)
+    plan = _kept(key)
+    if plan is None:
+        binom = np.zeros((top + 1, size), dtype=np.int64)
+        binom[0] = 1
+        for j in range(1, top + 1):
+            binom[j, 1:] = binom[j - 1, :-1].cumsum()
+        plan = _keep(key, (binom,))
+    return plan[0]
+
+
+def _planned(
+    key: tuple,
+    size: int,
+    s: int,
+    rows: int,
+    binom: np.ndarray,
+    build: Callable[[np.ndarray], tuple[np.ndarray, ...]],
+) -> Iterator[tuple[int, tuple[np.ndarray, ...]]]:
+    """``(lo, build(pos))`` for every chunk ``(lo, pos)`` of :func:`_subsets`.
+
+    A level whose ``C(size, s)`` subsets fit in one chunk of ``rows`` is
+    built once per ``key`` and then read from the kept plans. It is kept
+    only when its one chunk holds every subset, so a short chunk is never
+    read as a whole level. Whether the level fits is decided on every call,
+    from the ``rows`` the caller computed under the current ``CHUNK_BYTES``;
+    a level of several chunks is built chunk by chunk and never kept.
+    """
+    total = comb(size, s)
+    whole = rows >= total
+    plan = _kept(key) if whole else None
+    if plan is not None:
+        yield 0, plan
+        return
+    for lo, pos in _subsets(size, s, rows, binom):
+        if whole and len(pos) == total:
+            yield lo, _keep(key, build(pos))
+        else:
+            yield lo, build(pos)
 
 
 def _level_bytes(n: int, size: int, s: int) -> tuple[int, int, int]:
@@ -356,6 +436,15 @@ def steiner_levels(
     as the level's first rows fit in ``CHUNK_BYTES``, and at least one
     (:func:`_level_rows`).
 
+    A level that fits in one chunk reads its rows, ``counts``, mask and
+    submask ranks from a plan kept per ``(size, s, merged top)``, and a
+    table level its submask ranks per ``(size, r)``; both are built on the
+    first call of that shape (:func:`_planned`). Whether a level fits is
+    decided on every call, and a level of several chunks builds each chunk
+    afresh. Kept plans are read-only, so are the rows and counts yielded
+    from them, and all of them together hold at most ``CHUNK_BYTES``, which
+    the budget below does not charge.
+
     ``dist`` is cast once to the state dtype, which the tables, every sum
     and the yielded distances share: the narrowest of int8, int16 and int32
     that holds ``B = 3 * min(n - 1, (top - 1) * D)`` for the largest hop
@@ -384,38 +473,48 @@ def steiner_levels(
     hops = int(dist.max())
     bound = 3 * min(n - 1, (top - 1) * hops) if hops < _INF else _INF
     dist = dist.astype(_state_dtype(bound), copy=False)
-    binom = np.zeros((top + 1, size), dtype=np.int64)
-    binom[0] = 1
-    for j in range(1, top + 1):
-        binom[j, 1:] = binom[j - 1, :-1].cumsum()
+    binom = _binomials(top, size)
     # Level 0, the empty set, is never read.
     tables = [None, dist]
     for r in range(2, top - 1):
         tables.append(table := np.empty((comb(size - 1, r), n), dtype=dist.dtype))
-        for lo, pos in _subsets(size - 1, r, _chunk_rows(_row_bytes(n, r, relax=True)), binom):
+        rows = _chunk_rows(_row_bytes(n, r, relax=True))
+        for lo, (ranks,) in _planned(
+            ("table", size, r), size - 1, r, rows, binom, lambda pos: (_submask_rows(pos, binom),)
+        ):
             # Every anchor is a member that extends every row, all in one block.
-            b = len(pos)
-            table[lo : lo + b] = _extend(
-                _merge(tables, _submask_rows(pos, binom)), dist, np.full(n, b), 0, b * n
-            ).T
+            b = ranks.shape[1]
+            table[lo : lo + b] = _extend(_merge(tables, ranks), dist, np.full(n, b), 0, b * n).T
+            # Freed before the next chunk is built.
+            del ranks
     extended = np.arange(size)
 
     def level(s: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        for lo, rpos in _subsets(size - 1, s - 1, _level_rows(n, size, s), binom):
+        merged = s == top > 2
+
+        def plan(rpos: np.ndarray) -> tuple[np.ndarray, ...]:
             # Colex order sorts the rows by their largest member, so the rows
             # that c extends, those whose largest member is below c, are a
             # prefix: empty up to the first row's largest member, then growing.
             counts = rpos[:, -1].searchsorted(extended)
+            held = np.arange(len(rpos)) < counts[int(rpos[0, -1]) + 1 :, None]
+            return (rpos, counts, held, _submask_rows(rpos, binom)) if merged else (rpos, counts, held)
+
+        key = ("level", size, s, merged)
+        for lo, (rpos, counts, held, *ranks) in _planned(
+            key, size - 1, s - 1, _level_rows(n, size, s), binom, plan
+        ):
             first = int(rpos[0, -1]) + 1
             b = len(rpos)
-            if s == top > 2:
-                members = _extend(_merge(tables, _submask_rows(rpos, binom)), dist, counts, first, b)
+            if merged:
+                # Popped, so that ranks no plan keeps are freed before _extend.
+                members = _extend(_merge(tables, ranks.pop()), dist, counts, first, b)
             else:
                 # R's stored row at each later member.
                 members = tables[s - 1][lo : lo + b, first:size].T
-            out = members[np.arange(b) < counts[first:, None]]
+            out = members[held]
             # Freed before the next chunk is built.
-            del members
+            del members, held
             yield rpos, counts, out
 
     return [level(s) for s in range(2, top + 1)]

@@ -76,23 +76,64 @@ def all_graphs(n: int):
         yield new_graph(n, edges)
 
 
-def graphs_up_to_isomorphism(n: int):
-    """One graph per isomorphism class on n vertices, each its least edge mask.
+def least_images(masks: np.ndarray, n: int) -> np.ndarray:
+    """The least image of each edge mask on ``n`` vertices over all ``n!`` vertex permutations.
 
     Bit i of an edge mask is the i-th pair of ``itertools.combinations``. A
     vertex permutation moves each edge bit to the bit of the image pair, so
-    every mask's least image over all ``n!`` permutations names its class.
+    the least image names the mask's isomorphism class. The images of a
+    block of permutations are one float64 product of the masks' bits with
+    the image bits' weights, exact while every mask is below ``2^53``.
     """
     pairs = list(itertools.combinations(range(n), 2))
     bit_of = {pair: i for i, pair in enumerate(pairs)}
-    masks = np.arange(1 << len(pairs), dtype=np.int64)
-    bits = masks[:, None] >> np.arange(len(pairs)) & 1
-    least = masks.copy()
-    for perm in itertools.permutations(range(n)):
-        image = [bit_of[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
-        np.minimum(least, bits @ (1 << np.array(image, dtype=np.int64)), out=least)
-    for mask in np.unique(least).tolist():
-        yield new_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+    bits = (masks[:, None] >> np.arange(len(pairs)) & 1).astype(np.float64)
+    weights = np.array(
+        [
+            [1 << bit_of[tuple(sorted((perm[u], perm[v])))] for u, v in pairs]
+            for perm in itertools.permutations(range(n))
+        ],
+        dtype=np.float64,
+    ).T
+    least = np.full(len(masks), np.inf)
+    block = max(1, (1 << 21) // max(1, len(masks)))
+    for lo in range(0, weights.shape[1], block):
+        np.minimum(least, (bits @ weights[:, lo : lo + block]).min(axis=1), out=least)
+    return least.astype(np.int64)
+
+
+def graph_of_mask(n: int, mask: int):
+    """The graph on ``n`` vertices whose edges are the set bits of ``mask`` (see :func:`least_images`)."""
+    pairs = itertools.combinations(range(n), 2)
+    return new_graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def graphs_up_to_isomorphism(n: int):
+    """One graph per isomorphism class on n vertices, each its least edge mask."""
+    masks = np.arange(1 << n * (n - 1) // 2, dtype=np.int64)
+    for mask in np.unique(least_images(masks, n)).tolist():
+        yield graph_of_mask(n, mask)
+
+
+def connected_extensions(graphs, n: int):
+    """One graph per connected isomorphism class on ``n + 1`` vertices, each its least edge mask.
+
+    ``graphs`` holds one graph per isomorphism class on ``n`` vertices.
+    Deleting any vertex of a connected graph on ``n + 1`` vertices leaves
+    one of them, so joining a new vertex ``n`` to every non-empty vertex set
+    of each reaches every connected class; the connected extensions are
+    then told apart by :func:`least_images`.
+    """
+    bit_of = {pair: i for i, pair in enumerate(itertools.combinations(range(n + 1), 2))}
+    masks = set()
+    for g in graphs:
+        base = sum(1 << bit_of[edge] for edge in g.edges())
+        for joined in range(1, 1 << n):
+            mask = base | sum(1 << bit_of[u, n] for u in range(n) if joined >> u & 1)
+            if is_connected(graph_of_mask(n + 1, mask)):
+                masks.add(mask)
+    least = least_images(np.array(sorted(masks), dtype=np.int64), n + 1)
+    return [graph_of_mask(n + 1, mask) for mask in np.unique(least).tolist()]
 
 
 def connectivity_sweep():

@@ -26,7 +26,13 @@ from twindex.algebra import cyclic_group
 from twindex.generators import complete_graph, family_graph, power_graph, star_graph
 from twindex.reference import closed_form
 
-from conftest import all_graphs, graphs_up_to_isomorphism, random_connected_graph, random_graph
+from conftest import (
+    all_graphs,
+    connected_extensions,
+    graphs_up_to_isomorphism,
+    random_connected_graph,
+    random_graph,
+)
 
 
 def report(num: int, text: str) -> None:
@@ -127,9 +133,10 @@ def test_criterion_10_star_formula():
 
 def test_criterion_11_formula_oracle_equivalence():
     # Exhaustive edge-set enumeration up to n = 5, and every connected graph
-    # on 6 vertices up to isomorphism (112 of the 156 classes; OEIS A001349
-    # and A000088). Sampled: 150 random connected graphs at each of n = 6, 7
-    # and 60 at each of n = 8, 9.
+    # on 6 and 7 vertices up to isomorphism (112 of the 156 classes on 6,
+    # and the 853 connected classes on 7, built by joining a vertex to each
+    # class on 6; OEIS A001349 and A000088). Sampled: 150 random connected
+    # graphs at each of n = 6, 7 and 60 at each of n = 8, 9.
     start = time.perf_counter()
 
     def sweep(g):
@@ -148,7 +155,9 @@ def test_criterion_11_formula_oracle_equivalence():
     six = list(graphs_up_to_isomorphism(6))
     connected_six = [g for g in six if is_connected(g)]
     assert (len(six), len(connected_six)) == (156, 112)
-    for g in connected_six:
+    seven = connected_extensions(six, 6)
+    assert len(seven) == 853
+    for g in connected_six + seven:
         sweep(g)
     rng = random.Random(0xACCE55)
     sampled = 0
@@ -160,8 +169,9 @@ def test_criterion_11_formula_oracle_equivalence():
     assert elapsed < 120.0
     report(
         11,
-        f"reduced == naive on {exhaustive} exhaustive (n<=5), {len(connected_six)} n=6 up to "
-        f"isomorphism and {sampled} sampled (n=6..9) connected graphs, all m [{elapsed:.1f} s]",
+        f"reduced == naive on {exhaustive} exhaustive (n<=5), {len(connected_six)} n=6 and "
+        f"{len(seven)} n=7 up to isomorphism and {sampled} sampled (n=6..9) connected graphs, "
+        f"all m [{elapsed:.1f} s]",
     )
 
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import tracemalloc
+from collections import OrderedDict
 from math import comb
 
 import numpy as np
@@ -20,6 +21,8 @@ from twindex import (
     steiner_distance,
     steiner_distance_bruteforce,
     steiner_wiener_naive,
+    steiner_wiener_reduced,
+    twin_partition,
     wiener_index,
 )
 from twindex.generators import (
@@ -592,6 +595,140 @@ class TestKernel:
             steiner_wiener_naive(path_graph(n), m)
         monkeypatch.setattr(steiner, "_subsets", lambda *args: iter(()))
         assert steiner_wiener_naive(path_graph(n - 1), m) == 0
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """An empty plan cache of the kernel for one test; the process-wide one comes back after."""
+    kept = OrderedDict()
+    monkeypatch.setattr(steiner, "_PLANS", kept)
+    return kept
+
+
+def counted(monkeypatch, *names):
+    """Wrap the named functions of ``steiner`` so that each call is counted in the returned dict."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def wrapper(*args, name=name, real=getattr(steiner, name)):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(steiner, name, wrapper)
+    return calls
+
+
+def kept_bytes(plans):
+    return sum(a.nbytes for plan in plans.values() for a in plan)
+
+
+def level_pairs(dist, size, top):
+    """Chunks per level and the sorted ``(subset, distance)`` pairs of every level up to ``top``."""
+    chunks, pairs = [], []
+    for level in steiner_levels(dist, size, top):
+        chunks.append(0)
+        for chunk in level:
+            chunks[-1] += 1
+            subsets, distances = expanded(chunk)
+            pairs += zip(map(tuple, subsets.tolist()), distances.tolist())
+    return chunks, sorted(pairs)
+
+
+class TestPlans:
+    """Index plans of one-chunk levels, built once per shape and kept within CHUNK_BYTES."""
+
+    def test_repeated_queries_build_no_plan(self, plans, monkeypatch):
+        # Every level of both queries fits in one chunk, so the second run
+        # of each reads all of its rows, counts, masks and submask ranks
+        # from the kept plans. The reduced query runs on the kernel, over
+        # the 11 classes of power:Z60.
+        monkeypatch.setattr(reduced, "_transform_chosen", lambda k, m: False)
+        d = twin_partition(power_graph(cyclic_group(60)))
+        queries = {
+            "naive": lambda: steiner_wiener_naive(cycle_graph(12), 5),
+            "reduced": lambda: steiner_wiener_reduced(d, 5),
+        }
+        for name, query in queries.items():
+            with monkeypatch.context() as mp:
+                cold = counted(mp, "_subsets", "_submask_rows")
+                first = query()
+            assert cold["_subsets"] > 0 and cold["_submask_rows"] > 0, name
+            with monkeypatch.context() as mp:
+                warm = counted(mp, "_subsets", "_submask_rows")
+                assert query() == first, name
+            assert warm == {"_subsets": 0, "_submask_rows": 0}, name
+
+    def test_kept_plans_are_read_only(self, plans):
+        # The rows and counts of a kept plan are yielded as they are kept,
+        # both when the plan is built and when it is read again.
+        dist = distance_matrix(cycle_graph(8))
+        for _ in range(2):
+            for level in steiner_levels(dist, 8, 5):
+                rows, counts, _ = next(level)
+                for a in (rows, counts):
+                    with pytest.raises(ValueError):
+                        a[0] = 0
+        assert plans and all(not a.flags.writeable for plan in plans.values() for a in plan)
+
+    def test_kept_bytes_within_chunk_bytes(self, plans):
+        # Naive queries over paths of 3 to 40 vertices at m = 2 to 5 keep
+        # more plans than CHUNK_BYTES holds, so the least recently used go;
+        # every value is still the tree's edge formula.
+        built = []
+        for n in range(3, 41):
+            g = path_graph(n)
+            for m in range(2, min(n, 5) + 1):
+                assert steiner_wiener_naive(g, m) == sum(
+                    comb(n, m) - comb(a, m) - comb(n - a, m) for a in range(1, n)
+                )
+                built += [key for key in plans if key not in built]
+                assert kept_bytes(plans) <= CHUNK_BYTES
+        assert len(plans) < len(built)
+        assert ("level", 3, 2, False) in built and ("level", 3, 2, False) not in plans
+
+    def test_level_of_two_chunks_never_kept(self, plans, monkeypatch):
+        # Under CHUNK_BYTES the top level of a 12-cycle at top = 4 is one
+        # chunk and is kept. One row short of the whole level, it needs two
+        # chunks: it is streamed in exactly the chunks of expected_chunks,
+        # not read from the plan kept under the other CHUNK_BYTES, and once
+        # that plan is dropped it is never kept again.
+        n, top = 12, 4
+        dist = distance_matrix(cycle_graph(n))
+        key = ("level", n, top, True)
+        whole = level_pairs(dist, n, top)
+        assert whole[0] == expected_chunks(n, n, top) == [1] * (top - 1)
+        assert key in plans
+        monkeypatch.setattr(steiner, "CHUNK_BYTES", rows_chunk_bytes(n, n, top, comb(n - 1, top - 1) - 1))
+        two = expected_chunks(n, n, top)
+        assert two == [1] * (top - 2) + [2]
+        assert level_pairs(dist, n, top) == (two, whole[1])
+        del plans[key]
+        for _ in range(2):
+            assert level_pairs(dist, n, top) == (two, whole[1])
+            assert key not in plans
+
+    @pytest.mark.parametrize("short", ["no chunk", "a row short"])
+    def test_short_plan_never_kept(self, plans, monkeypatch, short):
+        # A one-chunk level is kept only when its chunk holds every row: a
+        # _subsets that yields nothing, or one row too few, leaves no level
+        # or table plan behind, so the next query builds its own.
+        real = steiner._subsets
+
+        def subsets(*args):
+            if short == "a row short":
+                yield from ((lo, pos[:-1]) for lo, pos in real(*args))
+
+        dist = distance_matrix(cycle_graph(9))
+        with monkeypatch.context() as mp:
+            mp.setattr(steiner, "_subsets", subsets)
+            for level in steiner_levels(dist, 9, 6):
+                for _ in level:
+                    pass
+        assert [key[0] for key in plans] == ["binom"]
+        assert level_pairs(dist, 9, 6) == level_pairs(dist, 9, 6)
+        assert steiner_wiener_naive(cycle_graph(9), 6) == sum(
+            9 - max((b - a) % 9 for a, b in zip(s, s[1:] + s[:1]))
+            for s in itertools.combinations(range(9), 6)
+        )
 
 
 class TestBruteForceOracle:
